@@ -5,6 +5,11 @@ to which the claim is proven, and (on failure) the first offending tensor
 entry and monomial.  Failing checks never abort the suite; structural
 impossibilities (a check that cannot even be stated for the model) are
 reported as skips with a reason.
+
+This module is also the one evaluation path that the ``extend`` and
+``dualize`` commands share with the suite: the working connection for a
+base shift, the mu-extension and the twist-hypotheses rule are defined here
+and nowhere else.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from . import duality as duality_mod
 from . import euler as euler_mod
@@ -100,23 +105,74 @@ class SuiteReport:
         return "\n".join(lines) + "\n"
 
 
-def _tensor_check(check_id: str, tensor, degree: Optional[int] = None,
-                  detail: str = "") -> CheckResult:
-    proven = tensor_valid_to(tensor) if degree is None else degree
+def _tensor_check(check_id: str, tensor, detail: str = "") -> CheckResult:
+    proven = tensor_valid_to(tensor)
     if tensor_vanishes_through(tensor, proven):
         return CheckResult(check_id, PASS, proven, detail)
     return CheckResult(check_id, FAIL, proven, detail,
                        tensor_first_offending(tensor))
 
 
-def _mu_tensor_check(check_id: str, rows, detail: str = "") -> CheckResult:
-    entries = [entry for row in rows for entry in row] \
-        if isinstance(rows, tuple) and rows and isinstance(rows[0], tuple) \
-        else list(rows)
-    proven = min(e.proven_to() for e in entries)
-    if all(e.vanishes_through(e.proven_to()) for e in entries):
-        return CheckResult(check_id, PASS, proven, detail)
-    return CheckResult(check_id, FAIL, proven, detail)
+def working_connection(structure: FStructure, shift: Fraction) -> Connection:
+    """The flat connection of the frame moved along the pencil by ``shift``."""
+    flat = Connection.zero(structure.dim, structure.order)
+    return shift_base(structure, flat, shift) if shift != 0 else flat
+
+
+@dataclass(frozen=True)
+class Extension:
+    """The mu-extension built from a scaling field E and the identity e.
+
+    ``equation`` is the residual of the reconstruction equation, ``h`` the
+    operator H reconstructed from E, and ``flatness`` the residual of the
+    extended connection's flatness.
+    """
+
+    equation: euler_mod.MuSeriesVF
+    h: euler_mod.MuSeriesEnd
+    flatness: euler_mod.FlatnessReport
+
+    @property
+    def equation_holds(self) -> bool:
+        return self.equation.vanishes_through(self.equation.proven_to())
+
+
+def evaluate_extension(structure: FStructure, working: Connection,
+                       e_field: VectorField, mu_order: int) -> Extension:
+    """Build and verify the mu-extension; needs the structure's identity."""
+    e = structure.identity
+    e1 = covariant_derivative(working, e, e)
+    e_series = euler_mod.MuSeriesVF.constant(e_field, mu_order)
+    equation = euler_mod.e_equation_residual(e_series, structure, working,
+                                             e, e1)
+    h = euler_mod.h_from_e(e_series, structure, working, e, e1)
+    return Extension(equation, h,
+                     euler_mod.full_flatness_residual(h, structure, working))
+
+
+def evaluate_twist(structure: FStructure, working: Connection,
+                   epsilon: VectorField) -> duality_mod.DualityVerifyReport:
+    """Twist by ``epsilon``, with the pencil member one unit past ``working``."""
+    return duality_mod.duality_verify(
+        structure, working, shift_base(structure, working, 1), epsilon)
+
+
+# Exactly one of these two hypotheses can hold, so the rule requires their
+# disjunction rather than both.
+_TWIST_ALTERNATIVES = ("twist field flat for shifted connection",
+                      "inverse of twist field flat for shifted connection")
+
+
+def twist_hypothesis_failures(
+        report: duality_mod.DualityVerifyReport) -> List[str]:
+    """What the twist-hypotheses rule finds wrong; empty when it holds."""
+    failed = [h.label for h in report.hypotheses
+              if not h.holds and h.label not in _TWIST_ALTERNATIVES]
+    if not any(h.holds for h in report.hypotheses
+               if h.label in _TWIST_ALTERNATIVES):
+        failed.append("neither the twist field nor its inverse is flat "
+                      "for the shifted connection")
+    return failed
 
 
 def run_check_suite(instance: ModelInstance, mu_order: int = 4,
@@ -131,8 +187,7 @@ def run_check_suite(instance: ModelInstance, mu_order: int = 4,
     shift = instance.lambda0 if lambda0 is None else lambda0
     results: List[CheckResult] = []
 
-    flat = Connection.flat(n, cap)
-    working = shift_base(structure, flat, shift) if shift != 0 else flat
+    working = working_connection(structure, shift)
 
     # 1. symmetry of the structure tensor
     sym = tuple(tuple(tuple(
@@ -196,15 +251,15 @@ def run_check_suite(instance: ModelInstance, mu_order: int = 4,
             "extension-flatness", SKIP,
             detail="needs both an identity and a scaling field"))
     else:
-        e = structure.identity
-        e1 = covariant_derivative(working, e, e)
-        e_series = euler_mod.MuSeriesVF.constant(instance.euler[0], mu_order)
-        equation = euler_mod.e_equation_residual(e_series, structure, working,
-                                                 e, e1)
-        results.append(_mu_tensor_check("extension-equation", (equation,)))
-        h = euler_mod.h_from_e(e_series, structure, working, e, e1)
-        flatness = euler_mod.full_flatness_residual(h, structure, working)
-        results.append(_mu_tensor_check("extension-flatness", flatness.full))
+        extension = evaluate_extension(structure, working, instance.euler[0],
+                                       mu_order)
+        results.append(CheckResult(
+            "extension-equation", PASS if extension.equation_holds else FAIL,
+            extension.equation.proven_to()))
+        results.append(CheckResult(
+            "extension-flatness",
+            PASS if extension.flatness.full_vanishes() else FAIL,
+            extension.flatness.proven_to()))
 
     # 8. twist field checks
     twist_ids = ("twist-membership", "twist-hypotheses",
@@ -223,20 +278,8 @@ def run_check_suite(instance: ModelInstance, mu_order: int = 4,
             "twist-membership", PASS if membership.member else FAIL,
             membership.proven_to,
             detail="nabla_Y eps = Y o nabla_e eps over the frame"))
-        shifted = shift_base(structure, working, 1)
-        report = duality_mod.duality_verify(structure, working, shifted,
-                                            instance.epsilon)
-        # exactly one of {twist flat, inverse flat} can hold; require the
-        # disjunction rather than both
-        alternatives = {"twist field flat for shifted connection",
-                        "inverse of twist field flat for shifted connection"}
-        either = any(h.holds for h in report.hypotheses
-                     if h.label in alternatives)
-        failed = [h.label for h in report.hypotheses
-                  if not h.holds and h.label not in alternatives]
-        if not either:
-            failed.append("neither the twist field nor its inverse is flat "
-                          "for the shifted connection")
+        report = evaluate_twist(structure, working, instance.epsilon)
+        failed = twist_hypothesis_failures(report)
         results.append(CheckResult(
             "twist-hypotheses", PASS if not failed else FAIL,
             min(h.proven_to for h in report.hypotheses),

@@ -21,11 +21,10 @@ from typing import Optional
 from . import __version__
 from . import correlators as correlators_mod
 from . import duality as duality_mod
-from . import euler as euler_mod
-from .checks import run_check_suite
+from .checks import (evaluate_extension, evaluate_twist, run_check_suite,
+                     twist_hypothesis_failures, working_connection)
 from .expr import ExprError
-from .fmanifold import shift_base
-from .geometry import Connection, covariant_derivative
+from .geometry import Connection
 from .models import (CORPUS, ModelDocument, ModelFormatError, load_model,
                      load_model_file)
 from .permutofan import FanSizeError, verify_fan
@@ -50,10 +49,14 @@ def _load_document(source: str) -> ModelDocument:
 
 
 def _emit(text: str, report_path: Optional[str]) -> None:
-    sys.stdout.write(text)
     if report_path:
-        with open(report_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(report_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write report {report_path!r}: {exc}") \
+                from exc
+    sys.stdout.write(text)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -76,19 +79,13 @@ def _cmd_dualize(args: argparse.Namespace) -> int:
     if structure.identity is None:
         raise CliError(f"model {document.name!r} has no identity field")
     n = structure.dim
-    pair = duality_mod.dual_structure(structure, instance.epsilon)
-    flat = Connection.flat(n, structure.order)
-    base = (shift_base(structure, flat, instance.lambda0)
-            if instance.lambda0 != 0 else flat)
-    shifted = shift_base(structure, base, 1)
-    verify = duality_mod.duality_verify(structure, base, shifted,
-                                        instance.epsilon)
-    alternatives = {"twist field flat for shifted connection",
-                    "inverse of twist field flat for shifted connection"}
-    ok = all(h.holds for h in verify.hypotheses
-             if h.label not in alternatives) \
-        and any(h.holds for h in verify.hypotheses
-                if h.label in alternatives)
+    verify = evaluate_twist(structure,
+                            working_connection(structure, instance.lambda0),
+                            instance.epsilon)
+    if verify.pair is None:
+        raise duality_mod.NotInvertibleError()
+    dual = verify.pair.dual.structure.tensor
+    ok = not twist_hypothesis_failures(verify)
     if args.format == "json":
         obj = {
             "schemaVersion": 1,
@@ -99,10 +96,10 @@ def _cmd_dualize(args: argparse.Namespace) -> int:
                 for h in verify.hypotheses],
             "bracketConvention": verify.bracket_convention,
             "dualStructure": [
-                [[pair.dual.structure.tensor[a][b][c].canonical_text()
+                [[dual[a][b][c].canonical_text()
                   for c in range(n)] for b in range(n)] for a in range(n)],
             "inverseTwist": [c.canonical_text()
-                             for c in pair.inverse_used.components],
+                             for c in verify.pair.inverse_used.components],
         }
         text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     else:
@@ -114,9 +111,8 @@ def _cmd_dualize(args: argparse.Namespace) -> int:
         for a in range(n):
             for b in range(n):
                 for c in range(n):
-                    body = pair.dual.structure.tensor[a][b][c].canonical_text()
                     lines.append(f"  entry {a} {b} {c}:")
-                    for row in body.splitlines():
+                    for row in dual[a][b][c].canonical_text().splitlines():
                         lines.append("    " + row)
         text = "\n".join(lines) + "\n"
     _emit(text, args.report)
@@ -132,17 +128,11 @@ def _cmd_extend(args: argparse.Namespace) -> int:
     if structure.identity is None:
         raise CliError(f"model {document.name!r} has no identity field")
     n = structure.dim
-    flat = Connection.flat(n, structure.order)
-    working = (shift_base(structure, flat, instance.lambda0)
-               if instance.lambda0 != 0 else flat)
-    e = structure.identity
-    e1 = covariant_derivative(working, e, e)
-    e_series = euler_mod.MuSeriesVF.constant(instance.euler[0], args.mu_order)
-    equation = euler_mod.e_equation_residual(e_series, structure, working,
-                                             e, e1)
-    equation_ok = equation.vanishes_through(equation.proven_to())
-    h = euler_mod.h_from_e(e_series, structure, working, e, e1)
-    flatness = euler_mod.full_flatness_residual(h, structure, working)
+    extension = evaluate_extension(
+        structure, working_connection(structure, instance.lambda0),
+        instance.euler[0], args.mu_order)
+    equation_ok = extension.equation_holds
+    flatness = extension.flatness
     ok = equation_ok and flatness.full_vanishes()
     if args.format == "json":
         obj = {
@@ -154,7 +144,7 @@ def _cmd_extend(args: argparse.Namespace) -> int:
             "flatnessHolds": flatness.full_vanishes(),
             "provenTo": flatness.proven_to(),
             "hMatrices": [
-                [[h.coefficients[k].matrix[a][c].canonical_text()
+                [[extension.h.coefficients[k].matrix[a][c].canonical_text()
                   for c in range(n)] for a in range(n)]
                 for k in range(args.mu_order + 1)],
         }
@@ -233,11 +223,11 @@ def _cmd_correlators(args: argparse.Namespace) -> int:
     document = _load_document(args.source)
     instance = document.instantiate(args.order)
     structure = instance.structure
-    flat = Connection.flat(structure.dim, structure.order)
+    flat = Connection.zero(structure.dim, structure.order)
     section = duality_mod.primitive_section(
         structure, flat, structure.identity
         if structure.identity is not None and structure.identity.is_constant()
-        else _unit_candidate(structure))
+        else structure.basis(0))
     family = correlators_mod.correlators_from_b(section.b_field,
                                                force=args.force)
     text = family.to_json()
@@ -245,9 +235,15 @@ def _cmd_correlators(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _unit_candidate(structure):
-    from .geometry import VectorField
-    return VectorField.basis(structure.dim, structure.order, 0)
+def _non_negative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--order", type=int, default=None,
                        help="truncation order (default: model's)")
         if mu:
-            p.add_argument("--mu-order", type=int, default=4,
+            p.add_argument("--mu-order", type=_non_negative, default=4,
                            help="truncation order in the deformation "
                                 "parameter (default 4)")
         p.add_argument("--report", default=None,

@@ -107,13 +107,17 @@ class CorrelatorFamily:
             matrices: Dict[Multiset, Tuple[Tuple[Fraction, ...], ...]] = {}
             for entry in obj["entries"]:
                 key = tuple(sorted(int(i) for i in entry["multiset"]))
+                if any(not 0 <= i < dim for i in key):
+                    raise FamilyFormatError(
+                        f"multiset {list(key)} has an index outside "
+                        f"0..{dim - 1}")
                 rows = entry["matrix"]
                 if len(rows) != dim or any(len(r) != dim for r in rows):
                     raise FamilyFormatError(
                         f"matrix for {key} is not {dim}x{dim}")
                 matrices[key] = tuple(
                     tuple(as_fraction(Fraction(v)) for v in row) for row in rows)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             if isinstance(exc, FamilyFormatError):
                 raise
             raise FamilyFormatError(f"malformed family document: {exc}") from exc
@@ -160,7 +164,7 @@ def correlators_from_b(b: EndField, force: bool = False) -> CorrelatorFamily:
     so the derived structure tensor is symmetric.
     """
     dim = len(b.matrix)
-    order = b.matrix[0][0].valid_to
+    order = b.valid_to
     if not force:
         for a in range(dim):
             for bb in range(a + 1, dim):

@@ -15,18 +15,19 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .fmanifold import (FStructure, MissingIdentityError, five_term_residual,
-                        shift_base)
+from .fmanifold import (FStructure, MissingIdentityError, SingularSystemError,
+                        shift_base, solve_series_system)
 from .geometry import (Connection, EndField, HiggsField, VectorField,
-                       covariant_derivative, curvature, iter_tensor,
-                       lie_bracket, pencil_curvature_split,
-                       tensor_vanishes_through)
+                       covariant_derivative, lie_bracket)
 from .series import (Exponent, Scalar, TruncatedSeries, as_fraction,
                      primitive_of_closed_family, total_degree)
 
 
 class NotInvertibleError(ValueError):
     """circ-multiplication by the field is singular at the origin."""
+
+    def __init__(self) -> None:
+        super().__init__("system matrix singular at the origin")
 
 
 class NotFlatSectionError(ValueError):
@@ -37,59 +38,23 @@ class IntegrabilityError(ValueError):
     pass
 
 
-def _mult_matrix(structure: FStructure, v: VectorField) -> List[List[TruncatedSeries]]:
-    """Series matrix M^c_b of circ-multiplication by v: (v o w)^c = M^c_b w^b."""
-    n = structure.dim
-    t = structure.structure.tensor
-    out = []
-    for c in range(n):
-        row = []
-        for b in range(n):
-            acc = TruncatedSeries.zero(n, structure.order)
-            for a in range(n):
-                acc = acc + v.components[a] * t[a][b][c]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def solve_series_system(matrix: Sequence[Sequence[TruncatedSeries]],
-                        rhs: VectorField) -> VectorField:
-    """Solve M w = r order by order; M must be invertible at the origin."""
-    n = len(matrix)
-    cap = rhs.components[0].cap
-    valid = min(min(s.valid_to for row in matrix for s in row), rhs.valid_to)
-    m0 = [[matrix[c][b].constant_term for b in range(n)] for c in range(n)]
-    m0_inv = linalg.invert(m0)
-    if m0_inv is None:
-        raise NotInvertibleError("system matrix singular at the origin")
-    coeffs: List[Dict[Exponent, Fraction]] = [dict() for _ in range(n)]
-    from .fmanifold import _exponents_of_degree
-    for degree in range(valid + 1):
-        for exponent in _exponents_of_degree(n, degree):
-            residual = []
-            for c in range(n):
-                acc = rhs.components[c].coefficient(exponent)
-                for b in range(n):
-                    for e1, v1 in coeffs[b].items():
-                        e2 = tuple(x - y for x, y in zip(exponent, e1))
-                        if e1 == exponent or any(x < 0 for x in e2):
-                            continue
-                        acc -= v1 * matrix[c][b].coefficient(e2)
-                residual.append(acc)
-            solution = linalg.mat_vec(m0_inv, residual)
-            for b in range(n):
-                if solution[b] != 0:
-                    coeffs[b][exponent] = solution[b]
-    return VectorField(tuple(TruncatedSeries(n, cap, valid, dict(coeffs[b]))
-                             for b in range(n)))
-
-
 def circ_inverse(structure: FStructure, v: VectorField) -> VectorField:
     """The unique w with v o w = e, solved order by order."""
     if structure.identity is None:
         raise MissingIdentityError("circ-inverse needs an identity")
-    return solve_series_system(_mult_matrix(structure, v), structure.identity)
+    n = structure.dim
+    t = structure.structure.tensor
+    # (v o w)^c = M^c_b w^b with M^c_b = sum_a v^a C_{ab}^c
+    matrix = [[sum((v.components[a] * t[a][b][c] for a in range(n)),
+                   TruncatedSeries.zero(n, structure.order))
+               for b in range(n)] for c in range(n)]
+    valid = min(min(s.valid_to for row in matrix for s in row),
+                structure.identity.valid_to)
+    try:
+        return VectorField(solve_series_system(
+            matrix, structure.identity.components, valid))
+    except SingularSystemError:
+        raise NotInvertibleError() from None
 
 
 @dataclass(frozen=True)
@@ -144,9 +109,9 @@ def dual_structure(structure: FStructure, epsilon: VectorField) -> DualityPair:
     """The twisted multiplication X * Y = eps^{-1} o X o Y with identity eps."""
     n = structure.dim
     eps_inv = circ_inverse(structure, epsilon)
+    t = structure.structure.tensor
     tensor = HiggsField.build(n, lambda a, b, c: structure.multiply(
-        eps_inv, structure.multiply(structure.basis(a),
-                                    structure.basis(b))).components[c])
+        eps_inv, VectorField(t[a][b])).components[c])
     dual = FStructure(tensor, identity=epsilon)
     return DualityPair(structure, epsilon, eps_inv, dual)
 
@@ -166,15 +131,15 @@ class DualityVerifyReport:
     twist field itself is flat for the shifted connection);
     ``bracket_defect_flat_inverse`` is [eps, e] + eps (the shape observed when
     instead its circ-inverse is flat).  The bracket convention is
-    [X, Y]^c = X(Y^c) - Y(X^c) throughout.
+    [X, Y]^c = X(Y^c) - Y(X^c) throughout.  ``pair`` is the twisted
+    structure, or None when the twist field is not circ-invertible.
     """
 
     hypotheses: Tuple[HypothesisItem, ...]
     bracket_defect_flat_eps: VectorField
     bracket_defect_flat_inverse: VectorField
     euler_weight_one: Tuple[Tuple[VectorField, ...], ...]
-    kernel_stability: Tuple[VectorField, ...]
-    bridging: Tuple[VectorField, ...]
+    pair: Optional[DualityPair]
     bracket_convention: str = "[X,Y]^c = X(Y^c) - Y(X^c)"
 
 
@@ -207,56 +172,41 @@ def duality_verify(structure: FStructure, base: Connection, conn: Connection,
         "twist field flat for shifted connection", flat_eps,
         min(v.valid_to for v in nabla_eps)))
     try:
-        eps_inv = circ_inverse(structure, epsilon)
-        invertible = True
+        pair: Optional[DualityPair] = dual_structure(structure, epsilon)
     except NotInvertibleError:
-        eps_inv = None
-        invertible = False
+        pair = None
     hypotheses.append(HypothesisItem("twist field circ-invertible at origin",
-                                     invertible, check))
-    distinct = any(not (conn.christoffel[a][b][c] - base.christoffel[a][b][c])
+                                     pair is not None, check))
+    distinct = any(not (conn.tensor[a][b][c] - base.tensor[a][b][c])
                    .vanishes_through(check)
                    for a in range(n) for b in range(n) for c in range(n))
     hypotheses.append(HypothesisItem("shifted connection differs from base",
                                      distinct, check))
-    if eps_inv is not None:
-        nabla_inv = tuple(covariant_derivative(conn, structure.basis(a), eps_inv)
-                          for a in range(n))
+    if pair is not None:
+        nabla_inv = tuple(
+            covariant_derivative(conn, structure.basis(a), pair.inverse_used)
+            for a in range(n))
         hypotheses.append(HypothesisItem(
             "inverse of twist field flat for shifted connection",
             all(v.vanishes_through(v.valid_to) for v in nabla_inv),
             min(v.valid_to for v in nabla_inv)))
 
     bracket = lie_bracket(epsilon, e)
-    defect_plus = bracket - epsilon
-    defect_minus = bracket + epsilon
-
-    if eps_inv is not None:
-        pair = dual_structure(structure, epsilon)
+    if pair is not None:
         dual = pair.dual
+        t = dual.structure.tensor
         euler = tuple(tuple(
-            lie_bracket(e, dual.multiply(dual.basis(a), dual.basis(b)))
+            lie_bracket(e, VectorField(t[a][b]))
             - dual.multiply(lie_bracket(e, dual.basis(a)), dual.basis(b))
             - dual.multiply(dual.basis(a), lie_bracket(e, dual.basis(b)))
-            - dual.multiply(dual.basis(a), dual.basis(b))
+            - VectorField(t[a][b])
             for b in range(n)) for a in range(n))
-        # [e, eps o X] + eps o X for flat X: stability of the twisted kernel
-        kernel = tuple(
-            lie_bracket(e, structure.multiply(epsilon, structure.basis(a)))
-            + structure.multiply(epsilon, structure.basis(a))
-            for a in range(n))
-        # flat eps for conn = base + A forces (base - A)-flatness of eps^{-1}
-        minus = base.shifted(structure.structure, Fraction(-1))
-        bridging = tuple(covariant_derivative(minus, structure.basis(a), eps_inv)
-                         for a in range(n))
     else:
         zero = VectorField.zero(n, structure.order)
         euler = tuple(tuple(zero for _ in range(n)) for _ in range(n))
-        kernel = tuple(zero for _ in range(n))
-        bridging = tuple(zero for _ in range(n))
 
-    return DualityVerifyReport(tuple(hypotheses), defect_plus, defect_minus,
-                               euler, kernel, bridging)
+    return DualityVerifyReport(tuple(hypotheses), bracket - epsilon,
+                               bracket + epsilon, euler, pair)
 
 
 def flat_section_solve(structure: FStructure, base: Connection, lambda0: Scalar,
@@ -285,7 +235,7 @@ def flat_section_solve(structure: FStructure, base: Connection, lambda0: Scalar,
             for a in range(n):
                 acc = TruncatedSeries.zero(n, cap)
                 for b in range(n):
-                    acc = acc + w.components[b] * conn.christoffel[a][b][c]
+                    acc = acc + w.components[b] * conn.tensor[a][b][c]
                 layer = {e: v for e, v in (-acc).coeffs.items()
                          if total_degree(e) == degree}
                 family.append(TruncatedSeries(n, cap, cap, layer))

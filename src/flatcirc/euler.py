@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
-from .fmanifold import FStructure, MissingIdentityError, VectorPotential, p_tensor
+from .fmanifold import FStructure, MissingIdentityError, p_tensor
 from .geometry import (Connection, EndField, VectorField, covariant_derivative,
                        lie_bracket)
-from .series import Scalar, TruncatedSeries, as_fraction
+from .series import Scalar, as_fraction
 
 
 class CertificationError(ValueError):
@@ -42,11 +42,6 @@ class MuSeriesVF:
         zero = VectorField.zero(field.dim, field.components[0].cap)
         return cls((field,) + (zero,) * mu_cap)
 
-    @classmethod
-    def zero(cls, dim: int, cap: int, mu_cap: int) -> "MuSeriesVF":
-        z = VectorField.zero(dim, cap)
-        return cls((z,) * (mu_cap + 1))
-
     def __add__(self, other: "MuSeriesVF") -> "MuSeriesVF":
         self._check(other)
         return MuSeriesVF(tuple(a + b for a, b in
@@ -69,9 +64,6 @@ class MuSeriesVF:
         zero = VectorField.zero(self.dim, self.coefficients[0].components[0].cap)
         coeffs = (zero,) * powers + self.coefficients[:self.mu_cap + 1 - powers]
         return MuSeriesVF(coeffs)
-
-    def scale(self, factor: Scalar) -> "MuSeriesVF":
-        return MuSeriesVF(tuple(c.scale(factor) for c in self.coefficients))
 
     def vanishes_through(self, degree: int) -> bool:
         return all(c.vanishes_through(degree) for c in self.coefficients)
@@ -159,9 +151,10 @@ def euler_residual(structure: FStructure, e_field: VectorField,
     """Residual of P_E(X, Y) = weight * X o Y over the frame."""
     n = structure.dim
     w = as_fraction(weight)
+    t = structure.structure.tensor
     return tuple(tuple(
         p_tensor(structure, e_field, structure.basis(a), structure.basis(b))
-        - structure.multiply(structure.basis(a), structure.basis(b)).scale(w)
+        - VectorField(t[a][b]).scale(w)
         for b in range(n)) for a in range(n))
 
 
@@ -263,17 +256,9 @@ def e_equation_residual(e_series: MuSeriesVF, structure: FStructure,
 
 @dataclass(frozen=True)
 class FlatnessReport:
-    """Residuals of the extended-connection flatness conditions.
-
-    ``full`` is the frame residual of the reformulated flatness condition;
-    ``on_identity`` specializes the second argument to the identity (the
-    necessary functional equation); ``identity_consistency`` is the scalar
-    consequence [e, H(e)] + H(e) o nabla_e e - H(nabla_e e) - e.
-    """
+    """Frame residual of the reformulated extended-connection flatness."""
 
     full: Tuple[Tuple[MuSeriesVF, ...], ...]
-    on_identity: Tuple[MuSeriesVF, ...]
-    identity_consistency: MuSeriesVF
 
     def full_vanishes(self) -> bool:
         return all(r.vanishes_through(r.proven_to())
@@ -286,85 +271,21 @@ class FlatnessReport:
 def full_flatness_residual(h: MuSeriesEnd, structure: FStructure,
                            conn: Connection) -> FlatnessReport:
     """Check H(X o Y) = X o H(Y) + mu (nabla_X H(Y) - X o Y - H(nabla_X Y))."""
-    if structure.identity is None:
-        raise MissingIdentityError("flatness residual needs an identity")
     n = structure.dim
     mu_cap = h.mu_cap
-    e = structure.identity
-    e1 = covariant_derivative(conn, e, e)
-
-    def residual(x: VectorField, y: VectorField) -> MuSeriesVF:
-        xm = MuSeriesVF.constant(x, mu_cap)
-        ym = MuSeriesVF.constant(y, mu_cap)
-        hy = h.apply_plain(y, mu_cap)
-        lhs = h.apply_plain(structure.multiply(x, y), mu_cap)
-        rhs = mu_multiply(structure, xm, hy) \
-            + (mu_nabla(conn, xm, hy) - mu_multiply(structure, xm, ym)
-               - h.apply_plain(covariant_derivative(conn, x, y), mu_cap)).shift_mu()
-        return lhs - rhs
-
-    full = tuple(tuple(residual(structure.basis(a), structure.basis(b))
-                       for b in range(n)) for a in range(n))
-
-    def necessary(x: VectorField) -> MuSeriesVF:
-        xm = MuSeriesVF.constant(x, mu_cap)
-        he = h.apply_plain(e, mu_cap)
-        lhs = h.apply_plain(x, mu_cap)
-        rhs = mu_multiply(structure, xm, he) \
-            + (mu_nabla(conn, xm, he) - xm
-               - h.apply_plain(structure.multiply(x, e1), mu_cap)).shift_mu()
-        return lhs - rhs
-
-    on_identity = tuple(necessary(structure.basis(a)) for a in range(n))
-    he = h.apply_plain(e, mu_cap)
-    consistency = mu_bracket(MuSeriesVF.constant(e, mu_cap), he) \
-        + mu_multiply(structure, he, MuSeriesVF.constant(e1, mu_cap)) \
-        - h.apply_plain(e1, mu_cap) - MuSeriesVF.constant(e, mu_cap)
-    return FlatnessReport(full, on_identity, consistency)
-
-
-class EquationPreconditionError(ValueError):
-    """The candidate E does not solve the reconstruction equation."""
-
-    def __init__(self, residual: MuSeriesVF):
-        self.residual = residual
-        super().__init__("E does not solve the identity-column equation")
-
-
-def potential_flatness_residual(e_series: MuSeriesVF, potential: VectorPotential,
-                          structure: FStructure, conn: Connection,
-                          e: VectorField, e1: VectorField) -> Tuple[Tuple[MuSeriesVF, ...], ...]:
-    """Potential form of the flatness condition over flat frame pairs.
-
-    Residual of  P_E(X, Y) - [X, [Y, C - mu E]]
-               - X o H(Y o e1) - mu [X, H(Y o e1)].
-    Refuses (with the residual attached) when E fails its own equation.
-    """
-    precondition = e_equation_residual(e_series, structure, conn, e, e1)
-    if not precondition.vanishes_through(precondition.proven_to()):
-        raise EquationPreconditionError(precondition)
-    n = structure.dim
-    mu_cap = e_series.mu_cap
-    h = h_from_e(e_series, structure, conn, e, e1)
-    c_minus_mu_e = MuSeriesVF.constant(potential.potential, mu_cap) \
-        - e_series.shift_mu()
-
-    def p_of_e(x: VectorField, y: VectorField) -> MuSeriesVF:
-        xm = MuSeriesVF.constant(x, mu_cap)
-        ym = MuSeriesVF.constant(y, mu_cap)
-        return mu_bracket(e_series, mu_multiply(structure, xm, ym)) \
-            - mu_multiply(structure, mu_bracket(e_series, xm), ym) \
-            - mu_multiply(structure, xm, mu_bracket(e_series, ym))
+    t = structure.structure.tensor
 
     def residual(a: int, b: int) -> MuSeriesVF:
         x = structure.basis(a)
         y = structure.basis(b)
+        xy = VectorField(t[a][b])
         xm = MuSeriesVF.constant(x, mu_cap)
-        ym = MuSeriesVF.constant(y, mu_cap)
-        hye1 = h.apply_plain(structure.multiply(y, e1), mu_cap)
-        left = p_of_e(x, y) \
-            - mu_bracket(xm, mu_bracket(ym, c_minus_mu_e))
-        right = mu_multiply(structure, xm, hye1) + mu_bracket(xm, hye1).shift_mu()
-        return left - right
+        hy = h.apply_plain(y, mu_cap)
+        lhs = h.apply_plain(xy, mu_cap)
+        rhs = mu_multiply(structure, xm, hy) \
+            + (mu_nabla(conn, xm, hy) - MuSeriesVF.constant(xy, mu_cap)
+               - h.apply_plain(covariant_derivative(conn, x, y), mu_cap)).shift_mu()
+        return lhs - rhs
 
-    return tuple(tuple(residual(a, b) for b in range(n)) for a in range(n))
+    return FlatnessReport(tuple(tuple(residual(a, b) for b in range(n))
+                                for a in range(n)))

@@ -10,14 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .geometry import (Connection, EndField, HiggsField, SeriesTensor3,
-                       SeriesTensor4, VectorField, apply_higgs,
-                       covariant_derivative, curvature, iter_tensor,
-                       lie_bracket, pencil_curvature_split, torsion)
+from .geometry import (Connection, HiggsField, SeriesTensor4, VectorField,
+                       apply_higgs, covariant_derivative, lie_bracket)
 from .series import (Exponent, Scalar, TruncatedSeries, as_fraction,
                      primitive_of_closed_family, total_degree)
 
@@ -51,10 +48,6 @@ class VectorPotential:
             for c in self.potential.components)
         object.__setattr__(self, "potential", VectorField(normalized))
 
-    @property
-    def dim(self) -> int:
-        return self.potential.dim
-
 
 @dataclass(frozen=True, eq=False)
 class FStructure:
@@ -80,17 +73,6 @@ class FStructure:
 
     def basis(self, axis: int) -> VectorField:
         return VectorField.basis(self.dim, self.order, axis)
-
-    def circ_power(self, v: VectorField, exponent: int) -> VectorField:
-        """v o v o ... o v (exponent factors); the 0th power is the identity."""
-        if exponent == 0:
-            if self.identity is None:
-                raise MissingIdentityError("0th circ-power needs an identity")
-            return self.identity
-        acc = v
-        for _ in range(exponent - 1):
-            acc = self.multiply(acc, v)
-        return acc
 
 
 def potential_to_structure(potential: VectorPotential,
@@ -192,6 +174,62 @@ def d_tensor(structure: FStructure, conn: Connection, x: VectorField,
         - structure.multiply(y, covariant_derivative(conn, x, z))
 
 
+class SingularSystemError(ValueError):
+    """A series system has no unique solution at some degree."""
+
+    def __init__(self, degree: int):
+        self.degree = degree
+        super().__init__(f"no unique solution at degree {degree}")
+
+
+def solve_series_system(matrix: Sequence[Sequence[TruncatedSeries]],
+                        rhs: Sequence[TruncatedSeries],
+                        valid: int) -> Tuple[TruncatedSeries, ...]:
+    """Solve sum_j M_ij w_j = r_i for series w_j, degree by degree to ``valid``.
+
+    Each monomial separates into a constant linear system with the matrix
+    M(0), which may have more rows than columns; the lower-degree
+    coefficients already found feed its right-hand side.  Raises
+    SingularSystemError at the first degree whose system is inconsistent or
+    rank deficient.
+    """
+    num_vars = rhs[0].num_vars
+    cap = rhs[0].cap
+    unknowns = len(matrix[0])
+    m0 = [[entry.constant_term for entry in row] for row in matrix]
+    coeffs: List[Dict[Exponent, Fraction]] = [dict() for _ in range(unknowns)]
+    for degree in range(valid + 1):
+        for exponent in _exponents_of_degree(num_vars, degree):
+            residual = []
+            for row, target in zip(matrix, rhs):
+                acc = target.coefficient(exponent)
+                for j in range(unknowns):
+                    for e1, v1 in coeffs[j].items():
+                        e2 = tuple(x - y for x, y in zip(exponent, e1))
+                        if e1 == exponent or any(x < 0 for x in e2):
+                            continue
+                        acc -= v1 * row[j].coefficient(e2)
+                residual.append(acc)
+            try:
+                solution = linalg.solve_overdetermined(m0, residual)
+            except (linalg.InconsistentSystem, linalg.UnderdeterminedSystem):
+                raise SingularSystemError(degree) from None
+            for j in range(unknowns):
+                if solution[j] != 0:
+                    coeffs[j][exponent] = solution[j]
+    return tuple(TruncatedSeries(num_vars, cap, valid, c) for c in coeffs)
+
+
+def _exponents_of_degree(num_vars: int, degree: int) -> List[Exponent]:
+    if num_vars == 1:
+        return [(degree,)]
+    out = []
+    for first in range(degree + 1):
+        for rest in _exponents_of_degree(num_vars - 1, degree - first):
+            out.append((first,) + rest)
+    return sorted(out)
+
+
 @dataclass(frozen=True)
 class IdentityResult:
     field: Optional[VectorField]
@@ -206,36 +244,18 @@ def find_identity(structure: FStructure) -> IdentityResult:
     yields absence with the first bad degree.
     """
     n = structure.dim
-    cap = structure.order
     valid = structure.valid_to
     t = structure.structure.tensor
-    m0 = [[t[a][b][c].constant_term for a in range(n)]
-          for b in range(n) for c in range(n)]
-    # unknown coefficients per exponent; rhs collects lower-degree feedback
-    coeffs: List[Dict[Exponent, Fraction]] = [dict() for _ in range(n)]
-    for degree in range(valid + 1):
-        for exponent in _exponents_of_degree(n, degree):
-            rhs = []
-            for b in range(n):
-                for c in range(n):
-                    target = Fraction(1 if (degree == 0 and b == c) else 0)
-                    acc = Fraction(0)
-                    for a in range(n):
-                        for e1, v1 in coeffs[a].items():
-                            e2 = tuple(x - y for x, y in zip(exponent, e1))
-                            if e1 == exponent or any(x < 0 for x in e2):
-                                continue
-                            acc += v1 * t[a][b][c].coefficient(e2)
-                    rhs.append(target - acc)
-            try:
-                solution = linalg.solve_overdetermined(m0, rhs)
-            except (linalg.InconsistentSystem, linalg.UnderdeterminedSystem):
-                return IdentityResult(None, failed_degree=degree)
-            for a in range(n):
-                if solution[a] != 0:
-                    coeffs[a][exponent] = solution[a]
-    field = VectorField(tuple(
-        TruncatedSeries(n, cap, valid, dict(coeffs[a])) for a in range(n)))
+    one = TruncatedSeries.constant(n, structure.order, 1)
+    zero = TruncatedSeries.zero(n, structure.order)
+    try:
+        components = solve_series_system(
+            [[t[a][b][c] for a in range(n)] for b in range(n) for c in range(n)],
+            [one if b == c else zero for b in range(n) for c in range(n)],
+            valid)
+    except SingularSystemError as err:
+        return IdentityResult(None, failed_degree=err.degree)
+    field = VectorField(components)
     # confirm: a consistent per-degree solve can still fail globally
     for b in range(n):
         residual = structure.multiply(field, structure.basis(b)) - structure.basis(b)
@@ -244,31 +264,16 @@ def find_identity(structure: FStructure) -> IdentityResult:
     return IdentityResult(field)
 
 
-def _exponents_of_degree(num_vars: int, degree: int) -> List[Exponent]:
-    if num_vars == 1:
-        return [(degree,)]
-    out = []
-    for first in range(degree + 1):
-        for rest in _exponents_of_degree(num_vars - 1, degree - first):
-            out.append((first,) + rest)
-    return sorted(out)
-
-
 @dataclass(frozen=True)
 class MembershipReport:
-    """Residuals of the multiplication-compatibility condition for epsilon.
+    """Residual of the multiplication-compatibility condition for epsilon.
 
     ``defining`` is the residual of nabla_Y eps = Y o nabla_e eps over the
-    frame; membership is its vanishing.  The remaining residuals are the
-    consequences for members: the ad-formula, the P/D comparison and the
-    derivation property of ad e.
+    frame; membership is its vanishing.
     """
 
     member: bool
     defining: Tuple[VectorField, ...]
-    ad_formula: Tuple[VectorField, ...]
-    p_vs_d: Tuple[Tuple[VectorField, ...], ...]
-    ad_e_derivation: Tuple[Tuple[VectorField, ...], ...]
     proven_to: int
 
 
@@ -276,33 +281,14 @@ def l_membership(structure: FStructure, conn: Connection,
                  epsilon: VectorField) -> MembershipReport:
     if structure.identity is None:
         raise MissingIdentityError("membership test requires an identity field")
-    e = structure.identity
-    n = structure.dim
-    nabla_e_eps = covariant_derivative(conn, e, epsilon)
+    nabla_e_eps = covariant_derivative(conn, structure.identity, epsilon)
     defining = tuple(
         covariant_derivative(conn, structure.basis(a), epsilon)
         - structure.multiply(structure.basis(a), nabla_e_eps)
-        for a in range(n))
-    ad_formula = tuple(
-        lie_bracket(epsilon, structure.basis(b))
-        - covariant_derivative(conn, epsilon, structure.basis(b))
-        + structure.multiply(structure.basis(b), nabla_e_eps)
-        for b in range(n))
-    p_vs_d = tuple(tuple(
-        p_tensor(structure, epsilon, structure.basis(y), structure.basis(z))
-        - d_tensor(structure, conn, epsilon, structure.basis(y), structure.basis(z))
-        - structure.multiply(structure.multiply(structure.basis(y),
-                                                structure.basis(z)), nabla_e_eps)
-        for z in range(n)) for y in range(n))
-    ad_e = tuple(tuple(
-        lie_bracket(e, structure.multiply(structure.basis(y), structure.basis(z)))
-        - structure.multiply(lie_bracket(e, structure.basis(y)), structure.basis(z))
-        - structure.multiply(structure.basis(y), lie_bracket(e, structure.basis(z)))
-        for z in range(n)) for y in range(n))
-    proven = min(min(v.valid_to for v in defining),
-                 min(v.valid_to for v in ad_formula))
+        for a in range(structure.dim))
     member = all(v.vanishes_through(v.valid_to) for v in defining)
-    return MembershipReport(member, defining, ad_formula, p_vs_d, ad_e, proven)
+    return MembershipReport(member, defining,
+                            min(v.valid_to for v in defining))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
-"""Vector fields, endomorphism fields, Higgs fields and connections.
+"""Vector fields, endomorphism fields and 3-tensor fields.
 
 Everything is expressed in a fixed flat frame d_0, ..., d_{n-1}: a vector
-field is its component series, a connection is its Christoffel tensor (the
-flat base frame has all Christoffels zero).  All values are immutable and all
+field is its component series; a structure tensor and a connection are both
+3-tensor fields, the connection given by its Christoffel tensor (the flat
+base frame has all Christoffels zero).  All values are immutable and all
 operations are pure.
 """
 
@@ -10,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, Optional, Tuple, Union
 
-from .series import (DimensionMismatchError, Scalar, TruncatedSeries,
-                     as_fraction)
+from .series import DimensionMismatchError, Scalar, TruncatedSeries
 
 SeriesMatrix = Tuple[Tuple[TruncatedSeries, ...], ...]
 SeriesTensor3 = Tuple[Tuple[Tuple[TruncatedSeries, ...], ...], ...]
@@ -48,14 +48,6 @@ class VectorField:
         comps[axis] = TruncatedSeries.constant(dim, cap, 1)
         return cls(tuple(comps))
 
-    @classmethod
-    def from_constants(cls, dim: int, cap: int,
-                       values: Sequence[Scalar]) -> "VectorField":
-        if len(values) != dim:
-            raise DimensionMismatchError("constant vector length mismatch")
-        return cls(tuple(TruncatedSeries.constant(dim, cap, as_fraction(v))
-                         for v in values))
-
     def __add__(self, other: "VectorField") -> "VectorField":
         _check_same_dim(self.dim, other.dim)
         return VectorField(tuple(a + b for a, b in
@@ -82,16 +74,10 @@ class VectorField:
     def vanishes_through(self, degree: int) -> bool:
         return all(c.vanishes_through(degree) for c in self.components)
 
-    def eq_up_to(self, other: "VectorField", degree: int) -> bool:
-        return (self - other).vanishes_through(degree)
-
     def is_constant(self) -> bool:
         """True if every component is constant through its validity."""
         return all(all(sum(e) == 0 or sum(e) > c.valid_to for e in c.coeffs)
                    for c in self.components)
-
-    def constant_part(self) -> Tuple[Fraction, ...]:
-        return tuple(c.constant_term for c in self.components)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VectorField):
@@ -112,11 +98,6 @@ class EndField:
     @property
     def valid_to(self) -> int:
         return min(s.valid_to for row in self.matrix for s in row)
-
-    @classmethod
-    def zero(cls, dim: int, cap: int) -> "EndField":
-        z = TruncatedSeries.zero(dim, cap)
-        return cls(tuple(tuple(z for _ in range(dim)) for _ in range(dim)))
 
     @classmethod
     def identity(cls, dim: int, cap: int) -> "EndField":
@@ -167,16 +148,9 @@ class EndField:
     def __neg__(self) -> "EndField":
         return EndField(tuple(tuple(-a for a in row) for row in self.matrix))
 
-    def scale(self, factor: Union[Scalar, TruncatedSeries]) -> "EndField":
-        return EndField(tuple(tuple(a * factor for a in row)
-                              for row in self.matrix))
-
     def derivative(self, axis: int) -> "EndField":
         return EndField(tuple(tuple(a.derivative(axis) for a in row)
                               for row in self.matrix))
-
-    def vanishes_through(self, degree: int) -> bool:
-        return all(s.vanishes_through(degree) for row in self.matrix for s in row)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EndField):
@@ -186,10 +160,13 @@ class EndField:
 
 @dataclass(frozen=True, eq=False)
 class HiggsField:
-    """Structure tensor A_{ab}^c as series, indexed [a][b][c].
+    """A 3-tensor field T_{ab}^c in the flat frame, indexed [a][b][c].
 
-    No symmetry is imposed at construction; symmetry in (a, b) is a property
-    to be checked, not an invariant.
+    The one type for structure tensors (d_a o d_b = sum_c T_{ab}^c d_c) and
+    for connections, which are stored as their Christoffel tensor; the flat
+    connection of the frame is the zero tensor.  No symmetry is imposed at
+    construction; symmetry in (a, b) is a property to be checked, not an
+    invariant.
     """
 
     tensor: SeriesTensor3
@@ -214,15 +191,6 @@ class HiggsField:
         return cls(tuple(tuple(tuple(entry(a, b, c) for c in range(dim))
                                for b in range(dim)) for a in range(dim)))
 
-    def component(self, a: int, b: int, c: int) -> TruncatedSeries:
-        return self.tensor[a][b][c]
-
-    def slice(self, a: int) -> EndField:
-        """The endomorphism X -> d_a o X, i.e. matrix (A_a)^d_c = A_{ac}^d."""
-        n = self.dim
-        return EndField(tuple(tuple(self.tensor[a][c][d] for c in range(n))
-                              for d in range(n)))
-
     def is_symmetric(self, degree: Optional[int] = None) -> bool:
         n = self.dim
         check = self.valid_to if degree is None else degree
@@ -233,9 +201,12 @@ class HiggsField:
                         return False
         return True
 
-    def scale(self, factor: Scalar) -> "HiggsField":
-        return HiggsField(tuple(tuple(tuple(s * factor for s in r)
-                                      for r in p) for p in self.tensor))
+    def shifted(self, other: "HiggsField", factor: Scalar) -> "HiggsField":
+        """The pencil member self + factor * other."""
+        n = self.dim
+        return HiggsField(tuple(
+            tuple(tuple(self.tensor[a][b][c] + other.tensor[a][b][c] * factor
+                        for c in range(n)) for b in range(n)) for a in range(n)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HiggsField):
@@ -243,38 +214,8 @@ class HiggsField:
         return self.tensor == other.tensor
 
 
-@dataclass(frozen=True, eq=False)
-class Connection:
-    """Christoffel tensor Gamma_{ab}^c in the flat frame, indexed [a][b][c]."""
-
-    christoffel: SeriesTensor3
-
-    @property
-    def dim(self) -> int:
-        return len(self.christoffel)
-
-    @classmethod
-    def flat(cls, dim: int, cap: int) -> "Connection":
-        return cls(HiggsField.zero(dim, cap).tensor)
-
-    @classmethod
-    def from_higgs(cls, higgs: HiggsField, factor: Scalar = 1) -> "Connection":
-        return cls(higgs.scale(factor).tensor)
-
-    def component(self, a: int, b: int, c: int) -> TruncatedSeries:
-        return self.christoffel[a][b][c]
-
-    def shifted(self, higgs: HiggsField, factor: Scalar) -> "Connection":
-        """The pencil member Gamma + factor * A."""
-        n = self.dim
-        return Connection(tuple(
-            tuple(tuple(self.christoffel[a][b][c] + higgs.tensor[a][b][c] * factor
-                        for c in range(n)) for b in range(n)) for a in range(n)))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Connection):
-            return NotImplemented
-        return self.christoffel == other.christoffel
+# A connection is its Christoffel tensor Gamma_{ab}^c in the flat frame.
+Connection = HiggsField
 
 
 # -- operations -----------------------------------------------------------
@@ -313,7 +254,7 @@ def covariant_derivative(conn: Connection, x: VectorField,
     """(nabla_X Y)^c = X(Y^c) + sum_{a,b} X^a Y^b Gamma_{ab}^c."""
     _check_same_dim(conn.dim, x.dim)
     _check_same_dim(conn.dim, y.dim)
-    correction = apply_higgs(HiggsField(conn.christoffel), x, y)
+    correction = apply_higgs(conn, x, y)
     return VectorField(tuple(x.apply(y.components[c]) + correction.components[c]
                              for c in range(x.dim)))
 
@@ -321,7 +262,7 @@ def covariant_derivative(conn: Connection, x: VectorField,
 def torsion(conn: Connection) -> SeriesTensor3:
     """T_{ab}^c = Gamma_{ab}^c - Gamma_{ba}^c."""
     n = conn.dim
-    return tuple(tuple(tuple(conn.christoffel[a][b][c] - conn.christoffel[b][a][c]
+    return tuple(tuple(tuple(conn.tensor[a][b][c] - conn.tensor[b][a][c]
                              for c in range(n)) for b in range(n))
                  for a in range(n))
 
@@ -333,7 +274,7 @@ def curvature(conn: Connection) -> "SeriesTensor4":
                  + sum_e (Gamma_{bc}^e Gamma_{ae}^d - Gamma_{ac}^e Gamma_{be}^d).
     """
     n = conn.dim
-    g = conn.christoffel
+    g = conn.tensor
     out = []
     for a in range(n):
         plane = []
@@ -375,7 +316,7 @@ def pencil_curvature_split(higgs: HiggsField,
     for index, s in iter_tensor(base_curv):
         if not s.vanishes_through(s.valid_to):
             raise FlatnessError(f"base connection is not flat at {index}")
-    g = base.christoffel
+    g = base.tensor
     t = higgs.tensor
     r1 = []
     r2 = []

@@ -7,13 +7,7 @@ manifold dimension (a handful), so nothing clever is needed.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
-
-Matrix = List[List[Fraction]]
-
-
-def matrix_of(rows: Sequence[Sequence]) -> Matrix:
-    return [[Fraction(v) for v in row] for row in rows]
+from typing import List, Sequence
 
 
 def determinant(m: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -36,29 +30,6 @@ def determinant(m: Sequence[Sequence[Fraction]]) -> Fraction:
             for c in range(col, n):
                 a[r][c] -= factor * a[col][c]
     return det
-
-
-def invert(m: Sequence[Sequence[Fraction]]) -> Optional[Matrix]:
-    """Inverse of a square rational matrix, or None if singular."""
-    n = len(m)
-    a = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [v - factor * p for v, p in zip(a[r], a[col])]
-    return [row[n:] for row in a]
-
-
-def mat_vec(m: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> List[Fraction]:
-    return [sum((a * b for a, b in zip(row, v)), Fraction(0)) for row in m]
 
 
 class InconsistentSystem(ValueError):

@@ -13,12 +13,11 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .expr import parse_series
 from .fmanifold import FStructure, VectorPotential, potential_to_structure
 from .geometry import HiggsField, VectorField
-from .series import TruncatedSeries, as_fraction
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -52,14 +51,22 @@ class ModelDocument:
             if version != MODEL_SCHEMA_VERSION:
                 raise ModelFormatError(f"unsupported schemaVersion {version}")
             dim = int(obj["dim"])
+            if dim < 1:
+                raise ModelFormatError("dim must be at least 1")
             variables = tuple(obj["variables"])
             if len(variables) != dim:
                 raise ModelFormatError("variables list does not match dim")
+            if len(set(variables)) != dim:
+                raise ModelFormatError("variable names must be distinct")
             potential = obj.get("potential")
             table = obj.get("structure")
             if (potential is None) == (table is None):
                 raise ModelFormatError(
                     "exactly one of 'potential' and 'structure' is required")
+            if table is not None and not _is_cube(table, dim, 3):
+                raise ModelFormatError(
+                    f"structure table is not a {dim}x{dim}x{dim} table of "
+                    "expressions")
             euler = None
             if "euler" in obj:
                 euler = (tuple(obj["euler"]["components"]),
@@ -79,7 +86,7 @@ class ModelDocument:
                 lambda0=Fraction(obj.get("lambda0", "0")),
                 default_order=int(obj.get("defaultOrder", 8)),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             if isinstance(exc, ModelFormatError):
                 raise
             raise ModelFormatError(f"malformed model document: {exc}") from exc
@@ -150,6 +157,14 @@ class ModelDocument:
                    if self.epsilon is not None else None)
         return ModelInstance(self, cap, potential, structure, euler, epsilon,
                              self.lambda0)
+
+
+def _is_cube(value, dim: int, depth: int) -> bool:
+    """True if ``value`` nests ``depth`` lists of length ``dim`` around strings."""
+    if depth == 0:
+        return isinstance(value, str)
+    return (isinstance(value, list) and len(value) == dim
+            and all(_is_cube(v, dim, depth - 1) for v in value))
 
 
 @dataclass(frozen=True)

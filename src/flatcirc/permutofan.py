@@ -12,8 +12,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
-from math import factorial
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -63,12 +61,6 @@ class OrderedPartition:
     @property
     def num_blocks(self) -> int:
         return len(self.blocks)
-
-    def block_of(self, element: int) -> int:
-        for i, block in enumerate(self.blocks):
-            if element in block:
-                return i
-        raise KeyError(element)
 
     def coarsens(self, finer: "OrderedPartition") -> bool:
         """True if self is obtained from finer by merging consecutive blocks."""
@@ -156,10 +148,6 @@ def indicator(subset: Sequence[int], n: int) -> LatticeVector:
 class Cone:
     label: OrderedPartition
     generators: Tuple[LatticeVector, ...]
-
-    @property
-    def dim_hint(self) -> int:
-        return len(self.generators)
 
 
 def cone_of_partition(tau: OrderedPartition) -> Cone:

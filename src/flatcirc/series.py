@@ -11,10 +11,9 @@ proven.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
 
 Exponent = Tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -113,10 +112,6 @@ class TruncatedSeries:
     def constant_term(self) -> Fraction:
         return self.coeffs.get((0,) * self.num_vars, Fraction(0))
 
-    @property
-    def is_unit(self) -> bool:
-        return self.constant_term != 0
-
     def items(self) -> Iterator[Tuple[Exponent, Fraction]]:
         """Iterate (exponent, coefficient) in canonical lexicographic order."""
         for exponent in sorted(self.coeffs):
@@ -127,10 +122,14 @@ class TruncatedSeries:
         return all(total_degree(e) > degree for e in self.coeffs)
 
     def first_nonzero(self) -> Optional[Tuple[Exponent, Fraction]]:
-        """Lexicographically first stored nonzero monomial, or None."""
+        """Stored nonzero monomial of lowest total degree, or None.
+
+        Ties within a degree go to the lexicographically first exponent, so
+        a failure witness lies inside the proven range whenever one does.
+        """
         if not self.coeffs:
             return None
-        exponent = min(self.coeffs)
+        exponent = min(self.coeffs, key=lambda e: (total_degree(e), e))
         return exponent, self.coeffs[exponent]
 
     def eq_up_to(self, other: "TruncatedSeries", degree: int) -> bool:
@@ -258,15 +257,6 @@ class TruncatedSeries:
                 break
             acc = acc + term
         return acc * (Fraction(1) / c0)
-
-    def truncated(self, valid_to: Optional[int] = None,
-                  cap: Optional[int] = None) -> "TruncatedSeries":
-        """Explicit re-truncation; the one place valid_to may be re-stated."""
-        new_cap = self.cap if cap is None else cap
-        new_valid = self.valid_to if valid_to is None else valid_to
-        new_valid = min(new_valid, new_cap)
-        coeffs = {e: c for e, c in self.coeffs.items() if total_degree(e) <= new_cap}
-        return TruncatedSeries(self.num_vars, new_cap, new_valid, coeffs)
 
     # -- serialization -----------------------------------------------------
 

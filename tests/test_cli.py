@@ -102,6 +102,54 @@ class TestBadInput:
         assert "error:" in err
 
 
+TINY = {"schemaVersion": 1, "name": "tiny", "dim": 1, "variables": ["x0"],
+        "potential": ["x0^2/2"], "identity": ["1"]}
+FAMILY = {"schemaVersion": 1, "dim": 2, "order": 3, "entries": []}
+
+
+class TestInputContract:
+    """Malformed input exits 2 with an error message, never a traceback."""
+
+    CASES = {
+        "weight 1/0": (dict(TINY, euler={"components": ["x0"],
+                                         "weight": "1/0"}),
+                       ("check",), "malformed model document"),
+        "table wrong shape": ({"schemaVersion": 1, "name": "t", "dim": 2,
+                               "variables": ["x0", "x1"],
+                               "structure": [[["1"]]]},
+                              ("check",), "structure table"),
+        "duplicate variables": (dict(TINY, dim=2, variables=["x0", "x0"],
+                                     potential=["x0^2/2", "0"],
+                                     identity=["1", "0"]),
+                                ("check",), "distinct"),
+        "dim 0": (dict(TINY, dim=0, variables=[], potential=[], identity=[]),
+                  ("check",), "dim must be at least 1"),
+        "multiset index >= dim": (dict(FAMILY, entries=[
+            {"multiset": [2], "matrix": [["1", "0"], ["0", "1"]]}]),
+            ("correlators",), "multiset [2]"),
+        "unwritable report": (TINY, ("check", "--report",
+                                     "/no/such/dir/report.txt"),
+                              "cannot write report"),
+        "negative mu-order": (dict(TINY, euler={"components": ["x0"],
+                                                "weight": "1"}),
+                              ("extend", "--mu-order", "-2"), "--mu-order"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exits_two_with_message(self, capsys, tmp_path, case):
+        doc, (command, *flags), message = self.CASES[case]
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        try:
+            code, out, err = run(capsys, command, str(path), *flags)
+        except SystemExit as exc:  # argparse rejects the option itself
+            captured = capsys.readouterr()
+            code, out, err = exc.code, captured.out, captured.err
+        assert code == EXIT_BAD_INPUT
+        assert "error:" in err and message in err
+        assert "Traceback" not in err and out == ""
+
+
 class TestDualize:
     def test_one_dim_ok(self, capsys):
         code, out, _ = run(capsys, "dualize", "one-dim", "--order", "6")

@@ -17,7 +17,7 @@ CAP = 6
 def qc_b():
     instance = load_model("qc-p1").instantiate(CAP)
     s = instance.structure
-    base = Connection.flat(2, CAP)
+    base = Connection.zero(2, CAP)
     return primitive_section(s, base, s.identity).b_field, s
 
 
@@ -92,6 +92,15 @@ class TestGradientGuard:
         b = EndField(((zero, x0), (zero, zero)))
         fam = correlators_from_b(b, force=True)
         assert fam.entry((0,), 0, 1) == 1
+
+
+class TestProvenOrder:
+    def test_order_is_the_lowest_entry_validity(self):
+        x0 = TruncatedSeries.variable(2, CAP, 0)
+        short = TruncatedSeries(2, CAP, 3, {(1, 0): Fraction(1)})
+        zero = TruncatedSeries.zero(2, CAP)
+        b = EndField(((x0, short), (zero, zero)))
+        assert correlators_from_b(b, force=True).order == 3
 
 
 class TestMasterEquation:

@@ -75,11 +75,11 @@ class TestEndField:
 
 class TestConnection:
     def test_flat_connection_has_zero_curvature(self):
-        conn = Connection.flat(2, CAP)
+        conn = Connection.zero(2, CAP)
         assert tensor_vanishes_through(curvature(conn), CAP)
 
     def test_covariant_derivative_flat_frame(self):
-        conn = Connection.flat(2, CAP)
+        conn = Connection.zero(2, CAP)
         v = VectorField((x(0) * x(1), zero()))
         w = covariant_derivative(conn, VectorField.basis(2, CAP, 1), v)
         assert w.components[0].coeffs == {(1, 0): Fraction(1)}
@@ -109,14 +109,14 @@ class TestPencilSplit:
 
     def test_split_vanishes_for_compatible_structure(self):
         higgs = self._structure()
-        r1, r2 = pencil_curvature_split(higgs, Connection.flat(2, CAP))
+        r1, r2 = pencil_curvature_split(higgs, Connection.zero(2, CAP))
         assert tensor_vanishes_through(r1, CAP - 1)
         assert tensor_vanishes_through(r2, CAP)
 
     def test_split_agrees_with_direct_curvature(self):
         # at lambda = 1 the curvature of base + A must equal R1 + R2
         higgs = self._structure()
-        base = Connection.flat(2, CAP)
+        base = Connection.zero(2, CAP)
         r1, r2 = pencil_curvature_split(higgs, base)
         at_one = curvature(base.shifted(higgs, Fraction(1)))
         n = 2
@@ -132,14 +132,14 @@ class TestPencilSplit:
         prod = HiggsField.build(
             2, lambda a, b, c_: c(1) if (a == b == 1 and c_ == 1) or
             (a == b == 0 and c_ == 0) else zero())
-        _, r2 = pencil_curvature_split(prod, Connection.flat(2, CAP))
+        _, r2 = pencil_curvature_split(prod, Connection.zero(2, CAP))
         assert tensor_vanishes_through(r2, CAP)  # diagonal algebra: associative
         # d0 o d0 = d1, d0 o d1 = d0, d1 o d1 = -d1: commutative, slices
         # [[0,1],[1,0]] and [[1,0],[0,-1]] do not commute
         values = {(0, 0, 1): 1, (0, 1, 0): 1, (1, 0, 0): 1, (1, 1, 1): -1}
         skew = HiggsField.build(
             2, lambda a, b, c_: c(values.get((a, b, c_), 0)))
-        _, r2b = pencil_curvature_split(skew, Connection.flat(2, CAP))
+        _, r2b = pencil_curvature_split(skew, Connection.zero(2, CAP))
         # this commutative product is not associative, so R2 != 0
         assert not tensor_vanishes_through(r2b, CAP)
 
@@ -157,3 +157,9 @@ class TestTensorHelpers:
               TruncatedSeries(1, CAP, CAP, {(1,): Fraction(3)})),)
         hit = tensor_first_offending(t)
         assert hit == ((0, 1), (1,), Fraction(3))
+
+    def test_first_offending_lies_inside_the_proven_degree(self):
+        t = ((TruncatedSeries(2, CAP, 2, {(0, 5): Fraction(7),
+                                          (1, 0): Fraction(1)}),),)
+        hit = tensor_first_offending(t)
+        assert hit == ((0, 0), (1, 0), Fraction(1))

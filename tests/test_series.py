@@ -110,6 +110,11 @@ class TestDerivativeAndTruncation:
         s = TruncatedSeries(2, 6, 6, {(1, 2): Fraction(1), (0, 3): Fraction(2)})
         assert s.first_nonzero() == ((0, 3), Fraction(2))
 
+    def test_first_nonzero_lowest_degree_first(self):
+        # lexicographic order alone would name x1^5, beyond the proven degree
+        s = TruncatedSeries(2, 6, 2, {(0, 5): Fraction(7), (1, 0): Fraction(1)})
+        assert s.first_nonzero() == ((1, 0), Fraction(1))
+
 
 class TestInversion:
     def test_invert_unit(self):
