@@ -16,7 +16,7 @@ from .fmanifold import (FStructure, VectorPotential, find_identity,
                         five_term_residual, l_membership, nabla_e_e_mode,
                         potential_to_structure, shift_base,
                         structure_to_potential)
-from .euler import (EulerField, MuSeriesEnd, MuSeriesVF, certify_euler,
+from .euler import (EulerField, MuSeriesVF, certify_euler,
                     e_equation_residual, euler_residual, flat_compat,
                     full_flatness_residual, geometric_inverse, h_from_e)
 from .duality import (DualityPair, circ_inverse, dual_structure,

@@ -23,7 +23,7 @@ from . import duality as duality_mod
 from . import euler as euler_mod
 from .fmanifold import (FStructure, five_term_residual, l_membership,
                         nabla_e_e_mode, shift_base)
-from .geometry import (Connection, FlatnessError, VectorField,
+from .geometry import (Connection, EndField, FlatnessError, VectorField,
                        covariant_derivative, pencil_curvature_split,
                        tensor_first_offending, tensor_valid_to,
                        tensor_vanishes_through)
@@ -124,12 +124,12 @@ class Extension:
     """The mu-extension built from a scaling field E and the identity e.
 
     ``equation`` is the residual of the reconstruction equation, ``h`` the
-    operator H reconstructed from E, and ``flatness`` the residual of the
-    extended connection's flatness.
+    operator H reconstructed from E (one matrix per power of mu), and
+    ``flatness`` the residual of the extended connection's flatness.
     """
 
     equation: euler_mod.MuSeriesVF
-    h: euler_mod.MuSeriesEnd
+    h: Tuple[EndField, ...]
     flatness: euler_mod.FlatnessReport
 
     @property
@@ -138,14 +138,19 @@ class Extension:
 
 
 def evaluate_extension(structure: FStructure, working: Connection,
-                       e_field: VectorField, mu_order: int) -> Extension:
-    """Build and verify the mu-extension; needs the structure's identity."""
+                       e_field: VectorField, mu_order: int,
+                       e1: Optional[VectorField] = None) -> Extension:
+    """Build and verify the mu-extension; needs the structure's identity.
+
+    ``e1`` is nabla_e e for ``working``, computed here when not given.
+    """
     e = structure.identity
-    e1 = covariant_derivative(working, e, e)
-    e_series = euler_mod.MuSeriesVF.constant(e_field, mu_order)
-    equation = euler_mod.e_equation_residual(e_series, structure, working,
-                                             e, e1)
-    h = euler_mod.h_from_e(e_series, structure, working, e, e1)
+    if e1 is None:
+        e1 = covariant_derivative(working, e, e)
+    g = euler_mod.geometric_inverse(structure, e, e1, mu_order)
+    equation = euler_mod.e_equation_residual(e_field, structure, working,
+                                             e1, g)
+    h = euler_mod.h_from_e(e_field, structure, working, g)
     return Extension(equation, h,
                      euler_mod.full_flatness_residual(h, structure, working))
 
@@ -188,6 +193,7 @@ def run_check_suite(instance: ModelInstance, mu_order: int = 4,
     results: List[CheckResult] = []
 
     working = working_connection(structure, shift)
+    e1 = None  # nabla_e e, shared by checks 5 and 7
 
     # 1. symmetry of the structure tensor
     sym = tuple(tuple(tuple(
@@ -215,7 +221,9 @@ def run_check_suite(instance: ModelInstance, mu_order: int = 4,
     else:
         results.append(CheckResult("identity-exists", PASS,
                                    structure.valid_to))
-        mode = nabla_e_e_mode(structure, working)
+        e = structure.identity
+        e1 = covariant_derivative(working, e, e)
+        mode = nabla_e_e_mode(structure, e1)
         detail = mode.kind if mode.eigenvalue in (None, 0) \
             else f"{mode.kind} ({mode.eigenvalue})"
         results.append(CheckResult("identity-derivative-mode", INFO,
@@ -252,7 +260,7 @@ def run_check_suite(instance: ModelInstance, mu_order: int = 4,
             detail="needs both an identity and a scaling field"))
     else:
         extension = evaluate_extension(structure, working, instance.euler[0],
-                                       mu_order)
+                                       mu_order, e1)
         results.append(CheckResult(
             "extension-equation", PASS if extension.equation_holds else FAIL,
             extension.equation.proven_to()))

@@ -24,7 +24,6 @@ from . import duality as duality_mod
 from .checks import (evaluate_extension, evaluate_twist, run_check_suite,
                      twist_hypothesis_failures, working_connection)
 from .expr import ExprError
-from .geometry import Connection
 from .models import (CORPUS, ModelDocument, ModelFormatError, load_model,
                      load_model_file)
 from .permutofan import FanSizeError, verify_fan
@@ -144,7 +143,7 @@ def _cmd_extend(args: argparse.Namespace) -> int:
             "flatnessHolds": flatness.full_vanishes(),
             "provenTo": flatness.proven_to(),
             "hMatrices": [
-                [[extension.h.coefficients[k].matrix[a][c].canonical_text()
+                [[extension.h[k].matrix[a][c].canonical_text()
                   for c in range(n)] for a in range(n)]
                 for k in range(args.mu_order + 1)],
         }
@@ -195,7 +194,7 @@ def _cmd_correlators(args: argparse.Namespace) -> int:
                 obj = json.loads(handle.read())
         except OSError as exc:
             raise CliError(f"cannot read {args.source!r}: {exc}") from exc
-    if obj is not None and "entries" in obj:
+    if isinstance(obj, dict) and "entries" in obj:
         family = correlators_mod.CorrelatorFamily.from_json_obj(obj)
         b = correlators_mod.b_from_correlators(family)
         residuals = correlators_mod.master_equation_residual(b)
@@ -223,9 +222,8 @@ def _cmd_correlators(args: argparse.Namespace) -> int:
     document = _load_document(args.source)
     instance = document.instantiate(args.order)
     structure = instance.structure
-    flat = Connection.zero(structure.dim, structure.order)
     section = duality_mod.primitive_section(
-        structure, flat, structure.identity
+        structure, structure.identity
         if structure.identity is not None and structure.identity.is_constant()
         else structure.basis(0))
     family = correlators_mod.correlators_from_b(section.b_field,

@@ -104,6 +104,10 @@ class CorrelatorFamily:
                     f"unsupported schemaVersion {version}")
             dim = int(obj["dim"])
             order = int(obj["order"])
+            if dim < 1:
+                raise FamilyFormatError("dim must be at least 1")
+            if order < 0:
+                raise FamilyFormatError("order must be at least 0")
             matrices: Dict[Multiset, Tuple[Tuple[Fraction, ...], ...]] = {}
             for entry in obj["entries"]:
                 key = tuple(sorted(int(i) for i in entry["multiset"]))

@@ -66,14 +66,14 @@ class PrimitiveSectionReport:
     closedness_residual: Tuple  # d omega^c components, indexed [c][a][b]
 
 
-def primitive_section(structure: FStructure, base: Connection,
+def primitive_section(structure: FStructure,
                       u: VectorField) -> PrimitiveSectionReport:
     """Potential endomorphism B and the candidate chart Bu for a flat section.
 
     B integrates the structure tensor (d_a B^c_b = C_{ab}^c, gauge B(0) = 0);
-    u must be flat for the base connection.  Primitivity is the invertibility
-    of the Jacobian of Bu at the origin, which coincides with invertibility of
-    circ-multiplication by u there.
+    u must be flat for the frame, that is, have constant components.
+    Primitivity is the invertibility of the Jacobian of Bu at the origin,
+    which coincides with invertibility of circ-multiplication by u there.
     """
     n = structure.dim
     if not u.is_constant():

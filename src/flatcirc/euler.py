@@ -1,21 +1,35 @@
-"""Euler fields and the extended-connection machinery.
+"""Euler fields and the mu-extension as coefficient recurrences.
 
-The formal parameter mu is the reciprocal pencil coordinate; mu-series carry
-their own truncation order, independent of the x-degree cap.  The operator H
-that completes the pencil to a connection over the extended base is
-reconstructed from its value on the identity by a closed form replacing the
-naive infinite iteration.
+The formal parameter mu is the reciprocal pencil coordinate.  Polynomials in
+mu carry their own truncation order, independent of the x-degree cap, and
+are stored as tuples of coefficients indexed by the power of mu.  The
+operator H that completes the pencil to a connection over the extended base
+is reconstructed from its value on the identity by a closed form replacing
+the naive infinite iteration.  Every mu-product in it has a factor constant
+or linear in mu, so each coefficient is a short recurrence over plain
+fields.  With E the scaling field (constant in mu), e the identity,
+e1 = nabla_e e and g_k = (-1)^k e o e1^{ok} the coefficients of the geometric
+inverse (e + mu e1)^{-1}:
+
+  H_0(X) = X o E + (g_0 o X - X) o E
+  H_k(X) = (g_k o X) o E + nabla_{g_{k-1} o X} E - g_{k-1} o X      (k >= 1)
+  equation residual_k = e o nabla_{g_k} E + e1 o nabla_{g_{k-1}} E
+                        - delta_{k0} (e1 o E + e)
+  flatness residual_k(a, b) = H_k(C_ab) - d_a o H_k(d_b)
+                              - nabla_{d_a} H_{k-1}(d_b)
+                              + H_{k-1}(nabla_{d_a} d_b) + delta_{k1} C_ab
+
+A term whose index is below 0 is absent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .fmanifold import FStructure, MissingIdentityError, p_tensor
-from .geometry import (Connection, EndField, VectorField, covariant_derivative,
-                       lie_bracket)
+from .geometry import Connection, EndField, VectorField, covariant_derivative
 from .series import Scalar, as_fraction
 
 
@@ -25,117 +39,15 @@ class CertificationError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class MuSeriesVF:
-    """Polynomial in mu with vector-field coefficients, truncated at mu_cap."""
+    """A residual polynomial in mu with vector-field coefficients."""
 
     coefficients: Tuple[VectorField, ...]  # index = power of mu
-
-    @property
-    def mu_cap(self) -> int:
-        return len(self.coefficients) - 1
-
-    @property
-    def dim(self) -> int:
-        return self.coefficients[0].dim
-
-    @classmethod
-    def constant(cls, field: VectorField, mu_cap: int) -> "MuSeriesVF":
-        zero = VectorField.zero(field.dim, field.components[0].cap)
-        return cls((field,) + (zero,) * mu_cap)
-
-    def __add__(self, other: "MuSeriesVF") -> "MuSeriesVF":
-        self._check(other)
-        return MuSeriesVF(tuple(a + b for a, b in
-                                zip(self.coefficients, other.coefficients)))
-
-    def __sub__(self, other: "MuSeriesVF") -> "MuSeriesVF":
-        self._check(other)
-        return MuSeriesVF(tuple(a - b for a, b in
-                                zip(self.coefficients, other.coefficients)))
-
-    def __neg__(self) -> "MuSeriesVF":
-        return MuSeriesVF(tuple(-a for a in self.coefficients))
-
-    def _check(self, other: "MuSeriesVF") -> None:
-        if self.mu_cap != other.mu_cap:
-            raise ValueError("mu truncation orders differ")
-
-    def shift_mu(self, powers: int = 1) -> "MuSeriesVF":
-        """Multiply by mu^powers, truncating at mu_cap."""
-        zero = VectorField.zero(self.dim, self.coefficients[0].components[0].cap)
-        coeffs = (zero,) * powers + self.coefficients[:self.mu_cap + 1 - powers]
-        return MuSeriesVF(coeffs)
 
     def vanishes_through(self, degree: int) -> bool:
         return all(c.vanishes_through(degree) for c in self.coefficients)
 
     def proven_to(self) -> int:
         return min(c.valid_to for c in self.coefficients)
-
-
-@dataclass(frozen=True, eq=False)
-class MuSeriesEnd:
-    """Polynomial in mu with endomorphism-field coefficients."""
-
-    coefficients: Tuple[EndField, ...]
-
-    @property
-    def mu_cap(self) -> int:
-        return len(self.coefficients) - 1
-
-    def apply(self, v: MuSeriesVF) -> MuSeriesVF:
-        cap = v.mu_cap
-        out: List[VectorField] = []
-        for k in range(cap + 1):
-            acc: Optional[VectorField] = None
-            for i in range(min(k, self.mu_cap) + 1):
-                term = self.coefficients[i].apply(v.coefficients[k - i])
-                acc = term if acc is None else acc + term
-            assert acc is not None
-            out.append(acc)
-        return MuSeriesVF(tuple(out))
-
-    def apply_plain(self, v: VectorField, mu_cap: int) -> MuSeriesVF:
-        return self.apply(MuSeriesVF.constant(v, mu_cap))
-
-    def __sub__(self, other: "MuSeriesEnd") -> "MuSeriesEnd":
-        return MuSeriesEnd(tuple(a - b for a, b in
-                                 zip(self.coefficients, other.coefficients)))
-
-
-def mu_multiply(structure: FStructure, x: MuSeriesVF, y: MuSeriesVF) -> MuSeriesVF:
-    """Bilinear extension of the multiplication to mu-series."""
-    cap = x.mu_cap
-    out = []
-    for k in range(cap + 1):
-        acc = VectorField.zero(x.dim, structure.order)
-        for i in range(k + 1):
-            acc = acc + structure.multiply(x.coefficients[i], y.coefficients[k - i])
-        out.append(acc)
-    return MuSeriesVF(tuple(out))
-
-
-def mu_bracket(x: MuSeriesVF, y: MuSeriesVF) -> MuSeriesVF:
-    cap = x.mu_cap
-    out = []
-    for k in range(cap + 1):
-        acc = VectorField.zero(x.dim, x.coefficients[0].components[0].cap)
-        for i in range(k + 1):
-            acc = acc + lie_bracket(x.coefficients[i], y.coefficients[k - i])
-        out.append(acc)
-    return MuSeriesVF(tuple(out))
-
-
-def mu_nabla(conn: Connection, x: MuSeriesVF, y: MuSeriesVF) -> MuSeriesVF:
-    """Covariant derivative extended bilinearly over mu."""
-    cap = x.mu_cap
-    out = []
-    for k in range(cap + 1):
-        acc = VectorField.zero(x.dim, x.coefficients[0].components[0].cap)
-        for i in range(k + 1):
-            acc = acc + covariant_derivative(conn, x.coefficients[i],
-                                             y.coefficients[k - i])
-        out.append(acc)
-    return MuSeriesVF(tuple(out))
 
 
 @dataclass(frozen=True)
@@ -193,8 +105,8 @@ def euler_family(euler: EulerField, e: VectorField, s: Scalar,
 
 
 def geometric_inverse(structure: FStructure, e: VectorField, e1: VectorField,
-                      mu_cap: int) -> MuSeriesVF:
-    """(e + mu e1)^{-1} = sum_i (-1)^i e1^{oi} mu^i, with e1^{o0} = e."""
+                      mu_cap: int) -> Tuple[VectorField, ...]:
+    """Coefficients g_k = (-1)^k e o e1^{ok} of (e + mu e1)^{-1}, k <= mu_cap."""
     if structure.identity is None:
         raise MissingIdentityError("geometric inverse needs an identity")
     coeffs: List[VectorField] = [e]
@@ -204,54 +116,46 @@ def geometric_inverse(structure: FStructure, e: VectorField, e1: VectorField,
         power = structure.multiply(power, e1)
         sign = -sign
         coeffs.append(power if sign > 0 else -power)
-    return MuSeriesVF(tuple(coeffs))
+    return tuple(coeffs)
 
 
-def h_from_e(e_series: MuSeriesVF, structure: FStructure, conn: Connection,
-             e: VectorField, e1: VectorField) -> MuSeriesEnd:
-    """Reconstruct H from its value on the identity.
+def h_from_e(e_field: VectorField, structure: FStructure, conn: Connection,
+             g: Tuple[VectorField, ...]) -> Tuple[EndField, ...]:
+    """H from its value on the identity: the matrices H_k, k <= len(g) - 1.
 
-    H(X) = X o E + mu (nabla_{g o X} E - g o X) + ((g o X) - X) o E
-    with g the geometric inverse of e + mu e1.  The closed form replaces the
-    infinite back-substitution of the defining functional equation and agrees
-    with it up to the mu truncation.
+    The closed form agrees with the infinite back-substitution of the
+    defining functional equation up to the mu truncation.
     """
-    if structure.identity is None:
-        raise MissingIdentityError("H reconstruction needs an identity")
     n = structure.dim
-    mu_cap = e_series.mu_cap
-    g = geometric_inverse(structure, e, e1, mu_cap)
 
-    def h_column(x: VectorField) -> MuSeriesVF:
-        xm = MuSeriesVF.constant(x, mu_cap)
-        gx = mu_multiply(structure, g, xm)
-        first = mu_multiply(structure, xm, e_series)
-        second = (mu_nabla(conn, gx, e_series) - gx).shift_mu()
-        third = mu_multiply(structure, gx - xm, e_series)
-        return first + second + third
+    def h_column(x: VectorField) -> List[VectorField]:
+        gx = [structure.multiply(gk, x) for gk in g]
+        column = [structure.multiply(x, e_field)
+                  + structure.multiply(gx[0] - x, e_field)]
+        for k in range(1, len(g)):
+            column.append(structure.multiply(gx[k], e_field)
+                          + covariant_derivative(conn, gx[k - 1], e_field)
+                          - gx[k - 1])
+        return column
 
     columns = [h_column(structure.basis(c)) for c in range(n)]
-    matrices = []
-    for k in range(mu_cap + 1):
-        matrices.append(EndField(tuple(
-            tuple(columns[c].coefficients[k].components[a] for c in range(n))
-            for a in range(n))))
-    return MuSeriesEnd(tuple(matrices))
+    return tuple(EndField(tuple(
+        tuple(columns[c][k].components[a] for c in range(n))
+        for a in range(n))) for k in range(len(g)))
 
 
-def e_equation_residual(e_series: MuSeriesVF, structure: FStructure,
-                        conn: Connection, e: VectorField,
-                        e1: VectorField) -> MuSeriesVF:
-    """Residual of (e + mu e1) o nabla_{(e + mu e1)^{-1}} E - e1 o E = e."""
-    if structure.identity is None:
-        raise MissingIdentityError("equation residual needs an identity")
-    mu_cap = e_series.mu_cap
-    g = geometric_inverse(structure, e, e1, mu_cap)
-    e_plus = MuSeriesVF.constant(e, mu_cap) \
-        + MuSeriesVF.constant(e1, mu_cap).shift_mu()
-    lhs = mu_multiply(structure, e_plus, mu_nabla(conn, g, e_series)) \
-        - mu_multiply(structure, MuSeriesVF.constant(e1, mu_cap), e_series)
-    return lhs - MuSeriesVF.constant(e, mu_cap)
+def e_equation_residual(e_field: VectorField, structure: FStructure,
+                        conn: Connection, e1: VectorField,
+                        g: Tuple[VectorField, ...]) -> MuSeriesVF:
+    """Residual of (e + mu e1) o nabla_g E - e1 o E = e, where e = g_0."""
+    e = g[0]
+    nabla = [covariant_derivative(conn, gk, e_field) for gk in g]
+    coeffs = [structure.multiply(e, nabla[0])
+              - structure.multiply(e1, e_field) - e]
+    for k in range(1, len(g)):
+        coeffs.append(structure.multiply(e, nabla[k])
+                      + structure.multiply(e1, nabla[k - 1]))
+    return MuSeriesVF(tuple(coeffs))
 
 
 @dataclass(frozen=True)
@@ -268,24 +172,25 @@ class FlatnessReport:
         return min(r.proven_to() for row in self.full for r in row)
 
 
-def full_flatness_residual(h: MuSeriesEnd, structure: FStructure,
+def full_flatness_residual(h: Tuple[EndField, ...], structure: FStructure,
                            conn: Connection) -> FlatnessReport:
     """Check H(X o Y) = X o H(Y) + mu (nabla_X H(Y) - X o Y - H(nabla_X Y))."""
     n = structure.dim
-    mu_cap = h.mu_cap
     t = structure.structure.tensor
 
     def residual(a: int, b: int) -> MuSeriesVF:
         x = structure.basis(a)
         y = structure.basis(b)
         xy = VectorField(t[a][b])
-        xm = MuSeriesVF.constant(x, mu_cap)
-        hy = h.apply_plain(y, mu_cap)
-        lhs = h.apply_plain(xy, mu_cap)
-        rhs = mu_multiply(structure, xm, hy) \
-            + (mu_nabla(conn, xm, hy) - MuSeriesVF.constant(xy, mu_cap)
-               - h.apply_plain(covariant_derivative(conn, x, y), mu_cap)).shift_mu()
-        return lhs - rhs
+        nabla_xy = covariant_derivative(conn, x, y)
+        hy = [hk.apply(y) for hk in h]
+        coeffs = [h[0].apply(xy) - structure.multiply(x, hy[0])]
+        for k in range(1, len(h)):
+            coeff = h[k].apply(xy) - structure.multiply(x, hy[k]) \
+                - covariant_derivative(conn, x, hy[k - 1]) \
+                + h[k - 1].apply(nabla_xy)
+            coeffs.append(coeff + xy if k == 1 else coeff)
+        return MuSeriesVF(tuple(coeffs))
 
     return FlatnessReport(tuple(tuple(residual(a, b) for b in range(n))
                                 for a in range(n)))

@@ -297,12 +297,11 @@ class NablaEEMode:
     eigenvalue: Optional[Fraction] = None
 
 
-def nabla_e_e_mode(structure: FStructure, conn: Connection) -> NablaEEMode:
-    """Classify nabla_e e as 0, as c*e for a rational c, or as other."""
+def nabla_e_e_mode(structure: FStructure, w: VectorField) -> NablaEEMode:
+    """Classify w = nabla_e e as 0, as c*e for a rational c, or as other."""
     if structure.identity is None:
         raise MissingIdentityError("classification requires an identity field")
     e = structure.identity
-    w = covariant_derivative(conn, e, e)
     check = w.valid_to
     if w.vanishes_through(check):
         return NablaEEMode("flat", Fraction(0))

@@ -67,10 +67,17 @@ class ModelDocument:
                 raise ModelFormatError(
                     f"structure table is not a {dim}x{dim}x{dim} table of "
                     "expressions")
+            lists = {key: obj.get(key)
+                     for key in ("potential", "identity", "epsilon")}
             euler = None
             if "euler" in obj:
+                lists["euler components"] = obj["euler"]["components"]
                 euler = (tuple(obj["euler"]["components"]),
                          Fraction(obj["euler"]["weight"]))
+            for key, comps in lists.items():
+                if comps is not None and not _is_cube(comps, dim, 1):
+                    raise ModelFormatError(
+                        f"{key} is not a list of {dim} expressions")
             doc = cls(
                 name=obj["name"],
                 description=obj.get("description", ""),
@@ -90,11 +97,6 @@ class ModelDocument:
             if isinstance(exc, ModelFormatError):
                 raise
             raise ModelFormatError(f"malformed model document: {exc}") from exc
-        for comps in (doc.potential, doc.identity, doc.epsilon):
-            if comps is not None and len(comps) != dim:
-                raise ModelFormatError("component list does not match dim")
-        if doc.euler is not None and len(doc.euler[0]) != dim:
-            raise ModelFormatError("scaling-field components do not match dim")
         return doc
 
     @classmethod

@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from . import linalg
 
@@ -229,7 +229,7 @@ def _merge_partition(tau: OrderedPartition, kept_cuts: Sequence[int]) -> Ordered
     return OrderedPartition.of(*merged)
 
 
-def verify_fan(n: int, bound: Optional[int] = None) -> FanReport:
+def verify_fan(n: int) -> FanReport:
     """Structural verification of the braid fan for ground set size n.
 
     Checks ray and maximal-cone counts, unimodularity of every maximal cone,
@@ -237,7 +237,7 @@ def verify_fan(n: int, bound: Optional[int] = None) -> FanReport:
     generators locate to a coarsening of its label) and face closure (each
     generator subset spans the cone of the corresponding coarsening).
     """
-    limit = max_fan_size() if bound is None else bound
+    limit = max_fan_size()
     if n > limit:
         raise FanSizeError(f"n={n} exceeds the configured bound {limit}")
     partitions = enumerate_partitions(n)

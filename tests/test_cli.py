@@ -1,6 +1,11 @@
+import copy
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatcirc.cli import EXIT_BAD_INPUT, EXIT_CHECK_FAILED, EXIT_OK, main
 
@@ -133,6 +138,22 @@ class TestInputContract:
         "negative mu-order": (dict(TINY, euler={"components": ["x0"],
                                                 "weight": "1"}),
                               ("extend", "--mu-order", "-2"), "--mu-order"),
+        "potential [1]": (dict(TINY, potential=[1]), ("check",),
+                          "potential is not a list of 1 expressions"),
+        "identity [1]": (dict(TINY, identity=[1]), ("check",),
+                         "identity is not a list"),
+        "epsilon [1]": (dict(TINY, epsilon=[1]), ("check",),
+                        "epsilon is not a list"),
+        "euler components [2]": (dict(TINY, euler={"components": [2],
+                                                   "weight": "1"}),
+                                 ("check",), "euler components is not a list"),
+        "identity a string": (dict(TINY, identity="1"), ("check",),
+                              "identity is not a list"),
+        "family order -1": (dict(FAMILY, dim=1, order=-1), ("correlators",),
+                            "order must be at least 0"),
+        "family dim 0": (dict(FAMILY, dim=0), ("correlators",),
+                         "dim must be at least 1"),
+        "document a number": (5, ("correlators",), "malformed model document"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -230,3 +251,71 @@ class TestCorrelators:
                            "--format", "json")
         assert code == EXIT_CHECK_FAILED
         assert json.loads(out)["failingPairs"]
+
+
+# A valid model document that declares every optional field, and a valid
+# correlator family; the fuzz below breaks one field of either at a time.
+FUZZ_MODEL = {"schemaVersion": 1, "name": "fuzz", "dim": 2,
+              "variables": ["x0", "x1"],
+              "potential": ["x0^2/2 + exp(x1)", "x0*x1"],
+              "identity": ["1", "0"],
+              "euler": {"components": ["x0", "2"], "weight": "1"},
+              "epsilon": ["exp(-x0)", "0"], "lambda0": "0",
+              "defaultOrder": 4}
+FUZZ_FAMILY = {"schemaVersion": 1, "dim": 2, "order": 3, "entries": [
+    {"multiset": [0], "matrix": [["1", "0"], ["0", "1"]]},
+    {"multiset": [0, 1], "matrix": [["0", "1"], ["1", "0"]]}]}
+FUZZ_TARGETS = [(FUZZ_MODEL, command)
+                for command in ("check", "extend", "dualize", "correlators")] \
+    + [(FUZZ_FAMILY, "correlators")]
+
+
+def json_type(value):
+    for name, kind in (("null", type(None)), ("bool", bool),
+                       ("number", (int, float)), ("string", str),
+                       ("array", list)):
+        if isinstance(value, kind):
+            return name
+    return "object"
+
+
+def field_paths(value, prefix=()):
+    """Paths to every field below the document root."""
+    items = value.items() if isinstance(value, dict) \
+        else enumerate(value) if isinstance(value, list) else ()
+    for key, sub in items:
+        yield prefix + (key,)
+        yield from field_paths(sub, prefix + (key,))
+
+
+# Numbers stay within 4 in size, so a replaced order stays small too.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-4, 4)
+    | st.floats(-4, 4, allow_nan=False) | st.text("x0^/(a", max_size=3),
+    lambda inner: st.lists(inner, max_size=2)
+    | st.dictionaries(st.text("ab", max_size=2), inner, max_size=2),
+    max_leaves=4)
+
+
+class TestFuzzDocuments:
+    """Any document with one field of the wrong JSON type exits 0, 1 or 2."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_wrong_type_never_raises(self, tmp_path_factory, data):
+        document, command = data.draw(st.sampled_from(FUZZ_TARGETS))
+        document = copy.deepcopy(document)
+        *parents, last = data.draw(st.sampled_from(list(field_paths(document))))
+        holder = document
+        for key in parents:
+            holder = holder[key]
+        old = json_type(holder[last])
+        holder[last] = data.draw(
+            JSON_VALUES.filter(lambda value: json_type(value) != old))
+        path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+        path.write_text(json.dumps(document))
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main([command, str(path)])
+        assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_BAD_INPUT)
+        assert "Traceback" not in err.getvalue()

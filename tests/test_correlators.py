@@ -7,7 +7,7 @@ from flatcirc.correlators import (CorrelatorFamily, FamilyFormatError,
                                   correlators_from_b,
                                   master_equation_residual, structure_from_b)
 from flatcirc.duality import primitive_section
-from flatcirc.geometry import Connection, EndField
+from flatcirc.geometry import EndField
 from flatcirc.models import load_model
 from flatcirc.series import TruncatedSeries
 
@@ -17,8 +17,7 @@ CAP = 6
 def qc_b():
     instance = load_model("qc-p1").instantiate(CAP)
     s = instance.structure
-    base = Connection.zero(2, CAP)
-    return primitive_section(s, base, s.identity).b_field, s
+    return primitive_section(s, s.identity).b_field, s
 
 
 class TestFamilyContainer:

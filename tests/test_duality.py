@@ -114,7 +114,7 @@ class TestDualStructure:
 class TestPrimitiveSection:
     def test_chart_for_identity_is_linear(self):
         s = qc()
-        report = primitive_section(s, Connection.zero(2, CAP), s.identity)
+        report = primitive_section(s, s.identity)
         # B e = x0 d0 + x1 d1 exactly
         assert report.image_map.components[0].coeffs == {(1, 0): Fraction(1)}
         assert report.image_map.components[1].coeffs == {(0, 1): Fraction(1)}
@@ -122,7 +122,7 @@ class TestPrimitiveSection:
 
     def test_gradient_equation_residual_zero(self):
         s = qc()
-        report = primitive_section(s, Connection.zero(2, CAP), s.identity)
+        report = primitive_section(s, s.identity)
         n = 2
         for a in range(n):
             for b in range(n):
@@ -134,14 +134,14 @@ class TestPrimitiveSection:
 
     def test_second_direction_antidiagonal_jacobian(self):
         s = qc()
-        report = primitive_section(s, Connection.zero(2, CAP), s.basis(1))
+        report = primitive_section(s, s.basis(1))
         assert report.jacobian_at_0 == ((Fraction(0), Fraction(1)),
                                         (Fraction(1), Fraction(0)))
         assert report.primitive
 
     def test_nilpotent_direction_not_primitive(self):
         s = load_model("nilpotent").instantiate(CAP).structure
-        report = primitive_section(s, Connection.zero(2, CAP), s.basis(1))
+        report = primitive_section(s, s.basis(1))
         assert not report.primitive
 
     def test_nonconstant_section_rejected(self):
@@ -149,7 +149,7 @@ class TestPrimitiveSection:
         bad = VectorField((TruncatedSeries.variable(2, CAP, 0),
                            TruncatedSeries.zero(2, CAP)))
         with pytest.raises(NotFlatSectionError):
-            primitive_section(s, Connection.zero(2, CAP), bad)
+            primitive_section(s, bad)
 
 
 class TestDualityVerify:

@@ -1,14 +1,17 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
-from flatcirc.euler import (CertificationError, MuSeriesVF, certify_euler,
+from flatcirc import euler, geometry
+from flatcirc.cli import main
+from flatcirc.euler import (CertificationError, certify_euler,
                             e_equation_residual, euler_family, euler_residual,
                             flat_compat, full_flatness_residual,
-                            geometric_inverse, h_from_e, mu_bracket,
-                            mu_multiply, mu_nabla)
+                            geometric_inverse, h_from_e)
 from flatcirc.fmanifold import shift_base
-from flatcirc.geometry import Connection, VectorField, covariant_derivative
+from flatcirc.geometry import (Connection, VectorField, covariant_derivative,
+                               lie_bracket)
 from flatcirc.models import load_model
 from flatcirc.series import TruncatedSeries
 
@@ -18,10 +21,6 @@ MU = 4
 
 def x(axis, n=2, cap=CAP):
     return TruncatedSeries.variable(n, cap, axis)
-
-
-def c(v, n=2, cap=CAP):
-    return TruncatedSeries.constant(n, cap, v)
 
 
 def qc():
@@ -67,17 +66,17 @@ class TestGeometricInverse:
         e = s.identity
         e1 = s.basis(1)
         g = geometric_inverse(s, e, e1, MU)
-        # (e + mu e1) o g = e in the mu-truncated sense
-        lhs = mu_multiply(
-            s, MuSeriesVF.constant(e, MU)
-            + MuSeriesVF.constant(e1, MU).shift_mu(), g)
-        diff = lhs - MuSeriesVF.constant(e, MU)
-        assert diff.vanishes_through(diff.proven_to())
+        # (e + mu e1) o g = e in the mu-truncated sense: coefficient k of the
+        # product is e o g_k + e1 o g_{k-1}
+        for k in range(MU + 1):
+            diff = s.multiply(e, g[k]) - e if k == 0 \
+                else s.multiply(e, g[k]) + s.multiply(e1, g[k - 1])
+            assert diff.vanishes_through(diff.valid_to)
 
     def test_alternating_signs(self):
         s, _ = qc()
         g = geometric_inverse(s, s.identity, s.identity, MU)
-        for k, coeff in enumerate(g.coefficients):
+        for k, coeff in enumerate(g):
             sign = 1 if k % 2 == 0 else -1
             assert coeff.components[0].constant_term == sign
 
@@ -88,21 +87,29 @@ def identity_residuals(h, s, conn, e, e1):
     The necessary functional equation, one residual per frame field X:
       H(X) = X o H(e) + mu (nabla_X H(e) - X - H(X o nabla_e e)),
     and its scalar consequence
-      [e, H(e)] + H(e) o nabla_e e - H(nabla_e e) - e = 0.
+      [e, H(e)] + H(e) o nabla_e e - H(nabla_e e) - e = 0,
+    each as its list of coefficients in mu.
     """
-    he = h.apply_plain(e, MU)
+    he = [hk.apply(e) for hk in h]
 
     def necessary(x):
-        xm = MuSeriesVF.constant(x, MU)
-        rhs = mu_multiply(s, xm, he) \
-            + (mu_nabla(conn, xm, he) - xm
-               - h.apply_plain(s.multiply(x, e1), MU)).shift_mu()
-        return h.apply_plain(x, MU) - rhs
+        xe1 = s.multiply(x, e1)
+        coeffs = [h[0].apply(x) - s.multiply(x, he[0])]
+        for k in range(1, len(h)):
+            coeff = h[k].apply(x) - s.multiply(x, he[k]) \
+                - covariant_derivative(conn, x, he[k - 1]) \
+                + h[k - 1].apply(xe1)
+            coeffs.append(coeff + x if k == 1 else coeff)
+        return coeffs
 
-    consistency = mu_bracket(MuSeriesVF.constant(e, MU), he) \
-        + mu_multiply(s, he, MuSeriesVF.constant(e1, MU)) \
-        - h.apply_plain(e1, MU) - MuSeriesVF.constant(e, MU)
+    consistency = [lie_bracket(e, he[k]) + s.multiply(he[k], e1)
+                   - h[k].apply(e1) for k in range(len(h))]
+    consistency[0] = consistency[0] - e
     return [necessary(s.basis(a)) for a in range(s.dim)], consistency
+
+
+def vanishes(coefficients):
+    return all(v.vanishes_through(v.valid_to) for v in coefficients)
 
 
 class TestReconstruction:
@@ -113,53 +120,72 @@ class TestReconstruction:
         conn = shift_base(s, flat, inst.lambda0) if inst.lambda0 != 0 else flat
         e = s.identity
         e1 = covariant_derivative(conn, e, e)
-        e_series = MuSeriesVF.constant(inst.euler[0], MU)
-        return s, conn, e, e1, e_series
+        g = geometric_inverse(s, e, e1, MU)
+        return s, conn, e, e1, inst.euler[0], g
 
     @pytest.mark.parametrize("name", ["one-dim", "qc-p1", "shifted-identity"])
     def test_equation_holds(self, name):
-        s, conn, e, e1, e_series = self._setup(name)
-        res = e_equation_residual(e_series, s, conn, e, e1)
+        s, conn, e, e1, e_field, g = self._setup(name)
+        res = e_equation_residual(e_field, s, conn, e1, g)
         assert res.vanishes_through(res.proven_to())
 
     @pytest.mark.parametrize("name", ["one-dim", "qc-p1", "shifted-identity"])
     def test_h_maps_identity_to_e(self, name):
-        s, conn, e, e1, e_series = self._setup(name)
-        h = h_from_e(e_series, s, conn, e, e1)
-        he = h.apply_plain(e, MU)
-        diff = he - e_series
-        assert diff.vanishes_through(diff.proven_to())
+        s, conn, e, e1, e_field, g = self._setup(name)
+        h = h_from_e(e_field, s, conn, g)
+        assert len(h) == MU + 1
+        # H(e) = E: the constant coefficient is E, every other one is zero
+        assert vanishes([h[0].apply(e) - e_field]
+                        + [hk.apply(e) for hk in h[1:]])
 
     @pytest.mark.parametrize("name", ["one-dim", "qc-p1", "shifted-identity"])
     def test_full_flatness(self, name):
-        s, conn, e, e1, e_series = self._setup(name)
-        h = h_from_e(e_series, s, conn, e, e1)
+        s, conn, e, e1, e_field, g = self._setup(name)
+        h = h_from_e(e_field, s, conn, g)
         report = full_flatness_residual(h, s, conn)
         assert report.full_vanishes()
         on_identity, consistency = identity_residuals(h, s, conn, e, e1)
-        for v in on_identity:
-            assert v.vanishes_through(v.proven_to())
-        assert consistency.vanishes_through(consistency.proven_to())
+        for coefficients in on_identity:
+            assert vanishes(coefficients)
+        assert vanishes(consistency)
 
     def test_non_euler_breaks_flatness(self):
-        s, conn, e, e1, _ = self._setup("qc-p1")
-        inst = load_model("qc-p1").instantiate(CAP)
-        bad = inst.euler[0] + VectorField((x(0) * x(0),
-                                           TruncatedSeries.zero(2, CAP)))
-        h = h_from_e(MuSeriesVF.constant(bad, MU), s, conn, e, e1)
+        s, conn, e, e1, e_field, g = self._setup("qc-p1")
+        bad = e_field + VectorField((x(0) * x(0),
+                                     TruncatedSeries.zero(2, CAP)))
+        h = h_from_e(bad, s, conn, g)
         report = full_flatness_residual(h, s, conn)
         assert not report.full_vanishes()
 
 
-class TestMuAlgebra:
-    def test_mu_bracket_antisymmetry(self):
-        a = MuSeriesVF.constant(VectorField((x(0) * x(1), x(1))), MU)
-        b = MuSeriesVF.constant(VectorField((x(1), c(2))), MU).shift_mu()
-        s = mu_bracket(a, b) + mu_bracket(b, a)
-        assert s.vanishes_through(s.proven_to())
+class TestSharedWork:
+    """One ``extend`` builds the geometric inverse once, and one ``check``
+    computes nabla_e e once for both the derivative mode and the extension."""
 
-    def test_shift_mu_drops_top_coefficient(self):
-        v = MuSeriesVF.constant(VectorField((c(1), c(0))), 2)
-        shifted = v.shift_mu()
-        assert shifted.coefficients[0].vanishes_through(CAP)
-        assert shifted.coefficients[1].components[0].constant_term == 1
+    def test_geometric_inverse_once_per_extend(self, monkeypatch, capsys):
+        calls = []
+        original = euler.geometric_inverse
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(euler, "geometric_inverse", counted)
+        assert main(["extend", "qc-p1"]) == 0
+        assert len(calls) == 1
+
+    def test_nabla_e_e_once_per_check(self, monkeypatch, capsys):
+        calls = []
+        original = geometry.covariant_derivative
+
+        def counted(conn, x, y):
+            if x is y:  # nabla_e e; every other call differentiates another field
+                calls.append(x)
+            return original(conn, x, y)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("flatcirc") \
+                    and getattr(module, "covariant_derivative", None) is original:
+                monkeypatch.setattr(module, "covariant_derivative", counted)
+        assert main(["check", "qc-p1"]) == 0
+        assert len(calls) == 1

@@ -153,14 +153,17 @@ class TestMembership:
 class TestNablaEEMode:
     def test_flat_mode(self):
         s = qc_structure()
-        mode = nabla_e_e_mode(s, Connection.zero(2, CAP))
+        e = s.identity
+        mode = nabla_e_e_mode(
+            s, covariant_derivative(Connection.zero(2, CAP), e, e))
         assert mode.kind == "flat"
 
     def test_eigen_mode_on_shifted_base(self):
         inst = load_model("shifted-identity").instantiate(CAP)
         conn = shift_base(inst.structure, Connection.zero(2, CAP),
                           inst.lambda0)
-        mode = nabla_e_e_mode(inst.structure, conn)
+        e = inst.structure.identity
+        mode = nabla_e_e_mode(inst.structure, covariant_derivative(conn, e, e))
         assert mode.kind == "eigen"
         assert mode.eigenvalue == 1
 
@@ -170,7 +173,8 @@ class TestNablaEEMode:
             n, lambda a, b, c: x(1) if (a, b, c) == (0, 0, 1)
             else TruncatedSeries.zero(n, CAP))
         s = qc_structure()
-        mode = nabla_e_e_mode(s, Connection(gamma.tensor))
+        mode = nabla_e_e_mode(s, covariant_derivative(
+            Connection(gamma.tensor), s.identity, s.identity))
         assert mode.kind == "other"
 
 

@@ -1,6 +1,8 @@
 """Golden reports: exit code and standard output of ``check``, ``extend``
 and ``dualize`` on every corpus model at its default order, in text and
 JSON, compared byte for byte with ``tests/data/golden_reports.json``.
+``extend`` is also pinned at mu-orders 0, 1 and 7: the extension with only
+its constant coefficient, the first power of mu, and a deep mu order.
 
 A refactor that keeps the library's results must keep these bytes.  After a
 deliberate change of a report, regenerate the file with
@@ -19,21 +21,25 @@ from flatcirc.cli import main
 from flatcirc.models import CORPUS
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_reports.json"
-CASES = [(command, model, fmt)
+CASES = [(command, model, fmt, ())
          for model in CORPUS
          for command in ("check", "extend", "dualize")
-         for fmt in ("text", "json")]
+         for fmt in ("text", "json")] + [
+    ("extend", model, fmt, ("--mu-order", mu_order))
+    for model in CORPUS
+    for mu_order in ("0", "1", "7")
+    for fmt in ("text", "json")]
 
 
-def run(command, model, fmt):
+def run(command, model, fmt, flags):
     out = io.StringIO()
     with redirect_stdout(out), redirect_stderr(io.StringIO()):
-        code = main([command, model, "--format", fmt])
+        code = main([command, model, "--format", fmt, *flags])
     return {"exit": code, "stdout": out.getvalue()}
 
 
-def key(command, model, fmt):
-    return f"{command} {model} {fmt}"
+def key(command, model, fmt, flags):
+    return " ".join((command, model, fmt) + flags)
 
 
 @pytest.fixture(scope="module")
