@@ -24,9 +24,7 @@ from . import euler as euler_mod
 from .fmanifold import (FStructure, five_term_residual, l_membership,
                         nabla_e_e_mode, shift_base)
 from .geometry import (Connection, EndField, FlatnessError, VectorField,
-                       covariant_derivative, pencil_curvature_split,
-                       tensor_first_offending, tensor_valid_to,
-                       tensor_vanishes_through)
+                       covariant_derivative, judge, pencil_curvature_split)
 from .models import ModelInstance
 
 REPORT_SCHEMA_VERSION = 1
@@ -106,11 +104,9 @@ class SuiteReport:
 
 
 def _tensor_check(check_id: str, tensor, detail: str = "") -> CheckResult:
-    proven = tensor_valid_to(tensor)
-    if tensor_vanishes_through(tensor, proven):
-        return CheckResult(check_id, PASS, proven, detail)
-    return CheckResult(check_id, FAIL, proven, detail,
-                       tensor_first_offending(tensor))
+    verdict = judge(tensor)
+    return CheckResult(check_id, PASS if verdict.holds else FAIL,
+                       verdict.proven_to, detail, verdict.offending)
 
 
 def working_connection(structure: FStructure, shift: Fraction) -> Connection:
@@ -123,18 +119,16 @@ def working_connection(structure: FStructure, shift: Fraction) -> Connection:
 class Extension:
     """The mu-extension built from a scaling field E and the identity e.
 
-    ``equation`` is the residual of the reconstruction equation, ``h`` the
-    operator H reconstructed from E (one matrix per power of mu), and
-    ``flatness`` the residual of the extended connection's flatness.
+    ``equation`` is the residual of the reconstruction equation (one vector
+    field per power of mu), ``h`` the operator H reconstructed from E (one
+    matrix per power of mu), and ``flatness`` the residual of the extended
+    connection's flatness, indexed [a][k] as in
+    ``euler.full_flatness_residual``.
     """
 
-    equation: euler_mod.MuSeriesVF
+    equation: Tuple[VectorField, ...]
     h: Tuple[EndField, ...]
-    flatness: euler_mod.FlatnessReport
-
-    @property
-    def equation_holds(self) -> bool:
-        return self.equation.vanishes_through(self.equation.proven_to())
+    flatness: Tuple[Tuple[EndField, ...], ...]
 
 
 def evaluate_extension(structure: FStructure, working: Connection,
@@ -237,16 +231,13 @@ def run_check_suite(instance: ModelInstance, mu_order: int = 4,
                                    detail="model declares no scaling field"))
     else:
         e_field, weight = instance.euler
-        residual = euler_mod.euler_residual(structure, e_field, weight)
         results.append(_tensor_check(
             "scaling-weight",
-            tuple(tuple(tuple(c for c in v.components) for v in row)
-                  for row in residual),
+            euler_mod.euler_residual(structure, e_field, weight),
             detail=f"weight {weight}"))
         ok = euler_mod.flat_compat(e_field)
         results.append(CheckResult(
-            "scaling-frame-compat", PASS if ok else FAIL,
-            min(c.valid_to for c in e_field.components),
+            "scaling-frame-compat", PASS if ok else FAIL, e_field.valid_to,
             detail="components polynomial of degree at most one" if ok
             else "a component has a degree >= 2 term"))
 
@@ -261,13 +252,10 @@ def run_check_suite(instance: ModelInstance, mu_order: int = 4,
     else:
         extension = evaluate_extension(structure, working, instance.euler[0],
                                        mu_order, e1)
-        results.append(CheckResult(
-            "extension-equation", PASS if extension.equation_holds else FAIL,
-            extension.equation.proven_to()))
-        results.append(CheckResult(
-            "extension-flatness",
-            PASS if extension.flatness.full_vanishes() else FAIL,
-            extension.flatness.proven_to()))
+        results.append(_tensor_check("extension-equation",
+                                     extension.equation))
+        results.append(_tensor_check("extension-flatness",
+                                     extension.flatness))
 
     # 8. twist field checks
     twist_ids = ("twist-membership", "twist-hypotheses",
@@ -281,10 +269,9 @@ def run_check_suite(instance: ModelInstance, mu_order: int = 4,
             results.append(CheckResult(
                 check_id, SKIP, detail="twist checks need an identity"))
     else:
-        membership = l_membership(structure, working, instance.epsilon)
-        results.append(CheckResult(
-            "twist-membership", PASS if membership.member else FAIL,
-            membership.proven_to,
+        results.append(_tensor_check(
+            "twist-membership",
+            l_membership(structure, working, instance.epsilon),
             detail="nabla_Y eps = Y o nabla_e eps over the frame"))
         report = evaluate_twist(structure, working, instance.epsilon)
         failed = twist_hypothesis_failures(report)
@@ -293,15 +280,9 @@ def run_check_suite(instance: ModelInstance, mu_order: int = 4,
             min(h.proven_to for h in report.hypotheses),
             detail="; ".join(failed) if failed else
             "required hypotheses hold"))
-        defect = report.bracket_defect_flat_eps
-        check_to = min(c.valid_to for c in defect.components)
-        euler_rows = report.euler_weight_one
-        euler_ok = all(v.vanishes_through(min(c.valid_to for c in v.components))
-                       for row in euler_rows for v in row)
-        bracket_ok = defect.vanishes_through(check_to)
-        results.append(CheckResult(
+        results.append(_tensor_check(
             "twist-identity-scaling",
-            PASS if (euler_ok and bracket_ok) else FAIL, check_to,
+            (report.bracket_defect_flat_eps, report.euler_weight_one),
             detail="[twist, identity] = twist and the identity scales the "
                    "twisted product with weight one"))
 

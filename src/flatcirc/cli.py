@@ -24,6 +24,7 @@ from . import duality as duality_mod
 from .checks import (evaluate_extension, evaluate_twist, run_check_suite,
                      twist_hypothesis_failures, working_connection)
 from .expr import ExprError
+from .geometry import judge
 from .models import (CORPUS, ModelDocument, ModelFormatError, load_model,
                      load_model_file)
 from .permutofan import FanSizeError, verify_fan
@@ -130,9 +131,9 @@ def _cmd_extend(args: argparse.Namespace) -> int:
     extension = evaluate_extension(
         structure, working_connection(structure, instance.lambda0),
         instance.euler[0], args.mu_order)
-    equation_ok = extension.equation_holds
-    flatness = extension.flatness
-    ok = equation_ok and flatness.full_vanishes()
+    equation_ok = judge(extension.equation).holds
+    flatness = judge(extension.flatness)
+    ok = equation_ok and flatness.holds
     if args.format == "json":
         obj = {
             "schemaVersion": 1,
@@ -140,8 +141,8 @@ def _cmd_extend(args: argparse.Namespace) -> int:
             "order": structure.order,
             "muOrder": args.mu_order,
             "equationHolds": equation_ok,
-            "flatnessHolds": flatness.full_vanishes(),
-            "provenTo": flatness.proven_to(),
+            "flatnessHolds": flatness.holds,
+            "provenTo": flatness.proven_to,
             "hMatrices": [
                 [[extension.h[k].matrix[a][c].canonical_text()
                   for c in range(n)] for a in range(n)]
@@ -153,8 +154,8 @@ def _cmd_extend(args: argparse.Namespace) -> int:
                  f"mu-order {args.mu_order}",
                  f"  [{'pass' if equation_ok else 'fail'}] "
                  "reconstruction equation",
-                 f"  [{'pass' if flatness.full_vanishes() else 'fail'}] "
-                 f"extended flatness (to degree {flatness.proven_to()})"]
+                 f"  [{'pass' if flatness.holds else 'fail'}] "
+                 f"extended flatness (to degree {flatness.proven_to})"]
         text = "\n".join(lines) + "\n"
     _emit(text, args.report)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -198,10 +199,8 @@ def _cmd_correlators(args: argparse.Namespace) -> int:
         family = correlators_mod.CorrelatorFamily.from_json_obj(obj)
         b = correlators_mod.b_from_correlators(family)
         residuals = correlators_mod.master_equation_residual(b)
-        offending = sorted(
-            key for key, end in residuals.items()
-            if any(not s.vanishes_through(s.valid_to)
-                   for row in end.matrix for s in row))
+        offending = sorted(key for key, end in residuals.items()
+                           if not judge(end).holds)
         ok = not offending
         if args.format == "json":
             out = {

@@ -17,7 +17,7 @@ from math import factorial
 from typing import Dict, List, Optional, Tuple
 
 from .series import TruncatedSeries, as_fraction
-from .geometry import EndField, HiggsField
+from .geometry import EndField, HiggsField, judge
 
 FAMILY_SCHEMA_VERSION = 1
 
@@ -173,10 +173,8 @@ def correlators_from_b(b: EndField, force: bool = False) -> CorrelatorFamily:
         for a in range(dim):
             for bb in range(a + 1, dim):
                 for c in range(dim):
-                    lhs = b.matrix[c][bb].derivative(a)
-                    rhs = b.matrix[c][a].derivative(bb)
-                    if not (lhs - rhs).vanishes_through(
-                            min(lhs.valid_to, rhs.valid_to)):
+                    if not judge(b.matrix[c][bb].derivative(a)
+                                 - b.matrix[c][a].derivative(bb)).holds:
                         raise NotSymmetricError(a, bb, c)
     out: Dict[Multiset, List[List[Fraction]]] = {}
     for i in range(dim):

@@ -17,8 +17,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import linalg
 from .fmanifold import (FStructure, MissingIdentityError, SingularSystemError,
                         shift_base, solve_series_system)
+from .euler import euler_residual
 from .geometry import (Connection, EndField, HiggsField, VectorField,
-                       covariant_derivative, lie_bracket)
+                       covariant_derivative, judge, lie_bracket)
 from .series import (Exponent, Scalar, TruncatedSeries, as_fraction,
                      primitive_of_closed_family, total_degree)
 
@@ -131,8 +132,10 @@ class DualityVerifyReport:
     twist field itself is flat for the shifted connection);
     ``bracket_defect_flat_inverse`` is [eps, e] + eps (the shape observed when
     instead its circ-inverse is flat).  The bracket convention is
-    [X, Y]^c = X(Y^c) - Y(X^c) throughout.  ``pair`` is the twisted
-    structure, or None when the twist field is not circ-invertible.
+    [X, Y]^c = X(Y^c) - Y(X^c) throughout.  ``euler_weight_one`` is the
+    weight-one scaling residual of e for the twisted product, indexed
+    [a][b]; it and ``pair``, the twisted structure, are empty when the
+    twist field is not circ-invertible.
     """
 
     hypotheses: Tuple[HypothesisItem, ...]
@@ -156,57 +159,37 @@ def duality_verify(structure: FStructure, base: Connection, conn: Connection,
         raise MissingIdentityError("duality verification needs an identity")
     n = structure.dim
     e = structure.identity
-    check = structure.valid_to
 
-    hypotheses = []
-    nabla0_e = tuple(covariant_derivative(base, structure.basis(a), e)
-                     for a in range(n))
-    hypotheses.append(HypothesisItem(
-        "identity flat for base connection",
-        all(v.vanishes_through(v.valid_to) for v in nabla0_e),
-        min(v.valid_to for v in nabla0_e)))
-    nabla_eps = tuple(covariant_derivative(conn, structure.basis(a), epsilon)
-                      for a in range(n))
-    flat_eps = all(v.vanishes_through(v.valid_to) for v in nabla_eps)
-    hypotheses.append(HypothesisItem(
-        "twist field flat for shifted connection", flat_eps,
-        min(v.valid_to for v in nabla_eps)))
+    def flat(label: str, connection: Connection,
+             field: VectorField) -> HypothesisItem:
+        verdict = judge(tuple(
+            covariant_derivative(connection, structure.basis(a), field)
+            for a in range(n)))
+        return HypothesisItem(label, verdict.holds, verdict.proven_to)
+
+    hypotheses = [flat("identity flat for base connection", base, e),
+                  flat("twist field flat for shifted connection", conn,
+                       epsilon)]
     try:
         pair: Optional[DualityPair] = dual_structure(structure, epsilon)
     except NotInvertibleError:
         pair = None
     hypotheses.append(HypothesisItem("twist field circ-invertible at origin",
-                                     pair is not None, check))
-    distinct = any(not (conn.tensor[a][b][c] - base.tensor[a][b][c])
-                   .vanishes_through(check)
-                   for a in range(n) for b in range(n) for c in range(n))
+                                     pair is not None, structure.valid_to))
+    difference = judge(tuple(tuple(tuple(
+        conn.tensor[a][b][c] - base.tensor[a][b][c] for c in range(n))
+        for b in range(n)) for a in range(n)))
     hypotheses.append(HypothesisItem("shifted connection differs from base",
-                                     distinct, check))
+                                     not difference.holds,
+                                     difference.proven_to))
     if pair is not None:
-        nabla_inv = tuple(
-            covariant_derivative(conn, structure.basis(a), pair.inverse_used)
-            for a in range(n))
-        hypotheses.append(HypothesisItem(
-            "inverse of twist field flat for shifted connection",
-            all(v.vanishes_through(v.valid_to) for v in nabla_inv),
-            min(v.valid_to for v in nabla_inv)))
-
+        hypotheses.append(flat(
+            "inverse of twist field flat for shifted connection", conn,
+            pair.inverse_used))
     bracket = lie_bracket(epsilon, e)
-    if pair is not None:
-        dual = pair.dual
-        t = dual.structure.tensor
-        euler = tuple(tuple(
-            lie_bracket(e, VectorField(t[a][b]))
-            - dual.multiply(lie_bracket(e, dual.basis(a)), dual.basis(b))
-            - dual.multiply(dual.basis(a), lie_bracket(e, dual.basis(b)))
-            - VectorField(t[a][b])
-            for b in range(n)) for a in range(n))
-    else:
-        zero = VectorField.zero(n, structure.order)
-        euler = tuple(tuple(zero for _ in range(n)) for _ in range(n))
-
-    return DualityVerifyReport(tuple(hypotheses), bracket - epsilon,
-                               bracket + epsilon, euler, pair)
+    return DualityVerifyReport(
+        tuple(hypotheses), bracket - epsilon, bracket + epsilon,
+        euler_residual(pair.dual, e, 1) if pair is not None else (), pair)
 
 
 def flat_section_solve(structure: FStructure, base: Connection, lambda0: Scalar,

@@ -9,15 +9,18 @@ the naive infinite iteration.  Every mu-product in it has a factor constant
 or linear in mu, so each coefficient is a short recurrence over plain
 fields.  With E the scaling field (constant in mu), e the identity,
 e1 = nabla_e e and g_k = (-1)^k e o e1^{ok} the coefficients of the geometric
-inverse (e + mu e1)^{-1}:
+inverse (e + mu e1)^{-1}, everything is matrix algebra on frame tensors:
+C_a and Gamma_a are the slices of the structure tensor and the connection
+(``HiggsField.slice``), L_v and R_v the matrices of X -> v o X and
+X -> X o v, and J = Jacobian(E) + Gamma.right(E) the matrix of
+X -> nabla_X E.  Then
 
-  H_0(X) = X o E + (g_0 o X - X) o E
-  H_k(X) = (g_k o X) o E + nabla_{g_{k-1} o X} E - g_{k-1} o X      (k >= 1)
+  H_0 = R_E + R_E (L_{g_0} - 1)
+  H_k = R_E L_{g_k} + (J - 1) L_{g_{k-1}}                          (k >= 1)
   equation residual_k = e o nabla_{g_k} E + e1 o nabla_{g_{k-1}} E
                         - delta_{k0} (e1 o E + e)
-  flatness residual_k(a, b) = H_k(C_ab) - d_a o H_k(d_b)
-                              - nabla_{d_a} H_{k-1}(d_b)
-                              + H_{k-1}(nabla_{d_a} d_b) + delta_{k1} C_ab
+  flatness residual_k at d_a = [H_k, C_a] - d_a H_{k-1}
+                               - [Gamma_a, H_{k-1}] + delta_{k1} C_a
 
 A term whose index is below 0 is absent.
 """
@@ -26,28 +29,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Tuple
 
 from .fmanifold import FStructure, MissingIdentityError, p_tensor
-from .geometry import Connection, EndField, VectorField, covariant_derivative
+from .geometry import (Connection, EndField, VectorField, covariant_derivative,
+                       judge)
 from .series import Scalar, as_fraction
 
 
 class CertificationError(ValueError):
     """An Euler-field certification (residual or compatibility) failed."""
-
-
-@dataclass(frozen=True, eq=False)
-class MuSeriesVF:
-    """A residual polynomial in mu with vector-field coefficients."""
-
-    coefficients: Tuple[VectorField, ...]  # index = power of mu
-
-    def vanishes_through(self, degree: int) -> bool:
-        return all(c.vanishes_through(degree) for c in self.coefficients)
-
-    def proven_to(self) -> int:
-        return min(c.valid_to for c in self.coefficients)
 
 
 @dataclass(frozen=True)
@@ -86,12 +77,8 @@ def flat_compat(e_field: VectorField) -> bool:
 
 def certify_euler(structure: FStructure, e_field: VectorField,
                   weight: Scalar) -> EulerField:
-    residual = euler_residual(structure, e_field, weight)
-    for row in residual:
-        for entry in row:
-            if not entry.vanishes_through(entry.valid_to):
-                raise CertificationError(
-                    f"Euler residual nonzero at weight {weight}")
+    if not judge(euler_residual(structure, e_field, weight)).holds:
+        raise CertificationError(f"Euler residual nonzero at weight {weight}")
     if not flat_compat(e_field):
         raise CertificationError("Euler field does not preserve flat fields")
     return EulerField(e_field, as_fraction(weight))
@@ -109,13 +96,9 @@ def geometric_inverse(structure: FStructure, e: VectorField, e1: VectorField,
     """Coefficients g_k = (-1)^k e o e1^{ok} of (e + mu e1)^{-1}, k <= mu_cap."""
     if structure.identity is None:
         raise MissingIdentityError("geometric inverse needs an identity")
-    coeffs: List[VectorField] = [e]
-    power = e
-    sign = 1
+    coeffs = [e]
     for _ in range(mu_cap):
-        power = structure.multiply(power, e1)
-        sign = -sign
-        coeffs.append(power if sign > 0 else -power)
+        coeffs.append(-structure.multiply(coeffs[-1], e1))
     return tuple(coeffs)
 
 
@@ -126,28 +109,24 @@ def h_from_e(e_field: VectorField, structure: FStructure, conn: Connection,
     The closed form agrees with the infinite back-substitution of the
     defining functional equation up to the mu truncation.
     """
-    n = structure.dim
-
-    def h_column(x: VectorField) -> List[VectorField]:
-        gx = [structure.multiply(gk, x) for gk in g]
-        column = [structure.multiply(x, e_field)
-                  + structure.multiply(gx[0] - x, e_field)]
-        for k in range(1, len(g)):
-            column.append(structure.multiply(gx[k], e_field)
-                          + covariant_derivative(conn, gx[k - 1], e_field)
-                          - gx[k - 1])
-        return column
-
-    columns = [h_column(structure.basis(c)) for c in range(n)]
-    return tuple(EndField(tuple(
-        tuple(columns[c][k].components[a] for c in range(n))
-        for a in range(n))) for k in range(len(g)))
+    c = structure.structure
+    one = EndField.identity(structure.dim, structure.order)
+    r_e = c.right(e_field)
+    j_minus_one = EndField.jacobian(e_field) + conn.right(e_field) - one
+    left = [c.left(gk) for gk in g]
+    h = [r_e + r_e.compose(left[0] - one)]
+    for k in range(1, len(g)):
+        h.append(r_e.compose(left[k]) + j_minus_one.compose(left[k - 1]))
+    return tuple(h)
 
 
 def e_equation_residual(e_field: VectorField, structure: FStructure,
                         conn: Connection, e1: VectorField,
-                        g: Tuple[VectorField, ...]) -> MuSeriesVF:
-    """Residual of (e + mu e1) o nabla_g E - e1 o E = e, where e = g_0."""
+                        g: Tuple[VectorField, ...]) -> Tuple[VectorField, ...]:
+    """Residual of (e + mu e1) o nabla_g E - e1 o E = e, where e = g_0.
+
+    One vector field per power of mu.
+    """
     e = g[0]
     nabla = [covariant_derivative(conn, gk, e_field) for gk in g]
     coeffs = [structure.multiply(e, nabla[0])
@@ -155,42 +134,25 @@ def e_equation_residual(e_field: VectorField, structure: FStructure,
     for k in range(1, len(g)):
         coeffs.append(structure.multiply(e, nabla[k])
                       + structure.multiply(e1, nabla[k - 1]))
-    return MuSeriesVF(tuple(coeffs))
-
-
-@dataclass(frozen=True)
-class FlatnessReport:
-    """Frame residual of the reformulated extended-connection flatness."""
-
-    full: Tuple[Tuple[MuSeriesVF, ...], ...]
-
-    def full_vanishes(self) -> bool:
-        return all(r.vanishes_through(r.proven_to())
-                   for row in self.full for r in row)
-
-    def proven_to(self) -> int:
-        return min(r.proven_to() for row in self.full for r in row)
+    return tuple(coeffs)
 
 
 def full_flatness_residual(h: Tuple[EndField, ...], structure: FStructure,
-                           conn: Connection) -> FlatnessReport:
-    """Check H(X o Y) = X o H(Y) + mu (nabla_X H(Y) - X o Y - H(nabla_X Y))."""
-    n = structure.dim
-    t = structure.structure.tensor
+                           conn: Connection) -> Tuple[Tuple[EndField, ...], ...]:
+    """Check H(X o Y) = X o H(Y) + mu (nabla_X H(Y) - X o Y - H(nabla_X Y)).
 
-    def residual(a: int, b: int) -> MuSeriesVF:
-        x = structure.basis(a)
-        y = structure.basis(b)
-        xy = VectorField(t[a][b])
-        nabla_xy = covariant_derivative(conn, x, y)
-        hy = [hk.apply(y) for hk in h]
-        coeffs = [h[0].apply(xy) - structure.multiply(x, hy[0])]
-        for k in range(1, len(h)):
-            coeff = h[k].apply(xy) - structure.multiply(x, hy[k]) \
-                - covariant_derivative(conn, x, hy[k - 1]) \
-                + h[k - 1].apply(nabla_xy)
-            coeffs.append(coeff + xy if k == 1 else coeff)
-        return MuSeriesVF(tuple(coeffs))
+    Indexed [a][k]: the coefficient of mu^k at X = d_a, as the matrix
+    whose column b is the residual at Y = d_b.
+    """
+    c = [structure.structure.slice(a) for a in range(structure.dim)]
+    gamma = [conn.slice(a) for a in range(structure.dim)]
 
-    return FlatnessReport(tuple(tuple(residual(a, b) for b in range(n))
-                                for a in range(n)))
+    def coefficient(a: int, k: int) -> EndField:
+        r = h[k].commutator(c[a])
+        if k == 0:
+            return r
+        r = r - h[k - 1].derivative(a) - gamma[a].commutator(h[k - 1])
+        return r + c[a] if k == 1 else r
+
+    return tuple(tuple(coefficient(a, k) for k in range(len(h)))
+                 for a in range(structure.dim))

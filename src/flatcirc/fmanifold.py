@@ -264,31 +264,20 @@ def find_identity(structure: FStructure) -> IdentityResult:
     return IdentityResult(field)
 
 
-@dataclass(frozen=True)
-class MembershipReport:
-    """Residual of the multiplication-compatibility condition for epsilon.
-
-    ``defining`` is the residual of nabla_Y eps = Y o nabla_e eps over the
-    frame; membership is its vanishing.
-    """
-
-    member: bool
-    defining: Tuple[VectorField, ...]
-    proven_to: int
-
-
 def l_membership(structure: FStructure, conn: Connection,
-                 epsilon: VectorField) -> MembershipReport:
+                 epsilon: VectorField) -> Tuple[VectorField, ...]:
+    """Residual of nabla_Y eps = Y o nabla_e eps, one vector per frame field.
+
+    ``epsilon`` satisfies the multiplication-compatibility condition when
+    the residual vanishes.
+    """
     if structure.identity is None:
         raise MissingIdentityError("membership test requires an identity field")
     nabla_e_eps = covariant_derivative(conn, structure.identity, epsilon)
-    defining = tuple(
+    return tuple(
         covariant_derivative(conn, structure.basis(a), epsilon)
         - structure.multiply(structure.basis(a), nabla_e_eps)
         for a in range(structure.dim))
-    member = all(v.vanishes_through(v.valid_to) for v in defining)
-    return MembershipReport(member, defining,
-                            min(v.valid_to for v in defining))
 
 
 @dataclass(frozen=True)

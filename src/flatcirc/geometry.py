@@ -5,6 +5,16 @@ field is its component series; a structure tensor and a connection are both
 3-tensor fields, the connection given by its Christoffel tensor (the flat
 base frame has all Christoffels zero).  All values are immutable and all
 operations are pure.
+
+Frame residuals are matrix algebra on the slices T_a of a 3-tensor field,
+the matrices of X -> T(d_a, X) with entry [c][b] = T_ab^c.  With Gamma_a the
+slices of a connection and A_a those of a Higgs field:
+
+  curvature  R(d_a, d_b) = d_a Gamma_b - d_b Gamma_a + [Gamma_a, Gamma_b]
+  pencil     R1(d_a, d_b) = d_a A_b - d_b A_a + [A_a, Gamma_b] + [Gamma_a, A_b]
+             R2(d_a, d_b) = [A_a, A_b]
+
+Every residual is decided by ``judge``.
 """
 
 from __future__ import annotations
@@ -13,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Tuple, Union
 
-from .series import DimensionMismatchError, Scalar, TruncatedSeries
+from .series import DimensionMismatchError, Exponent, Scalar, TruncatedSeries
 
 SeriesMatrix = Tuple[Tuple[TruncatedSeries, ...], ...]
 SeriesTensor3 = Tuple[Tuple[Tuple[TruncatedSeries, ...], ...], ...]
@@ -105,6 +115,12 @@ class EndField:
         z = TruncatedSeries.zero(dim, cap)
         return cls(tuple(tuple(one if a == c else z for c in range(dim))
                          for a in range(dim)))
+
+    @classmethod
+    def jacobian(cls, v: VectorField) -> "EndField":
+        """The matrix of X -> X(v), entry [c][a] = d_a v^c."""
+        return cls(tuple(tuple(comp.derivative(a) for a in range(v.dim))
+                         for comp in v.components))
 
     def apply(self, v: VectorField) -> VectorField:
         _check_same_dim(self.dim, v.dim)
@@ -201,6 +217,33 @@ class HiggsField:
                         return False
         return True
 
+    def slice(self, a: int) -> EndField:
+        """The matrix of X -> T(d_a, X): entry [c][b] = T_ab^c."""
+        n = self.dim
+        return EndField(tuple(tuple(self.tensor[a][b][c] for b in range(n))
+                              for c in range(n)))
+
+    def left(self, v: VectorField) -> EndField:
+        """The matrix of X -> T(v, X): entry [c][b] = sum_a v^a T_ab^c."""
+        n = self.dim
+        return EndField(tuple(tuple(
+            sum((v.components[a] * self.tensor[a][b][c] for a in range(1, n)),
+                v.components[0] * self.tensor[0][b][c])
+            for b in range(n)) for c in range(n)))
+
+    def right(self, v: VectorField) -> EndField:
+        """The matrix of X -> T(X, v): entry [c][a] = sum_b T_ab^c v^b.
+
+        Zero components of ``v`` are skipped, as in ``apply_higgs``.
+        """
+        n = self.dim
+        zero = TruncatedSeries.zero(v.components[0].num_vars,
+                                    v.components[0].cap)
+        used = [b for b in range(n) if v.components[b].coeffs]
+        return EndField(tuple(tuple(
+            sum((self.tensor[a][b][c] * v.components[b] for b in used), zero)
+            for a in range(n)) for c in range(n)))
+
     def shifted(self, other: "HiggsField", factor: Scalar) -> "HiggsField":
         """The pencil member self + factor * other."""
         n = self.dim
@@ -267,31 +310,21 @@ def torsion(conn: Connection) -> SeriesTensor3:
                  for a in range(n))
 
 
-def curvature(conn: Connection) -> "SeriesTensor4":
-    """Frame curvature R(d_a, d_b)d_c, indexed [a][b][c][d].
+def _frame_tensor(n: int,
+                  matrix: Callable[[int, int], EndField]) -> "SeriesTensor4":
+    """Index the matrices M_ab = matrix(a, b) as [a][b][c][d] = M_ab[d][c]."""
+    planes = [[matrix(a, b).matrix for b in range(n)] for a in range(n)]
+    return tuple(tuple(tuple(tuple(m[d][c] for d in range(n))
+                             for c in range(n)) for m in row)
+                 for row in planes)
 
-    R_{ab,c}^d = d_a Gamma_{bc}^d - d_b Gamma_{ac}^d
-                 + sum_e (Gamma_{bc}^e Gamma_{ae}^d - Gamma_{ac}^e Gamma_{be}^d).
-    """
-    n = conn.dim
-    g = conn.tensor
-    out = []
-    for a in range(n):
-        plane = []
-        for b in range(n):
-            rows = []
-            for c in range(n):
-                row = []
-                for d in range(n):
-                    term = g[b][c][d].derivative(a) - g[a][c][d].derivative(b)
-                    for e in range(n):
-                        term = term + g[b][c][e] * g[a][e][d] \
-                            - g[a][c][e] * g[b][e][d]
-                    row.append(term)
-                rows.append(tuple(row))
-            plane.append(tuple(rows))
-        out.append(tuple(plane))
-    return tuple(out)
+
+def curvature(conn: Connection) -> "SeriesTensor4":
+    """Frame curvature R(d_a, d_b)d_c, indexed [a][b][c][d]: the entry
+    [d][c] of the matrix R(d_a, d_b) of the module docstring."""
+    g = [conn.slice(a) for a in range(conn.dim)]
+    return _frame_tensor(conn.dim, lambda a, b: g[b].derivative(a)
+                         - g[a].derivative(b) + g[a].commutator(g[b]))
 
 
 SeriesTensor4 = Tuple[Tuple[SeriesTensor3, ...], ...]
@@ -305,56 +338,39 @@ def pencil_curvature_split(higgs: HiggsField,
                            base: Connection) -> Tuple[SeriesTensor4, SeriesTensor4]:
     """Split the curvature of nabla_lambda = base + lambda A as lambda R1 + lambda^2 R2.
 
-    The split is exact in lambda (no lambda truncation).  R2_{ab} is the
-    commutator of the endomorphism slices [A_a, A_b]; R1 collects the mixed
-    base/Higgs terms, which over the flat frame reduce to
-    d_a A_{bc}^e - d_b A_{ac}^e.  The base must be flat to checked degree.
+    The split is exact in lambda (no lambda truncation); R1 and R2 are the
+    matrices of the module docstring, indexed like ``curvature``.  The base
+    must be flat to checked degree.
     """
     _check_same_dim(higgs.dim, base.dim)
     n = higgs.dim
-    base_curv = curvature(base)
-    for index, s in iter_tensor(base_curv):
-        if not s.vanishes_through(s.valid_to):
-            raise FlatnessError(f"base connection is not flat at {index}")
-    g = base.tensor
-    t = higgs.tensor
-    r1 = []
-    r2 = []
-    for a in range(n):
-        p1 = []
-        p2 = []
-        for b in range(n):
-            rows1 = []
-            rows2 = []
-            for c in range(n):
-                row1 = []
-                row2 = []
-                for d in range(n):
-                    lin = t[b][c][d].derivative(a) - t[a][c][d].derivative(b)
-                    quad = TruncatedSeries.zero(lin.num_vars, lin.cap)
-                    for e in range(n):
-                        lin = lin + g[b][c][e] * t[a][e][d] + t[b][c][e] * g[a][e][d] \
-                            - g[a][c][e] * t[b][e][d] - t[a][c][e] * g[b][e][d]
-                        quad = quad + t[b][c][e] * t[a][e][d] - t[a][c][e] * t[b][e][d]
-                    row1.append(lin)
-                    row2.append(quad)
-                rows1.append(tuple(row1))
-                rows2.append(tuple(row2))
-            p1.append(tuple(rows1))
-            p2.append(tuple(rows2))
-        r1.append(tuple(p1))
-        r2.append(tuple(p2))
-    return tuple(r1), tuple(r2)
+    flat = judge(curvature(base))
+    if not flat.holds:
+        raise FlatnessError(
+            f"base connection is not flat at {flat.offending[0]}")
+    c = [higgs.slice(a) for a in range(n)]
+    g = [base.slice(a) for a in range(n)]
+    r1 = _frame_tensor(n, lambda a, b: c[b].derivative(a) - c[a].derivative(b)
+                       + c[a].commutator(g[b]) + g[a].commutator(c[b]))
+    return r1, _frame_tensor(n, lambda a, b: c[a].commutator(c[b]))
 
 
 # -- tensor helpers -------------------------------------------------------
 
 
 def iter_tensor(tensor) -> Iterator[Tuple[Tuple[int, ...], TruncatedSeries]]:
-    """Depth-first iteration over a nested tuple tensor of series."""
+    """Depth-first iteration over a nested tuple tensor of series.
+
+    Vector fields and endomorphism fields nest as their component tuple and
+    their matrix.
+    """
     if isinstance(tensor, TruncatedSeries):
         yield (), tensor
         return
+    if isinstance(tensor, VectorField):
+        tensor = tensor.components
+    elif isinstance(tensor, EndField):
+        tensor = tensor.matrix
     for i, sub in enumerate(tensor):
         for index, s in iter_tensor(sub):
             yield (i,) + index, s
@@ -364,18 +380,38 @@ def tensor_vanishes_through(tensor, degree: int) -> bool:
     return all(s.vanishes_through(degree) for _, s in iter_tensor(tensor))
 
 
-def tensor_valid_to(tensor) -> int:
-    return min(s.valid_to for _, s in iter_tensor(tensor))
+@dataclass(frozen=True)
+class Verdict:
+    """Whether a residual vanishes, and through which degree that is proven.
+
+    ``offending`` is None when the residual holds, else the witness
+    (tensor index, monomial exponent, coefficient).
+    """
+
+    proven_to: int
+    offending: Optional[Tuple[Tuple[int, ...], Exponent, Fraction]]
+
+    @property
+    def holds(self) -> bool:
+        return self.offending is None
 
 
-def tensor_first_offending(tensor) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...], Fraction]]:
-    """First nonzero entry: (tensor index, monomial exponent, coefficient)."""
+def judge(tensor) -> Verdict:
+    """The one verdict on a residual tensor.
+
+    The residual is proven to the lowest ``valid_to`` over its entries.  It
+    fails when some entry has a nonzero coefficient at a degree up to that
+    entry's own ``valid_to``; the witness is the lowest such coefficient,
+    ordered by (degree, entry index, exponent).
+    """
+    proven = None
     best = None
     for index, s in iter_tensor(tensor):
-        hit = s.first_nonzero()
-        if hit is None:
+        proven = s.valid_to if proven is None else min(proven, s.valid_to)
+        if s.vanishes_through(s.valid_to):
             continue
-        key = (sum(hit[0]), index, hit[0])
+        exponent, value = s.first_nonzero()
+        key = (sum(exponent), index, exponent)
         if best is None or key < best[0]:
-            best = (key, (index, hit[0], hit[1]))
-    return None if best is None else best[1]
+            best = (key, (index, exponent, value))
+    return Verdict(proven, None if best is None else best[1])

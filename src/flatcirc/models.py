@@ -16,7 +16,8 @@ from importlib import resources
 from typing import Optional, Sequence, Tuple
 
 from .expr import parse_series
-from .fmanifold import FStructure, VectorPotential, potential_to_structure
+from .fmanifold import (FStructure, InsufficientOrderError, VectorPotential,
+                        potential_to_structure)
 from .geometry import HiggsField, VectorField
 
 MODEL_SCHEMA_VERSION = 1
@@ -152,6 +153,11 @@ class ModelDocument:
                 lambda a, b, c: parse_series(table[a][b][c], self.variables,
                                              cap))
             structure = FStructure(tensor, identity=identity)
+        if structure.valid_to < 1:
+            raise InsufficientOrderError(
+                f"at order {cap} the structure tensor is proven only to "
+                f"degree {structure.valid_to}; a residual with a derivative "
+                "needs degree 1")
         euler = None
         if self.euler is not None:
             euler = (self._field(self.euler[0], cap), self.euler[1])

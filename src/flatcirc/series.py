@@ -237,7 +237,7 @@ class TruncatedSeries:
                 continue
             lowered = tuple(v - 1 if i == axis else v for i, v in enumerate(exponent))
             coeffs[lowered] = coeffs.get(lowered, Fraction(0)) + c * k
-        return TruncatedSeries(self.num_vars, self.cap, max(self.valid_to - 1, 0), coeffs)
+        return TruncatedSeries(self.num_vars, self.cap, self.valid_to - 1, coeffs)
 
     def invert_unit(self) -> "TruncatedSeries":
         """Multiplicative inverse; requires a nonzero constant term.

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatcirc.cli import EXIT_BAD_INPUT, EXIT_CHECK_FAILED, EXIT_OK, main
+from flatcirc.models import CORPUS, load_model
 
 
 def run(capsys, *argv):
@@ -38,6 +39,18 @@ class TestCheck:
         assert failing
         assert any("firstOffending" in r and r["firstOffending"].get("monomial")
                    for r in failing)
+
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_no_degree_beyond_the_structure_tensor(self, capsys, name):
+        # every residual is built from the structure tensor, so none is
+        # proven further than it; the frame-compatibility check reads the
+        # scaling field alone
+        _, out, _ = run(capsys, "check", name, "--format", "json")
+        limit = load_model(name).instantiate().structure.valid_to
+        over = {r["id"]: r["provenTo"] for r in json.loads(out)["checks"]
+                if r.get("provenTo", limit) > limit
+                and r["id"] != "scaling-frame-compat"}
+        assert over == {}
 
     def test_report_file_matches_stdout(self, capsys, tmp_path):
         path = tmp_path / "report.json"
@@ -110,6 +123,7 @@ class TestBadInput:
 TINY = {"schemaVersion": 1, "name": "tiny", "dim": 1, "variables": ["x0"],
         "potential": ["x0^2/2"], "identity": ["1"]}
 FAMILY = {"schemaVersion": 1, "dim": 2, "order": 3, "entries": []}
+QC_P1 = load_model("qc-p1").to_json_obj()
 
 
 class TestInputContract:
@@ -154,6 +168,9 @@ class TestInputContract:
         "family dim 0": (dict(FAMILY, dim=0), ("correlators",),
                          "dim must be at least 1"),
         "document a number": (5, ("correlators",), "malformed model document"),
+        "check below degree 1": (QC_P1, ("check", "--order", "2"), "order 2"),
+        "extend below degree 1": (QC_P1, ("extend", "--order", "2"),
+                                  "order 2"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

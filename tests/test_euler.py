@@ -11,7 +11,7 @@ from flatcirc.euler import (CertificationError, certify_euler,
                             geometric_inverse, h_from_e)
 from flatcirc.fmanifold import shift_base
 from flatcirc.geometry import (Connection, VectorField, covariant_derivative,
-                               lie_bracket)
+                               judge, lie_bracket)
 from flatcirc.models import load_model
 from flatcirc.series import TruncatedSeries
 
@@ -127,7 +127,7 @@ class TestReconstruction:
     def test_equation_holds(self, name):
         s, conn, e, e1, e_field, g = self._setup(name)
         res = e_equation_residual(e_field, s, conn, e1, g)
-        assert res.vanishes_through(res.proven_to())
+        assert judge(res).holds
 
     @pytest.mark.parametrize("name", ["one-dim", "qc-p1", "shifted-identity"])
     def test_h_maps_identity_to_e(self, name):
@@ -143,7 +143,7 @@ class TestReconstruction:
         s, conn, e, e1, e_field, g = self._setup(name)
         h = h_from_e(e_field, s, conn, g)
         report = full_flatness_residual(h, s, conn)
-        assert report.full_vanishes()
+        assert judge(report).holds
         on_identity, consistency = identity_residuals(h, s, conn, e, e1)
         for coefficients in on_identity:
             assert vanishes(coefficients)
@@ -155,7 +155,7 @@ class TestReconstruction:
                                      TruncatedSeries.zero(2, CAP)))
         h = h_from_e(bad, s, conn, g)
         report = full_flatness_residual(h, s, conn)
-        assert not report.full_vanishes()
+        assert not judge(report).holds
 
 
 class TestSharedWork:

@@ -5,7 +5,7 @@ import pytest
 from flatcirc.geometry import (Connection, EndField, FlatnessError,
                                HiggsField, VectorField, covariant_derivative,
                                curvature, lie_bracket,
-                               pencil_curvature_split, tensor_first_offending,
+                               judge, pencil_curvature_split,
                                tensor_vanishes_through, torsion)
 from flatcirc.series import TruncatedSeries
 
@@ -155,11 +155,11 @@ class TestTensorHelpers:
     def test_first_offending_picks_lowest_degree(self):
         t = ((TruncatedSeries(1, CAP, CAP, {(2,): Fraction(5)}),
               TruncatedSeries(1, CAP, CAP, {(1,): Fraction(3)})),)
-        hit = tensor_first_offending(t)
+        hit = judge(t).offending
         assert hit == ((0, 1), (1,), Fraction(3))
 
     def test_first_offending_lies_inside_the_proven_degree(self):
         t = ((TruncatedSeries(2, CAP, 2, {(0, 5): Fraction(7),
                                           (1, 0): Fraction(1)}),),)
-        hit = tensor_first_offending(t)
+        hit = judge(t).offending
         assert hit == ((0, 0), (1, 0), Fraction(1))

@@ -3,6 +3,9 @@ and ``dualize`` on every corpus model at its default order, in text and
 JSON, compared byte for byte with ``tests/data/golden_reports.json``.
 ``extend`` is also pinned at mu-orders 0, 1 and 7: the extension with only
 its constant coefficient, the first power of mu, and a deep mu order.
+``check`` is also pinned at base shift ``--lambda0=-1/2``, which gives the
+pencil a base connection with nonzero Christoffels, and ``correlators``
+pins the family derived from each model.
 
 A refactor that keeps the library's results must keep these bytes.  After a
 deliberate change of a report, regenerate the file with
@@ -28,7 +31,11 @@ CASES = [(command, model, fmt, ())
     ("extend", model, fmt, ("--mu-order", mu_order))
     for model in CORPUS
     for mu_order in ("0", "1", "7")
-    for fmt in ("text", "json")]
+    for fmt in ("text", "json")] + [
+    ("check", model, fmt, ("--lambda0=-1/2",))
+    for model in CORPUS
+    for fmt in ("text", "json")] + [
+    ("correlators", model, "json", ()) for model in CORPUS]
 
 
 def run(command, model, fmt, flags):

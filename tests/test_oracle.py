@@ -1,0 +1,120 @@
+"""Cross-check of the curvature and the pencil split against sympy.
+
+The oracle is the index formula of the curvature of a connection in a flat
+frame,
+
+  R_{ab,c}^d = d_a G_{bc}^d - d_b G_{ac}^d
+               + sum_e (G_{bc}^e G_{ae}^d - G_{ac}^e G_{be}^d),
+
+evaluated by sympy on polynomials for the pencil G = Gamma + lambda A.  Its
+lambda^1 and lambda^2 coefficients must agree with ``pencil_curvature_split``
+through the degree each entry is proven to, and the curvature of a random
+connection must agree with ``curvature``.  The base Gamma_a = (d_a f) N, for
+a random polynomial f and a random constant matrix N, is flat but not zero.
+"""
+
+import random
+from fractions import Fraction
+from itertools import product
+
+import pytest
+
+from flatcirc.geometry import (HiggsField, curvature, iter_tensor,
+                               pencil_curvature_split)
+from flatcirc.series import TruncatedSeries
+
+sympy = pytest.importorskip("sympy")
+
+N = 2
+CAP = 4
+X = sympy.symbols("x0 x1")
+LAM = sympy.Symbol("lam")
+
+
+def random_poly(rng, max_degree):
+    return sum((sympy.Rational(rng.randint(-3, 3), rng.randint(1, 3))
+                * X[0] ** i * X[1] ** j
+                for i, j in product(range(max_degree + 1), repeat=2)
+                if i + j <= max_degree), sympy.Integer(0))
+
+
+def to_series(poly):
+    coeffs = {}
+    for (i, j), c in sympy.Poly(sympy.expand(poly), *X).terms():
+        if c != 0 and i + j <= CAP:
+            coeffs[(i, j)] = Fraction(int(c.p), int(c.q))
+    return TruncatedSeries(N, CAP, CAP, coeffs)
+
+
+def to_poly(s):
+    return sum((sympy.Rational(c.numerator, c.denominator)
+                * X[0] ** e[0] * X[1] ** e[1] for e, c in s.coeffs.items()),
+               sympy.Integer(0))
+
+
+def through(poly, degree):
+    """The terms of ``poly`` of total degree at most ``degree``."""
+    if poly == 0:
+        return sympy.Integer(0)
+    return sum((c * X[0] ** i * X[1] ** j
+                for (i, j), c in sympy.Poly(poly, *X).terms()
+                if i + j <= degree), sympy.Integer(0))
+
+
+def index_curvature(g):
+    """R_{ab,c}^d of the symbolic Christoffel table g[a][b][c]."""
+    r = range(N)
+    return [[[[sympy.expand(
+        sympy.diff(g[b][c][d], X[a]) - sympy.diff(g[a][c][d], X[b])
+        + sum(g[b][c][e] * g[a][e][d] - g[a][c][e] * g[b][e][d] for e in r))
+        for d in r] for c in r] for b in r] for a in r]
+
+
+def assert_agrees(tensor, symbolic):
+    for index, s in iter_tensor(tensor):
+        a, b, c, d = index
+        expected = through(symbolic[a][b][c][d], s.valid_to)
+        assert sympy.expand(through(to_poly(s), s.valid_to) - expected) == 0, \
+            index
+
+
+def random_table(rng, max_degree):
+    return [[[random_poly(rng, max_degree) for _ in range(N)]
+             for _ in range(N)] for _ in range(N)]
+
+
+def flat_base(rng):
+    f = random_poly(rng, 3)
+    m = [[sympy.Integer(rng.randint(-2, 2)) for _ in range(N)]
+         for _ in range(N)]
+    # Gamma_{ab}^c = (d_a f) N[c][b]
+    return [[[sympy.diff(f, X[a]) * m[c][b] for c in range(N)]
+             for b in range(N)] for a in range(N)]
+
+
+def as_field(table):
+    return HiggsField.build(N, lambda a, b, c: to_series(table[a][b][c]))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pencil_split_matches_index_formula(seed):
+    rng = random.Random(seed)
+    base = flat_base(rng)
+    assert any(base[a][b][c] != 0 for a, b, c in product(range(N), repeat=3))
+    higgs = random_table(rng, 2)
+    pencil = [[[base[a][b][c] + LAM * higgs[a][b][c] for c in range(N)]
+               for b in range(N)] for a in range(N)]
+    symbolic = index_curvature(pencil)
+    r1, r2 = pencil_curvature_split(as_field(higgs), as_field(base))
+    for power, tensor in ((1, r1), (2, r2)):
+        coefficient = [[[[sympy.expand(entry).coeff(LAM, power)
+                          for entry in row] for row in plane]
+                        for plane in planes] for planes in symbolic]
+        assert_agrees(tensor, coefficient)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_curvature_matches_index_formula(seed):
+    rng = random.Random(100 + seed)
+    table = random_table(rng, 2)
+    assert_agrees(curvature(as_field(table)), index_curvature(table))

@@ -96,6 +96,10 @@ class TestDerivativeAndTruncation:
         x = var(0)
         assert x.derivative(0).valid_to == 5
 
+    def test_derivative_of_degree_zero_proves_nothing(self):
+        s = TruncatedSeries.constant(1, 4, 3, valid_to=0)
+        assert s.derivative(0).valid_to == -1
+
     def test_derivative_values(self):
         s = TruncatedSeries.monomial(2, 6, (3, 1), Fraction(1, 2))
         d = s.derivative(0)
