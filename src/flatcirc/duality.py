@@ -111,8 +111,9 @@ def dual_structure(structure: FStructure, epsilon: VectorField) -> DualityPair:
     n = structure.dim
     eps_inv = circ_inverse(structure, epsilon)
     t = structure.structure.tensor
-    tensor = HiggsField.build(n, lambda a, b, c: structure.multiply(
-        eps_inv, VectorField(t[a][b])).components[c])
+    products = [[structure.multiply(eps_inv, VectorField(t[a][b]))
+                 for b in range(n)] for a in range(n)]
+    tensor = HiggsField.build(n, lambda a, b, c: products[a][b].components[c])
     dual = FStructure(tensor, identity=epsilon)
     return DualityPair(structure, epsilon, eps_inv, dual)
 

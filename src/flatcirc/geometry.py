@@ -312,8 +312,15 @@ def torsion(conn: Connection) -> SeriesTensor3:
 
 def _frame_tensor(n: int,
                   matrix: Callable[[int, int], EndField]) -> "SeriesTensor4":
-    """Index the matrices M_ab = matrix(a, b) as [a][b][c][d] = M_ab[d][c]."""
-    planes = [[matrix(a, b).matrix for b in range(n)] for a in range(n)]
+    """Index the matrices M_ab = matrix(a, b) as [a][b][c][d] = M_ab[d][c].
+
+    ``matrix`` must be antisymmetric, M_ba = -M_ab, in values and in
+    ``valid_to``, as every curvature of the module docstring is: it is
+    formed only for a <= b and M_ba is read off as -M_ab.
+    """
+    upper = {(a, b): matrix(a, b) for a in range(n) for b in range(a, n)}
+    planes = [[upper[a, b].matrix if a <= b else (-upper[b, a]).matrix
+               for b in range(n)] for a in range(n)]
     return tuple(tuple(tuple(tuple(m[d][c] for d in range(n))
                              for c in range(n)) for m in row)
                  for row in planes)

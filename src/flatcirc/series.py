@@ -7,13 +7,22 @@ coefficients are actually trustworthy.  Arithmetic propagates ``valid_to``
 monotonically (a derivative costs one degree, a formal integration gains one),
 so a residual computed downstream knows the degree to which its vanishing is
 proven.
+
+The product multiplies integers, not fractions: each operand is written as
+integer numerators over one denominator (the lcm of its coefficients'
+denominators), its terms sorted by degree and its exponents packed into one
+integer each (digits in base cap + 1, so adding packed exponents of degree
+sum <= cap is adding the exponents).  Each output coefficient is one sum of
+integer products, turned into a single ``Fraction`` over the product of the
+two denominators.  Storage stays a dict from exponent to ``Fraction``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
+from math import lcm
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 Exponent = Tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -161,11 +170,15 @@ class TruncatedSeries:
         valid_to = min(self.valid_to, other.valid_to)
         coeffs = dict(self.coeffs)
         for exponent, c in other.coeffs.items():
-            s = coeffs.get(exponent, Fraction(0)) + c
-            if s == 0:
-                coeffs.pop(exponent, None)
-            else:
+            s = coeffs.get(exponent)
+            if s is None:
+                coeffs[exponent] = c
+                continue
+            s += c
+            if s:
                 coeffs[exponent] = s
+            else:
+                del coeffs[exponent]
         if cap < max(self.cap, other.cap):
             coeffs = {e: c for e, c in coeffs.items() if total_degree(e) <= cap}
         return TruncatedSeries(self.num_vars, cap, valid_to, coeffs)
@@ -192,21 +205,24 @@ class TruncatedSeries:
         self._check_compatible(other)
         cap = min(self.cap, other.cap)
         valid_to = min(self.valid_to, other.valid_to)
-        coeffs: Dict[Exponent, Fraction] = {}
-        for e1, c1 in self.coeffs.items():
-            d1 = total_degree(e1)
-            if d1 > cap:
-                continue
-            for e2, c2 in other.coeffs.items():
-                if d1 + total_degree(e2) > cap:
-                    continue
-                exponent = tuple(a + b for a, b in zip(e1, e2))
-                s = coeffs.get(exponent, Fraction(0)) + c1 * c2
-                if s == 0:
-                    coeffs.pop(exponent, None)
-                else:
-                    coeffs[exponent] = s
-        return TruncatedSeries(self.num_vars, cap, valid_to, coeffs)
+        if not self.coeffs or not other.coeffs:
+            return TruncatedSeries(self.num_vars, cap, valid_to, {})
+        base = cap + 1
+        left, left_den = _integer_terms(self.coeffs, cap, base)
+        right, right_den = _integer_terms(other.coeffs, cap, base)
+        sums: Dict[int, int] = {}
+        for d1, k1, n1 in left:
+            room = cap - d1
+            for d2, k2, n2 in right:
+                if d2 > room:
+                    break
+                k = k1 + k2
+                sums[k] = sums.get(k, 0) + n1 * n2
+        den = left_den * right_den
+        places = [base ** i for i in reversed(range(self.num_vars))]
+        return TruncatedSeries(self.num_vars, cap, valid_to, {
+            tuple([k // p % base for p in places]): Fraction(num, den)
+            for k, num in sums.items() if num})
 
     __rmul__ = __mul__
 
@@ -230,13 +246,10 @@ class TruncatedSeries:
         """Exact term-wise partial derivative; costs one degree of validity."""
         if not 0 <= axis < self.num_vars:
             raise IndexError(f"axis {axis} out of range for {self.num_vars} variables")
-        coeffs: Dict[Exponent, Fraction] = {}
-        for exponent, c in self.coeffs.items():
-            k = exponent[axis]
-            if k == 0:
-                continue
-            lowered = tuple(v - 1 if i == axis else v for i, v in enumerate(exponent))
-            coeffs[lowered] = coeffs.get(lowered, Fraction(0)) + c * k
+        # lowering one exponent is injective, so every term lands on its own key
+        coeffs = {exponent[:axis] + (k - 1,) + exponent[axis + 1:]: c * k
+                  for exponent, c in self.coeffs.items()
+                  for k in (exponent[axis],) if k}
         return TruncatedSeries(self.num_vars, self.cap, self.valid_to - 1, coeffs)
 
     def invert_unit(self) -> "TruncatedSeries":
@@ -289,6 +302,28 @@ class TruncatedSeries:
         body = " + ".join(
             f"{c}*x^{e}" for e, c in self.items()) or "0"
         return f"<series n={self.num_vars} cap={self.cap} valid={self.valid_to}: {body}>"
+
+
+def _integer_terms(coeffs: Dict[Exponent, Fraction], cap: int,
+                   base: int) -> Tuple[List[Tuple[int, int, int]], int]:
+    """Terms of degree <= cap as (degree, packed exponent, numerator) sorted by
+    degree, over one common denominator (the lcm of the coefficients').
+
+    An exponent packs into one integer with digit base ``base`` = cap + 1;
+    exponents whose degrees sum to at most the cap add without a carry.
+    """
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    terms = []
+    for exponent, c in coeffs.items():
+        degree = sum(exponent)
+        if degree > cap:
+            continue
+        key = 0
+        for v in exponent:
+            key = key * base + v
+        terms.append((degree, key, c.numerator * (den // c.denominator)))
+    terms.sort()
+    return terms, den
 
 
 def exp_series(s: TruncatedSeries) -> TruncatedSeries:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -8,6 +9,7 @@ from flatcirc.fmanifold import (FStructure, NotPotentialError, VectorPotential,
                                 l_membership, nabla_e_e_mode, p_tensor,
                                 potential_to_structure, shift_base,
                                 structure_to_potential)
+from flatcirc import geometry
 from flatcirc.geometry import (Connection, HiggsField, VectorField,
                                covariant_derivative, judge, lie_bracket,
                                pencil_curvature_split,
@@ -76,6 +78,87 @@ class TestHmResidual:
         s = load_model("broken-assoc").instantiate(6).structure
         res = five_term_residual(s)
         assert not tensor_vanishes_through(res, 4)
+
+
+def six_term_entry(structure, a, b, c, d, f):
+    """The five-term residual entry written out as its six sums over e."""
+    n = structure.dim
+    t = structure.structure.tensor
+    acc = TruncatedSeries.zero(n, structure.order)
+    for e in range(n):
+        acc = acc + t[a][b][e] * t[c][d][f].derivative(e) \
+            - t[c][d][e] * t[a][b][f].derivative(e) \
+            + t[a][b][e].derivative(c) * t[e][d][f] \
+            + t[a][b][e].derivative(d) * t[e][c][f] \
+            - t[c][d][e].derivative(b) * t[e][a][f] \
+            - t[c][d][e].derivative(a) * t[e][b][f]
+    return acc
+
+
+def random_tensor(rng, n, cap):
+    """A non-symmetric 3-tensor of sparse series, each entry with its own
+    cap (``cap`` or one less) and ``valid_to``; some entries are empty."""
+    def entry(a, b, c):
+        top = rng.randint(cap - 1, cap)
+        coeffs = {e: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                  for e in product(range(top + 1), repeat=n)
+                  if sum(e) <= top and rng.random() < 0.4}
+        return TruncatedSeries(n, top, rng.randint(1, top),
+                               {e: v for e, v in coeffs.items() if v})
+    return HiggsField.build(n, entry)
+
+
+class TestFiveTermContractions:
+    @pytest.mark.parametrize("n, seed", [(2, 0), (2, 1), (3, 0)])
+    def test_equals_six_term_formula(self, n, seed):
+        rng = random.Random(f"five-term:{n}:{seed}")
+        structure = FStructure(random_tensor(rng, n, 3))
+        assert not structure.structure.is_symmetric()
+        residual = five_term_residual(structure)
+        for a, b, c, d, f in product(range(n), repeat=5):
+            assert residual[a][b][c][d][f] == \
+                six_term_entry(structure, a, b, c, d, f), (a, b, c, d, f)
+
+
+class TestOperationCounts:
+    """Kernel operation counts of the residuals at n = 3: counts stay
+    steady where times are noisy."""
+
+    def test_five_term_products_and_derivatives(self, monkeypatch):
+        counts = {"mul": 0, "derivative": 0}
+        mul, derivative = TruncatedSeries.__mul__, TruncatedSeries.derivative
+
+        def counted_mul(self, other):
+            counts["mul"] += 1
+            return mul(self, other)
+
+        def counted_derivative(self, axis):
+            counts["derivative"] += 1
+            return derivative(self, axis)
+
+        structure = FStructure(random_tensor(random.Random(0), 3, 2))
+        monkeypatch.setattr(TruncatedSeries, "__mul__", counted_mul)
+        monkeypatch.setattr(TruncatedSeries, "derivative", counted_derivative)
+        five_term_residual(structure)
+        assert counts == {"mul": 2 * 3 ** 6, "derivative": 3 ** 4}
+
+    def test_pencil_split_forms_no_matrix_below_the_diagonal(self, monkeypatch):
+        pairs = []
+        frame_tensor = geometry._frame_tensor
+
+        def recorded(n, matrix):
+            def tracked(a, b):
+                pairs.append((a, b))
+                return matrix(a, b)
+            return frame_tensor(n, tracked)
+
+        monkeypatch.setattr(geometry, "_frame_tensor", recorded)
+        n = 3
+        pencil_curvature_split(random_tensor(random.Random(1), n, 2),
+                               Connection.zero(n, 2))
+        assert pairs and all(a <= b for a, b in pairs)
+        # curvature of the base, then R1 and R2: each upper pair once
+        assert len(pairs) == 3 * n * (n + 1) // 2
 
 
 class TestFindIdentity:

@@ -5,7 +5,11 @@ JSON, compared byte for byte with ``tests/data/golden_reports.json``.
 its constant coefficient, the first power of mu, and a deep mu order.
 ``check`` is also pinned at base shift ``--lambda0=-1/2``, which gives the
 pencil a base connection with nonzero Christoffels, and ``correlators``
-pins the family derived from each model.
+pins the family derived from each model.  Two dense non-integrable
+potentials in dimension 3 (``tests/data/dense-*.json``, seeded random
+quartic and exp potentials of the benchmark's integrability shapes) pin
+failing pencil and five-term witnesses at n = 3, which no corpus model
+reaches.
 
 A refactor that keeps the library's results must keep these bytes.  After a
 deliberate change of a report, regenerate the file with
@@ -23,7 +27,9 @@ import pytest
 from flatcirc.cli import main
 from flatcirc.models import CORPUS
 
-GOLDEN = Path(__file__).resolve().parent / "data" / "golden_reports.json"
+DATA = Path(__file__).resolve().parent / "data"
+GOLDEN = DATA / "golden_reports.json"
+DENSE = ("dense-quartic3.json", "dense-exp3.json")
 CASES = [(command, model, fmt, ())
          for model in CORPUS
          for command in ("check", "extend", "dualize")
@@ -35,13 +41,15 @@ CASES = [(command, model, fmt, ())
     ("check", model, fmt, ("--lambda0=-1/2",))
     for model in CORPUS
     for fmt in ("text", "json")] + [
-    ("correlators", model, "json", ()) for model in CORPUS]
+    ("correlators", model, "json", ()) for model in CORPUS] + [
+    ("check", model, fmt, ()) for model in DENSE for fmt in ("text", "json")]
 
 
 def run(command, model, fmt, flags):
     out = io.StringIO()
     with redirect_stdout(out), redirect_stderr(io.StringIO()):
-        code = main([command, model, "--format", fmt, *flags])
+        source = str(DATA / model) if model in DENSE else model
+        code = main([command, source, "--format", fmt, *flags])
     return {"exit": code, "stdout": out.getvalue()}
 
 

@@ -1,6 +1,11 @@
-"""Cross-check of the curvature and the pencil split against sympy.
+"""Cross-check of the series product, the curvature and the pencil split
+against sympy.
 
-The oracle is the index formula of the curvature of a connection in a flat
+The product of two truncated series must be sympy's expansion of the
+product polynomial cut at the smaller cap, carrying the smaller cap and the
+smaller ``valid_to``.
+
+The curvature oracle is the index formula of the curvature of a connection in a flat
 frame,
 
   R_{ab,c}^d = d_a G_{bc}^d - d_b G_{ac}^d
@@ -118,3 +123,42 @@ def test_curvature_matches_index_formula(seed):
     rng = random.Random(100 + seed)
     table = random_table(rng, 2)
     assert_agrees(curvature(as_field(table)), index_curvature(table))
+
+
+Y = sympy.symbols("y0 y1 y2")
+
+
+def random_series(rng, n, empty=False):
+    """A sparse random series: mixed cap and valid_to, signed coefficients
+    with denominators up to 7."""
+    cap = rng.randint(0, 6)
+    coeffs = {}
+    for e in product(range(cap + 1), repeat=n):
+        if sum(e) <= cap and not empty and rng.random() < 0.6:
+            c = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+            if c:
+                coeffs[e] = c
+    return TruncatedSeries(n, cap, rng.randint(0, cap), coeffs)
+
+
+def as_polynomial(s):
+    return sum((sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*(y ** k for y, k in zip(Y, e)))
+                for e, c in s.coeffs.items()), sympy.Integer(0))
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+@pytest.mark.parametrize("seed", range(5))
+def test_product_matches_truncated_expansion(n, seed):
+    rng = random.Random(f"product:{n}:{seed}")
+    left = random_series(rng, n, empty=seed == 0)
+    right = random_series(rng, n, empty=seed == 1)
+    cap = min(left.cap, right.cap)
+    expansion = sympy.Poly(sympy.expand(as_polynomial(left)
+                                        * as_polynomial(right)), *Y[:n])
+    expected = {e: Fraction(int(c.p), int(c.q))
+                for e, c in expansion.terms() if c != 0 and sum(e) <= cap}
+    result = left * right
+    assert result.coeffs == expected
+    assert result.cap == cap
+    assert result.valid_to == min(left.valid_to, right.valid_to)
