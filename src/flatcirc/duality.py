@@ -43,12 +43,8 @@ def circ_inverse(structure: FStructure, v: VectorField) -> VectorField:
     """The unique w with v o w = e, solved order by order."""
     if structure.identity is None:
         raise MissingIdentityError("circ-inverse needs an identity")
-    n = structure.dim
-    t = structure.structure.tensor
-    # (v o w)^c = M^c_b w^b with M^c_b = sum_a v^a C_{ab}^c
-    matrix = [[sum((v.components[a] * t[a][b][c] for a in range(n)),
-                   TruncatedSeries.zero(n, structure.order))
-               for b in range(n)] for c in range(n)]
+    # (v o w)^c = sum_b (L_v)^c_b w^b
+    matrix = structure.structure.left(v).matrix
     valid = min(min(s.valid_to for row in matrix for s in row),
                 structure.identity.valid_to)
     try:
@@ -111,8 +107,9 @@ def dual_structure(structure: FStructure, epsilon: VectorField) -> DualityPair:
     n = structure.dim
     eps_inv = circ_inverse(structure, epsilon)
     t = structure.structure.tensor
-    products = [[structure.multiply(eps_inv, VectorField(t[a][b]))
-                 for b in range(n)] for a in range(n)]
+    left = structure.structure.left(eps_inv)
+    products = [[left.apply(VectorField(t[a][b])) for b in range(n)]
+                for a in range(n)]
     tensor = HiggsField.build(n, lambda a, b, c: products[a][b].components[c])
     dual = FStructure(tensor, identity=epsilon)
     return DualityPair(structure, epsilon, eps_inv, dual)
@@ -213,16 +210,13 @@ def flat_section_solve(structure: FStructure, base: Connection, lambda0: Scalar,
     for degree in range(valid):
         w = VectorField(tuple(TruncatedSeries(n, cap, cap, dict(c))
                               for c in w_coeffs))
-        # the degree-k layer of the defining equation integrates to layer k+1
+        # the degree-k layer of the defining equation integrates to layer k+1;
+        # the equation is d_a w^c = -sum_b Gamma_ab^c w^b = -(R_w)^c_a
+        r_w = conn.right(w).matrix
         for c in range(n):
-            family = []
-            for a in range(n):
-                acc = TruncatedSeries.zero(n, cap)
-                for b in range(n):
-                    acc = acc + w.components[b] * conn.tensor[a][b][c]
-                layer = {e: v for e, v in (-acc).coeffs.items()
-                         if total_degree(e) == degree}
-                family.append(TruncatedSeries(n, cap, cap, layer))
+            family = [TruncatedSeries(n, cap, cap, {
+                e: -v for e, v in r_w[c][a].coeffs.items()
+                if total_degree(e) == degree}) for a in range(n)]
             try:
                 g = primitive_of_closed_family(family)
             except NotClosedError as err:

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import linalg
 from .geometry import (Connection, HiggsField, SeriesTensor4, VectorField,
                        apply_higgs, covariant_derivative, lie_bracket)
-from .series import (Exponent, Scalar, TruncatedSeries, as_fraction,
+from .series import (Exponent, Scalar, TruncatedSeries, as_fraction, dot,
                      primitive_of_closed_family, total_degree)
 
 
@@ -147,6 +147,12 @@ def five_term_residual(structure: FStructure) -> "Tensor5":
     and ``valid_to`` are those of the term-by-term sum.  The cost is 2n^6
     products instead of 6n^6.  Every term of an entry shares its last index
     f, so U and V are formed one f at a time.
+
+    Swapping (a,b) with (c,d) negates the recombination term by term, so
+    entry (c,d,a,b,f) is exactly -(a,b,c,d,f), cap and ``valid_to``
+    included.  Only the entries with (a,b) <= (c,d) are recombined; the
+    formed entry of each pair is the lexicographically smaller one, so
+    ``judge`` finds the same witness.
     """
     n = structure.dim
     t = structure.structure.tensor
@@ -158,23 +164,21 @@ def five_term_residual(structure: FStructure) -> "Tensor5":
     zero = TruncatedSeries.zero(n, structure.order)
     entries = {}
     for f in r:
-        u = {(a, b, c, d): _dot([t[a][b][e] for e in r],
-                                [dt[e][c][d][f] for e in r])
+        u = {(a, b, c, d): dot([t[a][b][e] for e in r],
+                               [dt[e][c][d][f] for e in r])
              for a, b, c, d in cells}
-        v = {(a, b, c, d): _dot([dt[c][a][b][e] for e in r],
-                                [t[e][d][f] for e in r])
+        v = {(a, b, c, d): dot([dt[c][a][b][e] for e in r],
+                               [t[e][d][f] for e in r])
              for a, b, c, d in cells}
         for a, b, c, d in cells:
-            entries[a, b, c, d, f] = zero + u[a, b, c, d] - u[c, d, a, b] \
-                + v[a, b, c, d] + v[a, b, d, c] - v[c, d, b, a] - v[c, d, a, b]
+            if (a, b) <= (c, d):
+                entries[a, b, c, d, f] = zero + u[a, b, c, d] - u[c, d, a, b] \
+                    + v[a, b, c, d] + v[a, b, d, c] - v[c, d, b, a] - v[c, d, a, b]
+            else:
+                entries[a, b, c, d, f] = -entries[c, d, a, b, f]
     return tuple(tuple(tuple(tuple(tuple(entries[a, b, c, d, f] for f in r)
                                    for d in r) for c in r) for b in r)
                  for a in r)
-
-
-def _dot(xs: Sequence[TruncatedSeries],
-         ys: Sequence[TruncatedSeries]) -> TruncatedSeries:
-    return sum((x * y for x, y in zip(xs[1:], ys[1:])), xs[0] * ys[0])
 
 
 Tensor5 = Tuple[Tuple[SeriesTensor4, ...], ...]

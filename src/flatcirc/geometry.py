@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Tuple, Union
 
-from .series import DimensionMismatchError, Exponent, Scalar, TruncatedSeries
+from .series import (DimensionMismatchError, Exponent, Scalar, TruncatedSeries,
+                     dot)
 
 SeriesMatrix = Tuple[Tuple[TruncatedSeries, ...], ...]
 SeriesTensor3 = Tuple[Tuple[Tuple[TruncatedSeries, ...], ...], ...]
@@ -76,10 +77,8 @@ class VectorField:
 
     def apply(self, f: TruncatedSeries) -> TruncatedSeries:
         """Act on a scalar series as a derivation: X(f) = sum_a X^a d_a f."""
-        result = TruncatedSeries.zero(f.num_vars, f.cap)
-        for a, comp in enumerate(self.components):
-            result = result + comp * f.derivative(a)
-        return result
+        return dot(self.components,
+                   [f.derivative(a) for a in range(self.dim)])
 
     def vanishes_through(self, degree: int) -> bool:
         return all(c.vanishes_through(degree) for c in self.components)
@@ -124,29 +123,14 @@ class EndField:
 
     def apply(self, v: VectorField) -> VectorField:
         _check_same_dim(self.dim, v.dim)
-        comps = []
-        for a in range(self.dim):
-            acc = TruncatedSeries.zero(v.components[0].num_vars,
-                                       v.components[0].cap)
-            for c in range(self.dim):
-                acc = acc + self.matrix[a][c] * v.components[c]
-            comps.append(acc)
-        return VectorField(tuple(comps))
+        return VectorField(tuple(dot(row, v.components) for row in self.matrix))
 
     def compose(self, other: "EndField") -> "EndField":
         """Matrix product self @ other."""
         _check_same_dim(self.dim, other.dim)
-        n = self.dim
-        rows = []
-        for a in range(n):
-            row = []
-            for c in range(n):
-                acc = self.matrix[a][0] * other.matrix[0][c]
-                for e in range(1, n):
-                    acc = acc + self.matrix[a][e] * other.matrix[e][c]
-                row.append(acc)
-            rows.append(tuple(row))
-        return EndField(tuple(rows))
+        columns = tuple(zip(*other.matrix))
+        return EndField(tuple(tuple(dot(row, column) for column in columns)
+                              for row in self.matrix))
 
     def commutator(self, other: "EndField") -> "EndField":
         return self.compose(other) - other.compose(self)
@@ -227,21 +211,14 @@ class HiggsField:
         """The matrix of X -> T(v, X): entry [c][b] = sum_a v^a T_ab^c."""
         n = self.dim
         return EndField(tuple(tuple(
-            sum((v.components[a] * self.tensor[a][b][c] for a in range(1, n)),
-                v.components[0] * self.tensor[0][b][c])
+            dot(v.components, [self.tensor[a][b][c] for a in range(n)])
             for b in range(n)) for c in range(n)))
 
     def right(self, v: VectorField) -> EndField:
-        """The matrix of X -> T(X, v): entry [c][a] = sum_b T_ab^c v^b.
-
-        Zero components of ``v`` are skipped, as in ``apply_higgs``.
-        """
+        """The matrix of X -> T(X, v): entry [c][a] = sum_b T_ab^c v^b."""
         n = self.dim
-        zero = TruncatedSeries.zero(v.components[0].num_vars,
-                                    v.components[0].cap)
-        used = [b for b in range(n) if v.components[b].coeffs]
         return EndField(tuple(tuple(
-            sum((self.tensor[a][b][c] * v.components[b] for b in used), zero)
+            dot([self.tensor[a][b][c] for b in range(n)], v.components)
             for a in range(n)) for c in range(n)))
 
     def shifted(self, other: "HiggsField", factor: Scalar) -> "HiggsField":
@@ -272,24 +249,10 @@ def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
 
 
 def apply_higgs(higgs: HiggsField, x: VectorField, y: VectorField) -> VectorField:
-    """The multiplication (X o Y)^c = sum_{a,b} X^a Y^b A_{ab}^c."""
+    """The multiplication (X o Y)^c = sum_{a,b} X^a Y^b A_{ab}^c, formed as
+    sum_b (L_X)^c_b Y^b with the matrix L_X = ``higgs.left(x)``."""
     _check_same_dim(higgs.dim, x.dim)
-    _check_same_dim(higgs.dim, y.dim)
-    n = higgs.dim
-    comps = []
-    for c in range(n):
-        acc = TruncatedSeries.zero(x.components[0].num_vars, x.components[0].cap)
-        for a in range(n):
-            xa = x.components[a]
-            if not xa.coeffs:
-                continue
-            for b in range(n):
-                yb = y.components[b]
-                if not yb.coeffs:
-                    continue
-                acc = acc + xa * yb * higgs.tensor[a][b][c]
-        comps.append(acc)
-    return VectorField(tuple(comps))
+    return higgs.left(x).apply(y)
 
 
 def covariant_derivative(conn: Connection, x: VectorField,

@@ -8,13 +8,17 @@ monotonically (a derivative costs one degree, a formal integration gains one),
 so a residual computed downstream knows the degree to which its vanishing is
 proven.
 
-The product multiplies integers, not fractions: each operand is written as
-integer numerators over one denominator (the lcm of its coefficients'
+Every product is made by one kernel, ``dot(xs, ys)``, the sum of products
+sum_i xs[i] * ys[i]; the product of two series is its one-pair case.  It
+multiplies integers, not fractions: each operand is written as integer
+numerators over one denominator (the lcm of its coefficients'
 denominators), its terms sorted by degree and its exponents packed into one
 integer each (digits in base cap + 1, so adding packed exponents of degree
-sum <= cap is adding the exponents).  Each output coefficient is one sum of
-integer products, turned into a single ``Fraction`` over the product of the
-two denominators.  Storage stays a dict from exponent to ``Fraction``.
+sum <= cap is adding the exponents).  Every pair is scaled onto the lcm of
+the pair denominators, so each output coefficient is one sum of integer
+products, turned into a single ``Fraction``.  The result carries the
+smallest cap and the smallest ``valid_to`` over all operands, empty ones
+included.  Storage stays a dict from exponent to ``Fraction``.
 """
 
 from __future__ import annotations
@@ -202,27 +206,7 @@ class TruncatedSeries:
                 return TruncatedSeries(self.num_vars, self.cap, self.valid_to, {})
             return TruncatedSeries(self.num_vars, self.cap, self.valid_to,
                                    {e: c * factor for e, c in self.coeffs.items()})
-        self._check_compatible(other)
-        cap = min(self.cap, other.cap)
-        valid_to = min(self.valid_to, other.valid_to)
-        if not self.coeffs or not other.coeffs:
-            return TruncatedSeries(self.num_vars, cap, valid_to, {})
-        base = cap + 1
-        left, left_den = _integer_terms(self.coeffs, cap, base)
-        right, right_den = _integer_terms(other.coeffs, cap, base)
-        sums: Dict[int, int] = {}
-        for d1, k1, n1 in left:
-            room = cap - d1
-            for d2, k2, n2 in right:
-                if d2 > room:
-                    break
-                k = k1 + k2
-                sums[k] = sums.get(k, 0) + n1 * n2
-        den = left_den * right_den
-        places = [base ** i for i in reversed(range(self.num_vars))]
-        return TruncatedSeries(self.num_vars, cap, valid_to, {
-            tuple([k // p % base for p in places]): Fraction(num, den)
-            for k, num in sums.items() if num})
+        return dot((self,), (other,))
 
     __rmul__ = __mul__
 
@@ -324,6 +308,45 @@ def _integer_terms(coeffs: Dict[Exponent, Fraction], cap: int,
         terms.append((degree, key, c.numerator * (den // c.denominator)))
     terms.sort()
     return terms, den
+
+
+def dot(xs: Sequence[TruncatedSeries],
+        ys: Sequence[TruncatedSeries]) -> TruncatedSeries:
+    """The sum of products sum_i xs[i] * ys[i], with at least one pair.
+
+    A pair with an empty operand adds no terms, but every operand folds its
+    cap and ``valid_to`` into the result: a product is proven only as far as
+    both of its factors are, even when one of them is zero.
+    """
+    num_vars = xs[0].num_vars
+    cap = xs[0].cap
+    valid_to = xs[0].valid_to
+    for s in (*xs, *ys):
+        if s.num_vars != num_vars:
+            raise DimensionMismatchError(
+                f"series over {num_vars} and {s.num_vars} variables")
+        cap = min(cap, s.cap)
+        valid_to = min(valid_to, s.valid_to)
+    base = cap + 1
+    pairs = [(_integer_terms(x.coeffs, cap, base),
+              _integer_terms(y.coeffs, cap, base))
+             for x, y in zip(xs, ys) if x.coeffs and y.coeffs]
+    den = lcm(*(dx * dy for (_, dx), (_, dy) in pairs))
+    sums: Dict[int, int] = {}
+    for (left, dx), (right, dy) in pairs:
+        scale = den // (dx * dy)
+        for d1, k1, n1 in left:
+            room = cap - d1
+            n1 *= scale
+            for d2, k2, n2 in right:
+                if d2 > room:
+                    break
+                k = k1 + k2
+                sums[k] = sums.get(k, 0) + n1 * n2
+    places = [base ** i for i in reversed(range(num_vars))]
+    return TruncatedSeries(num_vars, cap, valid_to, {
+        tuple([k // p % base for p in places]): Fraction(num, den)
+        for k, num in sums.items() if num})
 
 
 def exp_series(s: TruncatedSeries) -> TruncatedSeries:

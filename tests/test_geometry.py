@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from flatcirc.geometry import (Connection, EndField, FlatnessError,
-                               HiggsField, VectorField, covariant_derivative,
-                               curvature, lie_bracket,
+                               HiggsField, VectorField, apply_higgs,
+                               covariant_derivative, curvature, lie_bracket,
                                judge, pencil_curvature_split,
                                tensor_vanishes_through, torsion)
 from flatcirc.series import TruncatedSeries
@@ -71,6 +71,19 @@ class TestEndField:
         comm = a.commutator(b)
         assert comm.matrix[0][0].constant_term == 1
         assert comm.matrix[1][1].constant_term == -1
+
+
+class TestHiggsField:
+    def test_zero_operand_known_to_low_degree_bounds_the_product(self):
+        # a component that is zero only through degree 2 proves the
+        # product only through degree 2, whether or not it is skipped
+        t = HiggsField.build(2, lambda a, b, c_: c(1))
+        v = VectorField((TruncatedSeries.zero(2, CAP, valid_to=2), c(1)))
+        w = VectorField((c(1), x(0)))
+        assert t.left(v).valid_to == 2
+        assert t.right(v).valid_to == 2
+        assert apply_higgs(t, v, w).valid_to == 2
+        assert apply_higgs(t, w, v).valid_to == 2
 
 
 class TestConnection:

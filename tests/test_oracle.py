@@ -1,9 +1,10 @@
 """Cross-check of the series product, the curvature and the pencil split
 against sympy.
 
-The product of two truncated series must be sympy's expansion of the
-product polynomial cut at the smaller cap, carrying the smaller cap and the
-smaller ``valid_to``.
+The product of two truncated series, and the sum of products ``dot`` over
+several pairs, must be sympy's expansion of the polynomial cut at the
+smallest cap, carrying the smallest cap and the smallest ``valid_to`` over
+all operands, empty ones included.
 
 The curvature oracle is the index formula of the curvature of a connection in a flat
 frame,
@@ -26,7 +27,7 @@ import pytest
 
 from flatcirc.geometry import (HiggsField, curvature, iter_tensor,
                                pencil_curvature_split)
-from flatcirc.series import TruncatedSeries
+from flatcirc.series import TruncatedSeries, dot
 
 sympy = pytest.importorskip("sympy")
 
@@ -148,17 +149,32 @@ def as_polynomial(s):
 
 
 @pytest.mark.parametrize("n", (1, 2, 3))
-@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("seed", range(20))
 def test_product_matches_truncated_expansion(n, seed):
+    """Seeds 0-4 take the product ``left * right``; seeds 5k to 5k + 4 take
+    ``dot`` over k + 1 pairs.  Seed 0 mod 5 empties the first left operand
+    and seed 1 mod 5 the last right one; from seed 5 on the empty operand
+    is proven only to degree 0."""
     rng = random.Random(f"product:{n}:{seed}")
-    left = random_series(rng, n, empty=seed == 0)
-    right = random_series(rng, n, empty=seed == 1)
-    cap = min(left.cap, right.cap)
-    expansion = sympy.Poly(sympy.expand(as_polynomial(left)
-                                        * as_polynomial(right)), *Y[:n])
+    pairs = 1 + seed // 5
+
+    def operand(empty):
+        s = random_series(rng, n, empty)
+        return TruncatedSeries(n, s.cap, 0, {}) if empty and pairs > 1 else s
+
+    xs = [operand(seed % 5 == 0 and i == 0) for i in range(pairs)]
+    ys = [operand(seed % 5 == 1 and i == pairs - 1) for i in range(pairs)]
+    operands = xs + ys
+    cap = min(s.cap for s in operands)
+    expansion = sympy.Poly(sympy.expand(sum(
+        (as_polynomial(x) * as_polynomial(y) for x, y in zip(xs, ys)),
+        sympy.Integer(0))), *Y[:n])
     expected = {e: Fraction(int(c.p), int(c.q))
                 for e, c in expansion.terms() if c != 0 and sum(e) <= cap}
-    result = left * right
-    assert result.coeffs == expected
-    assert result.cap == cap
-    assert result.valid_to == min(left.valid_to, right.valid_to)
+    results = [dot(xs, ys)]
+    if pairs == 1:
+        results.append(xs[0] * ys[0])
+    for result in results:
+        assert result.coeffs == expected
+        assert result.cap == cap
+        assert result.valid_to == min(s.valid_to for s in operands)
