@@ -24,7 +24,8 @@ from . import euler as euler_mod
 from .fmanifold import (FStructure, five_term_residual, l_membership,
                         nabla_e_e_mode, shift_base)
 from .geometry import (Connection, EndField, FlatnessError, VectorField,
-                       covariant_derivative, judge, pencil_curvature_split)
+                       covariant_derivative, judge, pencil_curvature_split,
+                       torsion)
 from .models import ModelInstance
 
 REPORT_SCHEMA_VERSION = 1
@@ -181,7 +182,6 @@ def run_check_suite(instance: ModelInstance, mu_order: int = 4,
     ``lambda0`` overrides the model's own base-shift parameter.
     """
     structure = instance.structure
-    n = structure.dim
     cap = structure.order
     shift = instance.lambda0 if lambda0 is None else lambda0
     results: List[CheckResult] = []
@@ -190,10 +190,8 @@ def run_check_suite(instance: ModelInstance, mu_order: int = 4,
     e1 = None  # nabla_e e, shared by checks 5 and 7
 
     # 1. symmetry of the structure tensor
-    sym = tuple(tuple(tuple(
-        structure.structure.tensor[a][b][c] - structure.structure.tensor[b][a][c]
-        for c in range(n)) for b in range(n)) for a in range(n))
-    results.append(_tensor_check("structure-symmetric", sym))
+    results.append(_tensor_check("structure-symmetric",
+                                 torsion(structure.structure)))
 
     # 2-3. exact curvature split of the pencil through the working base
     try:

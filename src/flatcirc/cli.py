@@ -62,9 +62,8 @@ def _emit(text: str, report_path: Optional[str]) -> None:
 def _cmd_check(args: argparse.Namespace) -> int:
     document = _load_document(args.model)
     instance = document.instantiate(args.order)
-    override = Fraction(args.lambda0) if args.lambda0 is not None else None
     report = run_check_suite(instance, mu_order=args.mu_order,
-                             lambda0=override)
+                             lambda0=args.lambda0)
     text = report.to_json() if args.format == "json" else report.to_text()
     _emit(text, args.report)
     return EXIT_OK if report.all_pass else EXIT_CHECK_FAILED
@@ -243,6 +242,14 @@ def _non_negative(text: str) -> int:
     return value
 
 
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"invalid rational value: {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flatcirc",
@@ -251,9 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, mu: bool = False) -> None:
-        p.add_argument("--order", type=int, default=None,
-                       help="truncation order (default: model's)")
+    def common(p: argparse.ArgumentParser, order: bool = True,
+               mu: bool = False) -> None:
+        if order:
+            p.add_argument("--order", type=int, default=None,
+                           help="truncation order (default: model's)")
         if mu:
             p.add_argument("--mu-order", type=_non_negative, default=4,
                            help="truncation order in the deformation "
@@ -265,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run the residual check suite")
     p_check.add_argument("model", help="corpus model name or JSON file path")
     common(p_check, mu=True)
-    p_check.add_argument("--lambda0", default=None,
+    p_check.add_argument("--lambda0", type=_rational, default=None,
                          help="override the model's base-shift parameter")
     p_check.set_defaults(func=_cmd_check)
 
@@ -281,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fan = sub.add_parser("fan", help="verify the permutohedral fan")
     p_fan.add_argument("n", type=int)
-    common(p_fan)
+    common(p_fan, order=False)
     p_fan.set_defaults(func=_cmd_fan)
 
     p_cor = sub.add_parser(

@@ -17,7 +17,7 @@ from math import factorial
 from typing import Dict, List, Optional, Tuple
 
 from .series import TruncatedSeries, as_fraction
-from .geometry import EndField, HiggsField, judge
+from .geometry import EndField, HiggsField, judge, torsion
 
 FAMILY_SCHEMA_VERSION = 1
 
@@ -115,6 +115,9 @@ class CorrelatorFamily:
                     raise FamilyFormatError(
                         f"multiset {list(key)} has an index outside "
                         f"0..{dim - 1}")
+                if len(key) > order:
+                    raise FamilyFormatError(
+                        f"multiset {list(key)} is longer than order {order}")
                 rows = entry["matrix"]
                 if len(rows) != dim or any(len(r) != dim for r in rows):
                     raise FamilyFormatError(
@@ -170,12 +173,9 @@ def correlators_from_b(b: EndField, force: bool = False) -> CorrelatorFamily:
     dim = len(b.matrix)
     order = b.valid_to
     if not force:
-        for a in range(dim):
-            for bb in range(a + 1, dim):
-                for c in range(dim):
-                    if not judge(b.matrix[c][bb].derivative(a)
-                                 - b.matrix[c][a].derivative(bb)).holds:
-                        raise NotSymmetricError(a, bb, c)
+        verdict = judge(torsion(structure_from_b(b)))
+        if not verdict.holds:
+            raise NotSymmetricError(*verdict.offending[0])
     out: Dict[Multiset, List[List[Fraction]]] = {}
     for i in range(dim):
         for j in range(dim):
@@ -203,9 +203,5 @@ def master_equation_residual(b: EndField) -> Dict[Tuple[int, int], EndField]:
 
 def structure_from_b(b: EndField) -> HiggsField:
     """The tensor C_{ab}^c = d_a B^c_b."""
-    dim = len(b.matrix)
-    return HiggsField(tuple(
-        tuple(
-            tuple(b.matrix[c][bb].derivative(a) for c in range(dim))
-            for bb in range(dim))
-        for a in range(dim)))
+    return HiggsField.build(
+        len(b.matrix), lambda a, bb, c: b.matrix[c][bb].derivative(a))

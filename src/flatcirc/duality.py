@@ -18,8 +18,8 @@ from . import linalg
 from .fmanifold import (FStructure, MissingIdentityError, SingularSystemError,
                         shift_base, solve_series_system)
 from .euler import euler_residual
-from .geometry import (Connection, EndField, HiggsField, VectorField,
-                       covariant_derivative, judge, lie_bracket)
+from .geometry import (Connection, EndField, HiggsField, VectorField, judge,
+                       lie_bracket, nabla)
 from .series import (Exponent, Scalar, TruncatedSeries, as_fraction,
                      primitive_of_closed_family, total_degree)
 
@@ -44,12 +44,11 @@ def circ_inverse(structure: FStructure, v: VectorField) -> VectorField:
     if structure.identity is None:
         raise MissingIdentityError("circ-inverse needs an identity")
     # (v o w)^c = sum_b (L_v)^c_b w^b
-    matrix = structure.structure.left(v).matrix
-    valid = min(min(s.valid_to for row in matrix for s in row),
-                structure.identity.valid_to)
+    left = structure.structure.left(v)
+    valid = min(left.valid_to, structure.identity.valid_to)
     try:
         return VectorField(solve_series_system(
-            matrix, structure.identity.components, valid))
+            left.matrix, structure.identity.components, valid))
     except SingularSystemError:
         raise NotInvertibleError() from None
 
@@ -106,11 +105,9 @@ def dual_structure(structure: FStructure, epsilon: VectorField) -> DualityPair:
     """The twisted multiplication X * Y = eps^{-1} o X o Y with identity eps."""
     n = structure.dim
     eps_inv = circ_inverse(structure, epsilon)
-    t = structure.structure.tensor
     left = structure.structure.left(eps_inv)
-    products = [[left.apply(VectorField(t[a][b])) for b in range(n)]
-                for a in range(n)]
-    tensor = HiggsField.build(n, lambda a, b, c: products[a][b].components[c])
+    slices = [left.compose(structure.structure.slice(a)) for a in range(n)]
+    tensor = HiggsField.build(n, lambda a, b, c: slices[a].matrix[c][b])
     dual = FStructure(tensor, identity=epsilon)
     return DualityPair(structure, epsilon, eps_inv, dual)
 
@@ -155,14 +152,11 @@ def duality_verify(structure: FStructure, base: Connection, conn: Connection,
     """
     if structure.identity is None:
         raise MissingIdentityError("duality verification needs an identity")
-    n = structure.dim
     e = structure.identity
 
     def flat(label: str, connection: Connection,
              field: VectorField) -> HypothesisItem:
-        verdict = judge(tuple(
-            covariant_derivative(connection, structure.basis(a), field)
-            for a in range(n)))
+        verdict = judge(nabla(connection, field).columns())
         return HypothesisItem(label, verdict.holds, verdict.proven_to)
 
     hypotheses = [flat("identity flat for base connection", base, e),
@@ -174,9 +168,7 @@ def duality_verify(structure: FStructure, base: Connection, conn: Connection,
         pair = None
     hypotheses.append(HypothesisItem("twist field circ-invertible at origin",
                                      pair is not None, structure.valid_to))
-    difference = judge(tuple(tuple(tuple(
-        conn.tensor[a][b][c] - base.tensor[a][b][c] for c in range(n))
-        for b in range(n)) for a in range(n)))
+    difference = judge(conn.shifted(base, -1).tensor)
     hypotheses.append(HypothesisItem("shifted connection differs from base",
                                      not difference.holds,
                                      difference.proven_to))

@@ -13,7 +13,7 @@ inverse (e + mu e1)^{-1}, everything is matrix algebra on frame tensors:
 C_a and Gamma_a are the slices of the structure tensor and the connection
 (``HiggsField.slice``), L_v and R_v the matrices of X -> v o X and
 X -> X o v, and J = Jacobian(E) + Gamma.right(E) the matrix of
-X -> nabla_X E.  Then
+X -> nabla_X E (``geometry.nabla``).  Then
 
   H_0 = R_E + R_E (L_{g_0} - 1)
   H_k = R_E L_{g_k} + (J - 1) L_{g_{k-1}}                          (k >= 1)
@@ -22,7 +22,11 @@ X -> nabla_X E.  Then
   flatness residual_k at d_a = [H_k, C_a] - d_a H_{k-1}
                                - [Gamma_a, H_{k-1}] + delta_{k1} C_a
 
-A term whose index is below 0 is absent.
+A term whose index is below 0 is absent.  The scaling-weight residual is
+frame algebra too: P_E is the Lie derivative of the product along E
+(Hertling-Manin, "Weak Frobenius manifolds", IMRN 1999) and [E, d_a] = -d_a E,
+so P_E(d_a, d_b) is the column b of E(C_a) + [C_a, D] + L_{d_a E}, where
+D = Jacobian(E) and E(C_a) differentiates each entry of C_a along E.
 """
 
 from __future__ import annotations
@@ -31,9 +35,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .fmanifold import FStructure, MissingIdentityError, p_tensor
-from .geometry import (Connection, EndField, VectorField, covariant_derivative,
-                       judge)
+from .fmanifold import FStructure, MissingIdentityError
+from .geometry import Connection, EndField, VectorField, judge, nabla
 from .series import Scalar, as_fraction
 
 
@@ -51,14 +54,19 @@ class EulerField:
 
 def euler_residual(structure: FStructure, e_field: VectorField,
                    weight: Scalar) -> Tuple[Tuple[VectorField, ...], ...]:
-    """Residual of P_E(X, Y) = weight * X o Y over the frame."""
-    n = structure.dim
-    w = as_fraction(weight)
-    t = structure.structure.tensor
-    return tuple(tuple(
-        p_tensor(structure, e_field, structure.basis(a), structure.basis(b))
-        - VectorField(t[a][b]).scale(w)
-        for b in range(n)) for a in range(n))
+    """Residual of P_E(X, Y) = weight * X o Y over the frame, indexed [a][b]:
+    the columns of E(C_a) + [C_a, D] + L_{d_a E} - weight C_a."""
+    c = structure.structure
+    d = EndField.jacobian(e_field)
+    residual = []
+    for a, d_a_e in enumerate(d.columns()):
+        c_a = c.slice(a)
+        along = EndField(tuple(tuple(e_field.apply(s) for s in row)
+                               for row in c_a.matrix))
+        p_e = along + c_a.commutator(d) + c.left(d_a_e)
+        residual.append(tuple(p - q.scale(weight) for p, q in
+                              zip(p_e.columns(), c_a.columns())))
+    return tuple(residual)
 
 
 def flat_compat(e_field: VectorField) -> bool:
@@ -96,9 +104,10 @@ def geometric_inverse(structure: FStructure, e: VectorField, e1: VectorField,
     """Coefficients g_k = (-1)^k e o e1^{ok} of (e + mu e1)^{-1}, k <= mu_cap."""
     if structure.identity is None:
         raise MissingIdentityError("geometric inverse needs an identity")
+    r_e1 = structure.structure.right(e1)
     coeffs = [e]
     for _ in range(mu_cap):
-        coeffs.append(-structure.multiply(coeffs[-1], e1))
+        coeffs.append(-r_e1.apply(coeffs[-1]))
     return tuple(coeffs)
 
 
@@ -112,7 +121,7 @@ def h_from_e(e_field: VectorField, structure: FStructure, conn: Connection,
     c = structure.structure
     one = EndField.identity(structure.dim, structure.order)
     r_e = c.right(e_field)
-    j_minus_one = EndField.jacobian(e_field) + conn.right(e_field) - one
+    j_minus_one = nabla(conn, e_field) - one
     left = [c.left(gk) for gk in g]
     h = [r_e + r_e.compose(left[0] - one)]
     for k in range(1, len(g)):
@@ -128,12 +137,13 @@ def e_equation_residual(e_field: VectorField, structure: FStructure,
     One vector field per power of mu.
     """
     e = g[0]
-    nabla = [covariant_derivative(conn, gk, e_field) for gk in g]
-    coeffs = [structure.multiply(e, nabla[0])
-              - structure.multiply(e1, e_field) - e]
+    nabla_e_field = nabla(conn, e_field)
+    along = [nabla_e_field.apply(gk) for gk in g]
+    l_e = structure.structure.left(e)
+    l_e1 = structure.structure.left(e1)
+    coeffs = [l_e.apply(along[0]) - l_e1.apply(e_field) - e]
     for k in range(1, len(g)):
-        coeffs.append(structure.multiply(e, nabla[k])
-                      + structure.multiply(e1, nabla[k - 1]))
+        coeffs.append(l_e.apply(along[k]) + l_e1.apply(along[k - 1]))
     return tuple(coeffs)
 
 

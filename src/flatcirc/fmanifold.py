@@ -14,8 +14,9 @@ from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .geometry import (Connection, HiggsField, SeriesTensor4, VectorField,
-                       apply_higgs, covariant_derivative, lie_bracket)
+from .geometry import (Connection, EndField, HiggsField, SeriesTensor4,
+                       VectorField, apply_higgs, covariant_derivative, judge,
+                       lie_bracket, nabla, tensor_vanishes_through, torsion)
 from .series import (Exponent, Scalar, TruncatedSeries, as_fraction, dot,
                      primitive_of_closed_family, total_degree)
 
@@ -101,7 +102,7 @@ def structure_to_potential(structure: FStructure) -> VectorPotential:
     """
     n = structure.dim
     tensor = structure.structure
-    if not tensor.is_symmetric():
+    if not judge(torsion(tensor)).holds:
         raise NotPotentialError("structure tensor is not symmetric in (a, b)")
     from .series import NotClosedError
     b_matrix: List[List[TruncatedSeries]] = []
@@ -283,27 +284,24 @@ def find_identity(structure: FStructure) -> IdentityResult:
         return IdentityResult(None, failed_degree=err.degree)
     field = VectorField(components)
     # confirm: a consistent per-degree solve can still fail globally
-    for b in range(n):
-        residual = structure.multiply(field, structure.basis(b)) - structure.basis(b)
-        if not residual.vanishes_through(valid):
-            return IdentityResult(None, failed_degree=valid)
+    residual = structure.structure.left(field) \
+        - EndField.identity(n, structure.order)
+    if not tensor_vanishes_through(residual, valid):
+        return IdentityResult(None, failed_degree=valid)
     return IdentityResult(field)
 
 
 def l_membership(structure: FStructure, conn: Connection,
                  epsilon: VectorField) -> Tuple[VectorField, ...]:
-    """Residual of nabla_Y eps = Y o nabla_e eps, one vector per frame field.
-
-    ``epsilon`` satisfies the multiplication-compatibility condition when
-    the residual vanishes.
+    """Residual of nabla_Y eps = Y o nabla_e eps over the frame: the columns
+    of nabla eps - R_w with w = nabla_e eps.  ``epsilon`` satisfies the
+    multiplication-compatibility condition when the residual vanishes.
     """
     if structure.identity is None:
         raise MissingIdentityError("membership test requires an identity field")
-    nabla_e_eps = covariant_derivative(conn, structure.identity, epsilon)
-    return tuple(
-        covariant_derivative(conn, structure.basis(a), epsilon)
-        - structure.multiply(structure.basis(a), nabla_e_eps)
-        for a in range(structure.dim))
+    nabla_eps = nabla(conn, epsilon)
+    nabla_e_eps = nabla_eps.apply(structure.identity)
+    return (nabla_eps - structure.structure.right(nabla_e_eps)).columns()
 
 
 @dataclass(frozen=True)

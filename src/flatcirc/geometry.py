@@ -14,6 +14,11 @@ slices of a connection and A_a those of a Higgs field:
   pencil     R1(d_a, d_b) = d_a A_b - d_b A_a + [A_a, Gamma_b] + [Gamma_a, A_b]
              R2(d_a, d_b) = [A_a, A_b]
 
+The covariant derivative of a vector field v is the matrix of X -> nabla_X v,
+nabla v = Jacobian(v) + Gamma.right(v), whose column a is nabla_{d_a} v.  A
+residual over the frame is read off as the columns of a matrix
+(``EndField.columns``); no residual multiplies basis fields.
+
 Every residual is decided by ``judge``.
 """
 
@@ -48,10 +53,6 @@ class VectorField:
     @property
     def valid_to(self) -> int:
         return min(c.valid_to for c in self.components)
-
-    @classmethod
-    def zero(cls, dim: int, cap: int) -> "VectorField":
-        return cls(tuple(TruncatedSeries.zero(dim, cap) for _ in range(dim)))
 
     @classmethod
     def basis(cls, dim: int, cap: int, axis: int) -> "VectorField":
@@ -125,6 +126,10 @@ class EndField:
         _check_same_dim(self.dim, v.dim)
         return VectorField(tuple(dot(row, v.components) for row in self.matrix))
 
+    def columns(self) -> Tuple[VectorField, ...]:
+        """The images of d_0, ..., d_{n-1}: column a is B(d_a)."""
+        return tuple(VectorField(column) for column in zip(*self.matrix))
+
     def compose(self, other: "EndField") -> "EndField":
         """Matrix product self @ other."""
         _check_same_dim(self.dim, other.dim)
@@ -191,16 +196,6 @@ class HiggsField:
         return cls(tuple(tuple(tuple(entry(a, b, c) for c in range(dim))
                                for b in range(dim)) for a in range(dim)))
 
-    def is_symmetric(self, degree: Optional[int] = None) -> bool:
-        n = self.dim
-        check = self.valid_to if degree is None else degree
-        for a in range(n):
-            for b in range(a + 1, n):
-                for c in range(n):
-                    if not self.tensor[a][b][c].eq_up_to(self.tensor[b][a][c], check):
-                        return False
-        return True
-
     def slice(self, a: int) -> EndField:
         """The matrix of X -> T(d_a, X): entry [c][b] = T_ab^c."""
         n = self.dim
@@ -255,22 +250,21 @@ def apply_higgs(higgs: HiggsField, x: VectorField, y: VectorField) -> VectorFiel
     return higgs.left(x).apply(y)
 
 
+def nabla(conn: Connection, v: VectorField) -> EndField:
+    """The matrix of X -> nabla_X v, entry [c][a] = d_a v^c + sum_b Gamma_ab^c v^b."""
+    return EndField.jacobian(v) + conn.right(v)
+
+
 def covariant_derivative(conn: Connection, x: VectorField,
                          y: VectorField) -> VectorField:
     """(nabla_X Y)^c = X(Y^c) + sum_{a,b} X^a Y^b Gamma_{ab}^c."""
-    _check_same_dim(conn.dim, x.dim)
-    _check_same_dim(conn.dim, y.dim)
-    correction = apply_higgs(conn, x, y)
-    return VectorField(tuple(x.apply(y.components[c]) + correction.components[c]
-                             for c in range(x.dim)))
+    return nabla(conn, y).apply(x)
 
 
 def torsion(conn: Connection) -> SeriesTensor3:
     """T_{ab}^c = Gamma_{ab}^c - Gamma_{ba}^c."""
-    n = conn.dim
-    return tuple(tuple(tuple(conn.tensor[a][b][c] - conn.tensor[b][a][c]
-                             for c in range(n)) for b in range(n))
-                 for a in range(n))
+    return HiggsField.build(conn.dim, lambda a, b, c: conn.tensor[a][b][c]
+                            - conn.tensor[b][a][c]).tensor
 
 
 def _frame_tensor(n: int,

@@ -165,6 +165,10 @@ class TestInputContract:
                               "identity is not a list"),
         "family order -1": (dict(FAMILY, dim=1, order=-1), ("correlators",),
                             "order must be at least 0"),
+        "multiset longer than order": (dict(FAMILY, order=1, entries=[
+            {"multiset": [0, 0, 1], "matrix": [["1", "0"], ["0", "1"]]}]),
+            ("correlators",), "longer than order 1"),
+        "lambda0 1/0": (QC_P1, ("check", "--lambda0", "1/0"), "--lambda0"),
         "family dim 0": (dict(FAMILY, dim=0), ("correlators",),
                          "dim must be at least 1"),
         "document a number": (5, ("correlators",), "malformed model document"),
@@ -238,6 +242,12 @@ class TestFan:
         code, out, _ = run(capsys, "fan", "2")
         assert code == EXIT_OK
         assert "PASS" in out
+
+    def test_fan_takes_no_order(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fan", "3", "--order", "99"])
+        assert exc.value.code == EXIT_BAD_INPUT
+        assert "unrecognized arguments: --order 99" in capsys.readouterr().err
 
 
 class TestCorrelators:

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from flatcirc.euler import euler_residual
 from flatcirc.fmanifold import (FStructure, NotPotentialError, VectorPotential,
                                 d_tensor, find_identity, five_term_residual,
                                 l_membership, nabla_e_e_mode, p_tensor,
@@ -13,7 +14,7 @@ from flatcirc import fmanifold, geometry, series
 from flatcirc.geometry import (Connection, HiggsField, VectorField,
                                covariant_derivative, judge, lie_bracket,
                                pencil_curvature_split,
-                               tensor_vanishes_through)
+                               tensor_vanishes_through, torsion)
 from flatcirc.models import load_model
 from flatcirc.series import TruncatedSeries
 
@@ -113,7 +114,7 @@ class TestFiveTermContractions:
     def test_equals_six_term_formula(self, n, seed):
         rng = random.Random(f"five-term:{n}:{seed}")
         structure = FStructure(random_tensor(rng, n, 3))
-        assert not structure.structure.is_symmetric()
+        assert not judge(torsion(structure.structure)).holds
         residual = five_term_residual(structure)
         for a, b, c, d, f in product(range(n), repeat=5):
             assert residual[a][b][c][d][f] == \
@@ -124,9 +125,11 @@ class TestOperationCounts:
     """Kernel operation counts of the residuals at n = 3: counts stay
     steady where times are noisy."""
 
-    def test_five_term_products_and_derivatives(self, monkeypatch):
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """Pairs handed to ``dot`` and derivatives taken from here on."""
         counts = {"products": 0, "derivative": 0}
-        dot, derivative = fmanifold.dot, TruncatedSeries.derivative
+        dot, derivative = series.dot, TruncatedSeries.derivative
 
         def counted_dot(xs, ys):
             counts["products"] += len(xs)
@@ -136,13 +139,39 @@ class TestOperationCounts:
             counts["derivative"] += 1
             return derivative(self, axis)
 
-        structure = FStructure(random_tensor(random.Random(0), 3, 2))
-        # the residual's own calls and the products made by ``*``
-        monkeypatch.setattr(fmanifold, "dot", counted_dot)
-        monkeypatch.setattr(series, "dot", counted_dot)
+        # the residuals' own calls and the products made by ``*``
+        for module in (series, geometry, fmanifold):
+            monkeypatch.setattr(module, "dot", counted_dot)
         monkeypatch.setattr(TruncatedSeries, "derivative", counted_derivative)
-        five_term_residual(structure)
+        return counts
+
+    @staticmethod
+    def field(rng):
+        return VectorField(random_tensor(rng, 3, 2).tensor[0][0])
+
+    def test_five_term_products_and_derivatives(self, counts):
+        five_term_residual(FStructure(random_tensor(random.Random(0), 3, 2)))
         assert counts == {"products": 2 * 3 ** 6, "derivative": 3 ** 4}
+
+    def test_euler_residual_products_and_derivatives(self, counts):
+        # 27 entries differentiated along E and Jacobian(E); E(C_a), the two
+        # products of [C_a, D] and L_{d_a E}: 4 * 3^4 pairs (the basis-field
+        # form took 486 derivatives and 1,458 pairs)
+        rng = random.Random(1)
+        structure = FStructure(random_tensor(rng, 3, 2))
+        euler_residual(structure, self.field(rng), 1)
+        assert counts == {"products": 4 * 3 ** 4, "derivative": 3 ** 4 + 3 ** 2}
+
+    def test_l_membership_products_and_derivatives(self, counts):
+        # Jacobian(eps); Gamma.right(eps), nabla eps applied to e and
+        # C.right(nabla_e eps): 2 * 3^3 + 3^2 pairs (the basis-field form
+        # took 36 derivatives and 288 pairs)
+        rng = random.Random(2)
+        structure = FStructure(random_tensor(rng, 3, 2),
+                               identity=self.field(rng))
+        l_membership(structure, random_tensor(rng, 3, 2), self.field(rng))
+        assert counts == {"products": 2 * 3 ** 3 + 3 ** 2,
+                          "derivative": 3 ** 2}
 
     def test_pencil_split_forms_no_matrix_below_the_diagonal(self, monkeypatch):
         pairs = []

@@ -1,5 +1,5 @@
-"""Cross-check of the series product, the curvature and the pencil split
-against sympy.
+"""Cross-check of the series product, the curvature, the pencil split and
+the five-term residual against sympy.
 
 The product of two truncated series, and the sum of products ``dot`` over
 several pairs, must be sympy's expansion of the polynomial cut at the
@@ -17,6 +17,10 @@ lambda^1 and lambda^2 coefficients must agree with ``pencil_curvature_split``
 through the degree each entry is proven to, and the curvature of a random
 connection must agree with ``curvature``.  The base Gamma_a = (d_a f) N, for
 a random polynomial f and a random constant matrix N, is flat but not zero.
+
+The five-term residual of a random potential must agree with the six sums
+of its definition formed by sympy's derivatives and products of
+polynomials, through the degree each entry is proven to.
 """
 
 import random
@@ -25,7 +29,9 @@ from itertools import product
 
 import pytest
 
-from flatcirc.geometry import (HiggsField, curvature, iter_tensor,
+from flatcirc.fmanifold import (VectorPotential, five_term_residual,
+                                potential_to_structure)
+from flatcirc.geometry import (HiggsField, VectorField, curvature, iter_tensor,
                                pencil_curvature_split)
 from flatcirc.series import TruncatedSeries, dot
 
@@ -178,3 +184,53 @@ def test_product_matches_truncated_expansion(n, seed):
         assert result.coeffs == expected
         assert result.cap == cap
         assert result.valid_to == min(s.valid_to for s in operands)
+
+
+def random_potential(rng, n, cap):
+    """A vector potential of random polynomials of degree 2 to ``cap``."""
+    return [sympy.Poly(sum((sympy.Rational(rng.randint(-5, 5), rng.randint(1, 4))
+                            * sympy.Mul(*(y ** k for y, k in zip(Y, e)))
+                            for e in product(range(cap + 1), repeat=n)
+                            if 2 <= sum(e) <= cap and rng.random() < 0.5),
+                           sympy.Integer(0)), *Y[:n], domain="QQ")
+            for _ in range(n)]
+
+
+def six_sums(potential, n):
+    """The five-term entries [a][b][c][d][f] written out as the six sums over
+    e of ``five_term_residual``'s docstring, with C_ab^c = d_a d_b P^c."""
+    r = range(n)
+    t = [[[potential[f].diff(Y[a]).diff(Y[b]) for f in r] for b in r]
+         for a in r]
+    dt = [[[[t[a][b][f].diff(Y[e]) for f in r] for b in r] for a in r]
+          for e in r]
+    return {(a, b, c, d, f): sum(
+        (t[a][b][e] * dt[e][c][d][f] - t[c][d][e] * dt[e][a][b][f]
+         + dt[c][a][b][e] * t[e][d][f] + dt[d][a][b][e] * t[e][c][f]
+         - dt[b][c][d][e] * t[e][a][f] - dt[a][c][d][e] * t[e][b][f]
+         for e in r), sympy.Poly(0, *Y[:n], domain="QQ"))
+        for a, b, c, d, f in product(r, repeat=5)}
+
+
+@pytest.mark.parametrize("n, seed", [(2, 0), (2, 1), (3, 0)])
+def test_five_term_matches_six_sums(n, seed):
+    """``five_term_residual`` of a random potential against sympy's six sums,
+    coefficient by coefficient through each entry's ``valid_to``."""
+    cap = 5
+    rng = random.Random(f"five-term-oracle:{n}:{seed}")
+    potential = random_potential(rng, n, cap)
+    components = tuple(TruncatedSeries(n, cap, cap, {
+        e: Fraction(int(c.p), int(c.q)) for e, c in p.terms() if c != 0})
+        for p in potential)
+    structure = potential_to_structure(VectorPotential(VectorField(components)))
+    symbolic = six_sums(potential, n)
+    nonzero = 0
+    for index, s in iter_tensor(five_term_residual(structure)):
+        assert s.valid_to == cap - 3
+        expected = {e: Fraction(int(c.p), int(c.q))
+                    for e, c in symbolic[index].terms()
+                    if c != 0 and sum(e) <= s.valid_to}
+        got = {e: c for e, c in s.coeffs.items() if sum(e) <= s.valid_to}
+        assert got == expected, index
+        nonzero += bool(got)
+    assert nonzero  # the potential is not integrable: the oracle compares terms

@@ -1,4 +1,4 @@
-"""Digest the output of every benchmark workload task of a source tree.
+"""Digest the output of every benchmark workload task and of a sweep.
 
 Usage, from anywhere::
 
@@ -6,13 +6,25 @@ Usage, from anywhere::
 
 TREE is the root of a flatcirc checkout.  The script imports flatcirc from
 ``TREE/src`` and the task lists from ``TREE/benchmarks/workloads.py`` (read
-only: no bytecode is written), then runs every task of every workload at
-seeds 0 and 1 in this process, each workload and seed in a fresh temporary
-directory that holds its model documents.  For each task it prints the
-SHA-256 of its exit code, stdout, stderr and ``--report`` file as one JSON
-object with sorted keys ``<workload>/<seed>/<task key>``.  Two trees whose
-digest files are byte-identical (``cmp``) give the same bytes on every task.
-Standard library only.
+only: no bytecode is written), then runs in this process
+
+* every task of every workload at seeds 0 and 1;
+* a sweep of ``check`` with ``--lambda0`` in {0, 1, -1/2, 2} and
+  ``--mu-order`` in {0, 1, 3}, ``extend`` with the same mu-orders and
+  ``dualize``, each at orders 3, 4 and 5, over the bundled models and the
+  documents of every workload at seed 0.  The workloads themselves run only
+  the bundled ``shifted-identity`` with a nonzero base shift, so the sweep
+  is what reaches the Christoffel terms of the twist, extension and
+  identity-derivative residuals on dense and transformed models.
+
+Each workload and seed, and the sweep, run in a fresh temporary directory
+that holds their model documents; every path on a command line is relative
+to it, so no output names the directory and two trees digest alike.  For
+each task the script prints the SHA-256 of its exit code, stdout, stderr
+and ``--report`` file as one JSON object with sorted keys
+``<workload>/<seed>/<task key>`` and ``sweep/<model>/<command>/...``.  Two
+trees whose digest files are byte-identical (``cmp``) give the same bytes on
+every task.  Standard library only.
 """
 
 from __future__ import annotations
@@ -27,9 +39,12 @@ import tempfile
 from pathlib import Path
 
 SEEDS = (0, 1)
+SWEEP_ORDERS = (3, 4, 5)
+SWEEP_LAMBDA0 = ("0", "1", "-1/2", "2")
+SWEEP_MU_ORDERS = (0, 1, 3)
 
 
-def run_task(cli, task) -> str:
+def run_task(cli, argv, report=None) -> str:
     """SHA-256 of one task's exit code, stdout, stderr and report bytes.
 
     An uncaught exception is part of the digest (type and message), so a
@@ -39,16 +54,48 @@ def run_task(cli, task) -> str:
     code, error = None, ""
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = cli.main(list(task.argv))
+            code = cli.main(list(argv))
         except SystemExit as exc:  # argparse usage errors
             code = exc.code
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
-    report = None
-    if task.report is not None and os.path.exists(task.report):
-        report = Path(task.report).read_bytes().hex()
-    record = json.dumps([code, out.getvalue(), err.getvalue(), report, error])
+    data = None
+    if report is not None and os.path.exists(report):
+        data = Path(report).read_bytes().hex()
+    record = json.dumps([code, out.getvalue(), err.getvalue(), data, error])
     return hashlib.sha256(record.encode()).hexdigest()
+
+
+def sweep_tasks(models):
+    """(key, argv) of the sweep over ``models``, names or document paths."""
+    for model in models:
+        for order in SWEEP_ORDERS:
+            at = (model, "--order", str(order))
+            for mu in SWEEP_MU_ORDERS:
+                for shift in SWEEP_LAMBDA0:
+                    yield (f"sweep/{model}/check/o{order}/mu{mu}/l{shift}",
+                           ("check",) + at + ("--mu-order", str(mu),
+                                              f"--lambda0={shift}",
+                                              "--format", "json"))
+                yield (f"sweep/{model}/extend/o{order}/mu{mu}",
+                       ("extend",) + at + ("--mu-order", str(mu),
+                                           "--format", "json"))
+            yield (f"sweep/{model}/dualize/o{order}",
+                   ("dualize",) + at + ("--format", "json"))
+
+
+@contextlib.contextmanager
+def directory_with(documents):
+    """A fresh working directory holding ``documents`` (name, bytes)."""
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        for name, body in documents:
+            Path(work, name).write_bytes(body)
+        os.chdir(work)
+        try:
+            yield
+        finally:
+            os.chdir(home)
 
 
 def main(argv) -> int:
@@ -62,24 +109,24 @@ def main(argv) -> int:
     # the fan bound the benchmark worker runs with
     os.environ["FLATCIRC_MAX_N"] = "6"
     import flatcirc.cli
+    import flatcirc.models
     import workloads
     if not Path(flatcirc.__file__).resolve().is_relative_to(src):
         raise ImportError(f"flatcirc imported from {flatcirc.__file__}, not {src}")
     digests = {}
-    home = os.getcwd()
     for name in workloads.WORKLOADS:
         for seed in SEEDS:
             workload = workloads.build(name, seed)
-            with tempfile.TemporaryDirectory() as work:
-                for doc, body in workload.documents:
-                    Path(work, doc).write_bytes(body)
-                os.chdir(work)
-                try:
-                    for task in workload.tasks:
-                        digests[f"{name}/{seed}/{task.key}"] = \
-                            run_task(flatcirc.cli, task)
-                finally:
-                    os.chdir(home)
+            with directory_with(workload.documents):
+                for task in workload.tasks:
+                    digests[f"{name}/{seed}/{task.key}"] = \
+                        run_task(flatcirc.cli, task.argv, task.report)
+    documents = [doc for name in workloads.WORKLOADS
+                 for doc in workloads.build(name, 0).documents]
+    models = sorted(flatcirc.models.CORPUS) + [doc for doc, _ in documents]
+    with directory_with(documents):
+        for key, task_argv in sweep_tasks(models):
+            digests[key] = run_task(flatcirc.cli, task_argv)
     print(json.dumps(digests, indent=1, sort_keys=True))
     return 0
 
