@@ -14,8 +14,7 @@ from .geometry import (Connection, EndField, FlatnessError, HiggsField,
                        judge, lie_bracket, pencil_curvature_split, torsion)
 from .fmanifold import (FStructure, VectorPotential, find_identity,
                         five_term_residual, l_membership, nabla_e_e_mode,
-                        potential_to_structure, shift_base,
-                        structure_to_potential)
+                        potential_to_structure, shift_base)
 from .euler import (EulerField, certify_euler,
                     e_equation_residual, euler_residual, flat_compat,
                     full_flatness_residual, geometric_inverse, h_from_e)
@@ -29,7 +28,7 @@ from .correlators import (CorrelatorFamily, b_from_correlators,
                           correlators_from_b, master_equation_residual,
                           structure_from_b)
 from .expr import ExprError, parse_series
-from .models import ModelDocument, ModelInstance, list_models, load_model
+from .models import ModelDocument, ModelInstance, load_model
 from .checks import CheckResult, SuiteReport, run_check_suite
 
 __all__ = [name for name in dir() if not name.startswith("_")]

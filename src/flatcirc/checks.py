@@ -21,8 +21,8 @@ from typing import List, Optional, Tuple
 
 from . import duality as duality_mod
 from . import euler as euler_mod
-from .fmanifold import (FStructure, five_term_residual, l_membership,
-                        nabla_e_e_mode, shift_base)
+from .fmanifold import (FStructure, five_term_residual, identity_residual,
+                        l_membership, nabla_e_e_mode, shift_base)
 from .geometry import (Connection, EndField, FlatnessError, VectorField,
                        covariant_derivative, judge, pencil_curvature_split,
                        torsion)
@@ -211,9 +211,9 @@ def run_check_suite(instance: ModelInstance, mu_order: int = 4,
         results.append(CheckResult("identity-exists", FAIL,
                                    detail="no identity field found"))
     else:
-        results.append(CheckResult("identity-exists", PASS,
-                                   structure.valid_to))
         e = structure.identity
+        results.append(_tensor_check("identity-exists",
+                                     identity_residual(structure, e)))
         e1 = covariant_derivative(working, e, e)
         mode = nabla_e_e_mode(structure, e1)
         detail = mode.kind if mode.eigenvalue in (None, 0) \
@@ -233,11 +233,13 @@ def run_check_suite(instance: ModelInstance, mu_order: int = 4,
             "scaling-weight",
             euler_mod.euler_residual(structure, e_field, weight),
             detail=f"weight {weight}"))
-        ok = euler_mod.flat_compat(e_field)
+        compat = judge(euler_mod.flat_compat_residual(e_field))
         results.append(CheckResult(
-            "scaling-frame-compat", PASS if ok else FAIL, e_field.valid_to,
-            detail="components polynomial of degree at most one" if ok
-            else "a component has a degree >= 2 term"))
+            "scaling-frame-compat", PASS if compat.holds else FAIL,
+            compat.proven_to,
+            detail="components polynomial of degree at most one"
+            if compat.holds else "a component has a degree >= 2 term",
+            offending=compat.offending))
 
     # 7. mu-extension: reconstruction equation and extended flatness
     if instance.euler is None or structure.identity is None:

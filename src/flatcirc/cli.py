@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -276,6 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_check, mu=True)
     p_check.add_argument("--lambda0", type=_rational, default=None,
                          help="override the model's base-shift parameter")
+    # a negative fraction such as -1/2 is a value, not an option
+    p_check._negative_number_matcher = re.compile(
+        r"^-\d+(/\d+)?$|^-\d*\.\d+$")
     p_check.set_defaults(func=_cmd_check)
 
     p_dual = sub.add_parser("dualize", help="twist by the model's twist field")

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .series import TruncatedSeries, as_fraction
 from .geometry import EndField, HiggsField, judge, torsion
@@ -66,20 +66,6 @@ class CorrelatorFamily:
     order: int
     matrices: Dict[Multiset, Tuple[Tuple[Fraction, ...], ...]]
 
-    def matrix(self, m: Multiset) -> Tuple[Tuple[Fraction, ...], ...]:
-        key = tuple(sorted(m))
-        if len(key) > self.order:
-            raise KeyError(f"multiset size {len(key)} exceeds order {self.order}")
-        got = self.matrices.get(key)
-        if got is None:
-            zero = tuple(tuple(Fraction(0) for _ in range(self.dim))
-                         for _ in range(self.dim))
-            return zero
-        return got
-
-    def entry(self, m: Multiset, i: int, j: int) -> Fraction:
-        return self.matrix(m)[i][j]
-
     def to_json_obj(self) -> dict:
         entries = []
         for key in sorted(self.matrices):
@@ -130,24 +116,19 @@ class CorrelatorFamily:
             raise FamilyFormatError(f"malformed family document: {exc}") from exc
         return cls(dim, order, matrices)
 
-    @classmethod
-    def from_json(cls, text: str) -> "CorrelatorFamily":
-        return cls.from_json_obj(json.loads(text))
 
-
-def b_from_correlators(family: CorrelatorFamily,
-                       cap: Optional[int] = None) -> EndField:
+def b_from_correlators(family: CorrelatorFamily) -> EndField:
     """Pack a correlator family into its generating matrix of series.
 
     The coefficient of x^E in B^i_j is the (i, j) entry of the matrix at the
     multiset of E, divided by the product of factorials of the entries of E.
     """
     dim = family.dim
-    limit = family.order if cap is None else min(cap, family.order)
+    order = family.order
     coeffs: List[List[Dict[Tuple[int, ...], Fraction]]] = [
         [{} for _ in range(dim)] for _ in range(dim)]
     for key, rows in family.matrices.items():
-        if len(key) > limit:
+        if len(key) > order:
             continue
         exponent = _exponent_of_multiset(key, dim)
         weight = _weight(exponent)
@@ -157,7 +138,7 @@ def b_from_correlators(family: CorrelatorFamily,
                 if value:
                     coeffs[i][j][exponent] = value
     matrix = tuple(
-        tuple(TruncatedSeries(dim, limit, limit, coeffs[i][j])
+        tuple(TruncatedSeries(dim, order, order, coeffs[i][j])
               for j in range(dim))
         for i in range(dim))
     return EndField(matrix)

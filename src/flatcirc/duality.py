@@ -17,9 +17,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import linalg
 from .fmanifold import (FStructure, MissingIdentityError, SingularSystemError,
                         shift_base, solve_series_system)
+from .correlators import structure_from_b
 from .euler import euler_residual
 from .geometry import (Connection, EndField, HiggsField, VectorField, judge,
-                       lie_bracket, nabla)
+                       lie_bracket, nabla, torsion)
 from .series import (Exponent, Scalar, TruncatedSeries, as_fraction,
                      primitive_of_closed_family, total_degree)
 
@@ -59,7 +60,8 @@ class PrimitiveSectionReport:
     image_map: VectorField      # the vector field B u
     jacobian_at_0: Tuple[Tuple[Fraction, ...], ...]
     primitive: bool
-    closedness_residual: Tuple  # d omega^c components, indexed [c][a][b]
+    # d_a B^c_b - d_b B^c_a, the torsion of d_a B^c_b, indexed [a][b][c]
+    closedness_residual: Tuple
 
 
 def primitive_section(structure: FStructure,
@@ -87,10 +89,8 @@ def primitive_section(structure: FStructure,
     jacobian = tuple(tuple(image.components[c].derivative(a).constant_term
                            for a in range(n)) for c in range(n))
     primitive = linalg.determinant(jacobian) != 0
-    closedness = tuple(tuple(tuple(
-        b_field.matrix[c][b].derivative(a) - b_field.matrix[c][a].derivative(b)
-        for b in range(n)) for a in range(n)) for c in range(n))
-    return PrimitiveSectionReport(b_field, image, jacobian, primitive, closedness)
+    return PrimitiveSectionReport(b_field, image, jacobian, primitive,
+                                  torsion(structure_from_b(b_field)))
 
 
 @dataclass(frozen=True)

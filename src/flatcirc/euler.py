@@ -69,18 +69,19 @@ def euler_residual(structure: FStructure, e_field: VectorField,
     return tuple(residual)
 
 
-def flat_compat(e_field: VectorField) -> bool:
-    """Compatibility with the flat structure: [E, flat] stays flat.
+def flat_compat_residual(e_field: VectorField) -> VectorField:
+    """The terms of degree >= 2 of E, which vanish exactly when E is
+    compatible with the flat structure: [E, flat] stays flat.
 
     In the flat frame this says every component of E is polynomial of total
     degree at most 1 (all first partials constant).
     """
-    for comp in e_field.components:
-        for exponent, coeff in comp.coeffs.items():
-            degree = sum(exponent)
-            if 2 <= degree <= comp.valid_to and coeff != 0:
-                return False
-    return True
+    return VectorField(tuple(c.from_degree(2) for c in e_field.components))
+
+
+def flat_compat(e_field: VectorField) -> bool:
+    """True when ``flat_compat_residual`` vanishes."""
+    return judge(flat_compat_residual(e_field)).holds
 
 
 def certify_euler(structure: FStructure, e_field: VectorField,
@@ -90,13 +91,6 @@ def certify_euler(structure: FStructure, e_field: VectorField,
     if not flat_compat(e_field):
         raise CertificationError("Euler field does not preserve flat fields")
     return EulerField(e_field, as_fraction(weight))
-
-
-def euler_family(euler: EulerField, e: VectorField, s: Scalar,
-                 structure: FStructure) -> EulerField:
-    """The line E + s*e of Euler fields of unchanged weight (flat identity e)."""
-    shifted = euler.field + e.scale(as_fraction(s))
-    return certify_euler(structure, shifted, euler.weight)
 
 
 def geometric_inverse(structure: FStructure, e: VectorField, e1: VectorField,

@@ -15,22 +15,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .geometry import (Connection, EndField, HiggsField, SeriesTensor4,
-                       VectorField, apply_higgs, covariant_derivative, judge,
-                       lie_bracket, nabla, tensor_vanishes_through, torsion)
-from .series import (Exponent, Scalar, TruncatedSeries, as_fraction, dot,
-                     primitive_of_closed_family, total_degree)
+                       VectorField, apply_higgs, covariant_derivative,
+                       lie_bracket, nabla, tensor_vanishes_through)
+from .series import Exponent, Scalar, TruncatedSeries, as_fraction, dot
 
 
 class InsufficientOrderError(ValueError):
     pass
-
-
-class NotPotentialError(ValueError):
-    """The structure admits no vector potential at the checked degree."""
-
-    def __init__(self, message: str, component: Optional[Tuple[int, ...]] = None):
-        self.component = component
-        super().__init__(message)
 
 
 class MissingIdentityError(ValueError):
@@ -44,10 +35,7 @@ class VectorPotential:
     potential: VectorField
 
     def __post_init__(self) -> None:
-        normalized = tuple(
-            TruncatedSeries(c.num_vars, c.cap, c.valid_to,
-                            {e: v for e, v in c.coeffs.items() if total_degree(e) >= 2})
-            for c in self.potential.components)
+        normalized = tuple(c.from_degree(2) for c in self.potential.components)
         object.__setattr__(self, "potential", VectorField(normalized))
 
 
@@ -88,45 +76,10 @@ def potential_to_structure(potential: VectorPotential,
         n, lambda a, b, c: vf.components[c].derivative(a).derivative(b))
     structure = FStructure(tensor, identity=identity_hint)
     if identity_hint is None:
-        found = find_identity(structure).field
+        found = find_identity(structure)
         if found is not None:
             structure = FStructure(tensor, identity=found)
     return structure
-
-
-def structure_to_potential(structure: FStructure) -> VectorPotential:
-    """Recover a gauge-normalized potential by double formal integration.
-
-    Requires the structure to be symmetric and closed (R1 = 0) to the checked
-    degree; otherwise raises NotPotentialError naming the offending component.
-    """
-    n = structure.dim
-    tensor = structure.structure
-    if not judge(torsion(tensor)).holds:
-        raise NotPotentialError("structure tensor is not symmetric in (a, b)")
-    from .series import NotClosedError
-    b_matrix: List[List[TruncatedSeries]] = []
-    for c in range(n):
-        row = []
-        for e in range(n):
-            family = [tensor.tensor[a][c][e] for a in range(n)]
-            try:
-                row.append(primitive_of_closed_family(family))
-            except NotClosedError as err:
-                raise NotPotentialError(
-                    f"R1 != 0: component (c={c}, e={e}) is not closed at "
-                    f"monomial {err.exponent}", component=(c, e)) from err
-        b_matrix.append(row)
-    components = []
-    for e in range(n):
-        family = [b_matrix[c][e] for c in range(n)]
-        try:
-            components.append(primitive_of_closed_family(family))
-        except NotClosedError as err:
-            raise NotPotentialError(
-                f"second integration fails for component {e} at monomial "
-                f"{err.exponent}", component=(e,)) from err
-    return VectorPotential(VectorField(tuple(components)))
 
 
 def five_term_residual(structure: FStructure) -> "Tensor5":
@@ -257,18 +210,19 @@ def _exponents_of_degree(num_vars: int, degree: int) -> List[Exponent]:
     return sorted(out)
 
 
-@dataclass(frozen=True)
-class IdentityResult:
-    field: Optional[VectorField]
-    failed_degree: Optional[int] = None
+def identity_residual(structure: FStructure, e: VectorField) -> EndField:
+    """L_e - 1, the matrix of X -> e o X - X; it vanishes when e is the
+    identity of the product."""
+    return structure.structure.left(e) \
+        - EndField.identity(structure.dim, structure.order)
 
 
-def find_identity(structure: FStructure) -> IdentityResult:
-    """Solve e o d_b = d_b degree by degree, or report absence.
+def find_identity(structure: FStructure) -> Optional[VectorField]:
+    """Solve e o d_b = d_b degree by degree; None when there is no identity.
 
     The equation sum_a e^a C_{ab}^c = delta_b^c separates per monomial into a
     constant overdetermined linear system; a singular or inconsistent system
-    yields absence with the first bad degree.
+    at some degree means there is no identity.
     """
     n = structure.dim
     valid = structure.valid_to
@@ -280,15 +234,13 @@ def find_identity(structure: FStructure) -> IdentityResult:
             [[t[a][b][c] for a in range(n)] for b in range(n) for c in range(n)],
             [one if b == c else zero for b in range(n) for c in range(n)],
             valid)
-    except SingularSystemError as err:
-        return IdentityResult(None, failed_degree=err.degree)
+    except SingularSystemError:
+        return None
     field = VectorField(components)
     # confirm: a consistent per-degree solve can still fail globally
-    residual = structure.structure.left(field) \
-        - EndField.identity(n, structure.order)
-    if not tensor_vanishes_through(residual, valid):
-        return IdentityResult(None, failed_degree=valid)
-    return IdentityResult(field)
+    if not tensor_vanishes_through(identity_residual(structure, field), valid):
+        return None
+    return field
 
 
 def l_membership(structure: FStructure, conn: Connection,

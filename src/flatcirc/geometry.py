@@ -86,7 +86,7 @@ class VectorField:
 
     def is_constant(self) -> bool:
         """True if every component is constant through its validity."""
-        return all(all(sum(e) == 0 or sum(e) > c.valid_to for e in c.coeffs)
+        return all(c.from_degree(1).vanishes_through(c.valid_to)
                    for c in self.components)
 
     def __eq__(self, other: object) -> bool:

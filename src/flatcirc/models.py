@@ -190,10 +190,6 @@ def _data_text(filename: str) -> str:
     return (resources.files("flatcirc") / "data" / filename).read_text()
 
 
-def list_models() -> Tuple[str, ...]:
-    return CORPUS
-
-
 def load_model(name: str) -> ModelDocument:
     """Load a bundled corpus model by name."""
     if name not in CORPUS:

@@ -62,30 +62,9 @@ class OrderedPartition:
     def num_blocks(self) -> int:
         return len(self.blocks)
 
-    def coarsens(self, finer: "OrderedPartition") -> bool:
-        """True if self is obtained from finer by merging consecutive blocks."""
-        if self.ground_size != finer.ground_size:
-            return False
-        position = 0
-        for block in self.blocks:
-            merged: List[int] = []
-            while len(merged) < len(block):
-                if position >= finer.num_blocks:
-                    return False
-                merged.extend(finer.blocks[position])
-                position += 1
-            if tuple(sorted(merged)) != block:
-                return False
-        return position == finer.num_blocks
-
     def text(self) -> str:
         """Canonical text form, blocks joined by '|': e.g. ``1|2|3,4``."""
         return "|".join(",".join(str(x) for x in block) for block in self.blocks)
-
-    @classmethod
-    def from_text(cls, text: str) -> "OrderedPartition":
-        return cls.of(*[[int(x) for x in part.split(",")]
-                        for part in text.split("|")])
 
 
 def enumerate_partitions(n: int) -> List[OrderedPartition]:

@@ -145,9 +145,11 @@ class TruncatedSeries:
         exponent = min(self.coeffs, key=lambda e: (total_degree(e), e))
         return exponent, self.coeffs[exponent]
 
-    def eq_up_to(self, other: "TruncatedSeries", degree: int) -> bool:
-        self._check_compatible(other)
-        return (self - other).vanishes_through(degree)
+    def from_degree(self, degree: int) -> "TruncatedSeries":
+        """The terms of total degree >= ``degree``, same cap and ``valid_to``."""
+        return TruncatedSeries(self.num_vars, self.cap, self.valid_to,
+                               {e: c for e, c in self.coeffs.items()
+                                if total_degree(e) >= degree})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -264,23 +266,6 @@ class TruncatedSeries:
             lines.append("%s:%d/%d" % (",".join(map(str, exponent)),
                                        c.numerator, c.denominator))
         return "\n".join(lines)
-
-    @classmethod
-    def from_text(cls, text: str, num_vars: int, cap: int,
-                  valid_to: Optional[int] = None) -> "TruncatedSeries":
-        coeffs: Dict[Exponent, Fraction] = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            head, _, value = line.partition(":")
-            exponent = tuple(int(p) for p in head.split(","))
-            if len(exponent) != num_vars:
-                raise DimensionMismatchError(f"bad exponent vector in line {line!r}")
-            c = Fraction(value)
-            if c != 0 and total_degree(exponent) <= cap:
-                coeffs[exponent] = c
-        return cls(num_vars, cap, cap if valid_to is None else valid_to, coeffs)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         body = " + ".join(

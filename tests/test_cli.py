@@ -67,9 +67,38 @@ class TestCheck:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_lambda0_override(self, capsys):
-        code, _, _ = run(capsys, "check", "qc-p1", "--order", "5",
-                         "--lambda0", "1")
-        assert code == EXIT_OK
+        for shift in ("1", "-1/2"):
+            code, out, _ = run(capsys, "check", "qc-p1", "--order", "5",
+                               "--lambda0", shift)
+            assert code == EXIT_OK
+            assert out.splitlines()[0].endswith(f"lambda0 {shift}")
+
+    def checks_of(self, capsys, tmp_path, doc):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "check", str(path), "--order", "5",
+                           "--format", "json")
+        return code, {r["id"]: r for r in json.loads(out)["checks"]}
+
+    def test_wrong_identity_fails(self, capsys, tmp_path):
+        doc = dict(load_model("qc-p1").to_json_obj(), identity=["0", "1"])
+        del doc["euler"]
+        code, checks = self.checks_of(capsys, tmp_path, doc)
+        assert code == EXIT_CHECK_FAILED
+        assert checks["identity-exists"]["status"] == "fail"
+        # d1 o d0 = d1, so the (0, 0) entry of L_e - 1 is -1
+        assert checks["identity-exists"]["firstOffending"] == {
+            "entry": [0, 0], "monomial": [0, 0], "value": "-1"}
+
+    def test_frame_compat_failure_names_monomial(self, capsys, tmp_path):
+        doc = load_model("qc-p1").to_json_obj()
+        doc["euler"] = {"components": ["x0 + x1^2", "2"], "weight": "1"}
+        code, checks = self.checks_of(capsys, tmp_path, doc)
+        assert code == EXIT_CHECK_FAILED
+        compat = checks["scaling-frame-compat"]
+        assert compat["status"] == "fail"
+        assert compat["firstOffending"] == {
+            "entry": [0], "monomial": [0, 2], "value": "1"}
 
     def test_file_path_model(self, capsys, tmp_path):
         doc = {

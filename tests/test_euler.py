@@ -1,12 +1,11 @@
 import sys
-from fractions import Fraction
 
 import pytest
 
 from flatcirc import euler, geometry
 from flatcirc.cli import main
 from flatcirc.euler import (CertificationError, certify_euler,
-                            e_equation_residual, euler_family, euler_residual,
+                            e_equation_residual, euler_residual,
                             flat_compat, full_flatness_residual,
                             geometric_inverse, h_from_e)
 from flatcirc.fmanifold import shift_base
@@ -51,13 +50,6 @@ class TestEulerResidual:
         _, e_field = qc()
         assert flat_compat(e_field)
         assert not flat_compat(VectorField((x(0) * x(0), x(1))))
-
-    def test_family_shift_by_identity(self):
-        s, e_field = qc()
-        certified = certify_euler(s, e_field, 1)
-        shifted = euler_family(certified, s.identity, Fraction(3, 2), s)
-        assert shifted.weight == 1
-        assert shifted.field.components[0].coeffs[(0, 0)] == Fraction(3, 2)
 
 
 class TestGeometricInverse:

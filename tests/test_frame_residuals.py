@@ -282,7 +282,7 @@ class TestFrameEqualsFieldLevel:
             return vanishes(tensor, degree)
 
         monkeypatch.setattr(fmanifold, "tensor_vanishes_through", recorded)
-        found = find_identity(s).field
+        found = find_identity(s)
         assert found is not None and len(seen) == 1
         got = seen[0].columns()
         want = field_identity_confirmation(s, found)

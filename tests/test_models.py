@@ -6,7 +6,7 @@ import pytest
 from flatcirc.fmanifold import five_term_residual
 from flatcirc.geometry import tensor_vanishes_through
 from flatcirc.models import (CORPUS, ModelDocument, ModelFormatError,
-                             list_models, load_model, load_model_file)
+                             load_model, load_model_file)
 
 MINIMAL = {
     "schemaVersion": 1,
@@ -19,9 +19,6 @@ MINIMAL = {
 
 
 class TestCorpus:
-    def test_list(self):
-        assert list_models() == CORPUS
-
     @pytest.mark.parametrize("name", CORPUS)
     def test_loads_and_instantiates(self, name):
         instance = load_model(name).instantiate(5)

@@ -18,7 +18,6 @@ class TestOrderedPartition:
     def test_text_roundtrip(self):
         tau = OrderedPartition.of([1], [3, 4], [2])
         assert tau.text() == "1|3,4|2"
-        assert OrderedPartition.from_text("1|3,4|2") == tau
 
     def test_blocks_sorted_within(self):
         tau = OrderedPartition.of([4, 3], [1], [2])
@@ -31,12 +30,6 @@ class TestOrderedPartition:
     def test_rejects_gap(self):
         with pytest.raises(ValueError):
             OrderedPartition.of([1], [3])
-
-    def test_coarsens(self):
-        fine = OrderedPartition.of([1], [2], [3])
-        coarse = OrderedPartition.of([1, 2], [3])
-        assert coarse.coarsens(fine)
-        assert not OrderedPartition.of([1, 3], [2]).coarsens(fine)
 
 
 class TestEnumeration:

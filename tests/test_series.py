@@ -142,7 +142,7 @@ class TestInversion:
             return
         inv = u.invert_unit()
         prod = u * inv
-        assert prod.eq_up_to(const(1, 2, 4), prod.valid_to)
+        assert (prod - const(1, 2, 4)).vanishes_through(prod.valid_to)
 
 
 class TestExp:
@@ -160,7 +160,7 @@ class TestExp:
         x, y = var(0), var(1)
         lhs = exp_series(x + y)
         rhs = exp_series(x) * exp_series(y)
-        assert lhs.eq_up_to(rhs, 6)
+        assert (lhs - rhs).vanishes_through(6)
 
 
 class TestPrimitive:
@@ -190,7 +190,7 @@ class TestPrimitive:
         normalized = TruncatedSeries(
             2, p.cap, p.valid_to,
             {e: v for e, v in p.coeffs.items() if sum(e) >= 1})
-        assert back.eq_up_to(normalized, back.valid_to)
+        assert (back - normalized).vanishes_through(back.valid_to)
 
 
 class TestTextFormat:
@@ -198,15 +198,3 @@ class TestTextFormat:
         s = TruncatedSeries(2, 6, 6, {(1, 0): Fraction(1, 2),
                                       (0, 2): Fraction(-3)})
         assert s.canonical_text() == "0,2:-3/1\n1,0:1/2"
-
-    def test_roundtrip(self):
-        s = TruncatedSeries(2, 6, 6, {(1, 0): Fraction(1, 2),
-                                      (0, 2): Fraction(-3)})
-        back = TruncatedSeries.from_text(s.canonical_text(), 2, 6)
-        assert back.coeffs == s.coeffs
-
-    @given(series())
-    @settings(max_examples=30, deadline=None)
-    def test_roundtrip_any(self, s):
-        assert TruncatedSeries.from_text(s.canonical_text(), 2,
-                                         s.cap).coeffs == s.coeffs
