@@ -60,8 +60,11 @@ class PrimitiveSectionReport:
     image_map: VectorField      # the vector field B u
     jacobian_at_0: Tuple[Tuple[Fraction, ...], ...]
     primitive: bool
-    # d_a B^c_b - d_b B^c_a, the torsion of d_a B^c_b, indexed [a][b][c]
-    closedness_residual: Tuple
+
+    @property
+    def closedness_residual(self) -> Tuple:
+        """d_a B^c_b - d_b B^c_a, the torsion of d_a B^c_b, indexed [a][b][c]."""
+        return torsion(structure_from_b(self.b_field))
 
 
 def primitive_section(structure: FStructure,
@@ -89,8 +92,7 @@ def primitive_section(structure: FStructure,
     jacobian = tuple(tuple(image.components[c].derivative(a).constant_term
                            for a in range(n)) for c in range(n))
     primitive = linalg.determinant(jacobian) != 0
-    return PrimitiveSectionReport(b_field, image, jacobian, primitive,
-                                  torsion(structure_from_b(b_field)))
+    return PrimitiveSectionReport(b_field, image, jacobian, primitive)
 
 
 @dataclass(frozen=True)

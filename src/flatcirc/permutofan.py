@@ -4,17 +4,18 @@ Partitions of {1..n} label cones of the permutohedral fan in Z^n/Z.  The
 lattice quotient uses the canonical representative with last coordinate zero,
 so vectors hash and serialize uniquely.  Fan verification is deterministic:
 membership goes through the braid rule (constant on blocks, strictly
-decreasing across consecutive blocks) rather than sampling.
+decreasing across consecutive blocks) rather than sampling.  Every lattice
+computation is in plain integers.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from . import linalg
+from .series import Scalar
 
 DEFAULT_MAX_N = 6
 _MAX_N_ENV = "FLATCIRC_MAX_N"
@@ -33,26 +34,25 @@ class FanSizeError(ValueError):
 
 @dataclass(frozen=True)
 class OrderedPartition:
-    """Totally ordered disjoint non-empty blocks covering {1..n}."""
+    """Totally ordered disjoint non-empty blocks covering {1..n}.
+
+    Blocks are stored sorted.  The constructor does not check them: blocks
+    given by a caller enter through ``of``, which validates them, and the
+    partitions this module builds are valid by construction.
+    """
 
     blocks: Tuple[Tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        seen: set = set()
-        for block in self.blocks:
-            if not block:
-                raise ValueError("empty block")
-            if tuple(sorted(block)) != block:
-                raise ValueError("blocks must be stored sorted")
-            if seen & set(block):
-                raise ValueError("blocks must be disjoint")
-            seen.update(block)
-        if seen != set(range(1, len(seen) + 1)):
-            raise ValueError("blocks must cover {1..n}")
-
     @classmethod
     def of(cls, *blocks: Sequence[int]) -> "OrderedPartition":
-        return cls(tuple(tuple(sorted(b)) for b in blocks))
+        """Validated partition: blocks non-empty, disjoint, covering {1..n}."""
+        sorted_blocks = tuple(tuple(sorted(b)) for b in blocks)
+        if not all(sorted_blocks):
+            raise ValueError("empty block")
+        elements = sorted(x for block in sorted_blocks for x in block)
+        if elements != list(range(1, len(elements) + 1)):
+            raise ValueError("blocks must be disjoint and cover {1..n}")
+        return cls(sorted_blocks)
 
     @property
     def ground_size(self) -> int:
@@ -61,10 +61,6 @@ class OrderedPartition:
     @property
     def num_blocks(self) -> int:
         return len(self.blocks)
-
-    def text(self) -> str:
-        """Canonical text form, blocks joined by '|': e.g. ``1|2|3,4``."""
-        return "|".join(",".join(str(x) for x in block) for block in self.blocks)
 
 
 def enumerate_partitions(n: int) -> List[OrderedPartition]:
@@ -98,14 +94,7 @@ def fubini_number(n: int) -> int:
 
 def good_family(tau: OrderedPartition) -> List[OrderedPartition]:
     """The 2-partitions with first part tau_1 | ... | tau_a, a = 1..N."""
-    if tau.num_blocks < 2:
-        return []
-    out = []
-    for a in range(1, tau.num_blocks):
-        first = [x for block in tau.blocks[:a] for x in block]
-        second = [x for block in tau.blocks[a:] for x in block]
-        out.append(OrderedPartition.of(first, second))
-    return out
+    return [_merge_partition(tau, [a]) for a in range(1, tau.num_blocks)]
 
 
 LatticeVector = Tuple[int, ...]
@@ -136,20 +125,20 @@ def cone_of_partition(tau: OrderedPartition) -> Cone:
     return Cone(tau, gens)
 
 
-def locate_point(vector: Sequence[Fraction], n: int) -> OrderedPartition:
+def locate_point(vector: Sequence[Scalar], n: int) -> OrderedPartition:
     """The unique partition whose cone's relative interior contains the point.
 
     Level sets of the vector, ordered by decreasing value; ties make blocks.
-    Only the class modulo constants matters.
+    Only the class modulo constants matters.  Values are grouped as given:
+    an int and a Fraction of equal value hash and compare alike.
     """
     if len(vector) != n:
         raise ValueError("vector length must be n")
-    values = [Fraction(v) for v in vector]
-    levels: Dict[Fraction, List[int]] = {}
-    for i, v in enumerate(values, start=1):
+    levels: Dict[Scalar, List[int]] = {}
+    for i, v in enumerate(vector, start=1):
         levels.setdefault(v, []).append(i)
-    ordered = [levels[v] for v in sorted(levels, reverse=True)]
-    return OrderedPartition.of(*ordered)
+    return OrderedPartition(tuple(tuple(levels[v])
+                                  for v in sorted(levels, reverse=True)))
 
 
 def concat_product(tau1: OrderedPartition, tau2: OrderedPartition) -> OrderedPartition:
@@ -167,8 +156,8 @@ def sn_action(perm: Sequence[int], tau: OrderedPartition) -> OrderedPartition:
     n = tau.ground_size
     if sorted(perm) != list(range(1, n + 1)):
         raise ValueError("permutation does not match the ground set")
-    return OrderedPartition.of(*[[perm[x - 1] for x in block]
-                                 for block in tau.blocks])
+    return OrderedPartition(tuple(tuple(sorted(perm[x - 1] for x in block))
+                                  for block in tau.blocks))
 
 
 def embed_product_permutation(p1: Sequence[int], p2: Sequence[int]) -> List[int]:
@@ -199,13 +188,12 @@ def _merge_partition(tau: OrderedPartition, kept_cuts: Sequence[int]) -> Ordered
     across it.
     """
     cuts = set(kept_cuts)
-    merged: List[List[int]] = [list(tau.blocks[0])]
-    for i in range(1, tau.num_blocks):
-        if i in cuts:
-            merged.append(list(tau.blocks[i]))
-        else:
-            merged[-1].extend(tau.blocks[i])
-    return OrderedPartition.of(*merged)
+    merged: List[List[int]] = []
+    for i, block in enumerate(tau.blocks):
+        if i == 0 or i in cuts:
+            merged.append([])
+        merged[-1].extend(block)
+    return OrderedPartition(tuple(tuple(sorted(block)) for block in merged))
 
 
 def verify_fan(n: int) -> FanReport:
@@ -214,44 +202,51 @@ def verify_fan(n: int) -> FanReport:
     Checks ray and maximal-cone counts, unimodularity of every maximal cone,
     deterministic completeness (nonnegative combinations of each cone's
     generators locate to a coarsening of its label) and face closure (each
-    generator subset spans the cone of the corresponding coarsening).
+    generator subset spans the cone of the corresponding coarsening, its
+    generators in the same order).
+
+    Completeness and face closure are checked on the maximal cones only,
+    which is exactly as strong as checking every cone.  Every ordered
+    partition tau coarsens a maximal sigma, the flag that orders each block
+    of tau increasingly: tau keeps the cuts C of sigma at its block ends.
+    If face closure holds on sigma, the check (sigma, C) makes tau's
+    generators sigma's generators at C, in the same chain order.  So each
+    check (tau, S) of the enumeration over all cones is the check
+    (sigma, C_S), C_S the cuts of C at the positions S: the same
+    coarsening, the same point (ranks follow the chain order) and the same
+    generators.  If face closure fails on some sigma, both enumerations
+    report ``face_closed`` false, since the enumeration over all cones
+    contains the checks on sigma.
     """
     limit = max_fan_size()
     if n > limit:
         raise FanSizeError(f"n={n} exceeds the configured bound {limit}")
     partitions = enumerate_partitions(n)
-    cones = [cone_of_partition(tau) for tau in partitions]
+    known = {tau: cone_of_partition(tau) for tau in partitions}
     rays = sum(1 for tau in partitions if tau.num_blocks == 2)
-    maximal = [c for c in cones if c.label.num_blocks == n]
+    maximal = [cone for tau, cone in known.items() if tau.num_blocks == n]
 
-    unimodular = True
-    for cone in maximal:
-        matrix = [[Fraction(v) for v in gen[:-1]] for gen in cone.generators]
-        if abs(linalg.determinant(matrix)) != 1:
-            unimodular = False
-            break
+    unimodular = all(
+        abs(linalg.determinant([gen[:-1] for gen in cone.generators])) == 1
+        for cone in maximal)
 
     complete = True
     face_closed = True
-    known = {cone.label.text(): cone for cone in cones}
-    for cone in cones:
+    for cone in maximal:
         k = len(cone.generators)
         for mask in range(1 << k):
             chosen = [i for i in range(k) if mask >> i & 1]
             coarser = _merge_partition(cone.label, [i + 1 for i in chosen])
-            # face closure: the subset's generators are exactly the
-            # coarsening's generators
-            target = known.get(coarser.text())
-            if target is None or set(target.generators) != {
-                    cone.generators[i] for i in chosen}:
+            # face closure: the subset's generators are the coarsening's
+            # generators, in the same order
+            if known[coarser].generators != tuple(
+                    cone.generators[i] for i in chosen):
                 face_closed = False
             # completeness witness: interior combinations locate back
-            point = [Fraction(0)] * n
+            point = [0] * n
             for rank, i in enumerate(chosen, start=1):
-                gen = cone.generators[i]
-                for j in range(n):
-                    point[j] += Fraction(rank) * gen[j]
-            if locate_point(point, n).text() != coarser.text():
+                point = [p + rank * v for p, v in zip(point, cone.generators[i])]
+            if locate_point(point, n) != coarser:
                 complete = False
-    return FanReport(n, len(cones), rays, len(maximal), unimodular, complete,
-                     face_closed)
+    return FanReport(n, len(partitions), rays, len(maximal), unimodular,
+                     complete, face_closed)

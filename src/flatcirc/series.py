@@ -354,8 +354,8 @@ def primitive_of_closed_family(family: Sequence[TruncatedSeries]) -> TruncatedSe
     Returns g with ``g(0) = 0`` and ``d_a g = f_a`` up to the common validity,
     via the homotopy formula: a monomial of degree d in f_a contributes with
     weight 1/(d+1) after raising the a-th exponent.  Closedness
-    ``d_a f_b = d_b f_a`` is verified first and violations are reported with
-    the offending pair and exponent.
+    ``d_a f_b = d_b f_a`` is verified first; a violation is reported with
+    the lowest (degree, pair, exponent) among the offending coefficients.
     """
     n = len(family)
     if n == 0:
@@ -365,12 +365,12 @@ def primitive_of_closed_family(family: Sequence[TruncatedSeries]) -> TruncatedSe
             raise DimensionMismatchError("family length must equal num_vars")
     cap = min(f.cap for f in family)
     valid = min(f.valid_to for f in family)
-    for a in range(n):
-        for b in range(a + 1, n):
-            diff = family[a].derivative(b) - family[b].derivative(a)
-            for exponent in sorted(diff.coeffs):
-                if total_degree(exponent) <= valid - 1:
-                    raise NotClosedError((a, b), exponent)
+    offending = [(total_degree(e), (a, b), e)
+                 for a in range(n) for b in range(a + 1, n)
+                 for e in (family[a].derivative(b) - family[b].derivative(a)).coeffs
+                 if total_degree(e) <= valid - 1]
+    if offending:
+        raise NotClosedError(*min(offending)[1:])
     coeffs: Dict[Exponent, Fraction] = {}
     for a, f in enumerate(family):
         for exponent, c in f.coeffs.items():

@@ -204,6 +204,13 @@ class TestInputContract:
         "check below degree 1": (QC_P1, ("check", "--order", "2"), "order 2"),
         "extend below degree 1": (QC_P1, ("extend", "--order", "2"),
                                   "order 2"),
+        # d_0 f_1 - d_1 f_0 = -x - y^2: the witness is the degree-1 monomial
+        "structure not closed": ({"schemaVersion": 1, "name": "t", "dim": 2,
+                                  "variables": ["x", "y"], "defaultOrder": 6,
+                                  "structure": [[["x*y + y^3/3", "0"],
+                                                 ["0", "0"]],
+                                                [["0", "0"], ["0", "0"]]]},
+                                 ("correlators",), "at monomial 1,0"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

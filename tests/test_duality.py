@@ -1,7 +1,10 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
+from flatcirc import correlators
+from flatcirc.cli import main
 from flatcirc.duality import (NotFlatSectionError, NotInvertibleError,
                               circ_inverse, dual_structure, duality_verify,
                               flat_section_solve, primitive_section)
@@ -138,6 +141,23 @@ class TestPrimitiveSection:
         assert report.jacobian_at_0 == ((Fraction(0), Fraction(1)),
                                         (Fraction(1), Fraction(0)))
         assert report.primitive
+
+    def test_derive_builds_the_b_structure_once(self, monkeypatch, capsys):
+        # the closedness residual is formed on read; deriving a family only
+        # builds the structure of B for the gradient guard
+        calls = []
+        original = correlators.structure_from_b
+
+        def counted(b):
+            calls.append(b)
+            return original(b)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("flatcirc") \
+                    and getattr(module, "structure_from_b", None) is original:
+                monkeypatch.setattr(module, "structure_from_b", counted)
+        assert main(["correlators", "qc-p1"]) == 0
+        assert len(calls) == 1
 
     def test_nilpotent_direction_not_primitive(self):
         s = load_model("nilpotent").instantiate(CAP).structure

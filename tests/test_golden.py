@@ -9,7 +9,7 @@ pins the family derived from each model.  Two dense non-integrable
 potentials in dimension 3 (``tests/data/dense-*.json``, seeded random
 quartic and exp potentials of the benchmark's integrability shapes) pin
 failing pencil and five-term witnesses at n = 3, which no corpus model
-reaches.
+reaches.  ``fan`` is pinned at n = 1 to 6, the default size bound.
 
 A refactor that keeps the library's results must keep these bytes.  After a
 deliberate change of a report, regenerate the file with
@@ -42,7 +42,8 @@ CASES = [(command, model, fmt, ())
     for model in CORPUS
     for fmt in ("text", "json")] + [
     ("correlators", model, "json", ()) for model in CORPUS] + [
-    ("check", model, fmt, ()) for model in DENSE for fmt in ("text", "json")]
+    ("check", model, fmt, ()) for model in DENSE for fmt in ("text", "json")] + [
+    ("fan", str(n), fmt, ()) for n in range(1, 7) for fmt in ("text", "json")]
 
 
 def run(command, model, fmt, flags):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flatcirc import linalg, permutofan
 from flatcirc.permutofan import (Cone, FanSizeError, OrderedPartition,
                                  concat_product, cone_of_partition,
                                  embed_product_permutation,
@@ -12,12 +13,13 @@ from flatcirc.permutofan import (Cone, FanSizeError, OrderedPartition,
                                  good_family, indicator, locate_point,
                                  max_fan_size, normalize_lattice, sn_action,
                                  verify_fan)
+from flatcirc.permutofan import FanReport, _merge_partition
 
 
 class TestOrderedPartition:
     def test_text_roundtrip(self):
         tau = OrderedPartition.of([1], [3, 4], [2])
-        assert tau.text() == "1|3,4|2"
+        assert tau.blocks == ((1,), (3, 4), (2,))
 
     def test_blocks_sorted_within(self):
         tau = OrderedPartition.of([4, 3], [1], [2])
@@ -31,6 +33,41 @@ class TestOrderedPartition:
         with pytest.raises(ValueError):
             OrderedPartition.of([1], [3])
 
+    def test_rejects_empty_block(self):
+        with pytest.raises(ValueError):
+            OrderedPartition.of([1], [], [2])
+
+    def test_rejects_repeated_element(self):
+        with pytest.raises(ValueError):
+            OrderedPartition.of([1, 1])
+
+
+@st.composite
+def partitions(draw, max_n=5):
+    n = draw(st.integers(1, max_n))
+    return draw(st.sampled_from(enumerate_partitions(n)))
+
+
+def built_partitions(tau, other, perm, values, cuts):
+    """Every partition the module builds from tau without ``of``."""
+    n = tau.ground_size
+    return ([tau, other, locate_point(values[:n], n), concat_product(tau, other),
+             sn_action([v for v in perm if v <= n], tau),
+             _merge_partition(tau, sorted(cuts))]
+            + good_family(tau))
+
+
+class TestValidByConstruction:
+    """Partitions built without ``of`` are exactly what ``of`` validates."""
+
+    @given(partitions(), partitions(), st.permutations(range(1, 6)),
+           st.lists(st.integers(-3, 3), min_size=5, max_size=5),
+           st.sets(st.integers(1, 4)))
+    @settings(max_examples=200, deadline=None)
+    def test_of_accepts_and_reproduces(self, tau, other, perm, values, cuts):
+        for p in built_partitions(tau, other, perm, values, cuts):
+            assert OrderedPartition.of(*p.blocks) == p
+
 
 class TestEnumeration:
     @pytest.mark.parametrize("n,count", [(1, 1), (2, 3), (3, 13), (4, 75)])
@@ -40,14 +77,14 @@ class TestEnumeration:
 
     def test_no_duplicates(self):
         parts = enumerate_partitions(3)
-        assert len({p.text() for p in parts}) == 13
+        assert len(set(parts)) == 13
 
 
 class TestGoodFamily:
     def test_two_part_splits(self):
         tau = OrderedPartition.of([1], [2], [3])
         fam = good_family(tau)
-        assert [s.text() for s in fam] == ["1|2,3", "1,2|3"]
+        assert [s.blocks for s in fam] == [((1,), (2, 3)), ((1, 2), (3,))]
 
     def test_single_block_empty_family(self):
         assert good_family(OrderedPartition.of([1, 2])) == []
@@ -69,11 +106,11 @@ class TestLattice:
 class TestLocate:
     def test_strict_values_give_full_flag(self):
         tau = locate_point([Fraction(3), Fraction(1), Fraction(2)], 3)
-        assert tau.text() == "1|3|2"
+        assert tau.blocks == ((1,), (3,), (2,))
 
     def test_ties_merge_blocks(self):
         tau = locate_point([Fraction(1), Fraction(1), Fraction(0)], 3)
-        assert tau.text() == "1,2|3"
+        assert tau.blocks == ((1, 2), (3,))
 
     def test_translation_invariance(self):
         a = locate_point([Fraction(5), Fraction(2), Fraction(3)], 3)
@@ -97,6 +134,30 @@ class TestVerifyFan:
         import math
         assert report.max_cone_count == math.factorial(n)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_maximal_cones_match_all_cones(self, n):
+        assert verify_fan(n) == verify_fan_all_cones(n)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda gens: gens[::-1],
+        lambda gens: (gens[0], gens[0]),
+        lambda gens: gens[:1],
+    ], ids=["reordered", "replaced", "dropped"])
+    def test_corrupt_face_detected(self, monkeypatch, corrupt):
+        # a non-maximal cone is only ever reached as a face of maximal ones
+        original = permutofan.cone_of_partition
+        face = OrderedPartition.of([2, 4], [1], [3])
+
+        def corrupted(tau):
+            cone = original(tau)
+            if tau == face:
+                return Cone(tau, corrupt(cone.generators))
+            return cone
+
+        monkeypatch.setattr(permutofan, "cone_of_partition", corrupted)
+        assert not verify_fan(4).face_closed
+        assert not verify_fan_all_cones(4).face_closed
+
     def test_bound_respected(self):
         with pytest.raises(FanSizeError):
             verify_fan(max_fan_size() + 1)
@@ -116,7 +177,7 @@ class TestConcatProduct:
     def test_shifts_second_factor(self):
         t1 = OrderedPartition.of([1], [2])
         t2 = OrderedPartition.of([1, 2])
-        assert concat_product(t1, t2).text() == "1|2|3,4"
+        assert concat_product(t1, t2).blocks == ((1,), (2,), (3, 4))
 
     def test_associativity_small(self):
         for a in enumerate_partitions(2):
@@ -131,7 +192,7 @@ class TestSnAction:
     def test_relabel(self):
         tau = OrderedPartition.of([1], [2, 3])
         out = sn_action([2, 3, 1], tau)
-        assert out.text() == "2|1,3"
+        assert out.blocks == ((2,), (1, 3))
 
     def test_identity_action(self):
         tau = OrderedPartition.of([1, 3], [2])
@@ -156,3 +217,41 @@ class TestSnAction:
                             embed_product_permutation(p1, p2),
                             concat_product(t1, t2))
                         assert lhs == rhs
+
+
+def verify_fan_all_cones(n):
+    """The reference check over every cone, not only the maximal ones, in
+    Fraction arithmetic; ``verify_fan`` must report the same."""
+    partitions = enumerate_partitions(n)
+    cones = [permutofan.cone_of_partition(tau) for tau in partitions]
+    rays = sum(1 for tau in partitions if tau.num_blocks == 2)
+    maximal = [c for c in cones if c.label.num_blocks == n]
+
+    unimodular = True
+    for cone in maximal:
+        matrix = [[Fraction(v) for v in gen[:-1]] for gen in cone.generators]
+        if abs(linalg.determinant(matrix)) != 1:
+            unimodular = False
+            break
+
+    complete = True
+    face_closed = True
+    known = {cone.label: cone for cone in cones}
+    for cone in cones:
+        k = len(cone.generators)
+        for mask in range(1 << k):
+            chosen = [i for i in range(k) if mask >> i & 1]
+            coarser = _merge_partition(cone.label, [i + 1 for i in chosen])
+            target = known.get(coarser)
+            if target is None or set(target.generators) != {
+                    cone.generators[i] for i in chosen}:
+                face_closed = False
+            point = [Fraction(0)] * n
+            for rank, i in enumerate(chosen, start=1):
+                gen = cone.generators[i]
+                for j in range(n):
+                    point[j] += Fraction(rank) * gen[j]
+            if locate_point(point, n) != coarser:
+                complete = False
+    return FanReport(n, len(cones), rays, len(maximal), unimodular, complete,
+                     face_closed)

@@ -182,6 +182,17 @@ class TestPrimitive:
         with pytest.raises(NotClosedError):
             primitive_of_closed_family([fx, fy])
 
+    def test_not_closed_names_lowest_degree(self):
+        # pair (0, 1) fails at degree 2 (3 x1^2), the later pair (1, 2) at
+        # degree 0 (d_2 f_1 - d_1 f_2 = -1); the lowest degree is named
+        f0 = TruncatedSeries(3, 6, 6, {(0, 3, 0): Fraction(1)})
+        f1 = TruncatedSeries.zero(3, 6)
+        f2 = TruncatedSeries(3, 6, 6, {(0, 1, 0): Fraction(1)})
+        with pytest.raises(NotClosedError) as caught:
+            primitive_of_closed_family([f0, f1, f2])
+        assert caught.value.pair == (1, 2)
+        assert caught.value.exponent == (0, 0, 0)
+
     @given(series(num_vars=2, cap=5))
     @settings(max_examples=30, deadline=None)
     def test_primitive_of_gradient(self, p):
