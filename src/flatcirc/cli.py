@@ -7,7 +7,8 @@ permutohedral fan), ``correlators`` (derive a correlator family from a model
 or verify a family file).
 
 Exit codes: 0 on success with all checks passing, 1 when a check fails,
-2 on malformed input or usage errors.
+2 on malformed input (an ``InputError``) or usage errors; any other
+exception is a defect and ends the command with its traceback.
 """
 
 from __future__ import annotations
@@ -24,29 +25,19 @@ from . import correlators as correlators_mod
 from . import duality as duality_mod
 from .checks import (evaluate_extension, evaluate_twist, run_check_suite,
                      twist_hypothesis_failures, working_connection)
-from .expr import ExprError
 from .geometry import judge
-from .models import (CORPUS, ModelDocument, ModelFormatError, load_model,
-                     load_model_file)
-from .permutofan import FanSizeError, verify_fan
-from .series import DimensionMismatchError, NonUnitError
+from .models import (CORPUS, ModelDocument, load_model, load_model_file,
+                     read_json)
+from .permutofan import verify_fan
+from .series import InputError, NotClosedError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 
 
-class CliError(Exception):
-    pass
-
-
 def _load_document(source: str) -> ModelDocument:
-    if source in CORPUS:
-        return load_model(source)
-    try:
-        return load_model_file(source)
-    except OSError as exc:
-        raise CliError(f"cannot read model {source!r}: {exc}") from exc
+    return load_model(source) if source in CORPUS else load_model_file(source)
 
 
 def _emit(text: str, report_path: Optional[str]) -> None:
@@ -55,7 +46,7 @@ def _emit(text: str, report_path: Optional[str]) -> None:
             with open(report_path, "w", encoding="utf-8") as handle:
                 handle.write(text)
         except OSError as exc:
-            raise CliError(f"cannot write report {report_path!r}: {exc}") \
+            raise InputError(f"cannot write report {report_path!r}: {exc}") \
                 from exc
     sys.stdout.write(text)
 
@@ -74,16 +65,16 @@ def _cmd_dualize(args: argparse.Namespace) -> int:
     document = _load_document(args.model)
     instance = document.instantiate(args.order)
     if instance.epsilon is None:
-        raise CliError(f"model {document.name!r} declares no twist field")
+        raise InputError(f"model {document.name!r} declares no twist field")
     structure = instance.structure
     if structure.identity is None:
-        raise CliError(f"model {document.name!r} has no identity field")
+        raise InputError(f"model {document.name!r} has no identity field")
     n = structure.dim
     verify = evaluate_twist(structure,
                             working_connection(structure, instance.lambda0),
                             instance.epsilon)
     if verify.pair is None:
-        raise duality_mod.NotInvertibleError()
+        raise InputError("system matrix singular at the origin")
     dual = verify.pair.dual.structure.tensor
     ok = not twist_hypothesis_failures(verify)
     if args.format == "json":
@@ -124,9 +115,9 @@ def _cmd_extend(args: argparse.Namespace) -> int:
     instance = document.instantiate(args.order)
     structure = instance.structure
     if instance.euler is None:
-        raise CliError(f"model {document.name!r} declares no scaling field")
+        raise InputError(f"model {document.name!r} declares no scaling field")
     if structure.identity is None:
-        raise CliError(f"model {document.name!r} has no identity field")
+        raise InputError(f"model {document.name!r} has no identity field")
     n = structure.dim
     extension = evaluate_extension(
         structure, working_connection(structure, instance.lambda0),
@@ -188,13 +179,7 @@ def _cmd_fan(args: argparse.Namespace) -> int:
 
 
 def _cmd_correlators(args: argparse.Namespace) -> int:
-    obj = None
-    if args.source not in CORPUS:
-        try:
-            with open(args.source, "r", encoding="utf-8") as handle:
-                obj = json.loads(handle.read())
-        except OSError as exc:
-            raise CliError(f"cannot read {args.source!r}: {exc}") from exc
+    obj = None if args.source in CORPUS else read_json(args.source)
     if isinstance(obj, dict) and "entries" in obj:
         family = correlators_mod.CorrelatorFamily.from_json_obj(obj)
         b = correlators_mod.b_from_correlators(family)
@@ -218,15 +203,20 @@ def _cmd_correlators(args: argparse.Namespace) -> int:
         _emit(text, args.report)
         return EXIT_OK if ok else EXIT_CHECK_FAILED
     # otherwise: a model document; derive the family from its structure
-    document = _load_document(args.source)
+    document = load_model(args.source) if args.source in CORPUS \
+        else ModelDocument.from_json_obj(obj)
     instance = document.instantiate(args.order)
     structure = instance.structure
-    section = duality_mod.primitive_section(
-        structure, structure.identity
-        if structure.identity is not None and structure.identity.is_constant()
-        else structure.basis(0))
-    family = correlators_mod.correlators_from_b(section.b_field,
-                                               force=args.force)
+    identity = structure.identity
+    unit = identity if identity is not None and identity.is_constant() \
+        else structure.basis(0)
+    try:
+        section = duality_mod.primitive_section(structure, unit)
+        family = correlators_mod.correlators_from_b(section.b_field,
+                                                   force=args.force)
+    except (NotClosedError, correlators_mod.NotSymmetricError) as exc:
+        # no correlator family has this structure tensor
+        raise InputError(str(exc)) from exc
     text = family.to_json()
     _emit(text, args.report)
     return EXIT_OK
@@ -314,10 +304,7 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ModelFormatError, ExprError, DimensionMismatchError,
-            NonUnitError, FanSizeError,
-            correlators_mod.FamilyFormatError,
-            json.JSONDecodeError, ValueError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

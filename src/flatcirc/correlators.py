@@ -16,15 +16,16 @@ from fractions import Fraction
 from math import factorial
 from typing import Dict, List, Tuple
 
-from .series import TruncatedSeries, as_fraction
+from .series import InputError, TruncatedSeries
 from .geometry import EndField, HiggsField, judge, torsion
+from .models import json_integer, json_rational
 
 FAMILY_SCHEMA_VERSION = 1
 
 Multiset = Tuple[int, ...]
 
 
-class FamilyFormatError(ValueError):
+class FamilyFormatError(InputError):
     pass
 
 
@@ -84,19 +85,25 @@ class CorrelatorFamily:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "CorrelatorFamily":
         try:
-            version = obj["schemaVersion"]
+            version = json_integer(obj["schemaVersion"], "schemaVersion")
             if version != FAMILY_SCHEMA_VERSION:
                 raise FamilyFormatError(
                     f"unsupported schemaVersion {version}")
-            dim = int(obj["dim"])
-            order = int(obj["order"])
+            dim = json_integer(obj["dim"], "dim")
+            order = json_integer(obj["order"], "order")
             if dim < 1:
                 raise FamilyFormatError("dim must be at least 1")
             if order < 0:
                 raise FamilyFormatError("order must be at least 0")
+            if order == 0:
+                raise FamilyFormatError("at order 0 the master equation is "
+                                        "proven only to degree -1")
             matrices: Dict[Multiset, Tuple[Tuple[Fraction, ...], ...]] = {}
             for entry in obj["entries"]:
-                key = tuple(sorted(int(i) for i in entry["multiset"]))
+                key = tuple(sorted(json_integer(i, "multiset index")
+                                   for i in entry["multiset"]))
+                if key in matrices:
+                    raise FamilyFormatError(f"multiset {list(key)} is repeated")
                 if any(not 0 <= i < dim for i in key):
                     raise FamilyFormatError(
                         f"multiset {list(key)} has an index outside "
@@ -109,7 +116,8 @@ class CorrelatorFamily:
                     raise FamilyFormatError(
                         f"matrix for {key} is not {dim}x{dim}")
                 matrices[key] = tuple(
-                    tuple(as_fraction(Fraction(v)) for v in row) for row in rows)
+                    tuple(json_rational(v, "matrix entry") for v in row)
+                    for row in rows)
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             if isinstance(exc, FamilyFormatError):
                 raise

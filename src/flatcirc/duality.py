@@ -15,8 +15,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .fmanifold import (FStructure, MissingIdentityError, SingularSystemError,
-                        shift_base, solve_series_system)
+from .fmanifold import (FStructure, MissingIdentityError, shift_base,
+                        solve_series_system)
 from .correlators import structure_from_b
 from .euler import euler_residual
 from .geometry import (Connection, EndField, HiggsField, VectorField, judge,
@@ -27,9 +27,6 @@ from .series import (Exponent, Scalar, TruncatedSeries, as_fraction,
 
 class NotInvertibleError(ValueError):
     """circ-multiplication by the field is singular at the origin."""
-
-    def __init__(self) -> None:
-        super().__init__("system matrix singular at the origin")
 
 
 class NotFlatSectionError(ValueError):
@@ -50,8 +47,9 @@ def circ_inverse(structure: FStructure, v: VectorField) -> VectorField:
     try:
         return VectorField(solve_series_system(
             left.matrix, structure.identity.components, valid))
-    except SingularSystemError:
-        raise NotInvertibleError() from None
+    except linalg.SingularSystemError:
+        raise NotInvertibleError("system matrix singular at the origin") \
+            from None
 
 
 @dataclass(frozen=True)

@@ -20,16 +20,22 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .series import NonUnitError, TruncatedSeries, exp_series
+from .series import InputError, NonUnitError, TruncatedSeries, exp_series
 
 
-class ExprError(ValueError):
+class ExprError(InputError):
     def __init__(self, message: str, offset: int) -> None:
         super().__init__(f"{message} (at offset {offset})")
         self.offset = offset
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^]))")
+NAME_PATTERN = r"[A-Za-z_][A-Za-z_0-9]*"
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|(" + NAME_PATTERN + r")|([()+\-*/^]))")
+
+
+def is_name(text: str) -> bool:
+    """True if ``text`` is one identifier token other than ``exp``."""
+    return text != "exp" and re.fullmatch(NAME_PATTERN, text) is not None
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,10 @@ from . import linalg
 from .geometry import (Connection, EndField, HiggsField, SeriesTensor4,
                        VectorField, apply_higgs, covariant_derivative,
                        lie_bracket, nabla, tensor_vanishes_through)
-from .series import Exponent, Scalar, TruncatedSeries, as_fraction, dot
+from .series import Exponent, InputError, Scalar, TruncatedSeries, as_fraction, dot
 
 
-class InsufficientOrderError(ValueError):
+class InsufficientOrderError(InputError):
     pass
 
 
@@ -154,14 +154,6 @@ def d_tensor(structure: FStructure, conn: Connection, x: VectorField,
         - structure.multiply(y, covariant_derivative(conn, x, z))
 
 
-class SingularSystemError(ValueError):
-    """A series system has no unique solution at some degree."""
-
-    def __init__(self, degree: int):
-        self.degree = degree
-        super().__init__(f"no unique solution at degree {degree}")
-
-
 def solve_series_system(matrix: Sequence[Sequence[TruncatedSeries]],
                         rhs: Sequence[TruncatedSeries],
                         valid: int) -> Tuple[TruncatedSeries, ...]:
@@ -170,8 +162,8 @@ def solve_series_system(matrix: Sequence[Sequence[TruncatedSeries]],
     Each monomial separates into a constant linear system with the matrix
     M(0), which may have more rows than columns; the lower-degree
     coefficients already found feed its right-hand side.  Raises
-    SingularSystemError at the first degree whose system is inconsistent or
-    rank deficient.
+    ``linalg.SingularSystemError`` at the first degree whose system is
+    inconsistent or rank deficient.
     """
     num_vars = rhs[0].num_vars
     cap = rhs[0].cap
@@ -190,10 +182,7 @@ def solve_series_system(matrix: Sequence[Sequence[TruncatedSeries]],
                             continue
                         acc -= v1 * row[j].coefficient(e2)
                 residual.append(acc)
-            try:
-                solution = linalg.solve_overdetermined(m0, residual)
-            except (linalg.InconsistentSystem, linalg.UnderdeterminedSystem):
-                raise SingularSystemError(degree) from None
+            solution = linalg.solve_overdetermined(m0, residual)
             for j in range(unknowns):
                 if solution[j] != 0:
                     coeffs[j][exponent] = solution[j]
@@ -234,7 +223,7 @@ def find_identity(structure: FStructure) -> Optional[VectorField]:
             [[t[a][b][c] for a in range(n)] for b in range(n) for c in range(n)],
             [one if b == c else zero for b in range(n) for c in range(n)],
             valid)
-    except SingularSystemError:
+    except linalg.SingularSystemError:
         return None
     field = VectorField(components)
     # confirm: a consistent per-degree solve can still fail globally

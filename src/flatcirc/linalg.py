@@ -32,20 +32,16 @@ def determinant(m: Sequence[Sequence[Fraction]]) -> Fraction:
     return det
 
 
-class InconsistentSystem(ValueError):
-    pass
-
-
-class UnderdeterminedSystem(ValueError):
-    pass
+class SingularSystemError(ValueError):
+    """A linear system has no solution or more than one."""
 
 
 def solve_overdetermined(m: Sequence[Sequence[Fraction]],
                          rhs: Sequence[Fraction]) -> List[Fraction]:
     """Solve an m x n system with m >= n exactly.
 
-    Raises InconsistentSystem if no solution exists and UnderdeterminedSystem
-    if the coefficient matrix has rank below n.
+    Raises SingularSystemError if no solution exists or if the coefficient
+    matrix has rank below n.
     """
     rows = [list(row) + [b] for row, b in zip(m, rhs)]
     ncols = len(m[0]) if m else 0
@@ -66,9 +62,9 @@ def solve_overdetermined(m: Sequence[Sequence[Fraction]],
         rank += 1
     for r in range(rank, len(rows)):
         if rows[r][ncols] != 0:
-            raise InconsistentSystem("no exact solution")
+            raise SingularSystemError("no exact solution")
     if rank < ncols:
-        raise UnderdeterminedSystem("rank deficient system")
+        raise SingularSystemError("rank deficient system")
     solution = [Fraction(0)] * ncols
     for r, col in enumerate(pivots):
         solution[col] = rows[r][ncols]

@@ -2,9 +2,9 @@
 
 A model document describes a structure either through a vector potential
 (component expressions) or through an explicit structure-tensor table, with
-optional identity, scaling field, twist field, and base-shift parameter.  All
-numeric payloads are strings parsed exactly as rationals or expressions, so
-documents round-trip without floating point.
+optional identity, scaling field, twist field, and base-shift parameter.
+Numbers are JSON integers or strings parsed exactly as rationals or
+expressions, never floats, so documents round-trip without floating point.
 """
 
 from __future__ import annotations
@@ -15,17 +15,18 @@ from fractions import Fraction
 from importlib import resources
 from typing import Optional, Sequence, Tuple
 
-from .expr import parse_series
+from .expr import NAME_PATTERN, is_name, parse_series
 from .fmanifold import (FStructure, InsufficientOrderError, VectorPotential,
                         potential_to_structure)
 from .geometry import HiggsField, VectorField
+from .series import InputError
 
 MODEL_SCHEMA_VERSION = 1
 
 CORPUS = ("one-dim", "qc-p1", "nilpotent", "broken-assoc", "shifted-identity")
 
 
-class ModelFormatError(ValueError):
+class ModelFormatError(InputError):
     pass
 
 
@@ -48,15 +49,18 @@ class ModelDocument:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ModelDocument":
         try:
-            version = obj["schemaVersion"]
+            version = json_integer(obj["schemaVersion"], "schemaVersion")
             if version != MODEL_SCHEMA_VERSION:
                 raise ModelFormatError(f"unsupported schemaVersion {version}")
-            dim = int(obj["dim"])
+            dim = json_integer(obj["dim"], "dim")
             if dim < 1:
                 raise ModelFormatError("dim must be at least 1")
-            variables = tuple(obj["variables"])
-            if len(variables) != dim:
-                raise ModelFormatError("variables list does not match dim")
+            variables = obj["variables"]
+            if not _is_cube(variables, dim, 1):
+                raise ModelFormatError(f"variables is not a list of {dim} strings")
+            if not all(map(is_name, variables)):
+                raise ModelFormatError(
+                    f"variables must match {NAME_PATTERN}, other than exp")
             if len(set(variables)) != dim:
                 raise ModelFormatError("variable names must be distinct")
             potential = obj.get("potential")
@@ -74,16 +78,18 @@ class ModelDocument:
             if "euler" in obj:
                 lists["euler components"] = obj["euler"]["components"]
                 euler = (tuple(obj["euler"]["components"]),
-                         Fraction(obj["euler"]["weight"]))
+                         json_rational(obj["euler"]["weight"], "euler weight"))
             for key, comps in lists.items():
                 if comps is not None and not _is_cube(comps, dim, 1):
                     raise ModelFormatError(
                         f"{key} is not a list of {dim} expressions")
+            if not isinstance(obj["name"], str):
+                raise ModelFormatError("name must be a string")
             doc = cls(
                 name=obj["name"],
                 description=obj.get("description", ""),
                 dim=dim,
-                variables=variables,
+                variables=tuple(variables),
                 potential=tuple(potential) if potential is not None else None,
                 structure_table=tuple(
                     tuple(tuple(row) for row in plane) for plane in table)
@@ -91,18 +97,15 @@ class ModelDocument:
                 identity=tuple(obj["identity"]) if "identity" in obj else None,
                 euler=euler,
                 epsilon=tuple(obj["epsilon"]) if "epsilon" in obj else None,
-                lambda0=Fraction(obj.get("lambda0", "0")),
-                default_order=int(obj.get("defaultOrder", 8)),
+                lambda0=json_rational(obj.get("lambda0", 0), "lambda0"),
+                default_order=json_integer(obj.get("defaultOrder", 8),
+                                           "defaultOrder"),
             )
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             if isinstance(exc, ModelFormatError):
                 raise
             raise ModelFormatError(f"malformed model document: {exc}") from exc
         return doc
-
-    @classmethod
-    def from_json(cls, text: str) -> "ModelDocument":
-        return cls.from_json_obj(json.loads(text))
 
     def to_json_obj(self) -> dict:
         obj: dict = {
@@ -186,17 +189,40 @@ class ModelInstance:
     lambda0: Fraction
 
 
-def _data_text(filename: str) -> str:
-    return (resources.files("flatcirc") / "data" / filename).read_text()
-
-
 def load_model(name: str) -> ModelDocument:
     """Load a bundled corpus model by name."""
     if name not in CORPUS:
         raise KeyError(f"unknown model {name!r}; known: {', '.join(CORPUS)}")
-    return ModelDocument.from_json(_data_text(name + ".json"))
+    text = (resources.files("flatcirc") / "data" / f"{name}.json").read_text()
+    return ModelDocument.from_json_obj(json.loads(text))
+
+
+def json_integer(value: object, name: str) -> int:
+    """A document's integer field ``name``: a JSON integer, not a bool."""
+    if type(value) is not int:
+        raise InputError(f"{name} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def json_rational(value: object, name: str) -> Fraction:
+    """A document's rational field ``name``: a JSON integer or a string."""
+    if type(value) is not int and not isinstance(value, str):
+        raise InputError(f"{name} must be an integer or a string, "
+                         f"got {json.dumps(value)}")
+    return Fraction(value)
+
+
+def read_json(path: str, what: Optional[str] = None) -> object:
+    """The JSON value in the file at ``path``; InputError if the file cannot
+    be read (named ``what``, by default its quoted path) or is not JSON."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.loads(handle.read())
+    except OSError as exc:
+        raise InputError(f"cannot read {what or repr(path)}: {exc}") from exc
+    except ValueError as exc:  # bytes that are not UTF-8, or not JSON
+        raise InputError(str(exc)) from exc
 
 
 def load_model_file(path: str) -> ModelDocument:
-    with open(path, "r", encoding="utf-8") as handle:
-        return ModelDocument.from_json(handle.read())
+    return ModelDocument.from_json_obj(read_json(path, f"model {path!r}"))

@@ -15,20 +15,20 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from . import linalg
-from .series import Scalar
+from .series import InputError, Scalar
 
 DEFAULT_MAX_N = 6
 _MAX_N_ENV = "FLATCIRC_MAX_N"
 
 
 def max_fan_size() -> int:
-    value = os.environ.get(_MAX_N_ENV)
-    if value is None:
-        return DEFAULT_MAX_N
-    return int(value)
+    try:
+        return int(os.environ.get(_MAX_N_ENV, DEFAULT_MAX_N))
+    except ValueError as exc:
+        raise FanSizeError(str(exc)) from None
 
 
-class FanSizeError(ValueError):
+class FanSizeError(InputError):
     pass
 
 
@@ -221,6 +221,8 @@ def verify_fan(n: int) -> FanReport:
     limit = max_fan_size()
     if n > limit:
         raise FanSizeError(f"n={n} exceeds the configured bound {limit}")
+    if n < 1:
+        raise FanSizeError("n must be >= 1")
     partitions = enumerate_partitions(n)
     known = {tau: cone_of_partition(tau) for tau in partitions}
     rays = sum(1 for tau in partitions if tau.num_blocks == 2)

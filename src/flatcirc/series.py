@@ -32,6 +32,11 @@ Exponent = Tuple[int, ...]
 Scalar = Union[int, Fraction]
 
 
+class InputError(ValueError):
+    """Raised where a document, a family or a flag is read and found malformed;
+    the only exception the command line reports as bad input (exit 2)."""
+
+
 class DimensionMismatchError(ValueError):
     """Raised when series over different coordinate sets are combined."""
 

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flatcirc import checks
 from flatcirc.cli import EXIT_BAD_INPUT, EXIT_CHECK_FAILED, EXIT_OK, main
 from flatcirc.models import CORPUS, load_model
+from flatcirc.series import DimensionMismatchError, NonUnitError
 
 
 def run(capsys, *argv):
@@ -148,6 +150,80 @@ class TestBadInput:
         assert code == EXIT_BAD_INPUT
         assert "error:" in err
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_fan_below_one(self, capsys, n):
+        assert run(capsys, "fan", n) == (EXIT_BAD_INPUT, "",
+                                         "error: n must be >= 1\n")
+
+    def test_fan_bound_not_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("FLATCIRC_MAX_N", "six")
+        code, _, err = run(capsys, "fan", "3")
+        assert code == EXIT_BAD_INPUT
+        assert "'six'" in err
+
+    @pytest.mark.parametrize("command", ["check", "dualize", "extend",
+                                         "correlators"])
+    def test_invalid_json(self, capsys, tmp_path, command):
+        path = tmp_path / "bad.json"
+        path.write_text("{not json")
+        assert run(capsys, command, str(path)) == (
+            EXIT_BAD_INPUT, "", "error: Expecting property name enclosed in "
+            "double quotes: line 1 column 2 (char 1)\n")
+
+    @pytest.mark.parametrize("command", ["check", "dualize", "extend",
+                                         "correlators"])
+    @pytest.mark.parametrize("value,text", [
+        ("null", "'NoneType' object is not subscriptable"),
+        ("5", "'int' object is not subscriptable"),
+        ("[]", "list indices must be integers or slices, not str")])
+    def test_document_not_an_object(self, capsys, tmp_path, command, value,
+                                    text):
+        path = tmp_path / "value.json"
+        path.write_text(value)
+        assert run(capsys, command, str(path)) == (
+            EXIT_BAD_INPUT, "", f"error: malformed model document: {text}\n")
+
+    @pytest.mark.parametrize("command,label", [("check", "model "),
+                                               ("correlators", "")])
+    def test_directory(self, capsys, tmp_path, command, label):
+        code, _, err = run(capsys, command, str(tmp_path))
+        assert code == EXIT_BAD_INPUT
+        assert err.startswith(f"error: cannot read {label}{str(tmp_path)!r}: ")
+
+    def test_twist_not_invertible(self, capsys, tmp_path):
+        path = tmp_path / "zero-twist.json"
+        path.write_text(json.dumps(dict(QC_P1, epsilon=["0", "0"])))
+        assert run(capsys, "dualize", str(path)) == (
+            EXIT_BAD_INPUT, "", "error: system matrix singular at the origin\n")
+
+    def test_structure_not_a_gradient(self, capsys, tmp_path):
+        # C_01^0 = 1 and C_10^0 = 0: B exists, but d_0 B^0_1 != d_1 B^0_0
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({
+            "schemaVersion": 1, "name": "t", "dim": 2, "variables": ["x", "y"],
+            "structure": [[["0", "0"], ["1", "0"]],
+                          [["0", "0"], ["0", "0"]]]}))
+        assert run(capsys, "correlators", str(path), "--order", "4") == (
+            EXIT_BAD_INPUT, "",
+            "error: d_0 B^0_1 != d_1 B^0_0: not a gradient family\n")
+
+
+class TestInternalErrors:
+    """Only input errors exit 2: any other exception is a defect and
+    propagates out of ``main`` with its traceback."""
+
+    @pytest.mark.parametrize("error", [
+        ValueError("valid_to must not exceed cap"),
+        DimensionMismatchError("dimension mismatch: 2 vs 3"),
+        NonUnitError("cannot invert a series with zero constant term")])
+    def test_defect_is_not_bad_input(self, monkeypatch, error):
+        def broken(structure):
+            raise error
+
+        monkeypatch.setattr(checks, "five_term_residual", broken)
+        with pytest.raises(type(error), match=str(error)):
+            main(["check", "qc-p1", "--order", "4"])
+
 
 TINY = {"schemaVersion": 1, "name": "tiny", "dim": 1, "variables": ["x0"],
         "potential": ["x0^2/2"], "identity": ["1"]}
@@ -211,6 +287,62 @@ class TestInputContract:
                                                  ["0", "0"]],
                                                 [["0", "0"], ["0", "0"]]]},
                                  ("correlators",), "at monomial 1,0"),
+        # JSON numbers: an integer field takes a JSON integer, a rational
+        # field a JSON integer or a string, never a float or a bool
+        "schemaVersion true": (dict(TINY, schemaVersion=True), ("check",),
+                               "schemaVersion must be an integer, got true"),
+        "dim 1.7": (dict(TINY, dim=1.7), ("check",),
+                    "dim must be an integer, got 1.7"),
+        "defaultOrder 4.9": (dict(TINY, defaultOrder=4.9), ("check",),
+                             "defaultOrder must be an integer, got 4.9"),
+        "lambda0 0.1": (dict(TINY, lambda0=0.1), ("check",),
+                        "lambda0 must be an integer or a string, got 0.1"),
+        "weight 0.5": (dict(TINY, euler={"components": ["x0"],
+                                         "weight": 0.5}),
+                       ("check",), "euler weight must be an integer or a "
+                                   "string, got 0.5"),
+        "family order 3.9": (dict(FAMILY, order=3.9), ("correlators",),
+                             "order must be an integer, got 3.9"),
+        "matrix entry 0.1": (dict(FAMILY, entries=[
+            {"multiset": [0], "matrix": [[0.1, "0"], ["0", "0"]]}]),
+            ("correlators",), "matrix entry must be an integer or a string, "
+                              "got 0.1"),
+        "multiset index 0.6": (dict(FAMILY, entries=[
+            {"multiset": [0.6], "matrix": [["1", "0"], ["0", "1"]]}]),
+            ("correlators",), "multiset index must be an integer, got 0.6"),
+        "multiset index true": (dict(FAMILY, entries=[
+            {"multiset": [True], "matrix": [["1", "0"], ["0", "1"]]}]),
+            ("correlators",), "multiset index must be an integer, got true"),
+        "multiset index '1'": (dict(FAMILY, entries=[
+            {"multiset": ["1"], "matrix": [["1", "0"], ["0", "1"]]}]),
+            ("correlators",), 'multiset index must be an integer, got "1"'),
+        # names: a list of dim distinct identifiers, none of them exp
+        "variables a string": (dict(TINY, dim=2, variables="xy",
+                                    potential=["x^2/2", "y^2/2"],
+                                    identity=["1", "1"]),
+                               ("check",), "variables is not a list of 2"),
+        "variables [5]": (dict(TINY, variables=[5]), ("check",),
+                          "variables is not a list of 1 strings"),
+        "variables [exp]": (dict(TINY, variables=["exp"],
+                                 potential=["exp^2/2"]), ("check",),
+                            "variables must match [A-Za-z_][A-Za-z_0-9]*, "
+                            "other than exp"),
+        "name [1]": (dict(TINY, name=[1]), ("check",),
+                     "name must be a string"),
+        # a multiset is named once, in any order of its indices
+        "multiset repeated": (dict(FAMILY, entries=[
+            {"multiset": [0, 0], "matrix": [["0", "0"], ["1", "0"]]},
+            {"multiset": [1, 1], "matrix": [["0", "1"], ["0", "0"]]},
+            {"multiset": [0, 0], "matrix": [["0", "0"], ["0", "0"]]}]),
+            ("correlators",), "multiset [0, 0] is repeated"),
+        "multiset repeated unsorted": (dict(FAMILY, entries=[
+            {"multiset": [0, 1], "matrix": [["1", "0"], ["0", "1"]]},
+            {"multiset": [1, 0], "matrix": [["0", "0"], ["0", "0"]]}]),
+            ("correlators",), "multiset [0, 1] is repeated"),
+        # the master equation differentiates once: order 0 proves nothing
+        "family order 0": (dict(FAMILY, order=0, entries=[
+            {"multiset": [], "matrix": [["1", "2"], ["3", "4"]]}]),
+            ("correlators",), "at order 0"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

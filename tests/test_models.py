@@ -7,6 +7,7 @@ from flatcirc.fmanifold import five_term_residual
 from flatcirc.geometry import tensor_vanishes_through
 from flatcirc.models import (CORPUS, ModelDocument, ModelFormatError,
                              load_model, load_model_file)
+from flatcirc.series import InputError
 
 MINIMAL = {
     "schemaVersion": 1,
@@ -53,7 +54,7 @@ class TestSchema:
 
     def test_json_roundtrip(self):
         doc = load_model("qc-p1")
-        again = ModelDocument.from_json(doc.to_json())
+        again = ModelDocument.from_json_obj(json.loads(doc.to_json()))
         assert again == doc
 
     def test_bad_version(self):
@@ -108,5 +109,5 @@ class TestFileLoading:
     def test_malformed_json_raises(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
-        with pytest.raises(json.JSONDecodeError):
+        with pytest.raises(InputError, match="Expecting property name"):
             load_model_file(str(path))
