@@ -182,6 +182,10 @@ def _cmd_correlators(args: argparse.Namespace) -> int:
     obj = None if args.source in CORPUS else read_json(args.source)
     if isinstance(obj, dict) and "entries" in obj:
         family = correlators_mod.CorrelatorFamily.from_json_obj(obj)
+        if args.order is not None:
+            raise InputError(f"--order applies to deriving a family from a "
+                             f"model; this family file has order "
+                             f"{family.order}")
         b = correlators_mod.b_from_correlators(family)
         residuals = correlators_mod.master_equation_residual(b)
         offending = sorted(key for key, end in residuals.items()

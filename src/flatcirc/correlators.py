@@ -93,11 +93,10 @@ class CorrelatorFamily:
             order = json_integer(obj["order"], "order")
             if dim < 1:
                 raise FamilyFormatError("dim must be at least 1")
-            if order < 0:
-                raise FamilyFormatError("order must be at least 0")
-            if order == 0:
-                raise FamilyFormatError("at order 0 the master equation is "
-                                        "proven only to degree -1")
+            if order < 1:
+                raise FamilyFormatError(
+                    f"at order {order} the master equation is proven only "
+                    f"to degree {order - 1}; order must be at least 1")
             matrices: Dict[Multiset, Tuple[Tuple[Fraction, ...], ...]] = {}
             for entry in obj["entries"]:
                 key = tuple(sorted(json_integer(i, "multiset index")
@@ -168,7 +167,7 @@ def correlators_from_b(b: EndField, force: bool = False) -> CorrelatorFamily:
     out: Dict[Multiset, List[List[Fraction]]] = {}
     for i in range(dim):
         for j in range(dim):
-            for exponent, value in b.matrix[i][j].coeffs.items():
+            for exponent, value in b.matrix[i][j].items():
                 if sum(exponent) > order:
                     continue
                 key = _multiset_of_exponent(exponent)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from . import linalg
 from .fmanifold import (FStructure, MissingIdentityError, shift_base,
@@ -21,8 +21,8 @@ from .correlators import structure_from_b
 from .euler import euler_residual
 from .geometry import (Connection, EndField, HiggsField, VectorField, judge,
                        lie_bracket, nabla, torsion)
-from .series import (Exponent, Scalar, TruncatedSeries, as_fraction,
-                     primitive_of_closed_family, total_degree)
+from .series import (NotClosedError, Scalar, TruncatedSeries,
+                     primitive_of_closed_family)
 
 
 class NotInvertibleError(ValueError):
@@ -186,40 +186,26 @@ def flat_section_solve(structure: FStructure, base: Connection, lambda0: Scalar,
                        v0: Sequence[Scalar]) -> VectorField:
     """Unique w with w(0) = v0 and (base + lambda0 A) w = 0, degree by degree.
 
-    Each homogeneous layer is obtained by formally integrating the previous
-    one; the closedness required by the integration is exactly the flatness of
-    the pencil member, so a violation surfaces as an integrability error.
+    The equation is d_a w^c = -(R_w)^c_a, so each pass sets w to v0 plus the
+    primitive of -R_w.  Starting from v0 proven to degree 0, pass k proves
+    one degree more and tests closedness through degree k - 1; the lower
+    degrees do not change between passes.  Closedness is the flatness of the
+    pencil member, so a violation surfaces as an integrability error at its
+    lowest degree.
     """
     n = structure.dim
     cap = structure.order
-    lam = as_fraction(lambda0)
-    conn = shift_base(structure, base, lam)
+    conn = shift_base(structure, base, lambda0)
     valid = min(structure.valid_to + 1, cap)
-    w_coeffs: List[Dict[Exponent, Fraction]] = [
-        {} if as_fraction(v) == 0 else {(0,) * n: as_fraction(v)}
-        for v in v0]
-    from .series import NotClosedError
-    for degree in range(valid):
-        w = VectorField(tuple(TruncatedSeries(n, cap, cap, dict(c))
-                              for c in w_coeffs))
-        # the degree-k layer of the defining equation integrates to layer k+1;
-        # the equation is d_a w^c = -sum_b Gamma_ab^c w^b = -(R_w)^c_a
-        r_w = conn.right(w).matrix
+    w = [TruncatedSeries.constant(n, cap, v, valid_to=0) for v in v0]
+    for _ in range(valid):
+        r_w = conn.right(VectorField(tuple(w))).matrix
         for c in range(n):
-            family = [TruncatedSeries(n, cap, cap, {
-                e: -v for e, v in r_w[c][a].coeffs.items()
-                if total_degree(e) == degree}) for a in range(n)]
             try:
-                g = primitive_of_closed_family(family)
+                g = primitive_of_closed_family([-r for r in r_w[c]])
             except NotClosedError as err:
                 raise IntegrabilityError(
                     f"pencil member not flat: component {c}, pair {err.pair}, "
                     f"monomial {err.exponent}") from err
-            for e, v in g.coeffs.items():
-                s = w_coeffs[c].get(e, Fraction(0)) + v
-                if s == 0:
-                    w_coeffs[c].pop(e, None)
-                else:
-                    w_coeffs[c][e] = s
-    return VectorField(tuple(TruncatedSeries(n, cap, valid, dict(c))
-                             for c in w_coeffs))
+            w[c] = TruncatedSeries.constant(n, cap, v0[c]) + g
+    return VectorField(tuple(c - c.from_degree(valid + 1) for c in w))

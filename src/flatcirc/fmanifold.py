@@ -11,17 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from . import linalg
 from .geometry import (Connection, EndField, HiggsField, SeriesTensor4,
                        VectorField, apply_higgs, covariant_derivative,
                        lie_bracket, nabla, tensor_vanishes_through)
-from .series import Exponent, InputError, Scalar, TruncatedSeries, as_fraction, dot
-
-
-class InsufficientOrderError(InputError):
-    pass
+from .series import Scalar, TruncatedSeries, as_fraction, dot
 
 
 class MissingIdentityError(ValueError):
@@ -70,8 +66,6 @@ def potential_to_structure(potential: VectorPotential,
     """Structure tensor C_{ab}^c = d_a d_b C^c from a vector potential."""
     vf = potential.potential
     n = vf.dim
-    if min(c.valid_to for c in vf.components) < 2:
-        raise InsufficientOrderError("potential must be valid to degree >= 2")
     tensor = HiggsField.build(
         n, lambda a, b, c: vf.components[c].derivative(a).derivative(b))
     structure = FStructure(tensor, identity=identity_hint)
@@ -159,44 +153,35 @@ def solve_series_system(matrix: Sequence[Sequence[TruncatedSeries]],
                         valid: int) -> Tuple[TruncatedSeries, ...]:
     """Solve sum_j M_ij w_j = r_i for series w_j, degree by degree to ``valid``.
 
-    Each monomial separates into a constant linear system with the matrix
-    M(0), which may have more rows than columns; the lower-degree
-    coefficients already found feed its right-hand side.  Raises
-    ``linalg.SingularSystemError`` at the first degree whose system is
-    inconsistent or rank deficient.
+    The residual r - M w vanishes below the degree d being solved.  Its
+    coefficients at degree d are the right-hand sides of constant systems
+    with the matrix M(0), which may have more rows than columns; their
+    solutions form the correction delta, and w += delta, r -= M delta.
+    Raises ``linalg.SingularSystemError`` at the first monomial whose system
+    is inconsistent or rank deficient.  Only the monomials the residual
+    holds are solved, and the constant one always, which is exact: degree 0
+    raises when M(0) is rank deficient, and otherwise an absent monomial has
+    only the zero solution.  Solved in sorted order, an inconsistent system
+    raises at the same monomial as a solve over every monomial would.
     """
     num_vars = rhs[0].num_vars
     cap = rhs[0].cap
     unknowns = len(matrix[0])
     m0 = [[entry.constant_term for entry in row] for row in matrix]
-    coeffs: List[Dict[Exponent, Fraction]] = [dict() for _ in range(unknowns)]
+    residual = list(rhs)
+    w = [TruncatedSeries.zero(num_vars, cap, valid) for _ in range(unknowns)]
     for degree in range(valid + 1):
-        for exponent in _exponents_of_degree(num_vars, degree):
-            residual = []
-            for row, target in zip(matrix, rhs):
-                acc = target.coefficient(exponent)
-                for j in range(unknowns):
-                    for e1, v1 in coeffs[j].items():
-                        e2 = tuple(x - y for x, y in zip(exponent, e1))
-                        if e1 == exponent or any(x < 0 for x in e2):
-                            continue
-                        acc -= v1 * row[j].coefficient(e2)
-                residual.append(acc)
-            solution = linalg.solve_overdetermined(m0, residual)
-            for j in range(unknowns):
-                if solution[j] != 0:
-                    coeffs[j][exponent] = solution[j]
-    return tuple(TruncatedSeries(num_vars, cap, valid, c) for c in coeffs)
-
-
-def _exponents_of_degree(num_vars: int, degree: int) -> List[Exponent]:
-    if num_vars == 1:
-        return [(degree,)]
-    out = []
-    for first in range(degree + 1):
-        for rest in _exponents_of_degree(num_vars - 1, degree - first):
-            out.append((first,) + rest)
-    return sorted(out)
+        exponents = [(0,) * num_vars] if degree == 0 else sorted(
+            {e for r in residual for e, _ in r.items() if sum(e) == degree})
+        delta = [TruncatedSeries.zero(num_vars, cap) for _ in range(unknowns)]
+        for exponent in exponents:
+            solution = linalg.solve_overdetermined(
+                m0, [r.coefficient(exponent) for r in residual])
+            delta = [d + TruncatedSeries.monomial(num_vars, cap, exponent, x)
+                     for d, x in zip(delta, solution)]
+        w = [wj + dj for wj, dj in zip(w, delta)]
+        residual = [r - dot(row, delta) for r, row in zip(residual, matrix)]
+    return tuple(w)
 
 
 def identity_residual(structure: FStructure, e: VectorField) -> EndField:

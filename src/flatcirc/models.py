@@ -16,8 +16,7 @@ from importlib import resources
 from typing import Optional, Sequence, Tuple
 
 from .expr import NAME_PATTERN, is_name, parse_series
-from .fmanifold import (FStructure, InsufficientOrderError, VectorPotential,
-                        potential_to_structure)
+from .fmanifold import FStructure, VectorPotential, potential_to_structure
 from .geometry import HiggsField, VectorField
 from .series import InputError
 
@@ -28,6 +27,10 @@ CORPUS = ("one-dim", "qc-p1", "nilpotent", "broken-assoc", "shifted-identity")
 
 class ModelFormatError(InputError):
     pass
+
+
+class InsufficientOrderError(InputError):
+    """The instance order leaves the structure tensor proven below degree 1."""
 
 
 @dataclass(frozen=True)
@@ -101,6 +104,8 @@ class ModelDocument:
                 default_order=json_integer(obj.get("defaultOrder", 8),
                                            "defaultOrder"),
             )
+            if doc.default_order < 1:
+                raise ModelFormatError("defaultOrder must be at least 1")
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             if isinstance(exc, ModelFormatError):
                 raise

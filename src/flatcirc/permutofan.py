@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .series import InputError, Scalar
@@ -22,10 +22,15 @@ _MAX_N_ENV = "FLATCIRC_MAX_N"
 
 
 def max_fan_size() -> int:
+    text = os.environ.get(_MAX_N_ENV, str(DEFAULT_MAX_N))
     try:
-        return int(os.environ.get(_MAX_N_ENV, DEFAULT_MAX_N))
-    except ValueError as exc:
-        raise FanSizeError(str(exc)) from None
+        value: Optional[int] = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise FanSizeError(
+            f"{_MAX_N_ENV} must be an integer >= 1, got {text!r}")
+    return value
 
 
 class FanSizeError(InputError):

@@ -18,7 +18,10 @@ sum <= cap is adding the exponents).  Every pair is scaled onto the lcm of
 the pair denominators, so each output coefficient is one sum of integer
 products, turned into a single ``Fraction``.  The result carries the
 smallest cap and the smallest ``valid_to`` over all operands, empty ones
-included.  Storage stays a dict from exponent to ``Fraction``.
+included.  Storage stays a dict from exponent to ``Fraction``, which no
+other module reads: they read ``items()``, ``coefficient()`` and
+``from_degree``, and only the correlator family conversion calls the
+constructor.
 """
 
 from __future__ import annotations

@@ -161,6 +161,14 @@ class TestBadInput:
         assert code == EXIT_BAD_INPUT
         assert "'six'" in err
 
+    @pytest.mark.parametrize("bound", ["0", "-3", "abc"])
+    def test_fan_bound_below_one_or_not_an_integer(self, capsys, monkeypatch,
+                                                   bound):
+        monkeypatch.setenv("FLATCIRC_MAX_N", bound)
+        assert run(capsys, "fan", "0") == (
+            EXIT_BAD_INPUT, "",
+            f"error: FLATCIRC_MAX_N must be an integer >= 1, got '{bound}'\n")
+
     @pytest.mark.parametrize("command", ["check", "dualize", "extend",
                                          "correlators"])
     def test_invalid_json(self, capsys, tmp_path, command):
@@ -269,7 +277,8 @@ class TestInputContract:
         "identity a string": (dict(TINY, identity="1"), ("check",),
                               "identity is not a list"),
         "family order -1": (dict(FAMILY, dim=1, order=-1), ("correlators",),
-                            "order must be at least 0"),
+                            "at order -1 the master equation is proven only "
+                            "to degree -2; order must be at least 1"),
         "multiset longer than order": (dict(FAMILY, order=1, entries=[
             {"multiset": [0, 0, 1], "matrix": [["1", "0"], ["0", "1"]]}]),
             ("correlators",), "longer than order 1"),
@@ -280,6 +289,22 @@ class TestInputContract:
         "check below degree 1": (QC_P1, ("check", "--order", "2"), "order 2"),
         "extend below degree 1": (QC_P1, ("extend", "--order", "2"),
                                   "order 2"),
+        # one order rule for every instance: the structure tensor is
+        # proven to order - 2 from a potential, and must reach degree 1
+        "check --order 1": (QC_P1, ("check", "--order", "1"),
+                            "at order 1 the structure tensor is proven only "
+                            "to degree -1"),
+        "check --order 0": (QC_P1, ("check", "--order", "0"), "at order 0"),
+        "check --order -1": (QC_P1, ("check", "--order", "-1"),
+                             "at order -1"),
+        "defaultOrder 0": (dict(TINY, defaultOrder=0), ("check",),
+                           "defaultOrder must be at least 1"),
+        # --order picks the order of a derived family; a family file has
+        # its own
+        "family file with --order": (FAMILY, ("correlators", "--order", "4"),
+                                     "--order applies to deriving a family "
+                                     "from a model; this family file has "
+                                     "order 3"),
         # d_0 f_1 - d_1 f_0 = -x - y^2: the witness is the degree-1 monomial
         "structure not closed": ({"schemaVersion": 1, "name": "t", "dim": 2,
                                   "variables": ["x", "y"], "defaultOrder": 6,

@@ -5,8 +5,8 @@ import pytest
 
 from flatcirc import correlators
 from flatcirc.cli import main
-from flatcirc.duality import (NotFlatSectionError, NotInvertibleError,
-                              circ_inverse, dual_structure, duality_verify,
+from flatcirc.duality import (IntegrabilityError, NotFlatSectionError,
+                              NotInvertibleError, circ_inverse, dual_structure, duality_verify,
                               flat_section_solve, primitive_section)
 from flatcirc.fmanifold import five_term_residual, shift_base
 from flatcirc.geometry import (Connection, VectorField, lie_bracket,
@@ -254,3 +254,89 @@ class TestFlatSectionSolve:
         expected = exp_series(x0)
         diff = w.components[0] - expected
         assert diff.vanishes_through(diff.valid_to)
+
+    def test_pencil_member_not_flat(self):
+        s = load_model("broken-assoc").instantiate(CAP).structure
+        with pytest.raises(IntegrabilityError) as err:
+            flat_section_solve(s, Connection.zero(2, CAP), Fraction(1),
+                               (Fraction(1), Fraction(0)))
+        assert str(err.value) == ("pencil member not flat: component 0, "
+                                  "pair (0, 1), monomial (1, 1)")
+
+    # canonical text of the flat section with w(0) = d_0 at order 4, as
+    # the layer-by-layer solver that integrated one degree per layer gave it
+    SECTIONS = {
+        ("broken-assoc", "-1/2"): (
+            "0,0:1/1\n1,1:1/2",
+            "0,2:1/4\n2,0:1/4",
+        ),
+        ("broken-assoc", "1"): (
+            "0,0:1/1\n1,1:-1/1",
+            "0,2:-1/2\n2,0:-1/2",
+        ),
+        ("broken-assoc", "2"): (
+            "0,0:1/1\n1,1:-2/1",
+            "0,2:-1/1\n2,0:-1/1",
+        ),
+        ("nilpotent", "-1/2"): (
+            "0,0:1/1\n1,0:1/2\n2,0:1/8\n3,0:1/48",
+            "0,1:1/2\n1,1:1/4\n2,1:1/16",
+        ),
+        ("nilpotent", "1"): (
+            "0,0:1/1\n1,0:-1/1\n2,0:1/2\n3,0:-1/6",
+            "0,1:-1/1\n1,1:1/1\n2,1:-1/2",
+        ),
+        ("nilpotent", "2"): (
+            "0,0:1/1\n1,0:-2/1\n2,0:2/1\n3,0:-4/3",
+            "0,1:-2/1\n1,1:4/1\n2,1:-4/1",
+        ),
+        ("one-dim", "-1/2"): (
+            "0:1/1\n1:1/2\n2:1/8\n3:1/48",
+        ),
+        ("one-dim", "1"): (
+            "0:1/1\n1:-1/1\n2:1/2\n3:-1/6",
+        ),
+        ("one-dim", "2"): (
+            "0:1/1\n1:-2/1\n2:2/1\n3:-4/3",
+        ),
+        ("qc-p1", "-1/2"): (
+            "0,0:1/1\n0,2:1/8\n0,3:1/12\n1,0:1/2\n1,2:1/16\n"
+            "2,0:1/8\n3,0:1/48",
+            "0,1:1/2\n0,3:1/48\n1,1:1/4\n2,1:1/16",
+        ),
+        ("qc-p1", "1"): (
+            "0,0:1/1\n0,2:1/2\n0,3:1/3\n1,0:-1/1\n1,2:-1/2\n"
+            "2,0:1/2\n3,0:-1/6",
+            "0,1:-1/1\n0,3:-1/6\n1,1:1/1\n2,1:-1/2",
+        ),
+        ("qc-p1", "2"): (
+            "0,0:1/1\n0,2:2/1\n0,3:4/3\n1,0:-2/1\n1,2:-4/1\n"
+            "2,0:2/1\n3,0:-4/3",
+            "0,1:-2/1\n0,3:-4/3\n1,1:4/1\n2,1:-4/1",
+        ),
+        ("shifted-identity", "-1/2"): (
+            "0,0:1/1\n0,2:1/8\n0,3:1/12\n1,0:1/2\n1,2:1/16\n"
+            "2,0:1/8\n3,0:1/48",
+            "0,1:1/2\n0,3:1/48\n1,1:1/4\n2,1:1/16",
+        ),
+        ("shifted-identity", "1"): (
+            "0,0:1/1\n0,2:1/2\n0,3:1/3\n1,0:-1/1\n1,2:-1/2\n"
+            "2,0:1/2\n3,0:-1/6",
+            "0,1:-1/1\n0,3:-1/6\n1,1:1/1\n2,1:-1/2",
+        ),
+        ("shifted-identity", "2"): (
+            "0,0:1/1\n0,2:2/1\n0,3:4/3\n1,0:-2/1\n1,2:-4/1\n"
+            "2,0:2/1\n3,0:-4/3",
+            "0,1:-2/1\n0,3:-4/3\n1,1:4/1\n2,1:-4/1",
+        ),
+    }
+
+    @pytest.mark.parametrize("name, lam", sorted(SECTIONS))
+    def test_corpus_sections(self, name, lam):
+        s = load_model(name).instantiate(4).structure
+        n = s.dim
+        w = flat_section_solve(s, Connection.zero(n, 4), Fraction(lam),
+                               [1] + [0] * (n - 1))
+        assert tuple(c.canonical_text() for c in w.components) \
+            == self.SECTIONS[name, lam]
+        assert all(c.cap == 4 and c.valid_to == 3 for c in w.components)

@@ -9,7 +9,7 @@ from flatcirc.fmanifold import (FStructure, VectorPotential, d_tensor,
                                 find_identity, five_term_residual,
                                 l_membership, nabla_e_e_mode, p_tensor,
                                 potential_to_structure, shift_base)
-from flatcirc import fmanifold, geometry, series
+from flatcirc import fmanifold, geometry, linalg, series
 from flatcirc.geometry import (Connection, HiggsField, VectorField,
                                covariant_derivative, judge, lie_bracket,
                                pencil_curvature_split,
@@ -185,6 +185,92 @@ class TestFindIdentity:
         # conjugated product still has an identity, constant in this frame
         s = qc_structure()
         assert find_identity(s) is not None
+
+
+def per_monomial_solve(matrix, rhs, valid):
+    """The series solver written out monomial by monomial: every monomial
+    of each degree up to ``valid``, its right-hand side convolved from the
+    coefficients already found."""
+    num_vars = rhs[0].num_vars
+    cap = rhs[0].cap
+    unknowns = len(matrix[0])
+    m0 = [[entry.constant_term for entry in row] for row in matrix]
+    coeffs = [dict() for _ in range(unknowns)]
+    for degree in range(valid + 1):
+        exponents = sorted(e for e in product(range(degree + 1),
+                                              repeat=num_vars)
+                           if sum(e) == degree)
+        for exponent in exponents:
+            residual = []
+            for row, target in zip(matrix, rhs):
+                acc = target.coefficient(exponent)
+                for j in range(unknowns):
+                    for e1, v1 in coeffs[j].items():
+                        e2 = tuple(x - y for x, y in zip(exponent, e1))
+                        if e1 == exponent or any(x < 0 for x in e2):
+                            continue
+                        acc -= v1 * row[j].coefficient(e2)
+                residual.append(acc)
+            solution = linalg.solve_overdetermined(m0, residual)
+            for j in range(unknowns):
+                if solution[j] != 0:
+                    coeffs[j][exponent] = solution[j]
+    return tuple(TruncatedSeries(num_vars, cap, valid, c) for c in coeffs)
+
+
+def random_series(rng, n, cap, density):
+    return sum((TruncatedSeries.monomial(n, cap, e, Fraction(
+                    rng.randint(-4, 4), rng.randint(1, 3)))
+                for e in product(range(cap + 1), repeat=n)
+                if sum(e) <= cap and rng.random() < density),
+               TruncatedSeries.zero(n, cap))
+
+
+def solve_outcome(solver, matrix, rhs, valid):
+    try:
+        return solver(matrix, rhs, valid)
+    except linalg.SingularSystemError as exc:
+        return str(exc)
+
+
+class TestSolveSeriesSystem:
+    """The residual solver against the per-monomial solver."""
+
+    @pytest.mark.parametrize("n, unknowns, rows, density", [
+        (1, 1, 1, 0.3), (1, 2, 3, 0.9), (2, 2, 2, 0.3), (2, 2, 4, 0.9),
+        (3, 1, 2, 0.5), (3, 3, 3, 0.2), (3, 2, 3, 0.7)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_per_monomial_solve(self, n, unknowns, rows, density,
+                                       seed):
+        rng = random.Random(f"solve:{n}:{unknowns}:{rows}:{density}:{seed}")
+        cap = 4
+        matrix = [[random_series(rng, n, cap, density)
+                   for _ in range(unknowns)] for _ in range(rows)]
+        for row in matrix:  # a constant term keeps M(0) of full rank, mostly
+            row[rng.randrange(unknowns)] += rng.randint(1, 3)
+        if seed % 2:  # consistent by construction: rhs = M w
+            w = [random_series(rng, n, cap, density) for _ in range(unknowns)]
+            rhs = [series.dot(row, w) for row in matrix]
+        else:
+            rhs = [random_series(rng, n, cap, density) for _ in range(rows)]
+        valid = rng.randint(cap - 1, cap)
+        got = solve_outcome(fmanifold.solve_series_system, matrix, rhs, valid)
+        assert got == solve_outcome(per_monomial_solve, matrix, rhs, valid)
+
+    def test_inconsistent_above_degree_zero(self):
+        # w = 1 + x from the first row, w = 1 - x from the second
+        one = TruncatedSeries.constant(1, 4, 1)
+        matrix = [[one], [one]]
+        rhs = [1 + x(0, 1, 4), 1 - x(0, 1, 4)]
+        assert solve_outcome(fmanifold.solve_series_system, matrix, rhs, 3) \
+            == solve_outcome(per_monomial_solve, matrix, rhs, 3) \
+            == "no exact solution"
+
+    def test_degree_zero_is_always_solved(self):
+        # M(0) = 0: a solver that skipped degree 0 would return w = 0
+        with pytest.raises(linalg.SingularSystemError):
+            fmanifold.solve_series_system([[x(0, 1, 4)]],
+                                          [TruncatedSeries.zero(1, 4)], 3)
 
 
 class TestMembership:
