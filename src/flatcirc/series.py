@@ -1,35 +1,43 @@
 """Exact truncated multivariate power series over the rationals.
 
-Series live in Q[[x^0, ..., x^{n-1}]] cut off at a total-degree cap.  Every
-coefficient is a ``fractions.Fraction``; there is no floating point anywhere.
-Besides the cap each series carries ``valid_to``, the degree up to which its
-coefficients are actually trustworthy.  Arithmetic propagates ``valid_to``
-monotonically (a derivative costs one degree, a formal integration gains one),
-so a residual computed downstream knows the degree to which its vanishing is
-proven.
+Series live in Q[[x^0, ..., x^{n-1}]] cut off at a total-degree cap; there
+is no floating point anywhere.  Besides the cap each series carries
+``valid_to``, the degree up to which its coefficients are actually
+trustworthy.  Arithmetic propagates ``valid_to`` monotonically (a derivative
+costs one degree, a formal integration gains one), so a residual computed
+downstream knows the degree to which its vanishing is proven.
+
+A series is stored as FLINT's ``fmpq_poly`` stores a polynomial: integer
+numerators over one positive denominator.  Each numerator is keyed by its
+exponent packed into one integer, digits in base cap + 1, so integer order
+is lexicographic order, and adding packed exponents whose degrees sum to at
+most the cap adds the exponents.  The storage is normal (no zero
+numerator, no exponent above the cap but a constant at a negative cap, no
+factor shared by the denominator and all numerators), so equal series have
+equal storage.  All arithmetic here is on integers; a ``Fraction`` is built
+only where a coefficient enters or leaves: the constructor, ``coeffs``,
+``items()``, ``coefficient()``, ``constant_term``, ``first_nonzero`` and
+``canonical_text``.
 
 Every product is made by one kernel, ``dot(xs, ys)``, the sum of products
 sum_i xs[i] * ys[i]; the product of two series is its one-pair case.  It
-multiplies integers, not fractions: each operand is written as integer
-numerators over one denominator (the lcm of its coefficients'
-denominators), its terms sorted by degree and its exponents packed into one
-integer each (digits in base cap + 1, so adding packed exponents of degree
-sum <= cap is adding the exponents).  Every pair is scaled onto the lcm of
-the pair denominators, so each output coefficient is one sum of integer
-products, turned into a single ``Fraction``.  The result carries the
-smallest cap and the smallest ``valid_to`` over all operands, empty ones
-included.  Storage stays a dict from exponent to ``Fraction``, which no
-other module reads: they read ``items()``, ``coefficient()`` and
-``from_degree``, and only the correlator family conversion calls the
-constructor.
+reads each operand's terms sorted by degree, a list built once per series
+and kept, scales every pair onto the lcm of the pair denominators and sums
+integer products per packed exponent.  An operand (or summand) with a cap
+above the smallest one is re-keyed to it, keeping its terms of degree <=
+that cap.  The result carries the smallest cap and the smallest
+``valid_to`` over all operands, empty ones included.  Other modules read
+series with ``items()``, ``coefficient()`` and ``from_degree``; only the
+correlator family conversion calls the constructor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from math import gcd, lcm
+from types import MappingProxyType
+from typing import (Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
+                    Union)
 
 Exponent = Tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -65,47 +73,103 @@ class NotClosedError(ValueError):
 
 
 def as_fraction(value: Scalar) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+    return value if isinstance(value, Fraction) else Fraction(*_ratio(value))
 
 
-def total_degree(exponent: Exponent) -> int:
-    return sum(exponent)
+def _ratio(value: Scalar) -> Tuple[int, int]:
+    """Numerator and positive denominator of an exact rational."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+    return value.numerator, value.denominator
 
 
-@dataclass(frozen=True, eq=False)
+def _pack(exponent: Sequence[int], base: int) -> int:
+    key = 0
+    for v in exponent:
+        key = key * base + v
+    return key
+
+
+def _unpack(key: int, num_vars: int, base: int) -> Exponent:
+    digits = [0] * num_vars
+    for i in range(num_vars - 1, -1, -1):
+        key, digits[i] = divmod(key, base)
+    return tuple(digits)
+
+
+def _base(cap: int) -> int:
+    """Digit base at ``cap``; below cap 0 only a constant is ever stored."""
+    return max(cap, 0) + 1
+
+
+_set = object.__setattr__
+
+
+def _series(num_vars: int, cap: int, valid_to: int, num: Dict[int, int],
+            den: int, s: Optional["TruncatedSeries"] = None) -> "TruncatedSeries":
+    """The series (``s``, else a new one) of the nonzero numerators ``num``
+    over ``den`` > 0, both divided by their common factor."""
+    s = object.__new__(TruncatedSeries) if s is None else s
+    if valid_to > cap:
+        raise ValueError("valid_to must not exceed cap")
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            den //= g
+            num = {k: v // g for k, v in num.items()}
+    _set(s, "num_vars", num_vars)
+    _set(s, "cap", cap)
+    _set(s, "valid_to", valid_to)
+    _set(s, "_num", num)
+    _set(s, "_den", den)
+    _set(s, "_terms", None)
+    return s
+
+
 class TruncatedSeries:
     """A sparse truncated power series with exact rational coefficients.
 
-    Immutable after construction; all arithmetic returns new values.  The
-    coefficient map never stores zeros and never stores exponents of total
-    degree above ``cap``.
+    Immutable: all arithmetic returns new values and assigning an attribute
+    raises ``AttributeError``.  ``_num`` maps packed exponents to nonzero
+    integer numerators over the denominator ``_den``; ``_terms``, set on
+    first use, holds them as (degree, packed exponent, numerator), sorted.
     """
 
-    num_vars: int
-    cap: int
-    valid_to: int
-    coeffs: Dict[Exponent, Fraction] = field(default_factory=dict)
+    __slots__ = ("num_vars", "cap", "valid_to", "_num", "_den", "_terms")
 
-    def __post_init__(self) -> None:
-        if self.valid_to > self.cap:
-            raise ValueError("valid_to must not exceed cap")
+    def __init__(self, num_vars: int, cap: int, valid_to: int,
+                 coeffs: Optional[Dict[Exponent, Scalar]] = None) -> None:
+        coeffs = coeffs or {}
+        for e in coeffs:
+            if len(e) != num_vars or min(e, default=0) < 0 or sum(e) > cap:
+                raise ValueError(f"exponent {e} is not one of {num_vars} "
+                                 f"variables of degree at most {cap}")
+        ratios = {_pack(e, cap + 1): _ratio(c) for e, c in coeffs.items()}
+        den = lcm(*(q for _, q in ratios.values()))
+        _series(num_vars, cap, valid_to, {k: p * (den // q) for k, (p, q)
+                                          in ratios.items() if p}, den, self)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot change {name!r}: series are immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> Tuple[object, tuple]:
+        # copy, deepcopy and pickle rebuild from the storage
+        return _series, (self.num_vars, self.cap, self.valid_to, self._num, self._den)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, num_vars: int, cap: int, valid_to: Optional[int] = None) -> "TruncatedSeries":
-        return cls(num_vars, cap, cap if valid_to is None else valid_to, {})
+        return _series(num_vars, cap, cap if valid_to is None else valid_to, {}, 1)
 
     @classmethod
     def constant(cls, num_vars: int, cap: int, value: Scalar,
                  valid_to: Optional[int] = None) -> "TruncatedSeries":
-        value = as_fraction(value)
-        coeffs = {} if value == 0 else {(0,) * num_vars: value}
-        return cls(num_vars, cap, cap if valid_to is None else valid_to, coeffs)
+        p, q = _ratio(value)
+        return _series(num_vars, cap, cap if valid_to is None else valid_to,
+                       {0: p} if p else {}, q)
 
     @classmethod
     def variable(cls, num_vars: int, cap: int, axis: int) -> "TruncatedSeries":
@@ -119,28 +183,58 @@ class TruncatedSeries:
                  coeff: Scalar) -> "TruncatedSeries":
         if len(exponent) != num_vars:
             raise DimensionMismatchError("exponent length does not match num_vars")
-        coeff = as_fraction(coeff)
-        if coeff == 0 or total_degree(exponent) > cap:
+        if sum(exponent) > cap:
             return cls.zero(num_vars, cap)
         return cls(num_vars, cap, cap, {tuple(exponent): coeff})
 
+    # -- storage -----------------------------------------------------------
+
+    def _terms_at(self, cap: int) -> List[Tuple[int, int, int]]:
+        """The terms as (degree, packed exponent, numerator), sorted, built
+        once and kept; below the own cap only those of degree <= ``cap``,
+        re-keyed to it (packing keeps the lexicographic order)."""
+        terms = self._terms
+        if terms is not None and cap == self.cap:
+            return terms
+        n, base = self.num_vars, _base(self.cap)
+        if terms is None:
+            terms = sorted((sum(_unpack(k, n, base)), k, v)
+                           for k, v in self._num.items())
+            _set(self, "_terms", terms)
+        if cap == self.cap:
+            return terms
+        return [(d, _pack(_unpack(k, n, base), cap + 1), v)
+                for d, k, v in terms if d <= cap]
+
     # -- basic queries -----------------------------------------------------
 
+    @property
+    def coeffs(self) -> Mapping[Exponent, Fraction]:
+        """Read-only map from exponent to nonzero coefficient."""
+        return MappingProxyType(dict(self.items()))
+
     def coefficient(self, exponent: Exponent) -> Fraction:
-        return self.coeffs.get(tuple(exponent), Fraction(0))
+        exponent = tuple(exponent)
+        if (len(exponent) != self.num_vars or min(exponent, default=0) < 0
+                or sum(exponent) > max(self.cap, 0)):
+            return Fraction(0)
+        return Fraction(self._num.get(_pack(exponent, _base(self.cap)), 0),
+                        self._den)
 
     @property
     def constant_term(self) -> Fraction:
-        return self.coeffs.get((0,) * self.num_vars, Fraction(0))
+        return Fraction(self._num.get(0, 0), self._den)
 
     def items(self) -> Iterator[Tuple[Exponent, Fraction]]:
         """Iterate (exponent, coefficient) in canonical lexicographic order."""
-        for exponent in sorted(self.coeffs):
-            yield exponent, self.coeffs[exponent]
+        n, base, den = self.num_vars, _base(self.cap), self._den
+        for key in sorted(self._num):
+            yield _unpack(key, n, base), Fraction(self._num[key], den)
 
     def vanishes_through(self, degree: int) -> bool:
         """True if every stored coefficient of total degree <= degree is zero."""
-        return all(total_degree(e) > degree for e in self.coeffs)
+        terms = self._terms_at(self.cap)
+        return not terms or terms[0][0] > degree
 
     def first_nonzero(self) -> Optional[Tuple[Exponent, Fraction]]:
         """Stored nonzero monomial of lowest total degree, or None.
@@ -148,82 +242,89 @@ class TruncatedSeries:
         Ties within a degree go to the lexicographically first exponent, so
         a failure witness lies inside the proven range whenever one does.
         """
-        if not self.coeffs:
+        terms = self._terms_at(self.cap)
+        if not terms:
             return None
-        exponent = min(self.coeffs, key=lambda e: (total_degree(e), e))
-        return exponent, self.coeffs[exponent]
+        _, key, num = terms[0]
+        return (_unpack(key, self.num_vars, _base(self.cap)),
+                Fraction(num, self._den))
 
     def from_degree(self, degree: int) -> "TruncatedSeries":
         """The terms of total degree >= ``degree``, same cap and ``valid_to``."""
-        return TruncatedSeries(self.num_vars, self.cap, self.valid_to,
-                               {e: c for e, c in self.coeffs.items()
-                                if total_degree(e) >= degree})
+        return _series(self.num_vars, self.cap, self.valid_to,
+                       {k: v for d, k, v in self._terms_at(self.cap)
+                        if d >= degree}, self._den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return (self.num_vars == other.num_vars and self.cap == other.cap
-                and self.valid_to == other.valid_to and self.coeffs == other.coeffs)
+                and self.valid_to == other.valid_to
+                and self._den == other._den and self._num == other._num)
 
     # -- arithmetic --------------------------------------------------------
-
-    def _check_compatible(self, other: "TruncatedSeries") -> None:
-        if self.num_vars != other.num_vars:
-            raise DimensionMismatchError(
-                f"series over {self.num_vars} and {other.num_vars} variables")
 
     def _coerce(self, value: Union[Scalar, "TruncatedSeries"]) -> "TruncatedSeries":
         if isinstance(value, TruncatedSeries):
             return value
-        return TruncatedSeries.constant(self.num_vars, self.cap, as_fraction(value))
+        return TruncatedSeries.constant(self.num_vars, self.cap, value)
+
+    def _plus(self, other: "TruncatedSeries", sign: int) -> "TruncatedSeries":
+        """self + sign * other, at the smaller cap and ``valid_to``."""
+        if self.num_vars != other.num_vars:
+            raise DimensionMismatchError(
+                f"series over {self.num_vars} and {other.num_vars} variables")
+        cap = min(self.cap, other.cap)
+        den = lcm(self._den, other._den)
+        scale, other_scale = den // self._den, sign * (den // other._den)
+        num, add = ({k: v for _, k, v in s._terms_at(cap)} if s.cap > cap
+                    else s._num for s in (self, other))
+        num = {k: v * scale for k, v in num.items()} if scale != 1 else dict(num)
+        for k, v in add.items():
+            total = num.get(k, 0) + v * other_scale
+            if total:
+                num[k] = total
+            else:
+                del num[k]
+        return _series(self.num_vars, cap, min(self.valid_to, other.valid_to),
+                       num, den)
 
     def __add__(self, other: Union[Scalar, "TruncatedSeries"]) -> "TruncatedSeries":
-        other = self._coerce(other)
-        self._check_compatible(other)
-        cap = min(self.cap, other.cap)
-        valid_to = min(self.valid_to, other.valid_to)
-        coeffs = dict(self.coeffs)
-        for exponent, c in other.coeffs.items():
-            s = coeffs.get(exponent)
-            if s is None:
-                coeffs[exponent] = c
-                continue
-            s += c
-            if s:
-                coeffs[exponent] = s
-            else:
-                del coeffs[exponent]
-        if cap < max(self.cap, other.cap):
-            coeffs = {e: c for e, c in coeffs.items() if total_degree(e) <= cap}
-        return TruncatedSeries(self.num_vars, cap, valid_to, coeffs)
+        return self._plus(self._coerce(other), 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.num_vars, self.cap, self.valid_to,
-                               {e: -c for e, c in self.coeffs.items()})
+        return self._scaled(-1, 1)
 
     def __sub__(self, other: Union[Scalar, "TruncatedSeries"]) -> "TruncatedSeries":
-        return self + (-self._coerce(other))
+        return self._plus(self._coerce(other), -1)
 
     def __rsub__(self, other: Scalar) -> "TruncatedSeries":
         return self._coerce(other) - self
 
+    def _scaled(self, p: int, q: int) -> "TruncatedSeries":
+        """The series times p/q, for integers p and q != 0."""
+        if q < 0:
+            p, q = -p, -q
+        return _series(self.num_vars, self.cap, self.valid_to,
+                       {k: v * p for k, v in self._num.items()} if p else {},
+                       self._den * q)
+
     def __mul__(self, other: Union[Scalar, "TruncatedSeries"]) -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            factor = as_fraction(other)
-            if factor == 0:
-                return TruncatedSeries(self.num_vars, self.cap, self.valid_to, {})
-            return TruncatedSeries(self.num_vars, self.cap, self.valid_to,
-                                   {e: c * factor for e, c in self.coeffs.items()})
-        return dot((self,), (other,))
+        if isinstance(other, TruncatedSeries):
+            return dot((self,), (other,))
+        return self._scaled(*_ratio(other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Union[Scalar, "TruncatedSeries"]) -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):
             return self * other.invert_unit()
-        return self * (Fraction(1) / as_fraction(other))
+        p, q = _ratio(other)
+        if p == 0:
+            raise ZeroDivisionError("series divided by zero")
+        return self._scaled(q, p)
 
     def pow_int(self, exponent: int) -> "TruncatedSeries":
         if exponent < 0:
@@ -240,11 +341,12 @@ class TruncatedSeries:
         """Exact term-wise partial derivative; costs one degree of validity."""
         if not 0 <= axis < self.num_vars:
             raise IndexError(f"axis {axis} out of range for {self.num_vars} variables")
+        base = _base(self.cap)
+        place = base ** (self.num_vars - 1 - axis)
         # lowering one exponent is injective, so every term lands on its own key
-        coeffs = {exponent[:axis] + (k - 1,) + exponent[axis + 1:]: c * k
-                  for exponent, c in self.coeffs.items()
-                  for k in (exponent[axis],) if k}
-        return TruncatedSeries(self.num_vars, self.cap, self.valid_to - 1, coeffs)
+        num = {key - place: v * k for key, v in self._num.items()
+               for k in (key // place % base,) if k}
+        return _series(self.num_vars, self.cap, self.valid_to - 1, num, self._den)
 
     def invert_unit(self) -> "TruncatedSeries":
         """Multiplicative inverse; requires a nonzero constant term.
@@ -252,55 +354,30 @@ class TruncatedSeries:
         Computed from the geometric series in (1 - a/a0), which terminates at
         the cap because the tail has positive order.
         """
-        c0 = self.constant_term
-        if c0 == 0:
+        c0 = self._num.get(0)
+        if not c0:
             raise NonUnitError("cannot invert a series with zero constant term")
-        tail = 1 - self * (Fraction(1) / c0)  # order >= 1
+        tail = 1 - self._scaled(self._den, c0)  # order >= 1
         acc = TruncatedSeries.constant(self.num_vars, self.cap, 1, valid_to=self.valid_to)
         term = acc
         for _ in range(self.cap):
             term = term * tail
-            if not term.coeffs:
+            if not term._num:
                 break
             acc = acc + term
-        return acc * (Fraction(1) / c0)
+        return acc._scaled(self._den, c0)
 
     # -- serialization -----------------------------------------------------
 
     def canonical_text(self) -> str:
         """Canonical text form: sorted ``e0,e1,...:num/den`` lines."""
-        lines = []
-        for exponent, c in self.items():
-            lines.append("%s:%d/%d" % (",".join(map(str, exponent)),
-                                       c.numerator, c.denominator))
-        return "\n".join(lines)
+        return "\n".join("%s:%d/%d" % (",".join(map(str, e)), c.numerator,
+                                      c.denominator) for e, c in self.items())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         body = " + ".join(
             f"{c}*x^{e}" for e, c in self.items()) or "0"
         return f"<series n={self.num_vars} cap={self.cap} valid={self.valid_to}: {body}>"
-
-
-def _integer_terms(coeffs: Dict[Exponent, Fraction], cap: int,
-                   base: int) -> Tuple[List[Tuple[int, int, int]], int]:
-    """Terms of degree <= cap as (degree, packed exponent, numerator) sorted by
-    degree, over one common denominator (the lcm of the coefficients').
-
-    An exponent packs into one integer with digit base ``base`` = cap + 1;
-    exponents whose degrees sum to at most the cap add without a carry.
-    """
-    den = lcm(*(c.denominator for c in coeffs.values()))
-    terms = []
-    for exponent, c in coeffs.items():
-        degree = sum(exponent)
-        if degree > cap:
-            continue
-        key = 0
-        for v in exponent:
-            key = key * base + v
-        terms.append((degree, key, c.numerator * (den // c.denominator)))
-    terms.sort()
-    return terms, den
 
 
 def dot(xs: Sequence[TruncatedSeries],
@@ -311,23 +388,19 @@ def dot(xs: Sequence[TruncatedSeries],
     cap and ``valid_to`` into the result: a product is proven only as far as
     both of its factors are, even when one of them is zero.
     """
-    num_vars = xs[0].num_vars
-    cap = xs[0].cap
-    valid_to = xs[0].valid_to
+    num_vars, cap, valid_to = xs[0].num_vars, xs[0].cap, xs[0].valid_to
     for s in (*xs, *ys):
         if s.num_vars != num_vars:
             raise DimensionMismatchError(
                 f"series over {num_vars} and {s.num_vars} variables")
         cap = min(cap, s.cap)
         valid_to = min(valid_to, s.valid_to)
-    base = cap + 1
-    pairs = [(_integer_terms(x.coeffs, cap, base),
-              _integer_terms(y.coeffs, cap, base))
-             for x, y in zip(xs, ys) if x.coeffs and y.coeffs]
-    den = lcm(*(dx * dy for (_, dx), (_, dy) in pairs))
+    pairs = [(x._terms_at(cap), y._terms_at(cap), x._den * y._den)
+             for x, y in zip(xs, ys) if x._num and y._num]
+    den = lcm(*(d for _, _, d in pairs))
     sums: Dict[int, int] = {}
-    for (left, dx), (right, dy) in pairs:
-        scale = den // (dx * dy)
+    for left, right, d in pairs:
+        scale = den // d
         for d1, k1, n1 in left:
             room = cap - d1
             n1 *= scale
@@ -336,21 +409,19 @@ def dot(xs: Sequence[TruncatedSeries],
                     break
                 k = k1 + k2
                 sums[k] = sums.get(k, 0) + n1 * n2
-    places = [base ** i for i in reversed(range(num_vars))]
-    return TruncatedSeries(num_vars, cap, valid_to, {
-        tuple([k // p % base for p in places]): Fraction(num, den)
-        for k, num in sums.items() if num})
+    return _series(num_vars, cap, valid_to,
+                   {k: v for k, v in sums.items() if v}, den)
 
 
 def exp_series(s: TruncatedSeries) -> TruncatedSeries:
     """exp of a series with zero constant term, expanded to the cap."""
-    if s.constant_term != 0:
+    if 0 in s._num:
         raise NonUnitError("exp requires zero constant term for exact expansion")
     acc = TruncatedSeries.constant(s.num_vars, s.cap, 1, valid_to=s.valid_to)
     term = acc
     for k in range(1, s.cap + 1):
-        term = term * s * Fraction(1, k)
-        if not term.coeffs:
+        term = (term * s)._scaled(1, k)
+        if not term._num:
             break
         acc = acc + term
     return acc
@@ -373,22 +444,17 @@ def primitive_of_closed_family(family: Sequence[TruncatedSeries]) -> TruncatedSe
             raise DimensionMismatchError("family length must equal num_vars")
     cap = min(f.cap for f in family)
     valid = min(f.valid_to for f in family)
-    offending = [(total_degree(e), (a, b), e)
+    offending = [(d, (a, b), _unpack(k, n, _base(curl.cap)))
                  for a in range(n) for b in range(a + 1, n)
-                 for e in (family[a].derivative(b) - family[b].derivative(a)).coeffs
-                 if total_degree(e) <= valid - 1]
+                 for curl in (family[a].derivative(b) - family[b].derivative(a),)
+                 for d, k, _ in curl._terms_at(curl.cap) if d <= valid - 1]
     if offending:
         raise NotClosedError(*min(offending)[1:])
-    coeffs: Dict[Exponent, Fraction] = {}
+    m = lcm(*range(1, cap + 1))  # every weight 1/(d + 1), d < cap, divides m
+    g = TruncatedSeries.zero(n, cap, min(cap, valid + 1))
     for a, f in enumerate(family):
-        for exponent, c in f.coeffs.items():
-            d = total_degree(exponent)
-            if d + 1 > cap:
-                continue
-            raised = tuple(v + 1 if i == a else v for i, v in enumerate(exponent))
-            s = coeffs.get(raised, Fraction(0)) + c * Fraction(1, d + 1)
-            if s == 0:
-                coeffs.pop(raised, None)
-            else:
-                coeffs[raised] = s
-    return TruncatedSeries(n, cap, min(cap, valid + 1), coeffs)
+        place = _base(cap) ** (n - 1 - a)
+        g += _series(n, cap, cap, {k + place: v * (m // (d + 1))
+                                   for d, k, v in f._terms_at(cap) if d < cap},
+                     f._den * m)
+    return g

@@ -72,6 +72,23 @@ def test_report_is_byte_identical(golden, case):
     assert run(*case) == golden[key(*case)]
 
 
+def test_five_dim_product_is_byte_identical(tmp_path):
+    """``check --order 4`` on a 5-dim integrable product, the size no
+    workload reaches: the transformed product qc-p1 x qc-p1 x one-dim of
+    ``benchmarks/workloads.py`` (``product_document("qqo", (QC_P1, QC_P1,
+    ONE_DIM), a, inv, 6)`` with ``a, inv = unimodular_pair(random.Random(1),
+    5)``).  The file holds the document, the flags, the exit code and stdout,
+    so this test does not import the benchmark."""
+    case = json.loads((DATA / "product-qqo5.json").read_text(encoding="utf-8"))
+    path = tmp_path / "qqo.json"
+    path.write_text(json.dumps(case["document"]), encoding="utf-8")
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(["check", str(path), *case["args"]])
+    assert {"exit": code, "stdout": out.getvalue()} \
+        == {"exit": case["exit"], "stdout": case["stdout"]}
+
+
 if __name__ == "__main__":
     table = {key(*case): run(*case) for case in CASES}
     GOLDEN.parent.mkdir(exist_ok=True)

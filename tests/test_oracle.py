@@ -4,7 +4,9 @@ the five-term residual against sympy.
 The product of two truncated series, and the sum of products ``dot`` over
 several pairs, must be sympy's expansion of the polynomial cut at the
 smallest cap, carrying the smallest cap and the smallest ``valid_to`` over
-all operands, empty ones included.
+all operands, empty ones included.  So must the sum and the difference, on
+operands whose coefficients cancel to integers and to zero, which the
+integer storage has to renormalise.
 
 The curvature oracle is the index formula of the curvature of a connection in a flat
 frame,
@@ -234,3 +236,57 @@ def test_five_term_matches_six_sums(n, seed):
         assert got == expected, index
         nonzero += bool(got)
     assert nonzero  # the potential is not integrable: the oracle compares terms
+
+
+Z = sympy.symbols("z0:4")
+
+
+def polynomial_in_z(s):
+    return sum((sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*(z ** k for z, k in zip(Z, e)))
+                for e, c in s.items()), sympy.Integer(0))
+
+
+def truncated_terms(poly, n, cap):
+    if poly == 0:
+        return {}
+    return {e: Fraction(int(c.p), int(c.q))
+            for e, c in sympy.Poly(poly, *Z[:n]).terms()
+            if c != 0 and sum(e) <= cap}
+
+
+def cancelling_series(rng, n, like=None):
+    """Denominators from the divisors of 12; with ``like`` given, about half
+    of its terms are met by a coefficient that sums with them to an integer
+    or to zero, so the storage has to renormalise."""
+    cap = rng.randint(0, 5)
+    coeffs = {}
+    for e in product(range(cap + 1), repeat=n):
+        if sum(e) <= cap and rng.random() < 0.5:
+            coeffs[e] = Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6, 12)))
+    if like is not None:
+        for e, c in like.items():
+            if sum(e) <= cap and rng.random() < 0.5:
+                coeffs[e] = rng.randint(-1, 1) - c
+    return TruncatedSeries(n, cap, rng.randint(0, cap),
+                           {e: c for e, c in coeffs.items() if c})
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+@pytest.mark.parametrize("seed", range(8))
+def test_sum_difference_and_dot_match_expansion(n, seed):
+    """``+``, ``-`` and ``dot`` over mixed caps against sympy's polynomials
+    cut at the smallest cap; operands cancel to integers and to zero."""
+    rng = random.Random(f"linear:{n}:{seed}")
+    x = cancelling_series(rng, n)
+    y = cancelling_series(rng, n, like=x)
+    if seed % 4 == 3:  # an empty operand still folds its cap and valid_to
+        x = TruncatedSeries(n, x.cap, x.valid_to, {})
+    cap = min(x.cap, y.cap)
+    valid_to = min(x.valid_to, y.valid_to)
+    px, py = polynomial_in_z(x), polynomial_in_z(y)
+    for got, poly in ((x + y, px + py), (x - y, px - py),
+                      (dot((x, y), (y, x)), 2 * px * py),
+                      (dot((x, -x), (y, y)), sympy.Integer(0))):
+        assert dict(got.items()) == truncated_terms(sympy.expand(poly), n, cap)
+        assert (got.cap, got.valid_to) == (cap, valid_to)

@@ -1,11 +1,17 @@
+import copy
+import pickle
+import random
 from fractions import Fraction
+from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flatcirc import series as series_module
 from flatcirc.series import (DimensionMismatchError, NonUnitError,
-                             NotClosedError, TruncatedSeries, exp_series,
+                             NotClosedError, TruncatedSeries, dot, exp_series,
                              primitive_of_closed_family)
 
 
@@ -209,3 +215,261 @@ class TestTextFormat:
         s = TruncatedSeries(2, 6, 6, {(1, 0): Fraction(1, 2),
                                       (0, 2): Fraction(-3)})
         assert s.canonical_text() == "0,2:-3/1\n1,0:1/2"
+
+
+# -- the Fraction-dict kernel the integer storage replaced --------------------
+#
+# ``+``, ``dot`` and ``derivative`` as they were formed when every series held
+# a dict from exponent to ``Fraction``, kept as the reference the integer
+# kernel must equal exactly (the way ``per_monomial_solve`` is kept for the
+# series solver).  They read ``coeffs`` and build through the constructor.
+
+def dict_add(x, y):
+    cap = min(x.cap, y.cap)
+    coeffs = dict(x.coeffs)
+    for exponent, c in y.coeffs.items():
+        s = coeffs.get(exponent)
+        if s is None:
+            coeffs[exponent] = c
+            continue
+        s += c
+        if s:
+            coeffs[exponent] = s
+        else:
+            del coeffs[exponent]
+    if cap < max(x.cap, y.cap):
+        coeffs = {e: c for e, c in coeffs.items() if sum(e) <= cap}
+    return TruncatedSeries(x.num_vars, cap, min(x.valid_to, y.valid_to), coeffs)
+
+
+def dict_neg(x):
+    return TruncatedSeries(x.num_vars, x.cap, x.valid_to,
+                           {e: -c for e, c in x.coeffs.items()})
+
+
+def dict_integer_terms(coeffs, cap, base):
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    terms = []
+    for exponent, c in coeffs.items():
+        degree = sum(exponent)
+        if degree > cap:
+            continue
+        key = 0
+        for v in exponent:
+            key = key * base + v
+        terms.append((degree, key, c.numerator * (den // c.denominator)))
+    terms.sort()
+    return terms, den
+
+
+def dict_dot(xs, ys):
+    num_vars = xs[0].num_vars
+    cap = min(s.cap for s in (*xs, *ys))
+    valid_to = min(s.valid_to for s in (*xs, *ys))
+    base = cap + 1
+    pairs = [(dict_integer_terms(x.coeffs, cap, base),
+              dict_integer_terms(y.coeffs, cap, base))
+             for x, y in zip(xs, ys) if x.coeffs and y.coeffs]
+    den = lcm(*(dx * dy for (_, dx), (_, dy) in pairs))
+    sums = {}
+    for (left, dx), (right, dy) in pairs:
+        scale = den // (dx * dy)
+        for d1, k1, n1 in left:
+            room = cap - d1
+            n1 *= scale
+            for d2, k2, n2 in right:
+                if d2 > room:
+                    break
+                k = k1 + k2
+                sums[k] = sums.get(k, 0) + n1 * n2
+    places = [base ** i for i in reversed(range(num_vars))]
+    return TruncatedSeries(num_vars, cap, valid_to, {
+        tuple([k // p % base for p in places]): Fraction(num, den)
+        for k, num in sums.items() if num})
+
+
+def dict_derivative(x, axis):
+    coeffs = {exponent[:axis] + (k - 1,) + exponent[axis + 1:]: c * k
+              for exponent, c in x.coeffs.items()
+              for k in (exponent[axis],) if k}
+    return TruncatedSeries(x.num_vars, x.cap, x.valid_to - 1, coeffs)
+
+
+def random_operand(rng, n, cap=None, empty=False):
+    """Mixed cap and ``valid_to``; denominators drawn from divisors of 12, so
+    sums and products often cancel to integers and to zero."""
+    cap = rng.randint(0, 5) if cap is None else cap
+    coeffs = {}
+    for e in product(range(cap + 1), repeat=n):
+        if sum(e) <= cap and not empty and rng.random() < 0.5:
+            coeffs[e] = Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6, 12)))
+    return TruncatedSeries(n, cap, rng.randint(-1, cap), coeffs)
+
+
+def cancelling_partner(rng, x, cap=None):
+    """A series whose sum with ``x`` is an integer or zero on about half of
+    ``x``'s terms."""
+    y = random_operand(rng, x.num_vars, cap)
+    coeffs = dict(y.coeffs)
+    for e, c in x.coeffs.items():
+        if sum(e) <= y.cap and rng.random() < 0.5:
+            coeffs[e] = rng.randint(-1, 1) - c
+    return TruncatedSeries(x.num_vars, y.cap, y.valid_to,
+                           {e: c for e, c in coeffs.items() if c})
+
+
+def same(got, expected):
+    return got == expected and got.canonical_text() == expected.canonical_text()
+
+
+CASES = [(n, seed) for n in (1, 2, 3, 4) for seed in range(12)]
+
+
+class TestEqualsFractionDictKernel:
+    @pytest.mark.parametrize("n, seed", CASES)
+    def test_add_and_subtract(self, n, seed):
+        rng = random.Random(f"add:{n}:{seed}")
+        x = random_operand(rng, n, empty=seed % 6 == 0)
+        y = cancelling_partner(rng, x, cap=None if seed % 2 else x.cap)
+        assert same(x + y, dict_add(x, y))
+        assert same(y + x, dict_add(y, x))
+        assert same(x - y, dict_add(x, dict_neg(y)))
+        assert same(-x, dict_neg(x))
+
+    @pytest.mark.parametrize("n, seed", CASES)
+    def test_dot(self, n, seed):
+        rng = random.Random(f"dot:{n}:{seed}")
+        pairs = 1 + seed % 4
+        xs = [random_operand(rng, n, empty=seed % 5 == 0 and i == 0)
+              for i in range(pairs)]
+        ys = [cancelling_partner(rng, x) for x in xs]
+        if pairs > 1:  # a pair that cancels the first one's product
+            xs.append(-xs[0])
+            ys.append(ys[0])
+        assert same(dot(xs, ys), dict_dot(xs, ys))
+        assert same(xs[0] * ys[0], dict_dot(xs[:1], ys[:1]))
+
+    @pytest.mark.parametrize("n, seed", CASES)
+    def test_derivative(self, n, seed):
+        rng = random.Random(f"derivative:{n}:{seed}")
+        x = random_operand(rng, n, empty=seed % 6 == 0)
+        for axis in range(n):
+            assert same(x.derivative(axis), dict_derivative(x, axis))
+
+
+class TestStorage:
+    @pytest.mark.parametrize("coeffs", [
+        {(1,): Fraction(1)},          # too short
+        {(1, 0, 0): Fraction(1)},     # too long
+        {(2, 2): Fraction(1)},        # above the cap
+        {(-1, 1): Fraction(1)},       # negative entry
+    ])
+    def test_malformed_exponent_rejected(self, coeffs):
+        with pytest.raises(ValueError):
+            TruncatedSeries(2, 3, 3, coeffs)
+
+    def test_coefficients_are_normalised(self):
+        assert TruncatedSeries(1, 3, 3, {(1,): Fraction(2, 4)}) \
+            == TruncatedSeries.monomial(1, 3, (1,), Fraction(1, 2))
+        assert TruncatedSeries(1, 3, 3, {(1,): Fraction(0), (0,): 0}) \
+            == TruncatedSeries.zero(1, 3)
+        half = TruncatedSeries.constant(1, 3, Fraction(1, 2))
+        assert half + half == TruncatedSeries.constant(1, 3, 1)
+
+    @given(series(), series())
+    @settings(max_examples=40, deadline=None)
+    def test_add_then_subtract_is_identity(self, a, b):
+        assert (a + b) - b == a
+
+    def test_immutable(self):
+        s = var(0)
+        with pytest.raises(AttributeError):
+            s.cap = 3
+        with pytest.raises(AttributeError):
+            s.valid_to = 0
+        with pytest.raises(AttributeError):
+            del s.cap
+        assert s == var(0)
+
+    def test_copies_and_pickles(self):
+        s = TruncatedSeries(2, 3, 2, {(1, 0): Fraction(1, 2), (0, 2): Fraction(3)})
+        for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+            assert twin == s and twin.canonical_text() == s.canonical_text()
+
+    def test_coeffs_is_read_only(self):
+        s = var(0)
+        with pytest.raises(TypeError):
+            s.coeffs[(1, 0)] = Fraction(2)
+        assert s.coeffs == {(1, 0): Fraction(1)}
+
+    def test_coefficient_outside_the_cap_is_zero(self):
+        s = TruncatedSeries(2, 2, 2, {(0, 2): Fraction(5)})
+        # (0, 2) packs in base 3 like (1, -1); neither aliases it
+        assert s.coefficient((0, 2)) == 5
+        assert s.coefficient((1, -1)) == 0
+        assert s.coefficient((0, 3)) == 0
+        assert s.coefficient((0, 0, 2)) == 0
+
+
+def dense(rng, n, cap):
+    return TruncatedSeries(n, cap, cap, {
+        e: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 7))
+        for e in product(range(cap + 1), repeat=n) if sum(e) <= cap})
+
+
+class TestKernelCounts:
+    """The kernel works on integers: a ``Fraction`` is built only where a
+    coefficient leaves the storage, and an operand's sorted term list is
+    built once however many products read it."""
+
+    @pytest.fixture
+    def fractions_built(self, monkeypatch):
+        built = [0]
+        new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            built[0] += 1
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+        return built
+
+    def test_kernel_builds_no_fraction(self, fractions_built):
+        rng = random.Random(0)
+        x, y, z = (dense(rng, 3, 6) for _ in range(3))
+        third = Fraction(1, 3)
+        unit = x + 1
+        fractions_built[0] = 0
+        dot((x, y), (y, z))
+        x * y
+        x + y
+        x - y
+        -x
+        x.derivative(1)
+        x * 3
+        x * third
+        x / 3
+        unit.invert_unit()
+        exp_series(x.from_degree(1))
+        primitive_of_closed_family([z.derivative(a) for a in range(3)])
+        x.vanishes_through(2)
+        assert x == x * 1
+        assert fractions_built[0] == 0
+        assert x.coeffs  # the boundary does build them
+        assert fractions_built[0] == len(x.coeffs)
+
+    def test_term_list_built_once(self, monkeypatch):
+        rng = random.Random(1)
+        x, y = dense(rng, 3, 6), dense(rng, 3, 6)
+        unpacked = [0]
+        unpack = series_module._unpack
+
+        def counted(*args):
+            unpacked[0] += 1
+            return unpack(*args)
+
+        monkeypatch.setattr(series_module, "_unpack", counted)
+        for _ in range(5):
+            dot((x, y), (y, x))
+        # one exponent unpacked per term of each operand, not per call
+        assert unpacked[0] == len(x.coeffs) + len(y.coeffs)
