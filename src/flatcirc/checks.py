@@ -175,11 +175,17 @@ def twist_hypothesis_failures(
     return failed
 
 
-def run_check_suite(instance: ModelInstance, mu_order: int = 4,
-                    lambda0: Optional[Fraction] = None) -> SuiteReport:
+def _skips(check_ids: Tuple[str, ...], detail: str) -> List[CheckResult]:
+    return [CheckResult(check_id, SKIP, detail=detail)
+            for check_id in check_ids]
+
+
+def run_check_suite(instance: ModelInstance, mu_order: int,
+                    lambda0: Optional[Fraction]) -> SuiteReport:
     """Run all applicable residual checks on a model instance.
 
-    ``lambda0`` overrides the model's own base-shift parameter.
+    ``lambda0``, when not None, overrides the model's own base-shift
+    parameter.
     """
     structure = instance.structure
     cap = structure.order
@@ -199,8 +205,8 @@ def run_check_suite(instance: ModelInstance, mu_order: int = 4,
         results.append(_tensor_check("pencil-linear-flatness", r1))
         results.append(_tensor_check("pencil-quadratic-flatness", r2))
     except FlatnessError as exc:
-        for check_id in ("pencil-linear-flatness", "pencil-quadratic-flatness"):
-            results.append(CheckResult(check_id, SKIP, detail=str(exc)))
+        results += _skips(("pencil-linear-flatness",
+                           "pencil-quadratic-flatness"), str(exc))
 
     # 4. five-term integrability residual
     results.append(_tensor_check("five-term-integrability",
@@ -223,10 +229,8 @@ def run_check_suite(instance: ModelInstance, mu_order: int = 4,
 
     # 6. scaling field: residual of the weight property, frame compatibility
     if instance.euler is None:
-        results.append(CheckResult("scaling-weight", SKIP,
-                                   detail="model declares no scaling field"))
-        results.append(CheckResult("scaling-frame-compat", SKIP,
-                                   detail="model declares no scaling field"))
+        results += _skips(("scaling-weight", "scaling-frame-compat"),
+                          "model declares no scaling field")
     else:
         e_field, weight = instance.euler
         results.append(_tensor_check(
@@ -243,12 +247,8 @@ def run_check_suite(instance: ModelInstance, mu_order: int = 4,
 
     # 7. mu-extension: reconstruction equation and extended flatness
     if instance.euler is None or structure.identity is None:
-        results.append(CheckResult(
-            "extension-equation", SKIP,
-            detail="needs both an identity and a scaling field"))
-        results.append(CheckResult(
-            "extension-flatness", SKIP,
-            detail="needs both an identity and a scaling field"))
+        results += _skips(("extension-equation", "extension-flatness"),
+                          "needs both an identity and a scaling field")
     else:
         extension = evaluate_extension(structure, working, instance.euler[0],
                                        mu_order, e1)
@@ -261,13 +261,9 @@ def run_check_suite(instance: ModelInstance, mu_order: int = 4,
     twist_ids = ("twist-membership", "twist-hypotheses",
                  "twist-identity-scaling")
     if instance.epsilon is None:
-        for check_id in twist_ids:
-            results.append(CheckResult(
-                check_id, SKIP, detail="model declares no twist field"))
+        results += _skips(twist_ids, "model declares no twist field")
     elif structure.identity is None:
-        for check_id in twist_ids:
-            results.append(CheckResult(
-                check_id, SKIP, detail="twist checks need an identity"))
+        results += _skips(twist_ids, "twist checks need an identity")
     else:
         results.append(_tensor_check(
             "twist-membership",

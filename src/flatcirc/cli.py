@@ -54,8 +54,7 @@ def _emit(text: str, report_path: Optional[str]) -> None:
 def _cmd_check(args: argparse.Namespace) -> int:
     document = _load_document(args.model)
     instance = document.instantiate(args.order)
-    report = run_check_suite(instance, mu_order=args.mu_order,
-                             lambda0=args.lambda0)
+    report = run_check_suite(instance, args.mu_order, args.lambda0)
     text = report.to_json() if args.format == "json" else report.to_text()
     _emit(text, args.report)
     return EXIT_OK if report.all_pass else EXIT_CHECK_FAILED
@@ -210,14 +209,9 @@ def _cmd_correlators(args: argparse.Namespace) -> int:
     document = load_model(args.source) if args.source in CORPUS \
         else ModelDocument.from_json_obj(obj)
     instance = document.instantiate(args.order)
-    structure = instance.structure
-    identity = structure.identity
-    unit = identity if identity is not None and identity.is_constant() \
-        else structure.basis(0)
     try:
-        section = duality_mod.primitive_section(structure, unit)
-        family = correlators_mod.correlators_from_b(section.b_field,
-                                                   force=args.force)
+        b_field = duality_mod.potential_endomorphism(instance.structure)
+        family = correlators_mod.correlators_from_b(b_field, force=args.force)
     except (NotClosedError, correlators_mod.NotSymmetricError) as exc:
         # no correlator family has this structure tensor
         raise InputError(str(exc)) from exc

@@ -65,18 +65,13 @@ class PrimitiveSectionReport:
         return torsion(structure_from_b(self.b_field))
 
 
-def primitive_section(structure: FStructure,
-                      u: VectorField) -> PrimitiveSectionReport:
-    """Potential endomorphism B and the candidate chart Bu for a flat section.
+def potential_endomorphism(structure: FStructure) -> EndField:
+    """The B with d_a B^c_b = C_{ab}^c and gauge B(0) = 0.
 
-    B integrates the structure tensor (d_a B^c_b = C_{ab}^c, gauge B(0) = 0);
-    u must be flat for the frame, that is, have constant components.
-    Primitivity is the invertibility of the Jacobian of Bu at the origin,
-    which coincides with invertibility of circ-multiplication by u there.
+    Raises ``NotClosedError`` at the first (c, b), c outer, whose family
+    (C_{ab}^c)_a is not closed.
     """
     n = structure.dim
-    if not u.is_constant():
-        raise NotFlatSectionError("u must have constant components")
     t = structure.structure.tensor
     b_rows = []
     for c in range(n):
@@ -85,7 +80,22 @@ def primitive_section(structure: FStructure,
             family = [t[a][b][c] for a in range(n)]
             row.append(primitive_of_closed_family(family))
         b_rows.append(tuple(row))
-    b_field = EndField(tuple(b_rows))
+    return EndField(tuple(b_rows))
+
+
+def primitive_section(structure: FStructure,
+                      u: VectorField) -> PrimitiveSectionReport:
+    """Potential endomorphism B and the candidate chart Bu for a flat section.
+
+    B integrates the structure tensor (``potential_endomorphism``); u must be
+    flat for the frame, that is, have constant components.  Primitivity is
+    the invertibility of the Jacobian of Bu at the origin, which coincides
+    with invertibility of circ-multiplication by u there.
+    """
+    n = structure.dim
+    if not u.is_constant():
+        raise NotFlatSectionError("u must have constant components")
+    b_field = potential_endomorphism(structure)
     image = b_field.apply(u)
     jacobian = tuple(tuple(image.components[c].derivative(a).constant_term
                            for a in range(n)) for c in range(n))
@@ -95,8 +105,6 @@ def primitive_section(structure: FStructure,
 
 @dataclass(frozen=True)
 class DualityPair:
-    original: FStructure
-    twist: VectorField
     inverse_used: VectorField
     dual: FStructure
 
@@ -109,7 +117,7 @@ def dual_structure(structure: FStructure, epsilon: VectorField) -> DualityPair:
     slices = [left.compose(structure.structure.slice(a)) for a in range(n)]
     tensor = HiggsField.build(n, lambda a, b, c: slices[a].matrix[c][b])
     dual = FStructure(tensor, identity=epsilon)
-    return DualityPair(structure, epsilon, eps_inv, dual)
+    return DualityPair(eps_inv, dual)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .fmanifold import FStructure, MissingIdentityError
+from .fmanifold import FStructure
 from .geometry import Connection, EndField, VectorField, judge, nabla
 from .series import Scalar, as_fraction
 
@@ -96,8 +96,6 @@ def certify_euler(structure: FStructure, e_field: VectorField,
 def geometric_inverse(structure: FStructure, e: VectorField, e1: VectorField,
                       mu_cap: int) -> Tuple[VectorField, ...]:
     """Coefficients g_k = (-1)^k e o e1^{ok} of (e + mu e1)^{-1}, k <= mu_cap."""
-    if structure.identity is None:
-        raise MissingIdentityError("geometric inverse needs an identity")
     r_e1 = structure.structure.right(e1)
     coeffs = [e]
     for _ in range(mu_cap):

@@ -109,7 +109,6 @@ def five_term_residual(structure: FStructure) -> "Tensor5":
     dt = [[[[t[c][d][f].derivative(e) for f in r] for d in r] for c in r]
           for e in r]
     cells = list(product(r, repeat=4))
-    zero = TruncatedSeries.zero(n, structure.order)
     entries = {}
     for f in r:
         u = {(a, b, c, d): dot([t[a][b][e] for e in r],
@@ -120,7 +119,7 @@ def five_term_residual(structure: FStructure) -> "Tensor5":
              for a, b, c, d in cells}
         for a, b, c, d in cells:
             if (a, b) <= (c, d):
-                entries[a, b, c, d, f] = zero + u[a, b, c, d] - u[c, d, a, b] \
+                entries[a, b, c, d, f] = u[a, b, c, d] - u[c, d, a, b] \
                     + v[a, b, c, d] + v[a, b, d, c] - v[c, d, b, a] - v[c, d, a, b]
             else:
                 entries[a, b, c, d, f] = -entries[c, d, a, b, f]
@@ -244,19 +243,16 @@ def nabla_e_e_mode(structure: FStructure, w: VectorField) -> NablaEEMode:
     check = w.valid_to
     if w.vanishes_through(check):
         return NablaEEMode("flat", Fraction(0))
-    # candidate eigenvalue from the first nonzero matching coefficients
-    candidate: Optional[Fraction] = None
+    # candidate eigenvalue from the first nonzero matching coefficients; w
+    # does not vanish through its degree, so some component has a first term
     for comp_w, comp_e in zip(w.components, e.components):
         hit = comp_w.first_nonzero()
-        if hit is None:
-            continue
-        denom = comp_e.coefficient(hit[0])
-        if denom == 0:
-            return NablaEEMode("other")
-        candidate = hit[1] / denom
-        break
-    if candidate is None:
+        if hit is not None:
+            break
+    denom = comp_e.coefficient(hit[0])
+    if denom == 0:
         return NablaEEMode("other")
+    candidate = hit[1] / denom
     if (w - e.scale(candidate)).vanishes_through(check):
         return NablaEEMode("eigen", candidate)
     return NablaEEMode("other")

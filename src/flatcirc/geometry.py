@@ -40,7 +40,7 @@ def _check_same_dim(a: int, b: int) -> None:
         raise DimensionMismatchError(f"dimension mismatch: {a} vs {b}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class VectorField:
     """Components of a vector field in the flat frame."""
 
@@ -89,13 +89,8 @@ class VectorField:
         return all(c.from_degree(1).vanishes_through(c.valid_to)
                    for c in self.components)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        return self.components == other.components
 
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class EndField:
     """Endomorphism field B with action (B f)^a = sum_c B^a_c f^c."""
 
@@ -157,13 +152,8 @@ class EndField:
         return EndField(tuple(tuple(a.derivative(axis) for a in row)
                               for row in self.matrix))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EndField):
-            return NotImplemented
-        return self.matrix == other.matrix
 
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class HiggsField:
     """A 3-tensor field T_{ab}^c in the flat frame, indexed [a][b][c].
 
@@ -222,11 +212,6 @@ class HiggsField:
         return HiggsField(tuple(
             tuple(tuple(self.tensor[a][b][c] + other.tensor[a][b][c] * factor
                         for c in range(n)) for b in range(n)) for a in range(n)))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HiggsField):
-            return NotImplemented
-        return self.tensor == other.tensor
 
 
 # A connection is its Christoffel tensor Gamma_{ab}^c in the flat frame.

@@ -385,6 +385,39 @@ class TestInputContract:
         assert "Traceback" not in err and out == ""
 
 
+class TestNoIdentity:
+    """A structure-table document never searches for an identity, so one
+    without ``"identity"`` gives a model with no identity field."""
+
+    DOC = {"schemaVersion": 1, "name": "table", "dim": 1,
+           "variables": ["x0"], "structure": [[["1"]]],
+           "euler": {"components": ["x0"], "weight": "1"},
+           "epsilon": ["exp(-x0)"]}
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(self.DOC))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["dualize", "extend"])
+    def test_needs_identity(self, capsys, path, command):
+        assert run(capsys, command, path, "--order", "4") == (
+            EXIT_BAD_INPUT, "", "error: model 'table' has no identity field\n")
+
+    def test_check_skips_twist_checks(self, capsys, path):
+        code, out, _ = run(capsys, "check", path, "--order", "4",
+                           "--format", "json")
+        assert code == EXIT_CHECK_FAILED  # identity-exists fails
+        results = {r["id"]: r for r in json.loads(out)["checks"]}
+        assert results["identity-exists"]["status"] == "fail"
+        for check_id in ("twist-membership", "twist-hypotheses",
+                         "twist-identity-scaling"):
+            assert results[check_id] == {
+                "id": check_id, "status": "skip",
+                "detail": "twist checks need an identity"}
+
+
 class TestDualize:
     def test_one_dim_ok(self, capsys):
         code, out, _ = run(capsys, "dualize", "one-dim", "--order", "6")

@@ -87,6 +87,17 @@ class TestProvenOrder:
         b = EndField(((x0, short), (zero, zero)))
         assert correlators_from_b(b, force=True).order == 3
 
+    def test_terms_above_the_proven_degree_are_left_out(self):
+        x0 = TruncatedSeries.variable(2, CAP, 0)
+        # B^0_1 = x0 + x0^4 proven to degree 3: the x0^4 term is not proven
+        short = TruncatedSeries(2, CAP, 3, {(1, 0): Fraction(1),
+                                            (4, 0): Fraction(1)})
+        zero = TruncatedSeries.zero(2, CAP)
+        family = correlators_from_b(EndField(((x0, short), (zero, zero))),
+                                    force=True)
+        assert family.order == 3
+        assert set(family.matrices) == {(0,)}
+
 
 class TestMasterEquation:
     def test_zero_on_compatible_model(self):

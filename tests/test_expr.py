@@ -66,6 +66,12 @@ class TestErrors:
         with pytest.raises(ExprError):
             parse("(x0 + x1")
 
+    def test_unexpected_closing_paren(self):
+        with pytest.raises(ExprError, match=r"unexpected '\)' \(at offset 1\)"
+                           ) as err:
+            parse_series("x)", ["x"], 3)
+        assert err.value.offset == 1
+
     def test_bad_character(self):
         with pytest.raises(ExprError) as err:
             parse("x0 @ x1")

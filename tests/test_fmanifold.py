@@ -358,6 +358,12 @@ class TestNablaEEMode:
             Connection(gamma.tensor), s.identity, s.identity))
         assert mode.kind == "other"
 
+    def test_other_mode_when_not_a_multiple_of_e(self):
+        # w^0 matches e^0 = 1 with eigenvalue candidate 2, but w - 2e = x1 d_1
+        s = qc_structure()
+        w = VectorField((TruncatedSeries.constant(2, CAP, 2), x(1)))
+        assert nabla_e_e_mode(s, w) == fmanifold.NablaEEMode("other")
+
 
 class TestShiftBase:
     def test_shift_preserves_pencil_flatness(self):

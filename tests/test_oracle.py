@@ -23,6 +23,9 @@ a random polynomial f and a random constant matrix N, is flat but not zero.
 The five-term residual of a random potential must agree with the six sums
 of its definition formed by sympy's derivatives and products of
 polynomials, through the degree each entry is proven to.
+
+Division by a negative scalar and by a unit with a negative constant term
+must agree with sympy's series of the quotient.
 """
 
 import random
@@ -31,6 +34,7 @@ from itertools import product
 
 import pytest
 
+from flatcirc.expr import parse_series
 from flatcirc.fmanifold import (VectorPotential, five_term_residual,
                                 potential_to_structure)
 from flatcirc.geometry import (HiggsField, VectorField, curvature, iter_tensor,
@@ -290,3 +294,19 @@ def test_sum_difference_and_dot_match_expansion(n, seed):
                       (dot((x, -x), (y, y)), sympy.Integer(0))):
         assert dict(got.items()) == truncated_terms(sympy.expand(poly), n, cap)
         assert (got.cap, got.valid_to) == (cap, valid_to)
+
+
+@pytest.mark.parametrize("text", ["x/(-2)", "1/(x-1)", "(1 - 3*x)/(-2 + x^2)"])
+def test_negative_divisor_matches_series(text):
+    """A scalar divisor and a unit with a negative constant term: the
+    storage moves the sign of the denominator into the numerators."""
+    cap = 6
+    x = sympy.Symbol("x")
+    expected = sympy.series(sympy.sympify(text.replace("^", "**")), x, 0,
+                            cap + 1).removeO()
+    got = parse_series(text, ["x"], cap)
+    assert dict(got.items()) == {
+        (k,): Fraction(int(c.p), int(c.q))
+        for (k,), c in sympy.Poly(expected, x).terms() if c != 0}
+    # a negative denominator left in the storage would break exact ``==``
+    assert got == TruncatedSeries(1, cap, cap, dict(got.items()))
