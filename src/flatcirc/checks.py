@@ -23,10 +23,11 @@ from . import duality as duality_mod
 from . import euler as euler_mod
 from .fmanifold import (FStructure, five_term_residual, identity_residual,
                         l_membership, nabla_e_e_mode, shift_base)
-from .geometry import (Connection, EndField, FlatnessError, VectorField,
-                       covariant_derivative, judge, pencil_curvature_split,
-                       torsion)
+from .geometry import (Connection, EndField, FlatnessError, HiggsField,
+                       VectorField, covariant_derivative, judge,
+                       pencil_curvature_split, torsion)
 from .models import ModelInstance
+from .series import TruncatedSeries
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -110,9 +111,15 @@ def _tensor_check(check_id: str, tensor, detail: str = "") -> CheckResult:
                        verdict.proven_to, detail, verdict.offending)
 
 
-def working_connection(structure: FStructure, shift: Fraction) -> Connection:
-    """The flat connection of the frame moved along the pencil by ``shift``."""
-    flat = Connection.zero(structure.dim, structure.order)
+def working_connection(structure: FStructure, shift: Fraction,
+                       order: int) -> Connection:
+    """The flat connection of the frame moved along the pencil by ``shift``.
+
+    The flat connection is the zero tensor at the instance ``order``, not at
+    the cap of C: it is exact at every degree, and the check suite's C is
+    cut to its proven degree.
+    """
+    flat = Connection.zero(structure.dim, order)
     return shift_base(structure, flat, shift) if shift != 0 else flat
 
 
@@ -180,19 +187,36 @@ def _skips(check_ids: Tuple[str, ...], detail: str) -> List[CheckResult]:
             for check_id in check_ids]
 
 
+def cut_to_proven(structure: FStructure) -> FStructure:
+    """The structure with each entry of C cut to its own ``valid_to``.
+
+    The cap of an entry becomes its ``valid_to`` and the terms above it are
+    dropped; values up to ``valid_to`` and the identity field are kept.
+    """
+    n = structure.dim
+    t = structure.structure.tensor
+    return FStructure(HiggsField.build(
+        n, lambda a, b, c: t[a][b][c] * TruncatedSeries.constant(
+            n, t[a][b][c].valid_to, 1)), structure.identity)
+
+
 def run_check_suite(instance: ModelInstance, mu_order: int,
                     lambda0: Optional[Fraction]) -> SuiteReport:
     """Run all applicable residual checks on a model instance.
 
     ``lambda0``, when not None, overrides the model's own base-shift
-    parameter.
+    parameter.  Every residual is formed from C cut to its proven degree
+    (``cut_to_proven``).  A coefficient of a series up to its ``valid_to``
+    reads its operands only up to theirs, and ``judge`` reads nothing above
+    an entry's ``valid_to``, so the cut changes no verdict and saves the
+    products of the degrees nothing reads.  The flat connection is built
+    at the instance order, and the report names that order.
     """
-    structure = instance.structure
-    cap = structure.order
+    structure = cut_to_proven(instance.structure)
     shift = instance.lambda0 if lambda0 is None else lambda0
     results: List[CheckResult] = []
 
-    working = working_connection(structure, shift)
+    working = working_connection(structure, shift, instance.order)
     e1 = None  # nabla_e e, shared by checks 5 and 7
 
     # 1. symmetry of the structure tensor
@@ -282,5 +306,5 @@ def run_check_suite(instance: ModelInstance, mu_order: int,
             detail="[twist, identity] = twist and the identity scales the "
                    "twisted product with weight one"))
 
-    return SuiteReport(instance.document.name, cap, mu_order, shift,
-                       tuple(results))
+    return SuiteReport(instance.document.name, instance.order, mu_order,
+                       shift, tuple(results))

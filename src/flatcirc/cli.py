@@ -69,9 +69,10 @@ def _cmd_dualize(args: argparse.Namespace) -> int:
     if structure.identity is None:
         raise InputError(f"model {document.name!r} has no identity field")
     n = structure.dim
-    verify = evaluate_twist(structure,
-                            working_connection(structure, instance.lambda0),
-                            instance.epsilon)
+    verify = evaluate_twist(
+        structure,
+        working_connection(structure, instance.lambda0, instance.order),
+        instance.epsilon)
     if verify.pair is None:
         raise InputError("system matrix singular at the origin")
     dual = verify.pair.dual.structure.tensor
@@ -119,7 +120,8 @@ def _cmd_extend(args: argparse.Namespace) -> int:
         raise InputError(f"model {document.name!r} has no identity field")
     n = structure.dim
     extension = evaluate_extension(
-        structure, working_connection(structure, instance.lambda0),
+        structure,
+        working_connection(structure, instance.lambda0, instance.order),
         instance.euler[0], args.mu_order)
     equation_ok = judge(extension.equation).holds
     flatness = judge(extension.flatness)

@@ -48,6 +48,9 @@ class FStructure:
 
     @property
     def order(self) -> int:
+        """The cap of C, read from C_00^0.  An instantiated structure has
+        the instance order here; on the check suite's cut structure
+        (``checks.cut_to_proven``) it is the proven degree of C."""
         return self.structure.tensor[0][0][0].cap
 
     @property
@@ -85,47 +88,58 @@ def five_term_residual(structure: FStructure) -> "Tensor5":
       - d_b C_cd^e C_ea^f - d_a C_cd^e C_eb^f
 
     Each of the six sums is an entry of one of two contractions over the
-    table of the n^4 derivatives d_e C_cd^f:
+    table of the derivatives d_e C_cd^f:
       U(a,b,c,d,f) = sum_e C_ab^e d_e C_cd^f
       V(a,b,c,d,f) = sum_e d_c C_ab^e C_ed^f
     and the entry is
       U(abcdf) - U(cdabf) + V(abcdf) + V(abdcf) - V(cdbaf) - V(cdabf).
     It is the sum of the same 6n series products as the six sums written
     out, so it is exact for any tensor, symmetric or not: coefficients, cap
-    and ``valid_to`` are those of the term-by-term sum.  The cost is 2n^6
-    products instead of 6n^6.  Every term of an entry shares its last index
-    f, so U and V are formed one f at a time.
+    and ``valid_to`` are those of the term-by-term sum.  Every term of an
+    entry shares its last index f, so U and V are formed one f at a time.
 
-    Swapping (a,b) with (c,d) negates the recombination term by term, so
-    entry (c,d,a,b,f) is exactly -(a,b,c,d,f), cap and ``valid_to``
-    included.  Only the entries with (a,b) <= (c,d) are recombined; the
-    formed entry of each pair is the lexicographically smaller one, so
-    ``judge`` finds the same witness.
+    The entries are formed over index orbits.  The pair (a,b) is replaced
+    by (min, max) when the row C_ab equals C_ba as series (values, cap and
+    ``valid_to``), and kept otherwise.  The entry is unchanged: U depends on
+    (a,b) only through the row C_ab, and on (c,d) only through C_cd^f;
+    V(a,b,c,d) + V(a,b,d,c) and V(c,d,b,a) + V(c,d,a,b) depend on each pair
+    through its row and are symmetric in swapping it.  Swapping (a,b) with
+    (c,d) negates the recombination term by term, so the entry of pairs
+    (Q,P) is exactly -(P,Q), cap and ``valid_to`` included.  Hence U is
+    formed once per pair of representatives (P,Q), V once per (P,c,d), an
+    entry once per (P,Q,f) with P <= Q, and every other entry is a lookup or
+    a negation.  Each entry equals the term-by-term sum, so ``judge`` reads
+    the same tensor and finds the same witness, the lex-minimum of its
+    orbit.  A tensor with no symmetric row off the diagonal keeps every pair
+    and costs 2n^6 products; a symmetric one, as every tensor built from a
+    potential, costs n^2 m (m + n^2) with m = n(n+1)/2.
     """
     n = structure.dim
     t = structure.structure.tensor
     r = range(n)
-    # dt[e][c][d][f] = d_e C_cd^f
-    dt = [[[[t[c][d][f].derivative(e) for f in r] for d in r] for c in r]
-          for e in r]
-    cells = list(product(r, repeat=4))
+    pair = [[(min(a, b), max(a, b)) if t[a][b] == t[b][a] else (a, b)
+             for b in r] for a in r]
+    reps = sorted({p for row in pair for p in row})
+    # dt[P][e][f] = d_e C_P^f
+    dt = {(a, b): [[t[a][b][f].derivative(e) for f in r] for e in r]
+          for a, b in reps}
     entries = {}
     for f in r:
-        u = {(a, b, c, d): dot([t[a][b][e] for e in r],
-                               [dt[e][c][d][f] for e in r])
-             for a, b, c, d in cells}
-        v = {(a, b, c, d): dot([dt[c][a][b][e] for e in r],
-                               [t[e][d][f] for e in r])
-             for a, b, c, d in cells}
-        for a, b, c, d in cells:
-            if (a, b) <= (c, d):
-                entries[a, b, c, d, f] = u[a, b, c, d] - u[c, d, a, b] \
-                    + v[a, b, c, d] + v[a, b, d, c] - v[c, d, b, a] - v[c, d, a, b]
+        u = {(p, q): dot(t[p[0]][p[1]], [dt[q][e][f] for e in r])
+             for p in reps for q in reps}
+        v = {(p, c, d): dot([dt[p][c][e] for e in r],
+                            [t[e][d][f] for e in r])
+             for p in reps for c in r for d in r}
+        for p, q in product(reps, repeat=2):
+            if p <= q:
+                (a, b), (c, d) = p, q
+                entries[p, q, f] = u[p, q] - u[q, p] + v[p, c, d] \
+                    + v[p, d, c] - v[q, b, a] - v[q, a, b]
             else:
-                entries[a, b, c, d, f] = -entries[c, d, a, b, f]
-    return tuple(tuple(tuple(tuple(tuple(entries[a, b, c, d, f] for f in r)
-                                   for d in r) for c in r) for b in r)
-                 for a in r)
+                entries[p, q, f] = -entries[q, p, f]
+    return tuple(tuple(tuple(tuple(tuple(entries[pair[a][b], pair[c][d], f]
+                                         for f in r) for d in r) for c in r)
+                       for b in r) for a in r)
 
 
 Tensor5 = Tuple[Tuple[SeriesTensor4, ...], ...]

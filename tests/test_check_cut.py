@@ -1,0 +1,125 @@
+"""The check suite forms its residuals from C cut to its proven degree.
+
+``run_check_suite`` gives each entry of C the cap of its own ``valid_to``
+before any residual is formed.  These tests pin that the cut changes no
+verdict: the records equal ``judge`` of the residuals formed from the uncut
+structure, the whole report equals the one with the cut left out, and the
+report still names the instance order.
+"""
+
+import io
+import json
+import random
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+
+import pytest
+
+from flatcirc import checks
+from flatcirc.checks import run_check_suite, working_connection
+from flatcirc.cli import main
+from flatcirc.fmanifold import five_term_residual
+from flatcirc.geometry import iter_tensor, judge, pencil_curvature_split
+from flatcirc.models import ModelDocument
+
+
+def exp_document(seed, n, order):
+    """A seeded potential of quadratic and cubic monomials plus one
+    exponential of a linear form per component: C is dense up to its
+    proven degree, two below the cap, where the cut puts its cap."""
+    rng = random.Random(f"cut:{seed}:{n}")
+    xs = [f"x{i}" for i in range(n)]
+
+    def component():
+        terms = [f"{rng.randint(-3, 3)}*{xs[i]}*{xs[j]}"
+                 for i in range(n) for j in range(i, n)]
+        terms += [f"{rng.randint(-3, 3)}*{xs[i]}^3" for i in range(n)]
+        linear = " + ".join(f"{rng.randint(-2, 2)}*{x}" for x in xs)
+        return " + ".join(terms) + f" + {rng.randint(1, 3)}*exp({linear})"
+
+    return {"schemaVersion": 1, "name": f"exp{n}-{seed}", "dim": n,
+            "variables": xs, "defaultOrder": order,
+            "potential": [component() for _ in range(n)]}
+
+
+CASES = [(seed, n, order) for n in (2, 3) for order in range(4, 9)
+         for seed in (0, 1)]
+
+
+def record(report, check_id):
+    return next(r for r in report.results if r.check_id == check_id)
+
+
+def verdict_fields(result):
+    return result.status, result.proven_to, result.offending
+
+
+@pytest.mark.parametrize("seed, n, order", CASES)
+def test_cut_changes_no_verdict(seed, n, order, monkeypatch):
+    instance = ModelDocument.from_json_obj(
+        exp_document(seed, n, order)).instantiate(order)
+    uncut = instance.structure
+    five_term = five_term_residual(uncut)
+    # uncut, the residual holds terms above its proven degree
+    assert any(not s.from_degree(s.valid_to + 1).vanishes_through(s.cap)
+               for _, s in iter_tensor(five_term))
+
+    received = []
+
+    def recording(structure):
+        received.extend(s for p in structure.structure.tensor for r in p
+                        for s in r)
+        return five_term_residual(structure)
+
+    monkeypatch.setattr(checks, "five_term_residual", recording)
+    report = run_check_suite(instance, 2, None)
+    assert received and all(s.cap == s.valid_to for s in received)
+    assert report.order == order
+
+    r1, r2 = pencil_curvature_split(
+        uncut.structure,
+        working_connection(uncut, instance.lambda0, instance.order))
+    for check_id, tensor in (("five-term-integrability", five_term),
+                             ("pencil-linear-flatness", r1),
+                             ("pencil-quadratic-flatness", r2)):
+        verdict = judge(tensor)
+        assert verdict_fields(record(report, check_id)) == (
+            "pass" if verdict.holds else "fail", verdict.proven_to,
+            verdict.offending), check_id
+
+
+def test_json_order_is_the_flag(tmp_path):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(exp_document(0, 2, 8)), encoding="utf-8")
+    for order in (4, 6):
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            main(["check", str(path), "--order", str(order),
+                  "--format", "json"])
+        assert json.loads(out.getvalue())["order"] == order
+
+
+# A declared identity e = 1 + x^k at order k: nabla_e e is k x^(k-1) + ...,
+# one degree above the cap of the cut C, so the flat connection must stay
+# at the instance order for the identity-derivative mode to read it.
+DECLARED_IDENTITY = {"schemaVersion": 1, "name": "declared", "dim": 1,
+                     "variables": ["x"], "defaultOrder": 4,
+                     "potential": ["x^2/2 + x^3/6"], "identity": ["1 + x^4"],
+                     "euler": {"components": ["x"], "weight": "1"},
+                     "epsilon": ["1 + x"]}
+
+
+@pytest.mark.parametrize("document, order, shift", [
+    (exp_document(0, 2, 6), 6, None),
+    (exp_document(1, 2, 5), 5, Fraction(1)),
+    (exp_document(0, 3, 5), 5, Fraction(-1, 2)),
+    (DECLARED_IDENTITY, 4, None),
+    (DECLARED_IDENTITY, 4, Fraction(2)),
+])
+def test_report_equals_the_uncut_report(document, order, shift, monkeypatch):
+    instance = ModelDocument.from_json_obj(document).instantiate(order)
+    cut = run_check_suite(instance, 2, shift)
+    monkeypatch.setattr(checks, "cut_to_proven", lambda structure: structure)
+    uncut = run_check_suite(instance, 2, shift)
+    assert cut.to_json() == uncut.to_json()
+    assert cut.to_text() == uncut.to_text()

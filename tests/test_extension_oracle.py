@@ -156,7 +156,8 @@ def seeded_model(seed, order):
 def corpus_case(name, order, shift):
     instance = load_model(name).instantiate(order)
     structure = instance.structure
-    return (structure, working_connection(structure, Fraction(shift)),
+    return (structure,
+            working_connection(structure, Fraction(shift), instance.order),
             instance.euler[0])
 
 

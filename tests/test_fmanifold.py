@@ -63,18 +63,20 @@ class TestHmResidual:
 
 
 def six_term_entry(structure, a, b, c, d, f):
-    """The five-term residual entry written out as its six sums over e."""
+    """The five-term residual entry written out as its six sums over e.
+
+    The sum has no zero seed: a seed at ``structure.order`` (the cap of
+    C_00^0) would cut the entry to that cap when its own operands reach
+    higher, as on tensors whose entries have different caps."""
     n = structure.dim
     t = structure.structure.tensor
-    acc = TruncatedSeries.zero(n, structure.order)
-    for e in range(n):
-        acc = acc + t[a][b][e] * t[c][d][f].derivative(e) \
-            - t[c][d][e] * t[a][b][f].derivative(e) \
-            + t[a][b][e].derivative(c) * t[e][d][f] \
-            + t[a][b][e].derivative(d) * t[e][c][f] \
-            - t[c][d][e].derivative(b) * t[e][a][f] \
-            - t[c][d][e].derivative(a) * t[e][b][f]
-    return acc
+    sums = [t[a][b][e] * t[c][d][f].derivative(e)
+            - t[c][d][e] * t[a][b][f].derivative(e)
+            + t[a][b][e].derivative(c) * t[e][d][f]
+            + t[a][b][e].derivative(d) * t[e][c][f]
+            - t[c][d][e].derivative(b) * t[e][a][f]
+            - t[c][d][e].derivative(a) * t[e][b][f] for e in range(n)]
+    return sum(sums[1:], sums[0])
 
 
 def random_tensor(rng, n, cap):
@@ -90,12 +92,67 @@ def random_tensor(rng, n, cap):
     return HiggsField.build(n, entry)
 
 
+def symmetric_tensor(rng, n, cap):
+    """``random_tensor`` with the row C_ba set to the row C_ab for a < b."""
+    t = random_tensor(rng, n, cap).tensor
+    return HiggsField.build(n, lambda a, b, c: t[min(a, b)][max(a, b)][c])
+
+
+def partly_symmetric_tensor(rng, n, cap):
+    """A symmetric tensor with the row C_10 replaced by other values, and
+    the row C_21 (n = 3) by the same values at a lower ``valid_to``."""
+    t = symmetric_tensor(rng, n, cap).tensor
+    other = random_tensor(rng, n, cap).tensor
+
+    def entry(a, b, c):
+        s = t[a][b][c]
+        if (a, b) == (1, 0):
+            return other[a][b][c]
+        if (a, b) == (2, 1):
+            return s * TruncatedSeries.constant(n, s.cap, 1, s.valid_to - 1)
+        return s
+    return HiggsField.build(n, entry)
+
+
+def exp_potential_structure(rng, n, cap):
+    """The structure of a seeded potential with an exponential term."""
+    linear = sum((x(i, n, cap) * rng.randint(-2, 2) for i in range(n)),
+                 TruncatedSeries.zero(n, cap))
+    return potential_to_structure(VectorPotential(VectorField(tuple(
+        series.exp_series(linear) * rng.randint(1, 3)
+        + x(c, n, cap) * x((c + 1) % n, n, cap) * rng.randint(-3, 3)
+        for c in range(n)))))
+
+
 class TestFiveTermContractions:
     @pytest.mark.parametrize("n, seed", [(2, 0), (2, 1), (3, 0)])
     def test_equals_six_term_formula(self, n, seed):
         rng = random.Random(f"five-term:{n}:{seed}")
         structure = FStructure(random_tensor(rng, n, 3))
         assert not judge(torsion(structure.structure)).holds
+        residual = five_term_residual(structure)
+        for a, b, c, d, f in product(range(n), repeat=5):
+            assert residual[a][b][c][d][f] == \
+                six_term_entry(structure, a, b, c, d, f), (a, b, c, d, f)
+
+    @pytest.mark.parametrize("kind", ["symmetric", "potential", "partly"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_orbit_path_equals_six_term_formula(self, n, kind):
+        """Entries formed once per index orbit equal the six sums, cap and
+        ``valid_to`` included, on tensors with some or all rows C_ab equal
+        to C_ba."""
+        rng = random.Random(f"five-term-orbits:{n}:{kind}")
+        if kind == "potential":
+            structure = exp_potential_structure(rng, n, 5)
+        else:
+            make = symmetric_tensor if kind == "symmetric" \
+                else partly_symmetric_tensor
+            structure = FStructure(make(rng, n, 3))
+        t = structure.structure.tensor
+        symmetric = [t[a][b] == t[b][a] for a in range(n) for b in range(n)]
+        assert all(symmetric) == (kind != "partly") and any(
+            t[a][b] != t[b][a] for a in range(n) for b in range(a)) \
+            == (kind == "partly")
         residual = five_term_residual(structure)
         for a, b, c, d, f in product(range(n), repeat=5):
             assert residual[a][b][c][d][f] == \
@@ -133,6 +190,17 @@ class TestOperationCounts:
     def test_five_term_products_and_derivatives(self, counts):
         five_term_residual(FStructure(random_tensor(random.Random(0), 3, 2)))
         assert counts == {"products": 2 * 3 ** 6, "derivative": 3 ** 4}
+
+    def test_five_term_products_on_a_symmetric_tensor(self, counts):
+        # m = n(n+1)/2 pairs up to order: per f, U for m^2 pairs of pairs
+        # and V for m pairs times n^2 indices, n products each; one
+        # derivative per pair, direction and last index
+        n, m = 3, 6
+        five_term_residual(FStructure(symmetric_tensor(random.Random(0), n,
+                                                       2)))
+        assert counts == {"products": n * m * (m + n * n) * n,
+                          "derivative": m * n * n}
+        assert counts["products"] == 810
 
     def test_euler_residual_products_and_derivatives(self, counts):
         # 27 entries differentiated along E and Jacobian(E); E(C_a), the two

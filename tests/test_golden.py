@@ -72,6 +72,19 @@ def test_report_is_byte_identical(golden, case):
     assert run(*case) == golden[key(*case)]
 
 
+def run_fixture(name, tmp_path):
+    """Run ``check`` on the document of a fixture with its flags; the
+    exit code and stdout, beside those the fixture holds."""
+    case = json.loads((DATA / name).read_text(encoding="utf-8"))
+    path = tmp_path / "qqo.json"
+    path.write_text(json.dumps(case["document"]), encoding="utf-8")
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(["check", str(path), *case["args"]])
+    return ({"exit": code, "stdout": out.getvalue()},
+            {"exit": case["exit"], "stdout": case["stdout"]})
+
+
 def test_five_dim_product_is_byte_identical(tmp_path):
     """``check --order 4`` on a 5-dim integrable product, the size no
     workload reaches: the transformed product qc-p1 x qc-p1 x one-dim of
@@ -79,14 +92,16 @@ def test_five_dim_product_is_byte_identical(tmp_path):
     ONE_DIM), a, inv, 6)`` with ``a, inv = unimodular_pair(random.Random(1),
     5)``).  The file holds the document, the flags, the exit code and stdout,
     so this test does not import the benchmark."""
-    case = json.loads((DATA / "product-qqo5.json").read_text(encoding="utf-8"))
-    path = tmp_path / "qqo.json"
-    path.write_text(json.dumps(case["document"]), encoding="utf-8")
-    out = io.StringIO()
-    with redirect_stdout(out), redirect_stderr(io.StringIO()):
-        code = main(["check", str(path), *case["args"]])
-    assert {"exit": code, "stdout": out.getvalue()} \
-        == {"exit": case["exit"], "stdout": case["stdout"]}
+    got, want = run_fixture("product-qqo5.json", tmp_path)
+    assert got == want
+
+
+def test_five_dim_product_at_order_five_is_byte_identical(tmp_path):
+    """The same document at ``--order 5``: the five-term identity is proven
+    to degree 2 there (1 at order 4), so this pins a deeper proven range at
+    n = 5, where both the cut of C and the index orbits act."""
+    got, want = run_fixture("product-qqo5-order5.json", tmp_path)
+    assert got == want
 
 
 if __name__ == "__main__":
