@@ -8,13 +8,11 @@ reported as skips with a reason.
 
 This module is also the one evaluation path that the ``extend`` and
 ``dualize`` commands share with the suite: the working connection for a
-base shift, the mu-extension and the twist-hypotheses rule are defined here
-and nowhere else.
+base shift, the mu-extension and the twist are formed here and nowhere else.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -26,7 +24,7 @@ from .fmanifold import (FStructure, five_term_residual, identity_residual,
 from .geometry import (Connection, EndField, FlatnessError, HiggsField,
                        VectorField, covariant_derivative, judge,
                        pencil_curvature_split, torsion)
-from .models import ModelInstance
+from .models import ModelInstance, json_text
 from .series import TruncatedSeries
 
 REPORT_SCHEMA_VERSION = 1
@@ -85,7 +83,7 @@ class SuiteReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n"
+        return json_text(self.to_json_obj())
 
     def to_text(self) -> str:
         lines = [f"model {self.model} order {self.order} mu-order "
@@ -162,24 +160,6 @@ def evaluate_twist(structure: FStructure, working: Connection,
     """Twist by ``epsilon``, with the pencil member one unit past ``working``."""
     return duality_mod.duality_verify(
         structure, working, shift_base(structure, working, 1), epsilon)
-
-
-# Exactly one of these two hypotheses can hold, so the rule requires their
-# disjunction rather than both.
-_TWIST_ALTERNATIVES = ("twist field flat for shifted connection",
-                      "inverse of twist field flat for shifted connection")
-
-
-def twist_hypothesis_failures(
-        report: duality_mod.DualityVerifyReport) -> List[str]:
-    """What the twist-hypotheses rule finds wrong; empty when it holds."""
-    failed = [h.label for h in report.hypotheses
-              if not h.holds and h.label not in _TWIST_ALTERNATIVES]
-    if not any(h.holds for h in report.hypotheses
-               if h.label in _TWIST_ALTERNATIVES):
-        failed.append("neither the twist field nor its inverse is flat "
-                      "for the shifted connection")
-    return failed
 
 
 def _skips(check_ids: Tuple[str, ...], detail: str) -> List[CheckResult]:
@@ -294,7 +274,7 @@ def run_check_suite(instance: ModelInstance, mu_order: int,
             l_membership(structure, working, instance.epsilon),
             detail="nabla_Y eps = Y o nabla_e eps over the frame"))
         report = evaluate_twist(structure, working, instance.epsilon)
-        failed = twist_hypothesis_failures(report)
+        failed = report.hypothesis_failures()
         results.append(CheckResult(
             "twist-hypotheses", PASS if not failed else FAIL,
             min(h.proven_to for h in report.hypotheses),

@@ -14,7 +14,6 @@ exception is a defect and ends the command with its traceback.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from fractions import Fraction
@@ -24,10 +23,10 @@ from . import __version__
 from . import correlators as correlators_mod
 from . import duality as duality_mod
 from .checks import (evaluate_extension, evaluate_twist, run_check_suite,
-                     twist_hypothesis_failures, working_connection)
+                     working_connection)
 from .geometry import judge
-from .models import (CORPUS, ModelDocument, load_model, load_model_file,
-                     read_json)
+from .models import (CORPUS, ModelDocument, json_text, load_model,
+                     load_model_file, read_json)
 from .permutofan import verify_fan
 from .series import InputError, NotClosedError
 
@@ -76,7 +75,7 @@ def _cmd_dualize(args: argparse.Namespace) -> int:
     if verify.pair is None:
         raise InputError("system matrix singular at the origin")
     dual = verify.pair.dual.structure.tensor
-    ok = not twist_hypothesis_failures(verify)
+    ok = not verify.hypothesis_failures()
     if args.format == "json":
         obj = {
             "schemaVersion": 1,
@@ -92,7 +91,7 @@ def _cmd_dualize(args: argparse.Namespace) -> int:
             "inverseTwist": [c.canonical_text()
                              for c in verify.pair.inverse_used.components],
         }
-        text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        text = json_text(obj)
     else:
         lines = [f"model {document.name} order {structure.order}"]
         for h in verify.hypotheses:
@@ -140,7 +139,7 @@ def _cmd_extend(args: argparse.Namespace) -> int:
                   for c in range(n)] for a in range(n)]
                 for k in range(args.mu_order + 1)],
         }
-        text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        text = json_text(obj)
     else:
         lines = [f"model {document.name} order {structure.order} "
                  f"mu-order {args.mu_order}",
@@ -167,7 +166,7 @@ def _cmd_fan(args: argparse.Namespace) -> int:
             "faceClosed": report.face_closed,
             "allPass": report.all_pass,
         }
-        text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        text = json_text(obj)
     else:
         text = (f"fan on {report.n} elements: {report.cone_count} cones, "
                 f"{report.ray_count} rays, {report.max_cone_count} maximal\n"
@@ -200,7 +199,7 @@ def _cmd_correlators(args: argparse.Namespace) -> int:
                 "masterEquationHolds": ok,
                 "failingPairs": [list(k) for k in offending],
             }
-            text = json.dumps(out, indent=2, sort_keys=True) + "\n"
+            text = json_text(out)
         else:
             text = (f"family dim {family.dim} order {family.order}\n"
                     f"  master equation: {'pass' if ok else 'fail'}"

@@ -10,7 +10,6 @@ tensor is read off as C_{ab}^c = d_a B^c_b.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -18,7 +17,7 @@ from typing import Dict, List, Tuple
 
 from .series import InputError, TruncatedSeries
 from .geometry import EndField, HiggsField, judge, torsion
-from .models import json_integer, json_rational
+from .models import json_integer, json_rational, json_text
 
 FAMILY_SCHEMA_VERSION = 1
 
@@ -80,7 +79,7 @@ class CorrelatorFamily:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n"
+        return json_text(self.to_json_obj())
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "CorrelatorFamily":
@@ -135,8 +134,6 @@ def b_from_correlators(family: CorrelatorFamily) -> EndField:
     coeffs: List[List[Dict[Tuple[int, ...], Fraction]]] = [
         [{} for _ in range(dim)] for _ in range(dim)]
     for key, rows in family.matrices.items():
-        if len(key) > order:
-            continue
         exponent = _exponent_of_multiset(key, dim)
         weight = _weight(exponent)
         for i in range(dim):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .fmanifold import (FStructure, MissingIdentityError, shift_base,
@@ -129,24 +129,46 @@ class HypothesisItem:
 
 @dataclass(frozen=True)
 class DualityVerifyReport:
-    """Residuals of the Euler-property of the old identity under the twist.
+    """The hypotheses of the twist by eps, the identity e, eps, and the
+    twisted pair, which is None when eps is not circ-invertible.
 
-    ``bracket_defect_flat_eps`` is [eps, e] - eps (the shape expected when the
-    twist field itself is flat for the shifted connection);
-    ``bracket_defect_flat_inverse`` is [eps, e] + eps (the shape observed when
-    instead its circ-inverse is flat).  The bracket convention is
-    [X, Y]^c = X(Y^c) - Y(X^c) throughout.  ``euler_weight_one`` is the
-    weight-one scaling residual of e for the twisted product, indexed
-    [a][b]; it and ``pair``, the twisted structure, are empty when the
-    twist field is not circ-invertible.
+    The residuals of the Euler property of e are formed on read.
+    ``bracket_defect_flat_eps`` is [eps, e] - eps, which vanishes when eps is
+    flat for the shifted connection; when its circ-inverse is flat instead,
+    [eps, e] + eps vanishes.  ``euler_weight_one`` is the weight-one scaling
+    residual of e for the twisted product, indexed [a][b]; () without a pair.
     """
 
     hypotheses: Tuple[HypothesisItem, ...]
-    bracket_defect_flat_eps: VectorField
-    bracket_defect_flat_inverse: VectorField
-    euler_weight_one: Tuple[Tuple[VectorField, ...], ...]
+    identity: VectorField
+    epsilon: VectorField
     pair: Optional[DualityPair]
-    bracket_convention: str = "[X,Y]^c = X(Y^c) - Y(X^c)"
+
+    bracket_convention = "[X,Y]^c = X(Y^c) - Y(X^c)"
+    # Exactly one of these two hypotheses can hold, so the twist-hypotheses
+    # rule requires their disjunction rather than both.
+    TWIST_ALTERNATIVES = ("twist field flat for shifted connection",
+                          "inverse of twist field flat for shifted connection")
+
+    @property
+    def bracket_defect_flat_eps(self) -> VectorField:
+        return lie_bracket(self.epsilon, self.identity) - self.epsilon
+
+    @property
+    def euler_weight_one(self) -> Tuple[Tuple[VectorField, ...], ...]:
+        if self.pair is None:
+            return ()
+        return euler_residual(self.pair.dual, self.identity, 1)
+
+    def hypothesis_failures(self) -> List[str]:
+        """What the twist-hypotheses rule finds wrong; empty when it holds."""
+        failed = [h.label for h in self.hypotheses
+                  if not h.holds and h.label not in self.TWIST_ALTERNATIVES]
+        if not any(h.holds for h in self.hypotheses
+                   if h.label in self.TWIST_ALTERNATIVES):
+            failed.append("neither the twist field nor its inverse is flat "
+                          "for the shifted connection")
+        return failed
 
 
 def duality_verify(structure: FStructure, base: Connection, conn: Connection,
@@ -184,10 +206,7 @@ def duality_verify(structure: FStructure, base: Connection, conn: Connection,
         hypotheses.append(flat(
             "inverse of twist field flat for shifted connection", conn,
             pair.inverse_used))
-    bracket = lie_bracket(epsilon, e)
-    return DualityVerifyReport(
-        tuple(hypotheses), bracket - epsilon, bracket + epsilon,
-        euler_residual(pair.dual, e, 1) if pair is not None else (), pair)
+    return DualityVerifyReport(tuple(hypotheses), e, epsilon, pair)
 
 
 def flat_section_solve(structure: FStructure, base: Connection, lambda0: Scalar,

@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Tuple
 from . import linalg
 from .geometry import (Connection, EndField, HiggsField, SeriesTensor4,
                        VectorField, apply_higgs, covariant_derivative,
-                       lie_bracket, nabla, tensor_vanishes_through)
+                       lie_bracket, nabla)
 from .series import Scalar, TruncatedSeries, as_fraction, dot
 
 
@@ -64,19 +64,13 @@ class FStructure:
         return VectorField.basis(self.dim, self.order, axis)
 
 
-def potential_to_structure(potential: VectorPotential,
-                           identity_hint: Optional[VectorField] = None) -> FStructure:
-    """Structure tensor C_{ab}^c = d_a d_b C^c from a vector potential."""
+def potential_to_structure(potential: VectorPotential) -> FStructure:
+    """Structure tensor C_{ab}^c = d_a d_b C^c from a vector potential, with
+    no identity field."""
     vf = potential.potential
-    n = vf.dim
-    tensor = HiggsField.build(
-        n, lambda a, b, c: vf.components[c].derivative(a).derivative(b))
-    structure = FStructure(tensor, identity=identity_hint)
-    if identity_hint is None:
-        found = find_identity(structure)
-        if found is not None:
-            structure = FStructure(tensor, identity=found)
-    return structure
+    return FStructure(HiggsField.build(
+        vf.dim,
+        lambda a, b, c: vf.components[c].derivative(a).derivative(b)))
 
 
 def five_term_residual(structure: FStructure) -> "Tensor5":
@@ -209,25 +203,23 @@ def find_identity(structure: FStructure) -> Optional[VectorField]:
 
     The equation sum_a e^a C_{ab}^c = delta_b^c separates per monomial into a
     constant overdetermined linear system; a singular or inconsistent system
-    at some degree means there is no identity.
+    at some degree means there is no identity.  A solution needs no further
+    check: the residual that ``solve_series_system`` ends with is
+    delta_b^c - sum_a e^a C_{ab}^c, that is -(L_e - 1) entry by entry, and
+    every degree through the ``valid_to`` of C is solved, so
+    ``identity_residual`` vanishes through that degree.
     """
     n = structure.dim
-    valid = structure.valid_to
     t = structure.structure.tensor
     one = TruncatedSeries.constant(n, structure.order, 1)
     zero = TruncatedSeries.zero(n, structure.order)
     try:
-        components = solve_series_system(
+        return VectorField(solve_series_system(
             [[t[a][b][c] for a in range(n)] for b in range(n) for c in range(n)],
             [one if b == c else zero for b in range(n) for c in range(n)],
-            valid)
+            structure.valid_to))
     except linalg.SingularSystemError:
         return None
-    field = VectorField(components)
-    # confirm: a consistent per-degree solve can still fail globally
-    if not tensor_vanishes_through(identity_residual(structure, field), valid):
-        return None
-    return field
 
 
 def l_membership(structure: FStructure, conn: Connection,

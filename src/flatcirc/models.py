@@ -16,7 +16,8 @@ from importlib import resources
 from typing import Optional, Sequence, Tuple
 
 from .expr import NAME_PATTERN, is_name, parse_series
-from .fmanifold import FStructure, VectorPotential, potential_to_structure
+from .fmanifold import (FStructure, VectorPotential, find_identity,
+                        potential_to_structure)
 from .geometry import HiggsField, VectorField
 from .series import InputError
 
@@ -139,40 +140,41 @@ class ModelDocument:
         return obj
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n"
+        return json_text(self.to_json_obj())
 
     def _field(self, expressions: Sequence[str], cap: int) -> VectorField:
         return VectorField(tuple(
             parse_series(text, self.variables, cap) for text in expressions))
 
     def instantiate(self, order: Optional[int] = None) -> "ModelInstance":
+        """The model at ``order``; its identity is the declared field, else
+        the one ``find_identity`` solves for, from a potential or a table."""
         cap = self.default_order if order is None else order
         identity = (self._field(self.identity, cap)
                     if self.identity is not None else None)
-        potential = None
         if self.potential is not None:
-            potential = VectorPotential(self._field(self.potential, cap))
-            structure = potential_to_structure(potential,
-                                               identity_hint=identity)
+            tensor = potential_to_structure(VectorPotential(
+                self._field(self.potential, cap))).structure
         else:
             table = self.structure_table
             tensor = HiggsField.build(
                 self.dim,
                 lambda a, b, c: parse_series(table[a][b][c], self.variables,
                                              cap))
-            structure = FStructure(tensor, identity=identity)
-        if structure.valid_to < 1:
+        if tensor.valid_to < 1:
             raise InsufficientOrderError(
                 f"at order {cap} the structure tensor is proven only to "
-                f"degree {structure.valid_to}; a residual with a derivative "
+                f"degree {tensor.valid_to}; a residual with a derivative "
                 "needs degree 1")
+        if identity is None:
+            identity = find_identity(FStructure(tensor))
         euler = None
         if self.euler is not None:
             euler = (self._field(self.euler[0], cap), self.euler[1])
         epsilon = (self._field(self.epsilon, cap)
                    if self.epsilon is not None else None)
-        return ModelInstance(self, cap, potential, structure, euler, epsilon,
-                             self.lambda0)
+        return ModelInstance(self, cap, FStructure(tensor, identity), euler,
+                             epsilon, self.lambda0)
 
 
 def _is_cube(value, dim: int, depth: int) -> bool:
@@ -187,7 +189,6 @@ def _is_cube(value, dim: int, depth: int) -> bool:
 class ModelInstance:
     document: ModelDocument
     order: int
-    potential: Optional[VectorPotential]
     structure: FStructure
     euler: Optional[Tuple[VectorField, Fraction]]
     epsilon: Optional[VectorField]
@@ -215,6 +216,11 @@ def json_rational(value: object, name: str) -> Fraction:
         raise InputError(f"{name} must be an integer or a string, "
                          f"got {json.dumps(value)}")
     return Fraction(value)
+
+
+def json_text(obj: object) -> str:
+    """The JSON text of every document and report the package writes."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def read_json(path: str, what: Optional[str] = None) -> object:

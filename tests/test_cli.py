@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatcirc import checks
+from coordinates import product_document, unimodular_pair
+from flatcirc import checks, duality
 from flatcirc.cli import EXIT_BAD_INPUT, EXIT_CHECK_FAILED, EXIT_OK, main
 from flatcirc.models import CORPUS, load_model
 from flatcirc.series import DimensionMismatchError, NonUnitError
@@ -117,6 +118,12 @@ class TestCheck:
         assert code == EXIT_OK
 
 
+# C_01^0 = 1 and every other entry 0
+NOT_A_GRADIENT = {
+    "schemaVersion": 1, "name": "t", "dim": 2, "variables": ["x", "y"],
+    "structure": [[["0", "0"], ["1", "0"]], [["0", "0"], ["0", "0"]]]}
+
+
 class TestBadInput:
     def test_missing_model_file(self, capsys):
         code, _, err = run(capsys, "check", "/no/such/model.json")
@@ -207,13 +214,20 @@ class TestBadInput:
     def test_structure_not_a_gradient(self, capsys, tmp_path):
         # C_01^0 = 1 and C_10^0 = 0: B exists, but d_0 B^0_1 != d_1 B^0_0
         path = tmp_path / "table.json"
-        path.write_text(json.dumps({
-            "schemaVersion": 1, "name": "t", "dim": 2, "variables": ["x", "y"],
-            "structure": [[["0", "0"], ["1", "0"]],
-                          [["0", "0"], ["0", "0"]]]}))
+        path.write_text(json.dumps(NOT_A_GRADIENT))
         assert run(capsys, "correlators", str(path), "--order", "4") == (
             EXIT_BAD_INPUT, "",
             "error: d_0 B^0_1 != d_1 B^0_0: not a gradient family\n")
+
+    def test_force_derives_a_non_gradient_family(self, capsys, tmp_path):
+        # the table of ``test_structure_not_a_gradient``: B^0_1 = x
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(NOT_A_GRADIENT))
+        code, out, err = run(capsys, "correlators", str(path), "--order",
+                             "4", "--force")
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["entries"] == [
+            {"multiset": [0], "matrix": [["0", "1"], ["0", "0"]]}]
 
 
 class TestInternalErrors:
@@ -386,11 +400,11 @@ class TestInputContract:
 
 
 class TestNoIdentity:
-    """A structure-table document never searches for an identity, so one
-    without ``"identity"`` gives a model with no identity field."""
+    """A document without ``"identity"`` whose product has none gives a
+    model with no identity field: C = x0 is singular at the origin."""
 
     DOC = {"schemaVersion": 1, "name": "table", "dim": 1,
-           "variables": ["x0"], "structure": [[["1"]]],
+           "variables": ["x0"], "structure": [[["x0"]]],
            "euler": {"components": ["x0"], "weight": "1"},
            "epsilon": ["exp(-x0)"]}
 
@@ -418,7 +432,53 @@ class TestNoIdentity:
                 "detail": "twist checks need an identity"}
 
 
+class TestTableIdentity:
+    def test_identity_is_found_for_a_table(self, capsys, tmp_path):
+        # a table gets the same identity search as a potential: e = 1
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({
+            "schemaVersion": 1, "name": "table", "dim": 1,
+            "variables": ["x0"], "structure": [[["1"]]]}))
+        code, out, _ = run(capsys, "check", str(path), "--order", "4",
+                           "--format", "json")
+        assert code == EXIT_OK
+        results = {r["id"]: r for r in json.loads(out)["checks"]}
+        assert results["identity-exists"] == {
+            "id": "identity-exists", "status": "pass", "provenTo": 4}
+
+
 class TestDualize:
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Names of the twist-identity residual builders called in
+        ``duality``, one entry per call."""
+        calls = []
+        for name in ("euler_residual", "lie_bracket"):
+            original = getattr(duality, name)
+
+            def counter(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(duality, name, counter)
+        return calls
+
+    @pytest.mark.parametrize("twisted_product", [False, True])
+    def test_forms_no_twist_identity_residual(self, capsys, tmp_path, counted,
+                                              twisted_product):
+        model = "one-dim"
+        if twisted_product:
+            a, inv = unimodular_pair(2, [(0, 1, 1)], [1, 0], [1, -1])
+            path = tmp_path / "product.json"
+            path.write_text(json.dumps(product_document(
+                ("one-dim", "one-dim"), a, inv, 5)))
+            model = str(path)
+        assert run(capsys, "dualize", model, "--order", "5")[0] == EXIT_OK
+        assert counted == []
+        # the counters see the residuals that ``check`` judges
+        assert run(capsys, "check", model, "--order", "5")[0] == EXIT_OK
+        assert sorted(counted) == ["euler_residual", "lie_bracket"]
+
     def test_one_dim_ok(self, capsys):
         code, out, _ = run(capsys, "dualize", "one-dim", "--order", "6")
         assert code == EXIT_OK

@@ -61,6 +61,14 @@ class TestRoundtrip:
         again = correlators_from_b(b_from_correlators(fam), force=True)
         assert again.matrices == fam.matrices
 
+    def test_multiset_longer_than_order_is_not_dropped(self):
+        # ``from_json_obj`` rejects such a family; one built by hand reaches
+        # the series constructor, which refuses a term above its cap
+        m = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+        fam = CorrelatorFamily(2, 2, {(0,): m, (0, 1, 1): m})
+        with pytest.raises(ValueError, match="of degree at most 2"):
+            b_from_correlators(fam)
+
 
 class TestGradientGuard:
     def test_non_gradient_rejected(self):

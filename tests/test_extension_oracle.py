@@ -28,7 +28,8 @@ import pytest
 
 from flatcirc.checks import working_connection
 from flatcirc.euler import full_flatness_residual, geometric_inverse, h_from_e
-from flatcirc.fmanifold import VectorPotential, potential_to_structure
+from flatcirc.fmanifold import (FStructure, VectorPotential,
+                               potential_to_structure)
 from flatcirc.geometry import (HiggsField, VectorField, covariant_derivative,
                                iter_tensor)
 from flatcirc.models import load_model
@@ -143,7 +144,7 @@ def seeded_model(seed, order):
     potential = VectorPotential(VectorField(tuple(
         TruncatedSeries(n, order, order, p) for p in (p0, p1))))
     e = VectorField.basis(n, order, 0)
-    structure = potential_to_structure(potential, identity_hint=e)
+    structure = FStructure(potential_to_structure(potential).structure, e)
     e_field = VectorField(tuple(TruncatedSeries(n, order, order, {
         (1, 0): Fraction(rng.randint(-3, 3)), (0, 1): Fraction(rng.randint(-3, 3)),
         (0, 0): Fraction(rng.randint(-3, 3))}) for _ in range(n)))

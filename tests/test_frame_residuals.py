@@ -18,11 +18,11 @@ from itertools import product
 
 import pytest
 
-from flatcirc import fmanifold
 from flatcirc.duality import duality_verify
 from flatcirc.euler import (e_equation_residual, euler_residual,
                             geometric_inverse)
-from flatcirc.fmanifold import FStructure, find_identity, l_membership, p_tensor
+from flatcirc.fmanifold import (FStructure, find_identity, identity_residual,
+                                l_membership, p_tensor)
 from flatcirc.geometry import (EndField, HiggsField, VectorField, apply_higgs,
                                covariant_derivative, iter_tensor, judge, nabla,
                                torsion)
@@ -254,7 +254,7 @@ class TestFrameEqualsFieldLevel:
             e, e1, e_field.valid_to - 1, conn, g[i[0]], g[max(i[0] - 1, 0)],
             [t[a][b][i[1]] for a in range(n) for b in range(n)]))
 
-    def test_identity_confirmation(self, n, uniform, seed, monkeypatch):
+    def test_identity_confirmation(self, n, uniform, seed):
         # A structure with a non-constant left identity e: slices a >= 1 are
         # random with C_a0(0) = d_a, so the degree-0 system has full rank,
         # and C_0 = (1 - sum_{a>=1} e^a C_a) / e^0.
@@ -274,17 +274,11 @@ class TestFrameEqualsFieldLevel:
 
         s = FStructure(HiggsField.build(n, entry))
         assert not judge(torsion(s.structure)).holds
-        seen = []
-        vanishes = fmanifold.tensor_vanishes_through
-
-        def recorded(tensor, degree):
-            seen.append(tensor)
-            return vanishes(tensor, degree)
-
-        monkeypatch.setattr(fmanifold, "tensor_vanishes_through", recorded)
         found = find_identity(s)
-        assert found is not None and len(seen) == 1
-        got = seen[0].columns()
+        assert found is not None
+        residual = identity_residual(s, found)
+        assert judge(residual).holds
+        got = residual.columns()
         want = field_identity_confirmation(s, found)
         assert_matches(got, want, lambda i: least(
             found, [s.structure.tensor[a][i[0]][i[1]] for a in range(n)]))

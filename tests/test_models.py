@@ -95,7 +95,6 @@ class TestSchema:
             "identity": ["1"],
         })
         instance = doc.instantiate(3)
-        assert instance.potential is None
         assert instance.structure.structure.tensor[0][0][0].constant_term == 1
 
 
