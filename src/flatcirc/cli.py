@@ -17,11 +17,10 @@ import argparse
 import re
 import sys
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Tuple
 
 from . import __version__
 from . import correlators as correlators_mod
-from . import duality as duality_mod
 from .checks import (evaluate_extension, evaluate_twist, run_check_suite,
                      working_connection)
 from .geometry import judge
@@ -50,23 +49,21 @@ def _emit(text: str, report_path: Optional[str]) -> None:
     sys.stdout.write(text)
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    document = _load_document(args.model)
-    instance = document.instantiate(args.order)
+def _cmd_check(args: argparse.Namespace) -> Tuple[str, bool]:
+    instance = _load_document(args.model).instantiate(args.order)
     report = run_check_suite(instance, args.mu_order, args.lambda0)
     text = report.to_json() if args.format == "json" else report.to_text()
-    _emit(text, args.report)
-    return EXIT_OK if report.all_pass else EXIT_CHECK_FAILED
+    return text, report.all_pass
 
 
-def _cmd_dualize(args: argparse.Namespace) -> int:
-    document = _load_document(args.model)
-    instance = document.instantiate(args.order)
+def _cmd_dualize(args: argparse.Namespace) -> Tuple[str, bool]:
+    instance = _load_document(args.model).instantiate(args.order)
+    name = instance.document.name
     if instance.epsilon is None:
-        raise InputError(f"model {document.name!r} declares no twist field")
+        raise InputError(f"model {name!r} declares no twist field")
     structure = instance.structure
     if structure.identity is None:
-        raise InputError(f"model {document.name!r} has no identity field")
+        raise InputError(f"model {name!r} has no identity field")
     n = structure.dim
     verify = evaluate_twist(
         structure,
@@ -79,7 +76,7 @@ def _cmd_dualize(args: argparse.Namespace) -> int:
     if args.format == "json":
         obj = {
             "schemaVersion": 1,
-            "model": document.name,
+            "model": name,
             "order": structure.order,
             "hypotheses": [
                 {"label": h.label, "holds": h.holds, "provenTo": h.proven_to}
@@ -91,32 +88,29 @@ def _cmd_dualize(args: argparse.Namespace) -> int:
             "inverseTwist": [c.canonical_text()
                              for c in verify.pair.inverse_used.components],
         }
-        text = json_text(obj)
-    else:
-        lines = [f"model {document.name} order {structure.order}"]
-        for h in verify.hypotheses:
-            mark = "ok " if h.holds else "BAD"
-            lines.append(f"  [{mark}] {h.label} (to degree {h.proven_to})")
-        lines.append("dual structure tensor (entry a b c, then series lines):")
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    lines.append(f"  entry {a} {b} {c}:")
-                    for row in dual[a][b][c].canonical_text().splitlines():
-                        lines.append("    " + row)
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.report)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+        return json_text(obj), ok
+    lines = [f"model {name} order {structure.order}"]
+    for h in verify.hypotheses:
+        mark = "ok " if h.holds else "BAD"
+        lines.append(f"  [{mark}] {h.label} (to degree {h.proven_to})")
+    lines.append("dual structure tensor (entry a b c, then series lines):")
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                lines.append(f"  entry {a} {b} {c}:")
+                for row in dual[a][b][c].canonical_text().splitlines():
+                    lines.append("    " + row)
+    return "\n".join(lines) + "\n", ok
 
 
-def _cmd_extend(args: argparse.Namespace) -> int:
-    document = _load_document(args.model)
-    instance = document.instantiate(args.order)
+def _cmd_extend(args: argparse.Namespace) -> Tuple[str, bool]:
+    instance = _load_document(args.model).instantiate(args.order)
+    name = instance.document.name
     structure = instance.structure
     if instance.euler is None:
-        raise InputError(f"model {document.name!r} declares no scaling field")
+        raise InputError(f"model {name!r} declares no scaling field")
     if structure.identity is None:
-        raise InputError(f"model {document.name!r} has no identity field")
+        raise InputError(f"model {name!r} has no identity field")
     n = structure.dim
     extension = evaluate_extension(
         structure,
@@ -128,7 +122,7 @@ def _cmd_extend(args: argparse.Namespace) -> int:
     if args.format == "json":
         obj = {
             "schemaVersion": 1,
-            "model": document.name,
+            "model": name,
             "order": structure.order,
             "muOrder": args.mu_order,
             "equationHolds": equation_ok,
@@ -139,20 +133,17 @@ def _cmd_extend(args: argparse.Namespace) -> int:
                   for c in range(n)] for a in range(n)]
                 for k in range(args.mu_order + 1)],
         }
-        text = json_text(obj)
-    else:
-        lines = [f"model {document.name} order {structure.order} "
-                 f"mu-order {args.mu_order}",
-                 f"  [{'pass' if equation_ok else 'fail'}] "
-                 "reconstruction equation",
-                 f"  [{'pass' if flatness.holds else 'fail'}] "
-                 f"extended flatness (to degree {flatness.proven_to})"]
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.report)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+        return json_text(obj), ok
+    lines = [f"model {name} order {structure.order} "
+             f"mu-order {args.mu_order}",
+             f"  [{'pass' if equation_ok else 'fail'}] "
+             "reconstruction equation",
+             f"  [{'pass' if flatness.holds else 'fail'}] "
+             f"extended flatness (to degree {flatness.proven_to})"]
+    return "\n".join(lines) + "\n", ok
 
 
-def _cmd_fan(args: argparse.Namespace) -> int:
+def _cmd_fan(args: argparse.Namespace) -> Tuple[str, bool]:
     report = verify_fan(args.n)
     if args.format == "json":
         obj = {
@@ -166,19 +157,17 @@ def _cmd_fan(args: argparse.Namespace) -> int:
             "faceClosed": report.face_closed,
             "allPass": report.all_pass,
         }
-        text = json_text(obj)
-    else:
-        text = (f"fan on {report.n} elements: {report.cone_count} cones, "
-                f"{report.ray_count} rays, {report.max_cone_count} maximal\n"
-                f"  unimodular: {report.unimodular}\n"
-                f"  complete:   {report.complete}\n"
-                f"  face-closed: {report.face_closed}\n"
-                f"result: {'PASS' if report.all_pass else 'FAIL'}\n")
-    _emit(text, args.report)
-    return EXIT_OK if report.all_pass else EXIT_CHECK_FAILED
+        return json_text(obj), report.all_pass
+    text = (f"fan on {report.n} elements: {report.cone_count} cones, "
+            f"{report.ray_count} rays, {report.max_cone_count} maximal\n"
+            f"  unimodular: {report.unimodular}\n"
+            f"  complete:   {report.complete}\n"
+            f"  face-closed: {report.face_closed}\n"
+            f"result: {'PASS' if report.all_pass else 'FAIL'}\n")
+    return text, report.all_pass
 
 
-def _cmd_correlators(args: argparse.Namespace) -> int:
+def _cmd_correlators(args: argparse.Namespace) -> Tuple[str, bool]:
     obj = None if args.source in CORPUS else read_json(args.source)
     if isinstance(obj, dict) and "entries" in obj:
         family = correlators_mod.CorrelatorFamily.from_json_obj(obj)
@@ -199,26 +188,21 @@ def _cmd_correlators(args: argparse.Namespace) -> int:
                 "masterEquationHolds": ok,
                 "failingPairs": [list(k) for k in offending],
             }
-            text = json_text(out)
-        else:
-            text = (f"family dim {family.dim} order {family.order}\n"
-                    f"  master equation: {'pass' if ok else 'fail'}"
-                    + (f" (pairs {offending})" if offending else "") + "\n")
-        _emit(text, args.report)
-        return EXIT_OK if ok else EXIT_CHECK_FAILED
+            return json_text(out), ok
+        return (f"family dim {family.dim} order {family.order}\n"
+                f"  master equation: {'pass' if ok else 'fail'}"
+                + (f" (pairs {offending})" if offending else "") + "\n"), ok
     # otherwise: a model document; derive the family from its structure
     document = load_model(args.source) if args.source in CORPUS \
         else ModelDocument.from_json_obj(obj)
     instance = document.instantiate(args.order)
     try:
-        b_field = duality_mod.potential_endomorphism(instance.structure)
+        b_field = correlators_mod.potential_endomorphism(instance.structure)
         family = correlators_mod.correlators_from_b(b_field, force=args.force)
     except (NotClosedError, correlators_mod.NotSymmetricError) as exc:
         # no correlator family has this structure tensor
         raise InputError(str(exc)) from exc
-    text = family.to_json()
-    _emit(text, args.report)
-    return EXIT_OK
+    return family.to_json(), True
 
 
 def _non_negative(text: str) -> int:
@@ -299,13 +283,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        text, ok = args.func(args)
+        _emit(text, args.report)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

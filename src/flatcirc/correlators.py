@@ -4,8 +4,9 @@ A correlator family assigns to each multiset of variable indices a square
 matrix of rationals.  Packing them into a matrix of series divides each value
 by the factorials of the exponent multiplicities, so mixed partials of the
 series recover the raw matrix entries.  The compatibility ("master") equation
-is the pairwise commuting of the partial-derivative matrices, and a structure
-tensor is read off as C_{ab}^c = d_a B^c_b.
+is the pairwise commuting of the partial-derivative matrices.  A structure
+tensor is read off as C_{ab}^c = d_a B^c_b (``structure_from_b``), and
+integrated back to the B with B(0) = 0 (``potential_endomorphism``).
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from fractions import Fraction
 from math import factorial
 from typing import Dict, List, Tuple
 
-from .series import InputError, TruncatedSeries
+from .series import InputError, TruncatedSeries, primitive_of_closed_family
+from .fmanifold import FStructure
 from .geometry import EndField, HiggsField, judge, torsion
 from .models import json_integer, json_rational, json_text
 
@@ -190,3 +192,21 @@ def structure_from_b(b: EndField) -> HiggsField:
     """The tensor C_{ab}^c = d_a B^c_b."""
     return HiggsField.build(
         len(b.matrix), lambda a, bb, c: b.matrix[c][bb].derivative(a))
+
+
+def potential_endomorphism(structure: FStructure) -> EndField:
+    """The B with d_a B^c_b = C_{ab}^c and gauge B(0) = 0.
+
+    Raises ``NotClosedError`` at the first (c, b), c outer, whose family
+    (C_{ab}^c)_a is not closed.
+    """
+    n = structure.dim
+    t = structure.structure.tensor
+    b_rows = []
+    for c in range(n):
+        row = []
+        for b in range(n):
+            family = [t[a][b][c] for a in range(n)]
+            row.append(primitive_of_closed_family(family))
+        b_rows.append(tuple(row))
+    return EndField(tuple(b_rows))

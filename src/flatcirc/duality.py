@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 from . import linalg
 from .fmanifold import (FStructure, MissingIdentityError, shift_base,
                         solve_series_system)
-from .correlators import structure_from_b
+from .correlators import potential_endomorphism, structure_from_b
 from .euler import euler_residual
 from .geometry import (Connection, EndField, HiggsField, VectorField, judge,
                        lie_bracket, nabla, torsion)
@@ -63,24 +63,6 @@ class PrimitiveSectionReport:
     def closedness_residual(self) -> Tuple:
         """d_a B^c_b - d_b B^c_a, the torsion of d_a B^c_b, indexed [a][b][c]."""
         return torsion(structure_from_b(self.b_field))
-
-
-def potential_endomorphism(structure: FStructure) -> EndField:
-    """The B with d_a B^c_b = C_{ab}^c and gauge B(0) = 0.
-
-    Raises ``NotClosedError`` at the first (c, b), c outer, whose family
-    (C_{ab}^c)_a is not closed.
-    """
-    n = structure.dim
-    t = structure.structure.tensor
-    b_rows = []
-    for c in range(n):
-        row = []
-        for b in range(n):
-            family = [t[a][b][c] for a in range(n)]
-            row.append(primitive_of_closed_family(family))
-        b_rows.append(tuple(row))
-    return EndField(tuple(b_rows))
 
 
 def primitive_section(structure: FStructure,

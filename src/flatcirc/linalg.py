@@ -7,29 +7,46 @@ manifold dimension (a handful), so nothing clever is needed.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
+
+
+def _eliminate(rows: List[list], ncols: int) -> Tuple[List[int], Fraction]:
+    """Forward elimination of ``rows``, in place, over its first ``ncols``
+    columns.
+
+    Each column pivots on its first nonzero entry at or below the current
+    rank; a column with none is skipped.  Rows below the rank end zero in the
+    first ``ncols`` columns; later columns (a right-hand side) are carried
+    along.  Returns the pivot columns and the product of the pivots, negated
+    once per row swap.
+    """
+    pivots: List[int] = []
+    product = Fraction(1)
+    for col in range(ncols):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0),
+                     None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            product = -product
+        top = rows[rank]
+        product *= top[col]
+        for row in rows[rank + 1:]:
+            if row[col] != 0:
+                factor = Fraction(row[col]) / top[col]
+                row[col + 1:] = [v - factor * t
+                                 for v, t in zip(row[col + 1:], top[col + 1:])]
+                row[col] = 0
+        pivots.append(col)
+    return pivots, product
 
 
 def determinant(m: Sequence[Sequence[Fraction]]) -> Fraction:
     a = [list(row) for row in m]
-    n = len(a)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = Fraction(1) / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] == 0:
-                continue
-            factor = a[r][col] * inv
-            for c in range(col, n):
-                a[r][c] -= factor * a[col][c]
-    return det
+    pivots, product = _eliminate(a, len(a))
+    return product if len(pivots) == len(a) else Fraction(0)
 
 
 class SingularSystemError(ValueError):
@@ -45,27 +62,16 @@ def solve_overdetermined(m: Sequence[Sequence[Fraction]],
     """
     rows = [list(row) + [b] for row, b in zip(m, rhs)]
     ncols = len(m[0]) if m else 0
-    rank = 0
-    pivots: List[int] = []
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = Fraction(1) / rows[rank][col]
-        rows[rank] = [v * inv for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [v - factor * p for v, p in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, len(rows)):
-        if rows[r][ncols] != 0:
-            raise SingularSystemError("no exact solution")
-    if rank < ncols:
+    pivots, _ = _eliminate(rows, ncols)
+    if any(row[ncols] != 0 for row in rows[len(pivots):]):
+        raise SingularSystemError("no exact solution")
+    if len(pivots) < ncols:
         raise SingularSystemError("rank deficient system")
-    solution = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        solution[col] = rows[r][ncols]
+    # full rank: row r pivots on column r
+    solution: List[Fraction] = [Fraction(0)] * ncols
+    for r in reversed(range(ncols)):
+        row = rows[r]
+        tail = sum((row[c] * solution[c] for c in range(r + 1, ncols)),
+                   Fraction(0))
+        solution[r] = (row[ncols] - tail) / row[r]
     return solution

@@ -327,8 +327,6 @@ class TruncatedSeries:
         return self._scaled(q, p)
 
     def pow_int(self, exponent: int) -> "TruncatedSeries":
-        if exponent < 0:
-            return self.invert_unit().pow_int(-exponent)
         result = TruncatedSeries.constant(self.num_vars, self.cap, 1,
                                           valid_to=self.valid_to if exponent else self.cap)
         for _ in range(exponent):

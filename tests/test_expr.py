@@ -92,3 +92,21 @@ class TestErrors:
     def test_empty_input(self):
         with pytest.raises(ExprError):
             parse("")
+
+
+class TestPower:
+    @pytest.mark.parametrize("text", ["x^-1", "x^y"])
+    def test_exponent_must_be_a_nonnegative_integer(self, text):
+        with pytest.raises(ExprError, match=r"^exponent must be a nonnegative "
+                           r"integer \(at offset 2\)$"):
+            parse_series(text, ["x", "y"], 4)
+
+    def test_power_does_not_chain(self):
+        with pytest.raises(ExprError,
+                           match=r"^unexpected '\^' \(at offset 3\)$"):
+            parse_series("x^2^3", ["x"], 4)
+
+    def test_zeroth_power_is_one_to_the_cap(self):
+        s = parse_series("(1+x)^0", ["x"], 4)
+        assert s == TruncatedSeries.constant(1, 4, 1)
+        assert s.valid_to == s.cap == 4

@@ -159,6 +159,67 @@ class TestFiveTermContractions:
                 six_term_entry(structure, a, b, c, d, f), (a, b, c, d, f)
 
 
+
+def shared_symmetric_tensor(rng, n, cap, valid_to):
+    """A symmetric 3-tensor of sparse series whose entries all have cap
+    ``cap`` and ``valid_to`` ``valid_to``; some entries are empty."""
+    def entry():
+        coeffs = {e: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                  for e in product(range(cap + 1), repeat=n)
+                  if sum(e) <= cap and rng.random() < 0.4}
+        return TruncatedSeries(n, cap, valid_to,
+                               {e: v for e, v in coeffs.items() if v})
+    rows = {(a, b): [entry() for _ in range(n)]
+            for a in range(n) for b in range(a, n)}
+    return HiggsField.build(n, lambda a, b, c: rows[min(a, b), max(a, b)][c])
+
+
+class TestFiveTermFromPencil:
+    """The five-term residual of a symmetric C from its pencil residuals.
+
+    With r1, r2 the split of the pencil C at the zero connection, and
+    rho = r1 (the linear residual d_x C_yz^f - d_y C_xz^f), every entry is
+      d_c r2[d][a][b][f] - d_a r2[b][c][d][f]
+      + sum_e (C_ab^e rho[e][c][d][f] - C_cd^e rho[e][a][b][f]
+               + C_ae^f rho[c][b][d][e] + C_bd^e rho[c][a][e][f]
+               + C_ce^f rho[d][a][b][e])
+    through its ``valid_to``, and has the same ``valid_to``, when the
+    entries of C share one cap and one ``valid_to``."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("kind", ["full", "below-cap", "potential"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_residual_from_pencil_split(self, n, kind, seed):
+        rng = random.Random(f"five-term-pencil:{n}:{kind}:{seed}")
+        if kind == "potential":
+            structure = exp_potential_structure(rng, n, 5)
+        else:
+            valid_to = 4 if kind == "full" else 2
+            structure = FStructure(shared_symmetric_tensor(rng, n, 4,
+                                                           valid_to))
+        t = structure.structure.tensor
+        entries = [s for p in t for r in p for s in r]
+        assert len({(s.cap, s.valid_to) for s in entries}) == 1
+        r1, r2 = pencil_curvature_split(structure.structure,
+                                        Connection.zero(n, entries[0].cap))
+        rho = r1
+        assert judge(rho).holds == (kind == "potential")
+        assert not judge(r2).holds
+        residual = five_term_residual(structure)
+        for a, b, c, d, f in product(range(n), repeat=5):
+            lhs = residual[a][b][c][d][f]
+            rhs = (r2[d][a][b][f].derivative(c)
+                   - r2[b][c][d][f].derivative(a))
+            for e in range(n):
+                rhs = (rhs + t[a][b][e] * rho[e][c][d][f]
+                       - t[c][d][e] * rho[e][a][b][f]
+                       + t[a][e][f] * rho[c][b][d][e]
+                       + t[b][d][e] * rho[c][a][e][f]
+                       + t[c][e][f] * rho[d][a][b][e])
+            assert rhs.valid_to == lhs.valid_to, (a, b, c, d, f)
+            assert (lhs - rhs).vanishes_through(lhs.valid_to), (a, b, c, d, f)
+
+
 class TestOperationCounts:
     """Kernel operation counts of the residuals at n = 3: counts stay
     steady where times are noisy."""
