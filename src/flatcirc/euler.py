@@ -115,6 +115,8 @@ def h_from_e(e_field: VectorField, structure: FStructure, conn: Connection,
     r_e = c.right(e_field)
     j_minus_one = nabla(conn, e_field) - one
     left = [c.left(gk) for gk in g]
+    # H_0 = R_E L_{g_0}, formed through the nearly empty L_{g_0} - 1: fewer
+    # term pairs than R_E L_{g_0}, with the same series
     h = [r_e + r_e.compose(left[0] - one)]
     for k in range(1, len(g)):
         h.append(r_e.compose(left[k]) + j_minus_one.compose(left[k - 1]))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Optional, Sequence, Tuple
 
 from . import linalg
@@ -76,37 +75,31 @@ def potential_to_structure(potential: VectorPotential) -> FStructure:
 def five_term_residual(structure: FStructure) -> "Tensor5":
     """Frame residual of the five-term integrability identity, indexed (a,b,c,d,f).
 
-    The five surviving frame terms (even case, all signs +1):
+    With C_P = d_a o d_b the frame field of the pair P = (a,b), J_P its
+    Jacobian and Q = (c,d), the entry of (P,Q) is the field
+      X(P,Q) - X(Q,P),  X(P,Q) = J_Q(C_P) + (d_c C_P) o d_d + (d_d C_P) o d_c,
+    where d_k C_P is column k of J_P, and the products (d_k C_P) o d_j are
+    the columns of ``structure.left(d_k C_P)``.  Component f of the entry is
+    the five surviving frame terms (even case, all signs +1) as six sums:
       sum_e C_ab^e d_e C_cd^f - C_cd^e d_e C_ab^f
       + d_c C_ab^e C_ed^f + d_d C_ab^e C_ec^f
       - d_b C_cd^e C_ea^f - d_a C_cd^e C_eb^f
-
-    Each of the six sums is an entry of one of two contractions over the
-    table of the derivatives d_e C_cd^f:
-      U(a,b,c,d,f) = sum_e C_ab^e d_e C_cd^f
-      V(a,b,c,d,f) = sum_e d_c C_ab^e C_ed^f
-    and the entry is
-      U(abcdf) - U(cdabf) + V(abcdf) + V(abdcf) - V(cdbaf) - V(cdabf).
     It is the sum of the same 6n series products as the six sums written
     out, so it is exact for any tensor, symmetric or not: coefficients, cap
-    and ``valid_to`` are those of the term-by-term sum.  Every term of an
-    entry shares its last index f, so U and V are formed one f at a time.
+    and ``valid_to`` are those of the term-by-term sum.
 
     The entries are formed over index orbits.  The pair (a,b) is replaced
     by (min, max) when the row C_ab equals C_ba as series (values, cap and
-    ``valid_to``), and kept otherwise.  The entry is unchanged: U depends on
-    (a,b) only through the row C_ab, and on (c,d) only through C_cd^f;
-    V(a,b,c,d) + V(a,b,d,c) and V(c,d,b,a) + V(c,d,a,b) depend on each pair
-    through its row and are symmetric in swapping it.  Swapping (a,b) with
-    (c,d) negates the recombination term by term, so the entry of pairs
-    (Q,P) is exactly -(P,Q), cap and ``valid_to`` included.  Hence U is
-    formed once per pair of representatives (P,Q), V once per (P,c,d), an
-    entry once per (P,Q,f) with P <= Q, and every other entry is a lookup or
-    a negation.  Each entry equals the term-by-term sum, so ``judge`` reads
-    the same tensor and finds the same witness, the lex-minimum of its
-    orbit.  A tensor with no symmetric row off the diagonal keeps every pair
-    and costs 2n^6 products; a symmetric one, as every tensor built from a
-    potential, costs n^2 m (m + n^2) with m = n(n+1)/2.
+    ``valid_to``), and kept otherwise.  The entry is unchanged: X(P,Q)
+    depends on P only through the row C_P, and on Q through the row C_Q and
+    symmetrically in (c,d).  Hence X is formed once per pair of
+    representatives, and the entries of (P,Q) and (Q,P) replace X(P,Q) and
+    X(Q,P) as soon as both rows are formed.  Each entry equals the
+    term-by-term sum, so ``judge`` reads the same tensor and finds the same
+    witness, the lex-minimum of its orbit.  A tensor with no symmetric row
+    off the diagonal keeps every pair and costs 2n^6 products; a symmetric
+    one, as every tensor built from a potential, costs n^2 m (m + n^2) with
+    m = n(n+1)/2.
     """
     n = structure.dim
     t = structure.structure.tensor
@@ -114,26 +107,21 @@ def five_term_residual(structure: FStructure) -> "Tensor5":
     pair = [[(min(a, b), max(a, b)) if t[a][b] == t[b][a] else (a, b)
              for b in r] for a in r]
     reps = sorted({p for row in pair for p in row})
-    # dt[P][e][f] = d_e C_P^f
-    dt = {(a, b): [[t[a][b][f].derivative(e) for f in r] for e in r]
-          for a, b in reps}
-    entries = {}
-    for f in r:
-        u = {(p, q): dot(t[p[0]][p[1]], [dt[q][e][f] for e in r])
-             for p in reps for q in reps}
-        v = {(p, c, d): dot([dt[p][c][e] for e in r],
-                            [t[e][d][f] for e in r])
-             for p in reps for c in r for d in r}
-        for p, q in product(reps, repeat=2):
-            if p <= q:
-                (a, b), (c, d) = p, q
-                entries[p, q, f] = u[p, q] - u[q, p] + v[p, c, d] \
-                    + v[p, d, c] - v[q, b, a] - v[q, a, b]
-            else:
-                entries[p, q, f] = -entries[q, p, f]
-    return tuple(tuple(tuple(tuple(tuple(entries[pair[a][b], pair[c][d], f]
-                                         for f in r) for d in r) for c in r)
-                       for b in r) for a in r)
+    field = {(a, b): VectorField(t[a][b]) for a, b in reps}
+    jacobian = {p: EndField.jacobian(field[p]) for p in reps}
+    x = {}
+    for i, p in enumerate(reps):
+        # products[k][j] = (d_k C_P) o d_j
+        products = [structure.structure.left(column).columns()
+                    for column in jacobian[p].columns()]
+        for c, d in reps:
+            x[p, (c, d)] = jacobian[c, d].apply(field[p]) \
+                + products[c][d] + products[d][c]
+        for q in reps[:i + 1]:
+            x[p, q], x[q, p] = x[p, q] - x[q, p], x[q, p] - x[p, q]
+    return tuple(tuple(tuple(tuple(x[pair[a][b], pair[c][d]].components
+                                   for d in r) for c in r) for b in r)
+                 for a in r)
 
 
 Tensor5 = Tuple[Tuple[SeriesTensor4, ...], ...]

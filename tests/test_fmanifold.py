@@ -4,8 +4,10 @@ from itertools import product
 
 import pytest
 
+from flatcirc.duality import circ_inverse, duality_verify
 from flatcirc.euler import euler_residual
-from flatcirc.fmanifold import (FStructure, VectorPotential, d_tensor,
+from flatcirc.fmanifold import (FStructure, MissingIdentityError,
+                                VectorPotential, d_tensor,
                                 find_identity, five_term_residual,
                                 l_membership, nabla_e_e_mode, p_tensor,
                                 potential_to_structure, shift_base)
@@ -458,6 +460,24 @@ class TestMembership:
         bad = VectorField((x(0) * x(0), x(1)))
         rep = l_membership(self.s, self.conn, bad)
         assert not judge(rep).holds
+
+
+@pytest.mark.parametrize("call, message", [
+    (l_membership, "membership test requires an identity field"),
+    (lambda s, conn, v: nabla_e_e_mode(s, v),
+     "classification requires an identity field"),
+    (lambda s, conn, v: circ_inverse(s, v), "circ-inverse needs an identity"),
+    (lambda s, conn, v: duality_verify(s, conn, conn, v),
+     "duality verification needs an identity")],
+    ids=["l_membership", "nabla_e_e_mode", "circ_inverse", "duality_verify"])
+def test_guard_without_identity(call, message):
+    """A structure built from a potential carries no identity field, and
+    every function that needs one says so."""
+    s = potential_to_structure(VectorPotential(VectorField(
+        (x(0) * x(0) / 2, x(0) * x(1)))))
+    assert s.identity is None
+    with pytest.raises(MissingIdentityError, match=f"^{message}$"):
+        call(s, Connection.zero(2, CAP), s.basis(0))
 
 
 class TestNablaEEMode:

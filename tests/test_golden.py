@@ -104,6 +104,22 @@ def test_five_dim_product_at_order_five_is_byte_identical(tmp_path):
     assert got == want
 
 
+@pytest.mark.parametrize("name", ["table-qo3-symmetric.json",
+                                  "table-qo3-nonsymmetric.json"])
+def test_structure_table_is_byte_identical(name, tmp_path):
+    """``check`` on n = 3 structure tables, which no corpus model or workload
+    reaches: C of the qc-p1 x one-dim potential (``x^2/2 + exp(y)``,
+    ``x*y``, ``z^2/2``) at order 6, written out as polynomials, with the
+    identity d_0 + d_2 declared and ``defaultOrder`` 4.  The symmetric table
+    adds x*y*z to C_02^1 and C_20^1, so it is not a potential (the pencil's
+    linear residual is not zero) and every pair of the five-term residual
+    is sorted; the non-symmetric one adds x*y to C_02^1 alone, so the pairs
+    (0,2) and (2,0) are kept apart.  Both fail the five-term identity
+    inside the proven range, away from the constant term."""
+    got, want = run_fixture(name, tmp_path)
+    assert got == want
+
+
 if __name__ == "__main__":
     table = {key(*case): run(*case) for case in CASES}
     GOLDEN.parent.mkdir(exist_ok=True)
