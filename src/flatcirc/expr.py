@@ -30,7 +30,8 @@ class ExprError(InputError):
 
 
 NAME_PATTERN = r"[A-Za-z_][A-Za-z_0-9]*"
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|(" + NAME_PATTERN + r")|([()+\-*/^]))")
+_TOKEN_RE = re.compile(r"(?P<int>\d+)|(?P<ident>" + NAME_PATTERN
+                       + r")|(?P<op>[()+\-*/^])|(?P<bad>\S)")
 
 
 def is_name(text: str) -> bool:
@@ -47,23 +48,11 @@ class _Token:
 
 def _tokenize(source: str) -> List[_Token]:
     tokens: List[_Token] = []
-    pos = 0
-    while pos < len(source):
-        match = _TOKEN_RE.match(source, pos)
-        if match is None or match.end() == pos:
-            stripped = source[pos:].lstrip()
-            if not stripped:
-                break
-            raise ExprError(f"unexpected character {stripped[0]!r}",
-                            len(source) - len(stripped))
-        offset = match.end() - len(match.group(match.lastindex))
-        if match.group(1):
-            tokens.append(_Token("int", match.group(1), offset))
-        elif match.group(2):
-            tokens.append(_Token("ident", match.group(2), offset))
-        else:
-            tokens.append(_Token("op", match.group(3), offset))
-        pos = match.end()
+    for match in _TOKEN_RE.finditer(source):  # whitespace falls between
+        if match.lastgroup == "bad":
+            raise ExprError(f"unexpected character {match.group()!r}",
+                            match.start())
+        tokens.append(_Token(match.lastgroup, match.group(), match.start()))
     tokens.append(_Token("end", "", len(source)))
     return tokens
 

@@ -4,7 +4,7 @@ A model document describes a structure either through a vector potential
 (component expressions) or through an explicit structure-tensor table, with
 optional identity, scaling field, twist field, and base-shift parameter.
 Numbers are JSON integers or strings parsed exactly as rationals or
-expressions, never floats, so documents round-trip without floating point.
+expressions, never floats.  Documents are read, never written.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ class ModelDocument:
     """Parsed but not yet instantiated model description."""
 
     name: str
-    description: str
     dim: int
     variables: Tuple[str, ...]
     potential: Optional[Tuple[str, ...]]
@@ -91,7 +90,6 @@ class ModelDocument:
                 raise ModelFormatError("name must be a string")
             doc = cls(
                 name=obj["name"],
-                description=obj.get("description", ""),
                 dim=dim,
                 variables=tuple(variables),
                 potential=tuple(potential) if potential is not None else None,
@@ -112,35 +110,6 @@ class ModelDocument:
                 raise
             raise ModelFormatError(f"malformed model document: {exc}") from exc
         return doc
-
-    def to_json_obj(self) -> dict:
-        obj: dict = {
-            "schemaVersion": MODEL_SCHEMA_VERSION,
-            "name": self.name,
-            "dim": self.dim,
-            "variables": list(self.variables),
-            "defaultOrder": self.default_order,
-        }
-        if self.description:
-            obj["description"] = self.description
-        if self.potential is not None:
-            obj["potential"] = list(self.potential)
-        if self.structure_table is not None:
-            obj["structure"] = [[list(row) for row in plane]
-                                for plane in self.structure_table]
-        if self.identity is not None:
-            obj["identity"] = list(self.identity)
-        if self.euler is not None:
-            obj["euler"] = {"components": list(self.euler[0]),
-                            "weight": str(self.euler[1])}
-        if self.epsilon is not None:
-            obj["epsilon"] = list(self.epsilon)
-        if self.lambda0 != 0:
-            obj["lambda0"] = str(self.lambda0)
-        return obj
-
-    def to_json(self) -> str:
-        return json_text(self.to_json_obj())
 
     def _field(self, expressions: Sequence[str], cap: int) -> VectorField:
         return VectorField(tuple(

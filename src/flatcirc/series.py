@@ -327,11 +327,18 @@ class TruncatedSeries:
         return self._scaled(q, p)
 
     def pow_int(self, exponent: int) -> "TruncatedSeries":
-        result = TruncatedSeries.constant(self.num_vars, self.cap, 1,
-                                          valid_to=self.valid_to if exponent else self.cap)
-        for _ in range(exponent):
-            result = result * self
-        return result
+        """By squaring: every factor has this cap and ``valid_to``, and the cut
+        at the cap commutes with ``*``, so this equals repeated ``*``."""
+        if not exponent:
+            return TruncatedSeries.constant(self.num_vars, self.cap, 1)
+        result, power = None, self
+        while True:
+            if exponent & 1:
+                result = power if result is None else result * power
+            exponent >>= 1
+            if not exponent:
+                return result
+            power = power * power
 
     # -- calculus ----------------------------------------------------------
 

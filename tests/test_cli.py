@@ -2,6 +2,7 @@ import copy
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,9 @@ from flatcirc import checks, duality
 from flatcirc.cli import EXIT_BAD_INPUT, EXIT_CHECK_FAILED, EXIT_OK, main
 from flatcirc.models import CORPUS, load_model
 from flatcirc.series import DimensionMismatchError, NonUnitError
+
+QC_P1 = json.loads(
+    (resources.files("flatcirc") / "data" / "qc-p1.json").read_text())
 
 
 def run(capsys, *argv):
@@ -84,7 +88,7 @@ class TestCheck:
         return code, {r["id"]: r for r in json.loads(out)["checks"]}
 
     def test_wrong_identity_fails(self, capsys, tmp_path):
-        doc = dict(load_model("qc-p1").to_json_obj(), identity=["0", "1"])
+        doc = dict(QC_P1, identity=["0", "1"])
         del doc["euler"]
         code, checks = self.checks_of(capsys, tmp_path, doc)
         assert code == EXIT_CHECK_FAILED
@@ -94,7 +98,7 @@ class TestCheck:
             "entry": [0, 0], "monomial": [0, 0], "value": "-1"}
 
     def test_frame_compat_failure_names_monomial(self, capsys, tmp_path):
-        doc = load_model("qc-p1").to_json_obj()
+        doc = dict(QC_P1)
         doc["euler"] = {"components": ["x0 + x1^2", "2"], "weight": "1"}
         code, checks = self.checks_of(capsys, tmp_path, doc)
         assert code == EXIT_CHECK_FAILED
@@ -250,7 +254,6 @@ class TestInternalErrors:
 TINY = {"schemaVersion": 1, "name": "tiny", "dim": 1, "variables": ["x0"],
         "potential": ["x0^2/2"], "identity": ["1"]}
 FAMILY = {"schemaVersion": 1, "dim": 2, "order": 3, "entries": []}
-QC_P1 = load_model("qc-p1").to_json_obj()
 
 
 class TestInputContract:

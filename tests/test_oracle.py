@@ -22,7 +22,10 @@ a random polynomial f and a random constant matrix N, is flat but not zero.
 
 The five-term residual of a random potential must agree with the six sums
 of its definition formed by sympy's derivatives and products of
-polynomials, through the degree each entry is proven to.
+polynomials, through the degree each entry is proven to.  With every C_ab^f
+a generic sympy function of x, the six sums must equal the five-term form
+built from the pencil residuals (``pencil_form``) when C is symmetric in
+(a, b), and differ from it when it is not.
 
 Division by a negative scalar and by a unit with a negative constant term
 must agree with sympy's series of the quotient.
@@ -202,19 +205,18 @@ def random_potential(rng, n, cap):
             for _ in range(n)]
 
 
-def six_sums(potential, n):
-    """The five-term entries [a][b][c][d][f] written out as the six sums over
-    e of ``five_term_residual``'s docstring, with C_ab^c = d_a d_b P^c."""
-    r = range(n)
-    t = [[[potential[f].diff(Y[a]).diff(Y[b]) for f in r] for b in r]
-         for a in r]
-    dt = [[[[t[a][b][f].diff(Y[e]) for f in r] for b in r] for a in r]
+def six_sums(t, xs, zero):
+    """The five-term entries [a][b][c][d][f] of the tensor t[a][b][f] = C_ab^f
+    over the coordinates ``xs``, written out as the six sums over e of
+    ``five_term_residual``'s docstring."""
+    r = range(len(xs))
+    dt = [[[[t[a][b][f].diff(xs[e]) for f in r] for b in r] for a in r]
           for e in r]
     return {(a, b, c, d, f): sum(
         (t[a][b][e] * dt[e][c][d][f] - t[c][d][e] * dt[e][a][b][f]
          + dt[c][a][b][e] * t[e][d][f] + dt[d][a][b][e] * t[e][c][f]
          - dt[b][c][d][e] * t[e][a][f] - dt[a][c][d][e] * t[e][b][f]
-         for e in r), sympy.Poly(0, *Y[:n], domain="QQ"))
+         for e in r), zero)
         for a, b, c, d, f in product(r, repeat=5)}
 
 
@@ -229,7 +231,10 @@ def test_five_term_matches_six_sums(n, seed):
         e: Fraction(int(c.p), int(c.q)) for e, c in p.terms() if c != 0})
         for p in potential)
     structure = potential_to_structure(VectorPotential(VectorField(components)))
-    symbolic = six_sums(potential, n)
+    r = range(n)
+    symbolic = six_sums(
+        [[[potential[f].diff(Y[a]).diff(Y[b]) for f in r] for b in r]
+         for a in r], Y[:n], sympy.Poly(0, *Y[:n], domain="QQ"))
     nonzero = 0
     for index, s in iter_tensor(five_term_residual(structure)):
         assert s.valid_to == cap - 3
@@ -240,6 +245,50 @@ def test_five_term_matches_six_sums(n, seed):
         assert got == expected, index
         nonzero += bool(got)
     assert nonzero  # the potential is not integrable: the oracle compares terms
+
+
+def pencil_form(t, xs):
+    """The five-term entries from the pencil's residuals at the flat base:
+    the quadratic r2[x][y][z][f] = [C_x, C_y]^f_z and the linear
+    rho[x][y][z][f] = d_x C_yz^f - d_y C_xz^f, as
+      d_c r2[d][a][b][f] - d_a r2[b][c][d][f]
+      + sum_e (C_ab^e rho[e][c][d][f] - C_cd^e rho[e][a][b][f]
+               + C_ae^f rho[c][b][d][e] + C_bd^e rho[c][a][e][f]
+               + C_ce^f rho[d][a][b][e])."""
+    r = range(len(xs))
+    r2 = [[[[sum(t[x][e][f] * t[y][z][e] - t[y][e][f] * t[x][z][e]
+                 for e in r) for f in r] for z in r] for y in r] for x in r]
+    rho = [[[[t[y][z][f].diff(xs[x]) - t[x][z][f].diff(xs[y]) for f in r]
+             for z in r] for y in r] for x in r]
+    return {(a, b, c, d, f): r2[d][a][b][f].diff(xs[c])
+            - r2[b][c][d][f].diff(xs[a])
+            + sum(t[a][b][e] * rho[e][c][d][f] - t[c][d][e] * rho[e][a][b][f]
+                  + t[a][e][f] * rho[c][b][d][e] + t[b][d][e] * rho[c][a][e][f]
+                  + t[c][e][f] * rho[d][a][b][e] for e in r)
+            for a, b, c, d, f in product(r, repeat=5)}
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_five_term_from_pencil_residuals(symmetric):
+    """With each C_ab^f a generic function of x, the six sums equal the
+    pencil form entry by entry exactly when C is symmetric in (a, b): the
+    identity holds for every symmetric C, not only for one built from a
+    potential, and needs the symmetry."""
+    n = 2
+    xs = Y[:n]
+    r = range(n)
+    pair = [[sorted((a, b)) if symmetric else (a, b) for b in r] for a in r]
+    t = [[[sympy.Function("C%d%d_%d" % (*pair[a][b], f))(*xs) for f in r]
+          for b in r] for a in r]
+    sums = six_sums(t, xs, sympy.Integer(0))
+    rhs = pencil_form(t, xs)
+    differences = {index: sympy.expand(sums[index] - rhs[index])
+                   for index in sums}
+    assert any(sympy.expand(s) != 0 for s in sums.values())
+    if symmetric:
+        assert all(v == 0 for v in differences.values())
+    else:
+        assert any(v != 0 for v in differences.values())
 
 
 Z = sympy.symbols("z0:4")

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatcirc import series as series_module
+from flatcirc.expr import parse_series
 from flatcirc.series import (DimensionMismatchError, NonUnitError,
                              NotClosedError, TruncatedSeries, dot, exp_series,
                              primitive_of_closed_family)
@@ -95,6 +96,25 @@ class TestArithmetic:
     @settings(max_examples=40, deadline=None)
     def test_additive_inverse(self, a):
         assert (a - a).coeffs == {}
+
+    @pytest.mark.parametrize("constant", [0, Fraction(-3, 2)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pow_int_equals_repeated_product(self, seed, constant):
+        rng = random.Random(seed)
+        coeffs = {(i, j): Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                  for i, j in product(range(4), repeat=2)
+                  if 0 < i + j <= 5}
+        coeffs[(0, 0)] = constant
+        base = TruncatedSeries(2, 5, 4, coeffs)
+        for exponent in range(21):
+            expected = TruncatedSeries.constant(
+                2, 5, 1, valid_to=base.valid_to if exponent else base.cap)
+            for _ in range(exponent):
+                expected = expected * base
+            assert base.pow_int(exponent) == expected
+
+    def test_pow_int_of_a_huge_exponent_is_immediate(self):
+        assert parse_series("x^1000000000", ["x"], 8) == S(1, 8)
 
 
 class TestDerivativeAndTruncation:
