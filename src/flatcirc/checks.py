@@ -6,9 +6,10 @@ entry and monomial.  Failing checks never abort the suite; structural
 impossibilities (a check that cannot even be stated for the model) are
 reported as skips with a reason.
 
-This module is also the one evaluation path that the ``extend`` and
-``dualize`` commands share with the suite: the working connection for a
-base shift, the mu-extension and the twist are formed here and nowhere else.
+This module is also the one evaluation path that the ``extend`` command
+shares with the suite: the mu-extension is formed here and nowhere else.
+Every connection is a member of the pencil through C, named by its shift
+(``geometry.Shift``).
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from typing import List, Optional, Tuple
 from . import duality as duality_mod
 from . import euler as euler_mod
 from .fmanifold import (FStructure, five_term_residual, identity_residual,
-                        l_membership, nabla_e_e_mode, shift_base)
-from .geometry import (Connection, EndField, FlatnessError, HiggsField,
-                       VectorField, covariant_derivative, judge,
+                        l_membership, nabla_e_e_mode)
+from .geometry import (EndField, FlatnessError, HiggsField, VectorField,
+                       base_member, covariant_derivative, judge,
                        pencil_curvature_split, torsion)
 from .models import ModelInstance, json_text
 from .series import TruncatedSeries
@@ -109,18 +110,6 @@ def _tensor_check(check_id: str, tensor, detail: str = "") -> CheckResult:
                        verdict.proven_to, detail, verdict.offending)
 
 
-def working_connection(structure: FStructure, shift: Fraction,
-                       order: int) -> Connection:
-    """The flat connection of the frame moved along the pencil by ``shift``.
-
-    The flat connection is the zero tensor at the instance ``order``, not at
-    the cap of C: it is exact at every degree, and the check suite's C is
-    cut to its proven degree.
-    """
-    flat = Connection.zero(structure.dim, order)
-    return shift_base(structure, flat, shift) if shift != 0 else flat
-
-
 @dataclass(frozen=True)
 class Extension:
     """The mu-extension built from a scaling field E and the identity e.
@@ -137,29 +126,24 @@ class Extension:
     flatness: Tuple[Tuple[EndField, ...], ...]
 
 
-def evaluate_extension(structure: FStructure, working: Connection,
+def evaluate_extension(structure: FStructure, lambda0: Fraction,
                        e_field: VectorField, mu_order: int,
                        e1: Optional[VectorField] = None) -> Extension:
-    """Build and verify the mu-extension; needs the structure's identity.
+    """Build and verify the mu-extension for the base shift ``lambda0``;
+    needs the structure's identity.
 
-    ``e1`` is nabla_e e for ``working``, computed here when not given.
+    ``e1`` is nabla_e e for the base member, computed here when not given.
     """
     e = structure.identity
+    working = base_member(lambda0)
     if e1 is None:
-        e1 = covariant_derivative(working, e, e)
+        e1 = covariant_derivative(structure.structure, working, e, e)
     g = euler_mod.geometric_inverse(structure, e, e1, mu_order)
     equation = euler_mod.e_equation_residual(e_field, structure, working,
                                              e1, g)
     h = euler_mod.h_from_e(e_field, structure, working, g)
     return Extension(equation, h,
                      euler_mod.full_flatness_residual(h, structure, working))
-
-
-def evaluate_twist(structure: FStructure, working: Connection,
-                   epsilon: VectorField) -> duality_mod.DualityVerifyReport:
-    """Twist by ``epsilon``, with the pencil member one unit past ``working``."""
-    return duality_mod.duality_verify(
-        structure, working, shift_base(structure, working, 1), epsilon)
 
 
 def _skips(check_ids: Tuple[str, ...], detail: str) -> List[CheckResult]:
@@ -189,14 +173,14 @@ def run_check_suite(instance: ModelInstance, mu_order: int,
     (``cut_to_proven``).  A coefficient of a series up to its ``valid_to``
     reads its operands only up to theirs, and ``judge`` reads nothing above
     an entry's ``valid_to``, so the cut changes no verdict and saves the
-    products of the degrees nothing reads.  The flat connection is built
-    at the instance order, and the report names that order.
+    products of the degrees nothing reads.  The report names the instance
+    order.
     """
     structure = cut_to_proven(instance.structure)
     shift = instance.lambda0 if lambda0 is None else lambda0
     results: List[CheckResult] = []
 
-    working = working_connection(structure, shift, instance.order)
+    working = base_member(shift)
     e1 = None  # nabla_e e, shared by checks 5 and 7
 
     # 1. symmetry of the structure tensor
@@ -224,7 +208,7 @@ def run_check_suite(instance: ModelInstance, mu_order: int,
         e = structure.identity
         results.append(_tensor_check("identity-exists",
                                      identity_residual(structure, e)))
-        e1 = covariant_derivative(working, e, e)
+        e1 = covariant_derivative(structure.structure, working, e, e)
         mode = nabla_e_e_mode(structure, e1)
         detail = mode.kind if mode.eigenvalue in (None, 0) \
             else f"{mode.kind} ({mode.eigenvalue})"
@@ -254,7 +238,7 @@ def run_check_suite(instance: ModelInstance, mu_order: int,
         results += _skips(("extension-equation", "extension-flatness"),
                           "needs both an identity and a scaling field")
     else:
-        extension = evaluate_extension(structure, working, instance.euler[0],
+        extension = evaluate_extension(structure, shift, instance.euler[0],
                                        mu_order, e1)
         results.append(_tensor_check("extension-equation",
                                      extension.equation))
@@ -273,7 +257,8 @@ def run_check_suite(instance: ModelInstance, mu_order: int,
             "twist-membership",
             l_membership(structure, working, instance.epsilon),
             detail="nabla_Y eps = Y o nabla_e eps over the frame"))
-        report = evaluate_twist(structure, working, instance.epsilon)
+        report = duality_mod.duality_verify(structure, shift,
+                                            instance.epsilon)
         failed = report.hypothesis_failures()
         results.append(CheckResult(
             "twist-hypotheses", PASS if not failed else FAIL,

@@ -21,8 +21,8 @@ from typing import Optional, Tuple
 
 from . import __version__
 from . import correlators as correlators_mod
-from .checks import (evaluate_extension, evaluate_twist, run_check_suite,
-                     working_connection)
+from .checks import evaluate_extension, run_check_suite
+from .duality import duality_verify
 from .geometry import judge
 from .models import (CORPUS, ModelDocument, json_text, load_model,
                      load_model_file, read_json)
@@ -65,10 +65,7 @@ def _cmd_dualize(args: argparse.Namespace) -> Tuple[str, bool]:
     if structure.identity is None:
         raise InputError(f"model {name!r} has no identity field")
     n = structure.dim
-    verify = evaluate_twist(
-        structure,
-        working_connection(structure, instance.lambda0, instance.order),
-        instance.epsilon)
+    verify = duality_verify(structure, instance.lambda0, instance.epsilon)
     if verify.pair is None:
         raise InputError("system matrix singular at the origin")
     dual = verify.pair.dual.structure.tensor
@@ -112,10 +109,8 @@ def _cmd_extend(args: argparse.Namespace) -> Tuple[str, bool]:
     if structure.identity is None:
         raise InputError(f"model {name!r} has no identity field")
     n = structure.dim
-    extension = evaluate_extension(
-        structure,
-        working_connection(structure, instance.lambda0, instance.order),
-        instance.euler[0], args.mu_order)
+    extension = evaluate_extension(structure, instance.lambda0,
+                                   instance.euler[0], args.mu_order)
     equation_ok = judge(extension.equation).holds
     flatness = judge(extension.flatness)
     ok = equation_ok and flatness.holds
@@ -283,6 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
+    # every value is exact and is printed whole, whatever its number of
+    # digits: lift the interpreter's limit on int-string conversion
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
         text, ok = args.func(args)

@@ -15,12 +15,11 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
-from .fmanifold import (FStructure, MissingIdentityError, shift_base,
-                        solve_series_system)
+from .fmanifold import FStructure, MissingIdentityError, solve_series_system
 from .correlators import potential_endomorphism, structure_from_b
 from .euler import euler_residual
-from .geometry import (Connection, EndField, HiggsField, VectorField, judge,
-                       lie_bracket, nabla, torsion)
+from .geometry import (EndField, HiggsField, Shift, VectorField, base_member,
+                       judge, lie_bracket, nabla, torsion)
 from .series import (NotClosedError, Scalar, TruncatedSeries,
                      primitive_of_closed_family)
 
@@ -153,26 +152,28 @@ class DualityVerifyReport:
         return failed
 
 
-def duality_verify(structure: FStructure, base: Connection, conn: Connection,
+def duality_verify(structure: FStructure, lambda0: Fraction,
                    epsilon: VectorField) -> DualityVerifyReport:
     """Verify the weight-one Euler property of e for the twisted structure.
 
-    ``base`` is the connection for which the identity is flat; ``conn`` is the
-    shifted pencil member whose difference from ``base`` is the structure
+    The identity is to be flat for the base member of the pencil that the
+    shift ``lambda0`` names (``geometry.base_member``), and the twist for the
+    member lambda0 + 1, whose difference from the base is the structure
     tensor itself.  Hypothesis failures are reported item by item, never
     raised.
     """
     if structure.identity is None:
         raise MissingIdentityError("duality verification needs an identity")
     e = structure.identity
+    shifted = lambda0 + 1
 
-    def flat(label: str, connection: Connection,
-             field: VectorField) -> HypothesisItem:
-        verdict = judge(nabla(connection, field).columns())
+    def flat(label: str, shift: Shift, field: VectorField) -> HypothesisItem:
+        verdict = judge(nabla(structure.structure, shift, field).columns())
         return HypothesisItem(label, verdict.holds, verdict.proven_to)
 
-    hypotheses = [flat("identity flat for base connection", base, e),
-                  flat("twist field flat for shifted connection", conn,
+    hypotheses = [flat("identity flat for base connection",
+                       base_member(lambda0), e),
+                  flat("twist field flat for shifted connection", shifted,
                        epsilon)]
     try:
         pair: Optional[DualityPair] = dual_structure(structure, epsilon)
@@ -180,35 +181,36 @@ def duality_verify(structure: FStructure, base: Connection, conn: Connection,
         pair = None
     hypotheses.append(HypothesisItem("twist field circ-invertible at origin",
                                      pair is not None, structure.valid_to))
-    difference = judge(conn.shifted(base, -1).tensor)
+    difference = judge(structure.structure.tensor)
     hypotheses.append(HypothesisItem("shifted connection differs from base",
                                      not difference.holds,
                                      difference.proven_to))
     if pair is not None:
         hypotheses.append(flat(
-            "inverse of twist field flat for shifted connection", conn,
+            "inverse of twist field flat for shifted connection", shifted,
             pair.inverse_used))
     return DualityVerifyReport(tuple(hypotheses), e, epsilon, pair)
 
 
-def flat_section_solve(structure: FStructure, base: Connection, lambda0: Scalar,
+def flat_section_solve(structure: FStructure, lambda0: Scalar,
                        v0: Sequence[Scalar]) -> VectorField:
-    """Unique w with w(0) = v0 and (base + lambda0 A) w = 0, degree by degree.
+    """Unique w with w(0) = v0 and (nabla_0 + lambda0 C) w = 0, degree by
+    degree.
 
-    The equation is d_a w^c = -(R_w)^c_a, so each pass sets w to v0 plus the
-    primitive of -R_w.  Starting from v0 proven to degree 0, pass k proves
-    one degree more and tests closedness through degree k - 1; the lower
-    degrees do not change between passes.  Closedness is the flatness of the
-    pencil member, so a violation surfaces as an integrability error at its
-    lowest degree.
+    The equation is d_a w^c = -lambda0 (R_w)^c_a, so each pass sets w to v0
+    plus the primitive of -lambda0 R_w.  Starting from v0 proven to degree
+    0, pass k proves one degree more and tests closedness through degree
+    k - 1; the lower degrees do not change between passes.  Closedness is
+    the flatness of the pencil member, so a violation surfaces as an
+    integrability error at its lowest degree.
     """
     n = structure.dim
     cap = structure.order
-    conn = shift_base(structure, base, lambda0)
     valid = min(structure.valid_to + 1, cap)
     w = [TruncatedSeries.constant(n, cap, v, valid_to=0) for v in v0]
     for _ in range(valid):
-        r_w = conn.right(VectorField(tuple(w))).matrix
+        r_w = structure.structure.right(
+            VectorField(tuple(w)).scale(lambda0)).matrix
         for c in range(n):
             try:
                 g = primitive_of_closed_family([-r for r in r_w[c]])

@@ -10,19 +10,20 @@ or linear in mu, so each coefficient is a short recurrence over plain
 fields.  With E the scaling field (constant in mu), e the identity,
 e1 = nabla_e e and g_k = (-1)^k e o e1^{ok} the coefficients of the geometric
 inverse (e + mu e1)^{-1}, everything is matrix algebra on frame tensors:
-C_a and Gamma_a are the slices of the structure tensor and the connection
-(``HiggsField.slice``), L_v and R_v the matrices of X -> v o X and
-X -> X o v, and J = Jacobian(E) + Gamma.right(E) the matrix of
-X -> nabla_X E (``geometry.nabla``).  Then
+C_a is the slice of the structure tensor (``HiggsField.slice``), L_v and R_v
+the matrices of X -> v o X and X -> X o v, and the connection the pencil
+member nabla_0 + lambda C, so that J = Jacobian(E) + lambda R_E is the matrix
+of X -> nabla_X E (``geometry.nabla``).  Then
 
   H_0 = R_E + R_E (L_{g_0} - 1)
   H_k = R_E L_{g_k} + (J - 1) L_{g_{k-1}}                          (k >= 1)
   equation residual_k = e o nabla_{g_k} E + e1 o nabla_{g_{k-1}} E
                         - delta_{k0} (e1 o E + e)
   flatness residual_k at d_a = [H_k, C_a] - d_a H_{k-1}
-                               - [Gamma_a, H_{k-1}] + delta_{k1} C_a
+                               + lambda [H_{k-1}, C_a] + delta_{k1} C_a
 
-A term whose index is below 0 is absent.  The scaling-weight residual is
+A term whose index is below 0 is absent, and so is every lambda term of the
+member None, the frame's flat nabla_0.  The scaling-weight residual is
 frame algebra too: P_E is the Lie derivative of the product along E
 (Hertling-Manin, "Weak Frobenius manifolds", IMRN 1999) and [E, d_a] = -d_a E,
 so P_E(d_a, d_b) is the column b of E(C_a) + [C_a, D] + L_{d_a E}, where
@@ -36,7 +37,7 @@ from fractions import Fraction
 from typing import Tuple
 
 from .fmanifold import FStructure
-from .geometry import Connection, EndField, VectorField, judge, nabla
+from .geometry import EndField, Shift, VectorField, judge, nabla
 from .series import Scalar, as_fraction
 
 
@@ -103,7 +104,7 @@ def geometric_inverse(structure: FStructure, e: VectorField, e1: VectorField,
     return tuple(coeffs)
 
 
-def h_from_e(e_field: VectorField, structure: FStructure, conn: Connection,
+def h_from_e(e_field: VectorField, structure: FStructure, shift: Shift,
              g: Tuple[VectorField, ...]) -> Tuple[EndField, ...]:
     """H from its value on the identity: the matrices H_k, k <= len(g) - 1.
 
@@ -113,7 +114,9 @@ def h_from_e(e_field: VectorField, structure: FStructure, conn: Connection,
     c = structure.structure
     one = EndField.identity(structure.dim, structure.order)
     r_e = c.right(e_field)
-    j_minus_one = nabla(conn, e_field) - one
+    j_minus_one = EndField.jacobian(e_field) - one
+    if shift is not None:
+        j_minus_one = j_minus_one + r_e.scale(shift)
     left = [c.left(gk) for gk in g]
     # H_0 = R_E L_{g_0}, formed through the nearly empty L_{g_0} - 1: fewer
     # term pairs than R_E L_{g_0}, with the same series
@@ -124,14 +127,14 @@ def h_from_e(e_field: VectorField, structure: FStructure, conn: Connection,
 
 
 def e_equation_residual(e_field: VectorField, structure: FStructure,
-                        conn: Connection, e1: VectorField,
+                        shift: Shift, e1: VectorField,
                         g: Tuple[VectorField, ...]) -> Tuple[VectorField, ...]:
     """Residual of (e + mu e1) o nabla_g E - e1 o E = e, where e = g_0.
 
     One vector field per power of mu.
     """
     e = g[0]
-    nabla_e_field = nabla(conn, e_field)
+    nabla_e_field = nabla(structure.structure, shift, e_field)
     along = [nabla_e_field.apply(gk) for gk in g]
     l_e = structure.structure.left(e)
     l_e1 = structure.structure.left(e1)
@@ -142,21 +145,22 @@ def e_equation_residual(e_field: VectorField, structure: FStructure,
 
 
 def full_flatness_residual(h: Tuple[EndField, ...], structure: FStructure,
-                           conn: Connection) -> Tuple[Tuple[EndField, ...], ...]:
+                           shift: Shift) -> Tuple[Tuple[EndField, ...], ...]:
     """Check H(X o Y) = X o H(Y) + mu (nabla_X H(Y) - X o Y - H(nabla_X Y)).
 
     Indexed [a][k]: the coefficient of mu^k at X = d_a, as the matrix
-    whose column b is the residual at Y = d_b.
+    whose column b is the residual at Y = d_b.  The commutator [H_k, C_a] is
+    formed once and serves as the lambda term of the power k + 1 as well.
     """
-    c = [structure.structure.slice(a) for a in range(structure.dim)]
-    gamma = [conn.slice(a) for a in range(structure.dim)]
+    def row(a: int) -> Tuple[EndField, ...]:
+        c_a = structure.structure.slice(a)
+        commutators = [h_k.commutator(c_a) for h_k in h]
+        out = [commutators[0]]
+        for k in range(1, len(h)):
+            r = commutators[k] - h[k - 1].derivative(a)
+            if shift is not None:
+                r = r + commutators[k - 1].scale(shift)
+            out.append(r + c_a if k == 1 else r)
+        return tuple(out)
 
-    def coefficient(a: int, k: int) -> EndField:
-        r = h[k].commutator(c[a])
-        if k == 0:
-            return r
-        r = r - h[k - 1].derivative(a) - gamma[a].commutator(h[k - 1])
-        return r + c[a] if k == 1 else r
-
-    return tuple(tuple(coefficient(a, k) for k in range(len(h)))
-                 for a in range(structure.dim))
+    return tuple(row(a) for a in range(structure.dim))

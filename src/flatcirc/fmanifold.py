@@ -13,10 +13,10 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from . import linalg
-from .geometry import (Connection, EndField, HiggsField, SeriesTensor4,
+from .geometry import (EndField, HiggsField, SeriesTensor4, Shift,
                        VectorField, apply_higgs, covariant_derivative,
                        lie_bracket, nabla)
-from .series import Scalar, TruncatedSeries, as_fraction, dot
+from .series import TruncatedSeries, dot
 
 
 class MissingIdentityError(ValueError):
@@ -135,12 +135,14 @@ def p_tensor(structure: FStructure, x: VectorField, z: VectorField,
         - structure.multiply(z, lie_bracket(x, w))
 
 
-def d_tensor(structure: FStructure, conn: Connection, x: VectorField,
+def d_tensor(structure: FStructure, shift: Shift, x: VectorField,
              y: VectorField, z: VectorField) -> VectorField:
-    """D(X, Y, Z) = nabla_X(Y o Z) - nabla_X(Y) o Z - Y o nabla_X(Z)."""
-    return covariant_derivative(conn, x, structure.multiply(y, z)) \
-        - structure.multiply(covariant_derivative(conn, x, y), z) \
-        - structure.multiply(y, covariant_derivative(conn, x, z))
+    """D(X, Y, Z) = nabla_X(Y o Z) - nabla_X(Y) o Z - Y o nabla_X(Z), with
+    nabla the pencil member ``shift``."""
+    c = structure.structure
+    return covariant_derivative(c, shift, x, structure.multiply(y, z)) \
+        - structure.multiply(covariant_derivative(c, shift, x, y), z) \
+        - structure.multiply(y, covariant_derivative(c, shift, x, z))
 
 
 def solve_series_system(matrix: Sequence[Sequence[TruncatedSeries]],
@@ -210,15 +212,16 @@ def find_identity(structure: FStructure) -> Optional[VectorField]:
         return None
 
 
-def l_membership(structure: FStructure, conn: Connection,
+def l_membership(structure: FStructure, shift: Shift,
                  epsilon: VectorField) -> Tuple[VectorField, ...]:
-    """Residual of nabla_Y eps = Y o nabla_e eps over the frame: the columns
-    of nabla eps - R_w with w = nabla_e eps.  ``epsilon`` satisfies the
-    multiplication-compatibility condition when the residual vanishes.
+    """Residual of nabla_Y eps = Y o nabla_e eps over the frame, for the
+    pencil member ``shift``: the columns of nabla eps - R_w with
+    w = nabla_e eps.  ``epsilon`` satisfies the multiplication-compatibility
+    condition when the residual vanishes.
     """
     if structure.identity is None:
         raise MissingIdentityError("membership test requires an identity field")
-    nabla_eps = nabla(conn, epsilon)
+    nabla_eps = nabla(structure.structure, shift, epsilon)
     nabla_e_eps = nabla_eps.apply(structure.identity)
     return (nabla_eps - structure.structure.right(nabla_e_eps)).columns()
 
@@ -251,8 +254,3 @@ def nabla_e_e_mode(structure: FStructure, w: VectorField) -> NablaEEMode:
         return NablaEEMode("eigen", candidate)
     return NablaEEMode("other")
 
-
-def shift_base(structure: FStructure, conn: Connection,
-               lambda0: Scalar) -> Connection:
-    """Move the base point of the pencil: Gamma + lambda0 * C."""
-    return conn.shifted(structure.structure, as_fraction(lambda0))

@@ -1,23 +1,26 @@
 """Vector fields, endomorphism fields and 3-tensor fields.
 
 Everything is expressed in a fixed flat frame d_0, ..., d_{n-1}: a vector
-field is its component series; a structure tensor and a connection are both
-3-tensor fields, the connection given by its Christoffel tensor (the flat
-base frame has all Christoffels zero).  All values are immutable and all
+field is its component series, and a structure tensor C is a 3-tensor
+field.  The frame's flat connection nabla_0 has all Christoffels zero, so
+every connection used here is a member nabla_0 + lambda C of the pencil and
+is named by its shift (``Shift``).  All values are immutable and all
 operations are pure.
 
-Frame residuals are matrix algebra on the slices T_a of a 3-tensor field,
-the matrices of X -> T(d_a, X) with entry [c][b] = T_ab^c.  With Gamma_a the
-slices of a connection and A_a those of a Higgs field:
+Frame residuals are matrix algebra on the slices C_a of a 3-tensor field,
+the matrices of X -> C(d_a, X) with entry [c][b] = C_ab^c.  The curvature of
+the member lambda is lambda rho + lambda^2 R2, exactly in lambda, with
 
-  curvature  R(d_a, d_b) = d_a Gamma_b - d_b Gamma_a + [Gamma_a, Gamma_b]
-  pencil     R1(d_a, d_b) = d_a A_b - d_b A_a + [A_a, Gamma_b] + [Gamma_a, A_b]
-             R2(d_a, d_b) = [A_a, A_b]
+  rho(d_a, d_b) = d_a C_b - d_b C_a        R2(d_a, d_b) = [C_a, C_b]
 
-The covariant derivative of a vector field v is the matrix of X -> nabla_X v,
-nabla v = Jacobian(v) + Gamma.right(v), whose column a is nabla_{d_a} v.  A
-residual over the frame is read off as the columns of a matrix
-(``EndField.columns``); no residual multiplies basis fields.
+and its pencil through lambda has the linear residual R1 = rho + 2 lambda R2
+and the quadratic residual R2.
+
+The covariant derivative of a vector field v is the matrix of
+X -> nabla_X v, nabla v = Jacobian(v) + lambda R_v with R_v the matrix of
+X -> X o v, whose column a is nabla_{d_a} v.  A residual over the frame is
+read off as the columns of a matrix (``EndField.columns``); no residual
+multiplies basis fields.
 
 Every residual is decided by ``judge``.
 """
@@ -152,16 +155,18 @@ class EndField:
         return EndField(tuple(tuple(a.derivative(axis) for a in row)
                               for row in self.matrix))
 
+    def scale(self, factor: Scalar) -> "EndField":
+        return EndField(tuple(tuple(a * factor for a in row)
+                              for row in self.matrix))
+
 
 @dataclass(frozen=True)
 class HiggsField:
     """A 3-tensor field T_{ab}^c in the flat frame, indexed [a][b][c].
 
-    The one type for structure tensors (d_a o d_b = sum_c T_{ab}^c d_c) and
-    for connections, which are stored as their Christoffel tensor; the flat
-    connection of the frame is the zero tensor.  No symmetry is imposed at
-    construction; symmetry in (a, b) is a property to be checked, not an
-    invariant.
+    The one type for structure tensors, d_a o d_b = sum_c T_{ab}^c d_c.  No
+    symmetry is imposed at construction; symmetry in (a, b) is a property to
+    be checked, not an invariant.
     """
 
     tensor: SeriesTensor3
@@ -173,12 +178,6 @@ class HiggsField:
     @property
     def valid_to(self) -> int:
         return min(s.valid_to for p in self.tensor for r in p for s in r)
-
-    @classmethod
-    def zero(cls, dim: int, cap: int) -> "HiggsField":
-        z = TruncatedSeries.zero(dim, cap)
-        return cls(tuple(tuple(tuple(z for _ in range(dim))
-                               for _ in range(dim)) for _ in range(dim)))
 
     @classmethod
     def build(cls, dim: int,
@@ -206,16 +205,17 @@ class HiggsField:
             dot([self.tensor[a][b][c] for b in range(n)], v.components)
             for a in range(n)) for c in range(n)))
 
-    def shifted(self, other: "HiggsField", factor: Scalar) -> "HiggsField":
-        """The pencil member self + factor * other."""
-        n = self.dim
-        return HiggsField(tuple(
-            tuple(tuple(self.tensor[a][b][c] + other.tensor[a][b][c] * factor
-                        for c in range(n)) for b in range(n)) for a in range(n)))
+
+# A member nabla_0 + lambda C of the pencil, named by its shift: None is the
+# frame's flat nabla_0, which adds no Christoffel term; a Fraction lambda adds
+# its lambda C term, even at lambda = 0, and with it the cap and ``valid_to``
+# of C.
+Shift = Optional[Fraction]
 
 
-# A connection is its Christoffel tensor Gamma_{ab}^c in the flat frame.
-Connection = HiggsField
+def base_member(lambda0: Fraction) -> Shift:
+    """The member a base shift names: nabla_0 at 0, else nabla_0 + lambda0 C."""
+    return None if lambda0 == 0 else lambda0
 
 
 # -- operations -----------------------------------------------------------
@@ -235,21 +235,25 @@ def apply_higgs(higgs: HiggsField, x: VectorField, y: VectorField) -> VectorFiel
     return higgs.left(x).apply(y)
 
 
-def nabla(conn: Connection, v: VectorField) -> EndField:
-    """The matrix of X -> nabla_X v, entry [c][a] = d_a v^c + sum_b Gamma_ab^c v^b."""
-    return EndField.jacobian(v) + conn.right(v)
+def nabla(higgs: HiggsField, shift: Shift, v: VectorField) -> EndField:
+    """The matrix of X -> nabla_X v for the member ``shift`` of the pencil
+    through ``higgs``: entry [c][a] = d_a v^c + lambda sum_b C_ab^c v^b."""
+    jacobian = EndField.jacobian(v)
+    if shift is None:
+        return jacobian
+    return jacobian + higgs.right(v.scale(shift))
 
 
-def covariant_derivative(conn: Connection, x: VectorField,
+def covariant_derivative(higgs: HiggsField, shift: Shift, x: VectorField,
                          y: VectorField) -> VectorField:
-    """(nabla_X Y)^c = X(Y^c) + sum_{a,b} X^a Y^b Gamma_{ab}^c."""
-    return nabla(conn, y).apply(x)
+    """(nabla_X Y)^c = X(Y^c) + lambda sum_{a,b} X^a Y^b C_{ab}^c."""
+    return nabla(higgs, shift, y).apply(x)
 
 
-def torsion(conn: Connection) -> SeriesTensor3:
-    """T_{ab}^c = Gamma_{ab}^c - Gamma_{ba}^c."""
-    return HiggsField.build(conn.dim, lambda a, b, c: conn.tensor[a][b][c]
-                            - conn.tensor[b][a][c]).tensor
+def torsion(tensor: HiggsField) -> SeriesTensor3:
+    """T_{ab}^c - T_{ba}^c."""
+    return HiggsField.build(tensor.dim, lambda a, b, c: tensor.tensor[a][b][c]
+                            - tensor.tensor[b][a][c]).tensor
 
 
 def _frame_tensor(n: int,
@@ -268,14 +272,6 @@ def _frame_tensor(n: int,
                  for row in planes)
 
 
-def curvature(conn: Connection) -> "SeriesTensor4":
-    """Frame curvature R(d_a, d_b)d_c, indexed [a][b][c][d]: the entry
-    [d][c] of the matrix R(d_a, d_b) of the module docstring."""
-    g = [conn.slice(a) for a in range(conn.dim)]
-    return _frame_tensor(conn.dim, lambda a, b: g[b].derivative(a)
-                         - g[a].derivative(b) + g[a].commutator(g[b]))
-
-
 SeriesTensor4 = Tuple[Tuple[SeriesTensor3, ...], ...]
 
 
@@ -284,24 +280,31 @@ class FlatnessError(ValueError):
 
 
 def pencil_curvature_split(higgs: HiggsField,
-                           base: Connection) -> Tuple[SeriesTensor4, SeriesTensor4]:
-    """Split the curvature of nabla_lambda = base + lambda A as lambda R1 + lambda^2 R2.
+                           shift: Shift) -> Tuple[SeriesTensor4, SeriesTensor4]:
+    """The residuals R1 = rho + 2 lambda R2 and R2 of the pencil through the
+    member ``shift``, whose own curvature lambda rho + lambda^2 R2 must vanish
+    to checked degree.
 
-    The split is exact in lambda (no lambda truncation); R1 and R2 are the
-    matrices of the module docstring, indexed like ``curvature``.  The base
-    must be flat to checked degree.
+    rho and R2 are formed once, from derivatives and commutators of the
+    slices, and indexed as the frame curvature R(d_a, d_b)d_c, [a][b][c][d]
+    (the entry [d][c] of the matrix).  Every tensor is exact in lambda; the
+    member None adds no term, so R1 is rho itself and nothing is to be flat.
     """
-    _check_same_dim(higgs.dim, base.dim)
     n = higgs.dim
-    flat = judge(curvature(base))
+    c = [higgs.slice(a) for a in range(n)]
+    rho = {(a, b): c[b].derivative(a) - c[a].derivative(b)
+           for a in range(n) for b in range(a, n)}
+    r2 = {(a, b): c[a].commutator(c[b]) for a, b in rho}
+    quadratic = _frame_tensor(n, lambda a, b: r2[a, b])
+    if shift is None:
+        return _frame_tensor(n, lambda a, b: rho[a, b]), quadratic
+    flat = judge(_frame_tensor(n, lambda a, b: rho[a, b].scale(shift)
+                               + r2[a, b].scale(shift * shift)))
     if not flat.holds:
         raise FlatnessError(
             f"base connection is not flat at {flat.offending[0]}")
-    c = [higgs.slice(a) for a in range(n)]
-    g = [base.slice(a) for a in range(n)]
-    r1 = _frame_tensor(n, lambda a, b: c[b].derivative(a) - c[a].derivative(b)
-                       + c[a].commutator(g[b]) + g[a].commutator(c[b]))
-    return r1, _frame_tensor(n, lambda a, b: c[a].commutator(c[b]))
+    return _frame_tensor(n, lambda a, b: rho[a, b]
+                         + r2[a, b].scale(2 * shift)), quadratic
 
 
 # -- tensor helpers -------------------------------------------------------

@@ -21,8 +21,8 @@ from flatcirc.euler import (CertificationError, certify_euler,
                             h_from_e)
 from flatcirc.fmanifold import (VectorPotential, d_tensor, five_term_residual,
                                 l_membership, p_tensor,
-                                potential_to_structure, shift_base)
-from flatcirc.geometry import (Connection, VectorField, covariant_derivative,
+                                potential_to_structure)
+from flatcirc.geometry import (VectorField, covariant_derivative,
                                judge, lie_bracket, pencil_curvature_split,
                                tensor_vanishes_through, torsion)
 from flatcirc.models import load_model
@@ -38,10 +38,8 @@ def qc_instance(order=8):
 def test_criterion_01_reference_model_residuals(criterion):
     start = time.monotonic()
     s = qc_instance(8).structure
-    flat = Connection.zero(2, 8)
-    pencil = flat.shifted(s.structure, 1)
-    torsion_ok = tensor_vanishes_through(torsion(pencil), 6)
-    r1, r2 = pencil_curvature_split(s.structure, flat)
+    torsion_ok = tensor_vanishes_through(torsion(s.structure), 6)
+    r1, r2 = pencil_curvature_split(s.structure, None)
     curvature_ok = (tensor_vanishes_through(r1, 6)
                     and tensor_vanishes_through(r2, 6))
     five_term_ok = tensor_vanishes_through(five_term_residual(s), 5)
@@ -105,8 +103,7 @@ def test_criterion_02_integrability_iff_pencil_flat(criterion):
             maker = _compatible_potential if k % 2 else _random_potential
             potential = maker(rng, n, cap)
             s = potential_to_structure(potential)
-            flat = Connection.zero(n, cap)
-            r1, r2 = pencil_curvature_split(s.structure, flat)
+            r1, r2 = pencil_curvature_split(s.structure, None)
             depth = 3
             pencil_flat = (tensor_vanishes_through(r1, depth)
                            and tensor_vanishes_through(r2, depth))
@@ -122,7 +119,6 @@ def test_criterion_02_integrability_iff_pencil_flat(criterion):
 
 def test_criterion_03_d_tensor_total_symmetry(criterion):
     s = qc_instance(6).structure
-    conn = Connection.zero(2, 6)
     rng = random.Random(3)
     ok = True
     for _ in range(10):
@@ -135,9 +131,9 @@ def test_criterion_03_d_tensor_total_symmetry(criterion):
                 comps.append(TruncatedSeries(
                     2, 6, 6, {e: v for e, v in coeffs.items() if v}))
             fields.append(VectorField(tuple(comps)))
-        base = d_tensor(s, conn, *fields)
+        base = d_tensor(s, None, *fields)
         for perm in permutations(fields):
-            diff = d_tensor(s, conn, *perm) - base
+            diff = d_tensor(s, None, *perm) - base
             ok = ok and diff.vanishes_through(diff.valid_to)
     criterion.record(
         3, "compatibility tensor totally symmetric on 10 random field "
@@ -147,18 +143,17 @@ def test_criterion_03_d_tensor_total_symmetry(criterion):
 def test_criterion_04_membership_chain(criterion):
     inst = load_model("shifted-identity").instantiate(8)
     s = inst.structure
-    flat = Connection.zero(2, 8)
-    conn = shift_base(s, flat, inst.lambda0)
+    shift = inst.lambda0
     e = s.identity
     candidates = [e]
     for axis in range(2):
         candidates.append(
-            flat_section_solve(s, flat, inst.lambda0,
+            flat_section_solve(s, shift,
                                [1 if a == axis else 0 for a in range(2)]))
-    w = covariant_derivative(conn, e, e)
+    w = covariant_derivative(s.structure, shift, e, e)
     candidates.append(w)
-    candidates.append(covariant_derivative(conn, e, w))
-    ok = all(judge(l_membership(s, conn, v)).holds for v in candidates)
+    candidates.append(covariant_derivative(s.structure, shift, e, w))
+    ok = all(judge(l_membership(s, shift, v)).holds for v in candidates)
     # ad e is a derivation of the product: P_e(d_y, d_z) = 0 over the frame
     derivation = [p_tensor(s, e, s.basis(y), s.basis(z))
                   for y in range(2) for z in range(2)]
@@ -173,7 +168,6 @@ def test_criterion_05_scaling_certification(criterion):
     start = time.monotonic()
     inst = qc_instance(8)
     s = inst.structure
-    flat = Connection.zero(2, 8)
     e_field, weight = inst.euler
     certified = True
     try:
@@ -182,9 +176,9 @@ def test_criterion_05_scaling_certification(criterion):
         certified = False
     compat = flat_compat(e_field)
     e = s.identity
-    e1 = covariant_derivative(flat, e, e)
-    h = h_from_e(e_field, s, flat, geometric_inverse(s, e, e1, 4))
-    report = judge(full_flatness_residual(h, s, flat))
+    e1 = covariant_derivative(s.structure, None, e, e)
+    h = h_from_e(e_field, s, None, geometric_inverse(s, e, e1, 4))
+    report = judge(full_flatness_residual(h, s, None))
     flatness_ok = report.holds and report.proven_to >= 5
     x0 = TruncatedSeries.variable(2, 8, 0)
     x0sq = x0 * x0
@@ -205,16 +199,14 @@ def test_criterion_06_reconstruction_from_identity_value(criterion):
     for name in ("one-dim", "qc-p1"):
         inst = load_model(name).instantiate(8)
         s = inst.structure
-        n = s.dim
-        flat = Connection.zero(n, 8)
         e = s.identity
-        e1 = covariant_derivative(flat, e, e)
+        e1 = covariant_derivative(s.structure, None, e, e)
         e_field = inst.euler[0]
         g = geometric_inverse(s, e, e1, 4)
-        equation = e_equation_residual(e_field, s, flat, e1, g)
+        equation = e_equation_residual(e_field, s, None, e1, g)
         ok = ok and judge(equation).holds
-        h = h_from_e(e_field, s, flat, g)
-        report = full_flatness_residual(h, s, flat)
+        h = h_from_e(e_field, s, None, g)
+        report = full_flatness_residual(h, s, None)
         ok = ok and judge(report).holds
         # H(e) = E: the constant coefficient is E, every other one is zero
         on_e = [h[0].apply(e) - e_field] + [hk.apply(e) for hk in h[1:]]
@@ -240,7 +232,7 @@ def test_criterion_07_twist_behavior(criterion):
                 diff = (dual.structure.tensor[a][b][c]
                         - dual.structure.tensor[b][a][c])
                 ok = ok and diff.vanishes_through(5)
-    _, r2 = pencil_curvature_split(dual.structure, Connection.zero(n, 8))
+    _, r2 = pencil_curvature_split(dual.structure, None)
     ok = ok and tensor_vanishes_through(r2, 5)
     # twist field is the identity of the twisted product
     for axis in range(n):
@@ -261,8 +253,7 @@ def test_criterion_07_twist_behavior(criterion):
     # one-dimensional model: both bracket conventions for the twist field
     one = load_model("one-dim").instantiate(8)
     s1 = one.structure
-    flat1 = Connection.zero(1, 8)
-    verify = duality_verify(s1, flat1, shift_base(s1, flat1, 1), one.epsilon)
+    verify = duality_verify(s1, Fraction(0), one.epsilon)
     ok = ok and all(v.vanishes_through(v.valid_to)
                     for v in verify.bracket_defect_flat_eps.components)
     ok = ok and all(v.vanishes_through(v.valid_to)

@@ -16,10 +16,11 @@ from fractions import Fraction
 import pytest
 
 from flatcirc import checks
-from flatcirc.checks import run_check_suite, working_connection
+from flatcirc.checks import run_check_suite
 from flatcirc.cli import main
 from flatcirc.fmanifold import five_term_residual
-from flatcirc.geometry import iter_tensor, judge, pencil_curvature_split
+from flatcirc.geometry import (base_member, iter_tensor, judge,
+                               pencil_curvature_split)
 from flatcirc.models import ModelDocument
 
 
@@ -76,9 +77,8 @@ def test_cut_changes_no_verdict(seed, n, order, monkeypatch):
     assert received and all(s.cap == s.valid_to for s in received)
     assert report.order == order
 
-    r1, r2 = pencil_curvature_split(
-        uncut.structure,
-        working_connection(uncut, instance.lambda0, instance.order))
+    r1, r2 = pencil_curvature_split(uncut.structure,
+                                    base_member(instance.lambda0))
     for check_id, tensor in (("five-term-integrability", five_term),
                              ("pencil-linear-flatness", r1),
                              ("pencil-quadratic-flatness", r2)):

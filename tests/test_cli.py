@@ -1,14 +1,19 @@
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coordinates import product_document, unimodular_pair
+import flatcirc
 from flatcirc import checks, duality
 from flatcirc.cli import EXIT_BAD_INPUT, EXIT_CHECK_FAILED, EXIT_OK, main
 from flatcirc.models import CORPUS, load_model
@@ -254,6 +259,43 @@ class TestInternalErrors:
 TINY = {"schemaVersion": 1, "name": "tiny", "dim": 1, "variables": ["x0"],
         "potential": ["x0^2/2"], "identity": ["1"]}
 FAMILY = {"schemaVersion": 1, "dim": 2, "order": 3, "entries": []}
+
+
+def decimal_digits(value):
+    """The decimal digits of a positive int of any length, formed in chunks
+    that the interpreter's int-string limit allows."""
+    chunks = []
+    while value:
+        value, chunk = divmod(value, 10 ** 1000)
+        chunks.append(chunk)
+    return str(chunks[-1]) + "".join(f"{c:01000d}" for c in chunks[-2::-1])
+
+
+class TestBigIntegers:
+    """A coefficient longer than the interpreter's default int-string limit
+    (4,300 digits) is printed whole, in a fresh process where that limit
+    holds, and the command exits 0 or 1 without a traceback."""
+
+    SEVENS = 7 * (10 ** 5001 - 1) // 9  # 5,001 digits
+
+    @pytest.mark.parametrize("term, value", [("7" * 5001, SEVENS),
+                                             ("2^20000", 2 ** 20000)],
+                             ids=["literal", "power"])
+    @pytest.mark.parametrize("command", ["check", "correlators"])
+    def test_printed_exactly(self, tmp_path, command, term, value):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(dict(
+            TINY, potential=[f"x0^2/2 + {term}*x0^3"])), encoding="utf-8")
+        src = str(Path(flatcirc.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-m", "flatcirc.cli", command, str(path),
+             "--order", "4"], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src})
+        assert result.returncode in (EXIT_OK, EXIT_CHECK_FAILED)
+        assert "Traceback" not in result.stderr
+        # C_00^0 = 1 + 6 value x0: the identity residual and the family
+        # both carry 6 value
+        assert decimal_digits(6 * value) in result.stdout
 
 
 class TestInputContract:

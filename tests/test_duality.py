@@ -8,8 +8,8 @@ from flatcirc.cli import main
 from flatcirc.duality import (IntegrabilityError, NotFlatSectionError,
                               NotInvertibleError, circ_inverse, dual_structure, duality_verify,
                               flat_section_solve, primitive_section)
-from flatcirc.fmanifold import five_term_residual, shift_base
-from flatcirc.geometry import (Connection, VectorField, lie_bracket,
+from flatcirc.fmanifold import five_term_residual
+from flatcirc.geometry import (VectorField, covariant_derivative, lie_bracket,
                                pencil_curvature_split,
                                tensor_vanishes_through)
 from flatcirc.models import load_model
@@ -60,8 +60,7 @@ class TestDualStructure:
                     diff = pair.dual.structure.tensor[a][b][c] \
                         - pair.dual.structure.tensor[b][a][c]
                     assert diff.vanishes_through(5)
-        _, r2 = pencil_curvature_split(pair.dual.structure,
-                                       Connection.zero(2, CAP))
+        _, r2 = pencil_curvature_split(pair.dual.structure, None)
         assert tensor_vanishes_through(r2, 5)
 
     def test_dual_structure_oracle_values(self):
@@ -175,24 +174,23 @@ class TestPrimitiveSection:
 class TestDualityVerify:
     def _one_dim(self):
         inst = load_model("one-dim").instantiate(CAP)
-        s = inst.structure
-        base = Connection.zero(1, CAP)
-        conn = shift_base(s, base, Fraction(1))
-        return s, base, conn, inst.epsilon
+        # base shift 0: the identity flat for nabla_0, the twist for
+        # nabla_0 + C
+        return inst.structure, Fraction(0), inst.epsilon
 
     def test_bracket_defect_under_flat_twist(self):
-        s, base, conn, eps = self._one_dim()
-        report = duality_verify(s, base, conn, eps)
+        s, lambda0, eps = self._one_dim()
+        report = duality_verify(s, lambda0, eps)
         # with the twist field itself flat, [eps, e] = eps on the nose
         assert report.bracket_defect_flat_eps.vanishes_through(
             min(c.valid_to for c in report.bracket_defect_flat_eps.components))
 
     def test_opposite_sign_under_inverse_flat_twist(self):
-        s, base, conn, _ = self._one_dim()
+        s, lambda0, _ = self._one_dim()
         # exp(x0) d0: its circ-inverse is the flat one
         x0 = TruncatedSeries.variable(1, CAP, 0)
         eps_tilde = VectorField((exp_series(x0),))
-        report = duality_verify(s, base, conn, eps_tilde)
+        report = duality_verify(s, lambda0, eps_tilde)
         flipped = lie_bracket(eps_tilde, s.identity) + eps_tilde
         assert flipped.vanishes_through(
             min(c.valid_to for c in flipped.components))
@@ -201,8 +199,8 @@ class TestDualityVerify:
         assert not labels["twist field flat for shifted connection"]
 
     def test_dual_euler_weight_one(self):
-        s, base, conn, eps = self._one_dim()
-        report = duality_verify(s, base, conn, eps)
+        s, lambda0, eps = self._one_dim()
+        report = duality_verify(s, lambda0, eps)
         for row in report.euler_weight_one:
             for v in row:
                 assert v.vanishes_through(
@@ -210,15 +208,15 @@ class TestDualityVerify:
 
     def test_kernel_stability(self):
         # [e, eps o X] + eps o X = 0 for flat X: the twisted kernel is stable
-        s, _, _, eps = self._one_dim()
+        s, _, eps = self._one_dim()
         for a in range(s.dim):
             eps_x = s.multiply(eps, s.basis(a))
             v = lie_bracket(s.identity, eps_x) + eps_x
             assert v.vanishes_through(min(c.valid_to for c in v.components))
 
     def test_bracket_convention_recorded(self):
-        s, base, conn, eps = self._one_dim()
-        report = duality_verify(s, base, conn, eps)
+        s, lambda0, eps = self._one_dim()
+        report = duality_verify(s, lambda0, eps)
         assert report.bracket_convention == "[X,Y]^c = X(Y^c) - Y(X^c)"
         # and the recorded convention is the one actually used
         e = s.identity
@@ -230,26 +228,22 @@ class TestDualityVerify:
 class TestFlatSectionSolve:
     def test_solution_is_covariant_constant(self):
         s = qc()
-        base = Connection.zero(2, CAP)
-        w = flat_section_solve(s, base, Fraction(1), (Fraction(1), Fraction(0)))
-        conn = shift_base(s, base, Fraction(1))
-        from flatcirc.geometry import covariant_derivative
+        w = flat_section_solve(s, Fraction(1), (Fraction(1), Fraction(0)))
         for axis in range(2):
-            r = covariant_derivative(conn, s.basis(axis), w)
+            r = covariant_derivative(s.structure, Fraction(1), s.basis(axis),
+                                     w)
             assert r.vanishes_through(min(c.valid_to for c in r.components) - 1)
 
     def test_initial_value(self):
         s = qc()
-        w = flat_section_solve(s, Connection.zero(2, CAP), Fraction(1),
-                               (Fraction(2), Fraction(3)))
+        w = flat_section_solve(s, Fraction(1), (Fraction(2), Fraction(3)))
         assert w.components[0].constant_term == 2
         assert w.components[1].constant_term == 3
 
     def test_one_dim_solution_is_exponential(self):
         inst = load_model("one-dim").instantiate(CAP)
         s = inst.structure
-        w = flat_section_solve(s, Connection.zero(1, CAP), Fraction(-1),
-                               (Fraction(1),))
+        w = flat_section_solve(s, Fraction(-1), (Fraction(1),))
         x0 = TruncatedSeries.variable(1, CAP, 0)
         expected = exp_series(x0)
         diff = w.components[0] - expected
@@ -258,8 +252,7 @@ class TestFlatSectionSolve:
     def test_pencil_member_not_flat(self):
         s = load_model("broken-assoc").instantiate(CAP).structure
         with pytest.raises(IntegrabilityError) as err:
-            flat_section_solve(s, Connection.zero(2, CAP), Fraction(1),
-                               (Fraction(1), Fraction(0)))
+            flat_section_solve(s, Fraction(1), (Fraction(1), Fraction(0)))
         assert str(err.value) == ("pencil member not flat: component 0, "
                                   "pair (0, 1), monomial (1, 1)")
 
@@ -335,8 +328,7 @@ class TestFlatSectionSolve:
     def test_corpus_sections(self, name, lam):
         s = load_model(name).instantiate(4).structure
         n = s.dim
-        w = flat_section_solve(s, Connection.zero(n, 4), Fraction(lam),
-                               [1] + [0] * (n - 1))
+        w = flat_section_solve(s, Fraction(lam), [1] + [0] * (n - 1))
         assert tuple(c.canonical_text() for c in w.components) \
             == self.SECTIONS[name, lam]
         assert all(c.cap == 4 and c.valid_to == 3 for c in w.components)

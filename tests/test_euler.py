@@ -8,8 +8,7 @@ from flatcirc.euler import (CertificationError, certify_euler,
                             e_equation_residual, euler_residual,
                             flat_compat, full_flatness_residual,
                             geometric_inverse, h_from_e)
-from flatcirc.fmanifold import shift_base
-from flatcirc.geometry import (Connection, VectorField, covariant_derivative,
+from flatcirc.geometry import (VectorField, base_member, covariant_derivative,
                                judge, lie_bracket)
 from flatcirc.models import load_model
 from flatcirc.series import TruncatedSeries
@@ -73,7 +72,7 @@ class TestGeometricInverse:
             assert coeff.components[0].constant_term == sign
 
 
-def identity_residuals(h, s, conn, e, e1):
+def identity_residuals(h, s, shift, e, e1):
     """Consequences of extended flatness with the identity as an argument.
 
     The necessary functional equation, one residual per frame field X:
@@ -89,7 +88,7 @@ def identity_residuals(h, s, conn, e, e1):
         coeffs = [h[0].apply(x) - s.multiply(x, he[0])]
         for k in range(1, len(h)):
             coeff = h[k].apply(x) - s.multiply(x, he[k]) \
-                - covariant_derivative(conn, x, he[k - 1]) \
+                - covariant_derivative(s.structure, shift, x, he[k - 1]) \
                 + h[k - 1].apply(xe1)
             coeffs.append(coeff + x if k == 1 else coeff)
         return coeffs
@@ -108,23 +107,22 @@ class TestReconstruction:
     def _setup(self, name):
         inst = load_model(name).instantiate(CAP)
         s = inst.structure
-        flat = Connection.zero(s.dim, CAP)
-        conn = shift_base(s, flat, inst.lambda0) if inst.lambda0 != 0 else flat
+        shift = base_member(inst.lambda0)
         e = s.identity
-        e1 = covariant_derivative(conn, e, e)
+        e1 = covariant_derivative(s.structure, shift, e, e)
         g = geometric_inverse(s, e, e1, MU)
-        return s, conn, e, e1, inst.euler[0], g
+        return s, shift, e, e1, inst.euler[0], g
 
     @pytest.mark.parametrize("name", ["one-dim", "qc-p1", "shifted-identity"])
     def test_equation_holds(self, name):
-        s, conn, e, e1, e_field, g = self._setup(name)
-        res = e_equation_residual(e_field, s, conn, e1, g)
+        s, shift, e, e1, e_field, g = self._setup(name)
+        res = e_equation_residual(e_field, s, shift, e1, g)
         assert judge(res).holds
 
     @pytest.mark.parametrize("name", ["one-dim", "qc-p1", "shifted-identity"])
     def test_h_maps_identity_to_e(self, name):
-        s, conn, e, e1, e_field, g = self._setup(name)
-        h = h_from_e(e_field, s, conn, g)
+        s, shift, e, e1, e_field, g = self._setup(name)
+        h = h_from_e(e_field, s, shift, g)
         assert len(h) == MU + 1
         # H(e) = E: the constant coefficient is E, every other one is zero
         assert vanishes([h[0].apply(e) - e_field]
@@ -132,21 +130,21 @@ class TestReconstruction:
 
     @pytest.mark.parametrize("name", ["one-dim", "qc-p1", "shifted-identity"])
     def test_full_flatness(self, name):
-        s, conn, e, e1, e_field, g = self._setup(name)
-        h = h_from_e(e_field, s, conn, g)
-        report = full_flatness_residual(h, s, conn)
+        s, shift, e, e1, e_field, g = self._setup(name)
+        h = h_from_e(e_field, s, shift, g)
+        report = full_flatness_residual(h, s, shift)
         assert judge(report).holds
-        on_identity, consistency = identity_residuals(h, s, conn, e, e1)
+        on_identity, consistency = identity_residuals(h, s, shift, e, e1)
         for coefficients in on_identity:
             assert vanishes(coefficients)
         assert vanishes(consistency)
 
     def test_non_euler_breaks_flatness(self):
-        s, conn, e, e1, e_field, g = self._setup("qc-p1")
+        s, shift, e, e1, e_field, g = self._setup("qc-p1")
         bad = e_field + VectorField((x(0) * x(0),
                                      TruncatedSeries.zero(2, CAP)))
-        h = h_from_e(bad, s, conn, g)
-        report = full_flatness_residual(h, s, conn)
+        h = h_from_e(bad, s, shift, g)
+        report = full_flatness_residual(h, s, shift)
         assert not judge(report).holds
 
 
@@ -170,10 +168,10 @@ class TestSharedWork:
         calls = []
         original = geometry.covariant_derivative
 
-        def counted(conn, x, y):
+        def counted(structure, shift, x, y):
             if x is y:  # nabla_e e; every other call differentiates another field
                 calls.append(x)
-            return original(conn, x, y)
+            return original(structure, shift, x, y)
 
         for module in list(sys.modules.values()):
             if getattr(module, "__name__", "").startswith("flatcirc") \

@@ -5,14 +5,14 @@ from itertools import product
 import pytest
 
 from flatcirc.duality import circ_inverse, duality_verify
-from flatcirc.euler import euler_residual
+from flatcirc.euler import euler_residual, full_flatness_residual
 from flatcirc.fmanifold import (FStructure, MissingIdentityError,
                                 VectorPotential, d_tensor,
                                 find_identity, five_term_residual,
                                 l_membership, nabla_e_e_mode, p_tensor,
-                                potential_to_structure, shift_base)
+                                potential_to_structure)
 from flatcirc import fmanifold, geometry, linalg, series
-from flatcirc.geometry import (Connection, HiggsField, VectorField,
+from flatcirc.geometry import (EndField, HiggsField, VectorField,
                                covariant_derivative, judge, lie_bracket,
                                pencil_curvature_split,
                                tensor_vanishes_through, torsion)
@@ -202,8 +202,7 @@ class TestFiveTermFromPencil:
         t = structure.structure.tensor
         entries = [s for p in t for r in p for s in r]
         assert len({(s.cap, s.valid_to) for s in entries}) == 1
-        r1, r2 = pencil_curvature_split(structure.structure,
-                                        Connection.zero(n, entries[0].cap))
+        r1, r2 = pencil_curvature_split(structure.structure, None)
         rho = r1
         assert judge(rho).holds == (kind == "potential")
         assert not judge(r2).holds
@@ -275,13 +274,13 @@ class TestOperationCounts:
         assert counts == {"products": 4 * 3 ** 4, "derivative": 3 ** 4 + 3 ** 2}
 
     def test_l_membership_products_and_derivatives(self, counts):
-        # Jacobian(eps); Gamma.right(eps), nabla eps applied to e and
+        # Jacobian(eps); C.right(lambda eps), nabla eps applied to e and
         # C.right(nabla_e eps): 2 * 3^3 + 3^2 pairs (the basis-field form
         # took 36 derivatives and 288 pairs)
         rng = random.Random(2)
         structure = FStructure(random_tensor(rng, 3, 2),
                                identity=self.field(rng))
-        l_membership(structure, random_tensor(rng, 3, 2), self.field(rng))
+        l_membership(structure, Fraction(-5, 3), self.field(rng))
         assert counts == {"products": 2 * 3 ** 3 + 3 ** 2,
                           "derivative": 3 ** 2}
 
@@ -297,11 +296,52 @@ class TestOperationCounts:
 
         monkeypatch.setattr(geometry, "_frame_tensor", recorded)
         n = 3
-        pencil_curvature_split(random_tensor(random.Random(1), n, 2),
-                               Connection.zero(n, 2))
+        pencil_curvature_split(random_tensor(random.Random(1), n, 2), None)
         assert pairs and all(a <= b for a, b in pairs)
-        # curvature of the base, then R1 and R2: each upper pair once
+        # R1 = rho and R2: each upper pair once
+        assert len(pairs) == 2 * n * (n + 1) // 2
+        # at a shift, the member's own curvature as well
+        pairs.clear()
+        n = 2
+        pencil_curvature_split(qc_structure().structure, Fraction(1, 2))
+        assert pairs and all(a <= b for a, b in pairs)
         assert len(pairs) == 3 * n * (n + 1) // 2
+
+    @pytest.fixture
+    def commutators(self, monkeypatch):
+        """(left, right) of every ``EndField.commutator`` from here on."""
+        formed = []
+        commutator = EndField.commutator
+
+        def recorded(self, other):
+            formed.append((self, other))
+            return commutator(self, other)
+
+        monkeypatch.setattr(EndField, "commutator", recorded)
+        return formed
+
+    @staticmethod
+    def extension(rng):
+        structure = FStructure(random_tensor(rng, 3, 2))
+        return structure, tuple(random_tensor(rng, 3, 2).slice(0)
+                                for _ in range(4))
+
+    def test_flatness_forms_each_commutator_once(self, commutators):
+        # [H_k, C_a] for every power k and direction a, reused as the
+        # lambda term of the power k + 1
+        structure, h = self.extension(random.Random(3))
+        full_flatness_residual(h, structure, Fraction(2, 3))
+        assert len(commutators) == len(h) * structure.dim
+
+    def test_flatness_at_flat_base_forms_no_connection_term(self,
+                                                            commutators):
+        # nabla_0 has no Christoffels: every commutator is [H_k, C_a]
+        structure, h = self.extension(random.Random(4))
+        full_flatness_residual(h, structure, None)
+        slices = [structure.structure.slice(a) for a in range(structure.dim)]
+        assert sorted((h.index(left), slices.index(right))
+                      for left, right in commutators) == \
+            sorted(product(range(len(h)), range(structure.dim)))
 
 
 class TestFindIdentity:
@@ -408,24 +448,24 @@ class TestMembership:
     def setup_method(self):
         inst = load_model("shifted-identity").instantiate(CAP)
         self.s = inst.structure
-        flat = Connection.zero(2, CAP)
-        self.conn = shift_base(self.s, flat, inst.lambda0)
+        self.shift = inst.lambda0
 
     def test_identity_is_member(self):
-        rep = l_membership(self.s, self.conn, self.s.identity)
+        rep = l_membership(self.s, self.shift, self.s.identity)
         assert judge(rep).holds
 
     def test_flat_fields_are_members(self):
         for axis in range(2):
-            rep = l_membership(self.s, self.conn, self.s.basis(axis))
+            rep = l_membership(self.s, self.shift, self.s.basis(axis))
             assert judge(rep).holds
 
     def test_nabla_e_e_chain_members(self):
         e = self.s.identity
-        w = covariant_derivative(self.conn, e, e)
-        assert judge(l_membership(self.s, self.conn, w)).holds
-        w2 = covariant_derivative(self.conn, e, w)
-        assert judge(l_membership(self.s, self.conn, w2)).holds
+        c = self.s.structure
+        w = covariant_derivative(c, self.shift, e, e)
+        assert judge(l_membership(self.s, self.shift, w)).holds
+        w2 = covariant_derivative(c, self.shift, e, w)
+        assert judge(l_membership(self.s, self.shift, w2)).holds
 
     def test_derivation_residual_zero(self):
         # ad e is a derivation of the product over the frame
@@ -439,35 +479,35 @@ class TestMembership:
         # a member eps satisfies the ad-formula
         #   [eps, Y] = nabla_eps Y - Y o nabla_e eps
         # and P_eps(Y, Z) = D(eps, Y, Z) + (Y o Z) o nabla_e eps
-        s, conn = self.s, self.conn
+        s, shift = self.s, self.shift
         eps = s.identity
-        assert judge(l_membership(s, conn, eps)).holds
-        nabla_e_eps = covariant_derivative(conn, s.identity, eps)
+        assert judge(l_membership(s, shift, eps)).holds
+        nabla_e_eps = covariant_derivative(s.structure, shift, s.identity, eps)
         for b in range(2):
             v = lie_bracket(eps, s.basis(b)) \
-                - covariant_derivative(conn, eps, s.basis(b)) \
+                - covariant_derivative(s.structure, shift, eps, s.basis(b)) \
                 + s.multiply(s.basis(b), nabla_e_eps)
             assert v.vanishes_through(v.valid_to)
         for y in range(2):
             for z in range(2):
                 v = p_tensor(s, eps, s.basis(y), s.basis(z)) \
-                    - d_tensor(s, conn, eps, s.basis(y), s.basis(z)) \
+                    - d_tensor(s, shift, eps, s.basis(y), s.basis(z)) \
                     - s.multiply(s.multiply(s.basis(y), s.basis(z)),
                                  nabla_e_eps)
                 assert v.vanishes_through(v.valid_to - 1)
 
     def test_non_member_detected(self):
         bad = VectorField((x(0) * x(0), x(1)))
-        rep = l_membership(self.s, self.conn, bad)
+        rep = l_membership(self.s, self.shift, bad)
         assert not judge(rep).holds
 
 
 @pytest.mark.parametrize("call, message", [
     (l_membership, "membership test requires an identity field"),
-    (lambda s, conn, v: nabla_e_e_mode(s, v),
+    (lambda s, shift, v: nabla_e_e_mode(s, v),
      "classification requires an identity field"),
-    (lambda s, conn, v: circ_inverse(s, v), "circ-inverse needs an identity"),
-    (lambda s, conn, v: duality_verify(s, conn, conn, v),
+    (lambda s, shift, v: circ_inverse(s, v), "circ-inverse needs an identity"),
+    (lambda s, shift, v: duality_verify(s, Fraction(0), v),
      "duality verification needs an identity")],
     ids=["l_membership", "nabla_e_e_mode", "circ_inverse", "duality_verify"])
 def test_guard_without_identity(call, message):
@@ -477,34 +517,37 @@ def test_guard_without_identity(call, message):
         (x(0) * x(0) / 2, x(0) * x(1)))))
     assert s.identity is None
     with pytest.raises(MissingIdentityError, match=f"^{message}$"):
-        call(s, Connection.zero(2, CAP), s.basis(0))
+        call(s, None, s.basis(0))
 
 
 class TestNablaEEMode:
     def test_flat_mode(self):
         s = qc_structure()
         e = s.identity
-        mode = nabla_e_e_mode(
-            s, covariant_derivative(Connection.zero(2, CAP), e, e))
+        mode = nabla_e_e_mode(s, covariant_derivative(s.structure, None, e, e))
         assert mode.kind == "flat"
 
     def test_eigen_mode_on_shifted_base(self):
         inst = load_model("shifted-identity").instantiate(CAP)
-        conn = shift_base(inst.structure, Connection.zero(2, CAP),
-                          inst.lambda0)
         e = inst.structure.identity
-        mode = nabla_e_e_mode(inst.structure, covariant_derivative(conn, e, e))
+        mode = nabla_e_e_mode(inst.structure, covariant_derivative(
+            inst.structure.structure, inst.lambda0, e, e))
         assert mode.kind == "eigen"
         assert mode.eigenvalue == 1
 
     def test_other_mode(self):
+        # C_00^1 = x1 alone is not a potential (d_1 C_00^1 != d_0 C_10^1),
+        # and at e = d_0 the member lambda gives nabla_e e = lambda x1 d_1
         n = 2
-        gamma = HiggsField.build(
+        rng = random.Random("other-mode")
+        shift = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                         rng.randint(1, 9))
+        tensor = HiggsField.build(
             n, lambda a, b, c: x(1) if (a, b, c) == (0, 0, 1)
             else TruncatedSeries.zero(n, CAP))
-        s = qc_structure()
+        s = FStructure(tensor, identity=VectorField.basis(n, CAP, 0))
         mode = nabla_e_e_mode(s, covariant_derivative(
-            Connection(gamma.tensor), s.identity, s.identity))
+            tensor, shift, s.identity, s.identity))
         assert mode.kind == "other"
 
     def test_other_mode_when_not_a_multiple_of_e(self):
@@ -517,12 +560,16 @@ class TestNablaEEMode:
 class TestShiftBase:
     def test_shift_preserves_pencil_flatness(self):
         s = qc_structure()
-        conn = shift_base(s, Connection.zero(2, CAP), Fraction(1))
-        r1, r2 = pencil_curvature_split(s.structure, conn)
+        r1, r2 = pencil_curvature_split(s.structure, Fraction(1))
         assert tensor_vanishes_through(r1, 5)
         assert tensor_vanishes_through(r2, 6)
 
     def test_zero_shift_is_identity_operation(self):
+        # the member 0 adds a zero term: the coefficients of nabla_0
         s = qc_structure()
-        conn = shift_base(s, Connection.zero(2, CAP), Fraction(0))
-        assert tensor_vanishes_through(conn.tensor, CAP)
+        v = VectorField((x(0) * x(1), x(1) * x(1)))
+        for got, want in zip(covariant_derivative(s.structure, Fraction(0),
+                                                  s.identity, v).components,
+                             covariant_derivative(s.structure, None,
+                                                  s.identity, v).components):
+            assert got.coeffs == want.coeffs

@@ -4,7 +4,9 @@ Each residual is formed from slices, ``nabla`` and the columns of a matrix;
 the references below form the same quantity from basis fields with the
 field-level definitions (``p_tensor``, ``FStructure.multiply``,
 ``apply_higgs``, ``VectorField.apply``), term by term as the residual is
-defined.  The tensors are random and not symmetric.  With one ``valid_to``
+defined, with the Christoffel tensor lambda C of the pencil member.  The
+tensors are random and not symmetric, so C is not a potential, and every
+shift lambda is a random nonzero rational.  With one ``valid_to``
 per tensor or field the two agree entry by entry under
 ``TruncatedSeries.__eq__``, in the same index layout.  With a ``valid_to``
 per entry the coefficients agree, and each entry is proven at least as far
@@ -62,6 +64,10 @@ class Operands:
         return HiggsField.build(self.n, lambda a, b, c: random_series(
             self.rng, self.n, valid(), constant(a, b, c)))
 
+    def shift(self):
+        return Fraction(self.rng.choice((-1, 1)) * self.rng.randint(1, 5),
+                        self.rng.randint(1, 3))
+
     def field(self, constant=lambda a: None):
         valid = self._valid()
         return VectorField(tuple(random_series(self.rng, self.n, valid(),
@@ -75,6 +81,13 @@ class Operands:
 
 
 # -- field-level references -------------------------------------------------
+
+
+def christoffel(structure, shift):
+    """The Christoffel tensor lambda C of the pencil member ``shift``."""
+    t = structure.tensor
+    return HiggsField.build(structure.dim,
+                            lambda a, b, c: t[a][b][c] * shift)
 
 
 def field_covariant_derivative(conn, x, y):
@@ -157,10 +170,10 @@ CASES = [(n, uniform, seed) for n in (2, 3) for uniform in (True, False)
 class TestFrameEqualsFieldLevel:
     def test_covariant_derivative(self, n, uniform, seed):
         ops = Operands(n, uniform, seed)
-        conn, x, y = ops.tensor(), ops.field(), ops.field()
-        gamma = conn.tensor
-        got = covariant_derivative(conn, x, y)
-        want = field_covariant_derivative(conn, x, y)
+        higgs, shift, x, y = ops.tensor(), ops.shift(), ops.field(), ops.field()
+        gamma = higgs.tensor
+        got = covariant_derivative(higgs, shift, x, y)
+        want = field_covariant_derivative(christoffel(higgs, shift), x, y)
         assert got == want
         assert_matches(got, want, lambda i: least(
             x, y, y.components[i[0]].valid_to - 1,
@@ -169,17 +182,18 @@ class TestFrameEqualsFieldLevel:
     def test_flatness_hypotheses(self, n, uniform, seed):
         ops = Operands(n, uniform, seed)
         s = FStructure(ops.structure().structure, identity=ops.field())
-        base, conn = ops.tensor(), ops.tensor()
+        lambda0, c = ops.shift(), s.structure
+        base, conn = christoffel(c, lambda0), christoffel(c, lambda0 + 1)
         # a constant term, so that eps is circ-invertible for most seeds
         eps = ops.field(lambda a: ops.rng.randint(1, 3))
-        got = nabla(conn, eps).columns()
+        got = nabla(c, lambda0 + 1, eps).columns()
         want = field_flatness(s, conn, eps)
         assert_matches(got, want, lambda i: least(
             eps, eps.components[i[1]].valid_to - 1,
-            [conn.tensor[i[0]][b][i[1]] for b in range(n)]))
+            [c.tensor[i[0]][b][i[1]] for b in range(n)]))
         if uniform:
             assert got == want
-        report = duality_verify(s, base, conn, eps)
+        report = duality_verify(s, lambda0, eps)
         flat = {"identity flat for base connection": (base, s.identity),
                 "twist field flat for shifted connection": (conn, eps)}
         if report.pair is not None:
@@ -212,12 +226,12 @@ class TestFrameEqualsFieldLevel:
     def test_l_membership(self, n, uniform, seed):
         ops = Operands(n, uniform, seed)
         s = FStructure(ops.structure().structure, identity=ops.field())
-        conn, eps = ops.tensor(), ops.field()
+        shift, eps = ops.shift(), ops.field()
         t = s.structure.tensor
-        got = l_membership(s, conn, eps)
-        want = field_l_membership(s, conn, eps)
+        got = l_membership(s, shift, eps)
+        want = field_l_membership(s, christoffel(s.structure, shift), eps)
         assert_matches(got, want, lambda i: least(
-            eps.valid_to - 1, conn, s.identity,
+            eps.valid_to - 1, s.structure, s.identity,
             [t[i[0]][b][i[1]] for b in range(n)]))
         if uniform:
             assert got == want
@@ -242,16 +256,18 @@ class TestFrameEqualsFieldLevel:
 
     def test_e_equation_residual(self, n, uniform, seed):
         ops = Operands(n, uniform, seed)
-        s, conn = ops.structure(), ops.tensor()
+        s, shift = ops.structure(), ops.shift()
         e, e1, e_field = ops.field(), ops.field(), ops.field()
         s = FStructure(s.structure, identity=e)
         t = s.structure.tensor
         g = field_geometric_inverse(s, e, e1, MU)
-        got = e_equation_residual(e_field, s, conn, e1, g)
-        want = field_e_equation(e_field, s, conn, e1, g)
+        got = e_equation_residual(e_field, s, shift, e1, g)
+        want = field_e_equation(e_field, s, christoffel(s.structure, shift),
+                                e1, g)
         assert got == want
         assert_matches(got, want, lambda i: least(
-            e, e1, e_field.valid_to - 1, conn, g[i[0]], g[max(i[0] - 1, 0)],
+            e, e1, e_field.valid_to - 1, s.structure, g[i[0]],
+            g[max(i[0] - 1, 0)],
             [t[a][b][i[1]] for a in range(n) for b in range(n)]))
 
     def test_identity_confirmation(self, n, uniform, seed):

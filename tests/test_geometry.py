@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from flatcirc.geometry import (Connection, EndField, FlatnessError,
-                               HiggsField, VectorField, apply_higgs,
-                               covariant_derivative, curvature, lie_bracket,
-                               judge, pencil_curvature_split,
+from flatcirc.geometry import (EndField, FlatnessError, HiggsField,
+                               VectorField, apply_higgs, covariant_derivative,
+                               lie_bracket, judge, nabla,
+                               pencil_curvature_split,
                                tensor_vanishes_through, torsion)
 from flatcirc.series import TruncatedSeries
 
@@ -88,20 +88,42 @@ class TestHiggsField:
 
 class TestConnection:
     def test_flat_connection_has_zero_curvature(self):
-        conn = Connection.zero(2, CAP)
-        assert tensor_vanishes_through(curvature(conn), CAP)
+        # C_11^0 = x0 is curved at every shift but 0, whose curvature
+        # 0 rho + 0 R2 vanishes
+        higgs = HiggsField.build(
+            2, lambda a, b, c_: x(0) if (a, b, c_) == (1, 1, 0) else zero())
+        r1, _ = pencil_curvature_split(higgs, Fraction(0))
+        assert not tensor_vanishes_through(r1, CAP - 1)
 
     def test_covariant_derivative_flat_frame(self):
-        conn = Connection.zero(2, CAP)
+        higgs = HiggsField.build(2, lambda a, b, c_: c(1))
         v = VectorField((x(0) * x(1), zero()))
-        w = covariant_derivative(conn, VectorField.basis(2, CAP, 1), v)
+        w = covariant_derivative(higgs, None, VectorField.basis(2, CAP, 1), v)
         assert w.components[0].coeffs == {(1, 0): Fraction(1)}
+
+    def test_shift_adds_its_multiple_of_the_structure(self):
+        # nabla_{d_1} v = d_1 v + lambda C(d_1, v), with C_ab^c = 1
+        higgs = HiggsField.build(2, lambda a, b, c_: c(1))
+        v = VectorField((x(0) * x(1), zero()))
+        w = covariant_derivative(higgs, Fraction(-2),
+                                 VectorField.basis(2, CAP, 1), v)
+        assert w.components[0].coeffs == {(1, 0): Fraction(1),
+                                          (1, 1): Fraction(-2)}
+        assert w.components[1].coeffs == {(1, 1): Fraction(-2)}
+
+    def test_zero_shift_keeps_the_validity_of_the_structure(self):
+        # the member 0 adds 0 C, which is proven only as far as C is; the
+        # member None adds nothing
+        higgs = HiggsField.build(2, lambda a, b, c_: TruncatedSeries.zero(
+            2, CAP, valid_to=2))
+        v = VectorField((x(0) * x(1), zero()))
+        assert nabla(higgs, None, v).valid_to == CAP - 1
+        assert nabla(higgs, Fraction(0), v).valid_to == 2
 
     def test_torsion_detects_asymmetry(self):
         gamma = HiggsField.build(
             2, lambda a, b, c_: x(1) if (a, b, c_) == (0, 1, 0) else zero())
-        t = torsion(Connection(gamma.tensor))
-        assert not tensor_vanishes_through(t, CAP)
+        assert not tensor_vanishes_through(torsion(gamma), CAP)
 
 
 class TestPencilSplit:
@@ -122,22 +144,24 @@ class TestPencilSplit:
 
     def test_split_vanishes_for_compatible_structure(self):
         higgs = self._structure()
-        r1, r2 = pencil_curvature_split(higgs, Connection.zero(2, CAP))
+        r1, r2 = pencil_curvature_split(higgs, None)
         assert tensor_vanishes_through(r1, CAP - 1)
         assert tensor_vanishes_through(r2, CAP)
 
     def test_split_agrees_with_direct_curvature(self):
-        # at lambda = 1 the curvature of base + A must equal R1 + R2
+        # at lambda = 1 the curvature of nabla_0 + A, with Christoffels A,
+        # must equal R1 + R2; entry [a][b][c][d] is R(d_a, d_b)d_c, component d
         higgs = self._structure()
-        base = Connection.zero(2, CAP)
-        r1, r2 = pencil_curvature_split(higgs, base)
-        at_one = curvature(base.shifted(higgs, Fraction(1)))
+        r1, r2 = pencil_curvature_split(higgs, None)
         n = 2
+        g = [higgs.slice(a) for a in range(n)]
         for a in range(n):
             for b in range(n):
+                at_one = g[b].derivative(a) - g[a].derivative(b) \
+                    + g[a].commutator(g[b])
                 for cc in range(n):
                     for d in range(n):
-                        diff = at_one[a][b][cc][d] - r1[a][b][cc][d] \
+                        diff = at_one.matrix[d][cc] - r1[a][b][cc][d] \
                             - r2[a][b][cc][d]
                         assert diff.vanishes_through(diff.valid_to)
 
@@ -145,23 +169,25 @@ class TestPencilSplit:
         prod = HiggsField.build(
             2, lambda a, b, c_: c(1) if (a == b == 1 and c_ == 1) or
             (a == b == 0 and c_ == 0) else zero())
-        _, r2 = pencil_curvature_split(prod, Connection.zero(2, CAP))
+        _, r2 = pencil_curvature_split(prod, None)
         assert tensor_vanishes_through(r2, CAP)  # diagonal algebra: associative
         # d0 o d0 = d1, d0 o d1 = d0, d1 o d1 = -d1: commutative, slices
         # [[0,1],[1,0]] and [[1,0],[0,-1]] do not commute
         values = {(0, 0, 1): 1, (0, 1, 0): 1, (1, 0, 0): 1, (1, 1, 1): -1}
         skew = HiggsField.build(
             2, lambda a, b, c_: c(values.get((a, b, c_), 0)))
-        _, r2b = pencil_curvature_split(skew, Connection.zero(2, CAP))
+        _, r2b = pencil_curvature_split(skew, None)
         # this commutative product is not associative, so R2 != 0
         assert not tensor_vanishes_through(r2b, CAP)
 
     def test_nonflat_base_rejected(self):
-        gamma = HiggsField.build(
+        # C_11^0 = x0 alone is not a potential: rho(d_0, d_1) has the entry
+        # d_0 C_11^0 = 1, so every member lambda != 0 is curved
+        higgs = HiggsField.build(
             2, lambda a, b, c_: x(0) if (a, b, c_) == (1, 1, 0) else zero())
-        bad = Connection(gamma.tensor)
         with pytest.raises(FlatnessError):
-            pencil_curvature_split(self._structure(), bad)
+            pencil_curvature_split(higgs, Fraction(3, 7))
+        pencil_curvature_split(higgs, None)
 
 
 class TestTensorHelpers:

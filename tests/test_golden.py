@@ -73,16 +73,22 @@ def test_report_is_byte_identical(golden, case):
 
 
 def run_fixture(name, tmp_path):
-    """Run ``check`` on the document of a fixture with its flags; the
-    exit code and stdout, beside those the fixture holds."""
+    """Run the fixture's ``command`` (``check`` when it names none) on its
+    document, with the flags of each of its ``runs`` (the fixture itself
+    when it has none); the exit codes and stdouts, beside those the fixture
+    holds."""
     case = json.loads((DATA / name).read_text(encoding="utf-8"))
     path = tmp_path / "qqo.json"
     path.write_text(json.dumps(case["document"]), encoding="utf-8")
-    out = io.StringIO()
-    with redirect_stdout(out), redirect_stderr(io.StringIO()):
-        code = main(["check", str(path), *case["args"]])
-    return ({"exit": code, "stdout": out.getvalue()},
-            {"exit": case["exit"], "stdout": case["stdout"]})
+    got, want = [], []
+    for run_ in case.get("runs", [case]):
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main([case.get("command", "check"), str(path),
+                         *run_["args"]])
+        got.append({"exit": code, "stdout": out.getvalue()})
+        want.append({"exit": run_["exit"], "stdout": run_["stdout"]})
+    return got, want
 
 
 def test_five_dim_product_is_byte_identical(tmp_path):
@@ -117,6 +123,16 @@ def test_structure_table_is_byte_identical(name, tmp_path):
     (0,2) and (2,0) are kept apart.  Both fail the five-term identity
     inside the proven range, away from the constant term."""
     got, want = run_fixture(name, tmp_path)
+    assert got == want
+
+
+def test_twist_at_shift_minus_one_is_byte_identical(tmp_path):
+    """``dualize`` in text and JSON on one-dim with ``lambda0`` -1: the twist
+    is tested for the member lambda0 + 1 = 0, whose zero term 0 C still
+    carries the ``valid_to`` of C, so "twist field flat for shifted
+    connection" is proven to degree 6 at order 8, where the frame's flat
+    member would give 7."""
+    got, want = run_fixture("twist-one-dim-shift-minus1.json", tmp_path)
     assert got == want
 
 

@@ -14,11 +14,14 @@ frame,
   R_{ab,c}^d = d_a G_{bc}^d - d_b G_{ac}^d
                + sum_e (G_{bc}^e G_{ae}^d - G_{ac}^e G_{be}^d),
 
-evaluated by sympy on polynomials for the pencil G = Gamma + lambda A.  Its
-lambda^1 and lambda^2 coefficients must agree with ``pencil_curvature_split``
-through the degree each entry is proven to, and the curvature of a random
-connection must agree with ``curvature``.  The base Gamma_a = (d_a f) N, for
-a random polynomial f and a random constant matrix N, is flat but not zero.
+evaluated by sympy on polynomials for the pencil G = (lambda0 + lambda) C
+through the member lambda0 != 0.  Its lambda^1 and lambda^2 coefficients
+must agree with ``pencil_curvature_split`` through the degree each entry is
+proven to.  There C = G0 / lambda0 for the flat, non-abelian G0 = g^{-1} dg
+of a polynomial gauge g of determinant one, so the member lambda0 is flat
+while C is not a potential.  For a random C, which is not, the split must
+reject the member lambda0 at the first entry where the curvature of
+lambda0 C is nonzero.
 
 The five-term residual of a random potential must agree with the six sums
 of its definition formed by sympy's derivatives and products of
@@ -40,8 +43,8 @@ import pytest
 from flatcirc.expr import parse_series
 from flatcirc.fmanifold import (VectorPotential, five_term_residual,
                                 potential_to_structure)
-from flatcirc.geometry import (HiggsField, VectorField, curvature, iter_tensor,
-                               pencil_curvature_split)
+from flatcirc.geometry import (FlatnessError, HiggsField, VectorField,
+                               iter_tensor, judge, pencil_curvature_split)
 from flatcirc.series import TruncatedSeries, dot
 
 sympy = pytest.importorskip("sympy")
@@ -104,29 +107,40 @@ def random_table(rng, max_degree):
              for _ in range(N)] for _ in range(N)]
 
 
-def flat_base(rng):
-    f = random_poly(rng, 3)
-    m = [[sympy.Integer(rng.randint(-2, 2)) for _ in range(N)]
-         for _ in range(N)]
-    # Gamma_{ab}^c = (d_a f) N[c][b]
-    return [[[sympy.diff(f, X[a]) * m[c][b] for c in range(N)]
-             for b in range(N)] for a in range(N)]
+def random_shift(rng):
+    return sympy.Rational(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+
+
+def gauge_flat(rng):
+    """Christoffels G_a = g^{-1} d_a g of g = [[1, q], [p, 1 + pq]] for
+    random polynomials p and q: flat, and G_a, G_b need not commute."""
+    p, q = random_poly(rng, 2), random_poly(rng, 2)
+    g = sympy.Matrix([[1, q], [p, 1 + p * q]])
+    inverse = sympy.Matrix([[1 + p * q, -q], [-p, 1]])
+    slices = [sympy.expand(inverse * g.diff(X[a])) for a in range(N)]
+    # the slice entry [c][b] is G_ab^c
+    return [[[slices[a][c, b] for c in range(N)] for b in range(N)]
+            for a in range(N)]
 
 
 def as_field(table):
     return HiggsField.build(N, lambda a, b, c: to_series(table[a][b][c]))
 
 
+def scaled(table, factor):
+    return [[[factor * p for p in row] for row in plane] for plane in table]
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_pencil_split_matches_index_formula(seed):
     rng = random.Random(seed)
-    base = flat_base(rng)
-    assert any(base[a][b][c] != 0 for a, b, c in product(range(N), repeat=3))
-    higgs = random_table(rng, 2)
-    pencil = [[[base[a][b][c] + LAM * higgs[a][b][c] for c in range(N)]
-               for b in range(N)] for a in range(N)]
-    symbolic = index_curvature(pencil)
-    r1, r2 = pencil_curvature_split(as_field(higgs), as_field(base))
+    shift = random_shift(rng)
+    higgs = scaled(gauge_flat(rng), 1 / shift)
+    symbolic = index_curvature(scaled(higgs, shift + LAM))
+    r1, r2 = pencil_curvature_split(as_field(higgs),
+                                    Fraction(int(shift.p), int(shift.q)))
+    # R1 = rho + 2 lambda0 R2 = lambda0 R2 is not zero: C is not a potential
+    assert not judge(r1).holds
     for power, tensor in ((1, r1), (2, r2)):
         coefficient = [[[[sympy.expand(entry).coeff(LAM, power)
                           for entry in row] for row in plane]
@@ -136,9 +150,20 @@ def test_pencil_split_matches_index_formula(seed):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_curvature_matches_index_formula(seed):
+    # the member's curvature is proven through CAP - 1, where rho is
     rng = random.Random(100 + seed)
     table = random_table(rng, 2)
-    assert_agrees(curvature(as_field(table)), index_curvature(table))
+    shift = random_shift(rng)
+    symbolic = index_curvature(scaled(table, shift))
+    first = min((sum(e), (a, b, c, d), e)
+                for a, b, c, d in product(range(N), repeat=4)
+                if symbolic[a][b][c][d] != 0
+                for e, v in sympy.Poly(symbolic[a][b][c][d], *X).terms()
+                if v != 0 and sum(e) <= CAP - 1)
+    with pytest.raises(FlatnessError) as err:
+        pencil_curvature_split(as_field(table),
+                               Fraction(int(shift.p), int(shift.q)))
+    assert str(err.value) == f"base connection is not flat at {first[1]}"
 
 
 Y = sympy.symbols("y0 y1 y2")

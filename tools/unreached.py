@@ -14,8 +14,9 @@ script runs
 * ``pytest`` on ``TREE/tests/test_acceptance.py``, the acceptance criteria.
 
 It then prints, one per line as ``path:first-last name``, every ``def``
-under ``TREE/src/flatcirc`` (found with ``ast``; the line range starts at
-the first decorator) whose code was never entered.  Exit status 0 when the
+under ``TREE/src/flatcirc`` (found with ``ast`` before the runs, so an edit
+made while they run cannot move a line; the line range starts at the first
+decorator) whose code was never entered.  Exit status 0 when the
 runs complete (whatever they list), 1 when the acceptance tests fail.
 Standard library plus pytest; the runs take minutes.
 """
@@ -65,6 +66,7 @@ def main(argv) -> int:
     import pytest
     import workload_digests
 
+    defined = definitions(tree / "src" / "flatcirc")
     entered = set()
 
     def hook(frame, event, arg):
@@ -83,8 +85,7 @@ def main(argv) -> int:
         sys.setprofile(None)
     called = {(str(Path(code.co_filename).resolve()), code.co_firstlineno)
               for code in entered}
-    for (path, first), (last, name) in \
-            sorted(definitions(tree / "src" / "flatcirc").items()):
+    for (path, first), (last, name) in sorted(defined.items()):
         if (path, first) not in called:
             print(f"{Path(path).relative_to(tree)}:{first}-{last} {name}")
     return 0 if status == 0 else 1

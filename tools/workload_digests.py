@@ -9,20 +9,28 @@ TREE is the root of a flatcirc checkout.  The script imports flatcirc from
 only: no bytecode is written), then runs in this process
 
 * every task of every workload at seeds 0 and 1;
-* a sweep of ``check`` with ``--lambda0`` in {0, 1, -1/2, 2} and
+* a sweep of ``check`` with ``--lambda0`` in {0, 1, -1/2, 2, -1} and
   ``--mu-order`` in {0, 1, 3}, ``extend`` with the same mu-orders and
   ``dualize``, each at orders 3, 4 and 5, over the bundled models and the
   documents of every workload at seed 0.  The workloads themselves run only
   the bundled ``shifted-identity`` with a nonzero base shift, so the sweep
-  is what reaches the Christoffel terms of the twist, extension and
-  identity-derivative residuals on dense and transformed models.
+  is what reaches the lambda C terms of the twist, extension and
+  identity-derivative residuals on dense and transformed models;
+* ``dualize``, which has no ``--lambda0``, at the same orders on a copy of
+  every bundled or workload document that declares a twist field, with each
+  of those base shifts written into the copy as ``lambda0``.  Its report
+  gives the degree of each twist hypothesis, so at -1 it shows the twist
+  tested for the member lambda0 + 1 = 0, whose zero term still carries the
+  cap and ``valid_to`` of C; the ``check`` report folds that degree into the
+  least over the hypotheses.
 
 Each workload and seed, and the sweep, run in a fresh temporary directory
 that holds their model documents; every path on a command line is relative
 to it, so no output names the directory and two trees digest alike.  For
 each task the script prints the SHA-256 of its exit code, stdout, stderr
 and ``--report`` file as one JSON object with sorted keys
-``<workload>/<seed>/<task key>`` and ``sweep/<model>/<command>/...``.  Two
+``<workload>/<seed>/<task key>`` and ``sweep/<model>/<command>/...``, the
+shifted copies as ``sweep/<document>/dualize/l<shift>/o<order>``.  Two
 trees whose digest files are byte-identical (``cmp``) give the same bytes on
 every task.  Standard library only.
 """
@@ -40,7 +48,7 @@ from pathlib import Path
 
 SEEDS = (0, 1)
 SWEEP_ORDERS = (3, 4, 5)
-SWEEP_LAMBDA0 = ("0", "1", "-1/2", "2")
+SWEEP_LAMBDA0 = ("0", "1", "-1/2", "2", "-1")
 SWEEP_MU_ORDERS = (0, 1, 3)
 
 
@@ -84,6 +92,17 @@ def sweep_tasks(models):
                    ("dualize",) + at + ("--format", "json"))
 
 
+def shifted_copies(documents):
+    """(key prefix, file name, bytes) of a copy of every document (name,
+    bytes) that declares a twist field, once per base shift of the sweep."""
+    for name, body in documents:
+        obj = json.loads(body)
+        if "epsilon" in obj:
+            for i, shift in enumerate(SWEEP_LAMBDA0):
+                yield (f"sweep/{name}/dualize/l{shift}", f"l{i}-{name}",
+                       json.dumps({**obj, "lambda0": shift}).encode())
+
+
 @contextlib.contextmanager
 def directory_with(documents):
     """A fresh working directory holding ``documents`` (name, bytes)."""
@@ -124,9 +143,19 @@ def main(argv) -> int:
     documents = [doc for name in workloads.WORKLOADS
                  for doc in workloads.build(name, 0).documents]
     models = sorted(flatcirc.models.CORPUS) + [doc for doc, _ in documents]
-    with directory_with(documents):
+    bundled = [(f"{model}.json", (src / "flatcirc" / "data" /
+                                  f"{model}.json").read_bytes())
+               for model in sorted(flatcirc.models.CORPUS)]
+    shifted = list(shifted_copies(bundled + documents))
+    with directory_with(documents + [(name, body)
+                                     for _, name, body in shifted]):
         for key, task_argv in sweep_tasks(models):
             digests[key] = run_task(flatcirc.cli, task_argv)
+        for prefix, name, _ in shifted:
+            for order in SWEEP_ORDERS:
+                digests[f"{prefix}/o{order}"] = run_task(
+                    flatcirc.cli, ("dualize", name, "--order", str(order),
+                                   "--format", "json"))
     print(json.dumps(digests, indent=1, sort_keys=True))
     return 0
 
