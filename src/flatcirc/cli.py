@@ -17,6 +17,7 @@ import argparse
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Tuple
 
 from . import __version__
@@ -277,12 +278,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parsing reads the parser and never changes it, so one serves every call
+_parser = lru_cache(maxsize=None)(build_parser)
+
+
 def main(argv: Optional[list] = None) -> int:
     # every value is exact and is printed whole, whatever its number of
     # digits: lift the interpreter's limit on int-string conversion
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         text, ok = args.func(args)
         _emit(text, args.report)

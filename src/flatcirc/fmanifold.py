@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Tuple
 from . import linalg
 from .geometry import (EndField, HiggsField, SeriesTensor4, Shift,
                        VectorField, apply_higgs, covariant_derivative,
-                       lie_bracket, nabla)
+                       iter_tensor, lie_bracket, nabla)
 from .series import TruncatedSeries, dot
 
 
@@ -84,31 +84,114 @@ def five_term_residual(structure: FStructure) -> "Tensor5":
       sum_e C_ab^e d_e C_cd^f - C_cd^e d_e C_ab^f
       + d_c C_ab^e C_ed^f + d_d C_ab^e C_ec^f
       - d_b C_cd^e C_ea^f - d_a C_cd^e C_eb^f
-    It is the sum of the same 6n series products as the six sums written
-    out, so it is exact for any tensor, symmetric or not: coefficients, cap
-    and ``valid_to`` are those of the term-by-term sum.
 
     The entries are formed over index orbits.  The pair (a,b) is replaced
     by (min, max) when the row C_ab equals C_ba as series (values, cap and
-    ``valid_to``), and kept otherwise.  The entry is unchanged: X(P,Q)
-    depends on P only through the row C_P, and on Q through the row C_Q and
-    symmetrically in (c,d).  Hence X is formed once per pair of
+    ``valid_to``), and kept otherwise (``HiggsField.pairs``).  The entry is
+    unchanged: X(P,Q) depends on P only through the row C_P, and on Q
+    through the row C_Q and symmetrically in (c,d).  The entry of (Q,P) is
+    minus the entry of (P,Q).  Each entry is formed in one of two ways.
+
+    From the pencil's R2, when every row is symmetric, every entry of C has
+    one cap k and one ``valid_to`` v, and rho = d_a C_b - d_b C_a
+    (``HiggsField.rho``) is the zero series.  Then the entry is
+      d_c r2[d][a][b][f] - d_a r2[b][c][d][f],
+    with r2[x][y][z][f] the entry [f][z] of R2(d_x, d_y) = [C_x, C_y]
+    (``HiggsField.r2``), and costs no product once R2 is formed (R2 itself
+    costs m n^3, m = n(n+1)/2, on a tensor that has not formed it).  Proof:
+    write D_xyz^f = d_x C_yz^f.  A symmetric row makes D symmetric in
+    (y, z), and rho = 0 makes it symmetric in (x, y), so D is symmetric in
+    all three lower indices.  By the product rule, d_c r2[d][a][b][f] is
+      sum_e D_cde^f C_ab^e + C_de^f D_cab^e - D_cae^f C_db^e - C_ae^f D_cdb^e
+    and d_a r2[b][c][d][f] is
+      sum_e D_abe^f C_cd^e + C_be^f D_acd^e - D_ace^f C_bd^e - C_ce^f D_abd^e.
+    In the difference, D_cae^f C_db^e cancels D_ace^f C_bd^e, and the six
+    terms left are the six sums above.  The derivatives of R2 are taken
+    only for x < y: R2(d_y, d_x) is read as -R2(d_x, d_y), and R2(d_x, d_x)
+    as the empty series with rho's cap k and ``valid_to`` v - 1.
+
+    Exactness.  At a degree j < k, a coefficient of a product reads its
+    operands at degrees <= j and one of a derivative reads its operand at
+    degree j + 1 <= k; the cut at k drops neither, so at every degree below
+    k both forms equal the same expression in the stored polynomials C,
+    where the product rule holds and rho is zero exactly.  Both forms have
+    cap k and ``valid_to`` v - 1 <= k - 1 in every entry, so they agree
+    through every ``valid_to``.  They may differ at degree k, where d R2
+    holds nothing and the six sums may: ``judge`` reads no coefficient
+    above an entry's ``valid_to`` and gives the same verdict and witness,
+    but ``==`` on the whole tensor need not hold.
+
+    Otherwise (a table, a row that is not symmetric, entries with different
+    caps or ``valid_to``, or rho != 0), X is formed once per pair of
     representatives, and the entries of (P,Q) and (Q,P) replace X(P,Q) and
-    X(Q,P) as soon as both rows are formed.  Each entry equals the
-    term-by-term sum, so ``judge`` reads the same tensor and finds the same
-    witness, the lex-minimum of its orbit.  A tensor with no symmetric row
-    off the diagonal keeps every pair and costs 2n^6 products; a symmetric
-    one, as every tensor built from a potential, costs n^2 m (m + n^2) with
-    m = n(n+1)/2.
+    X(Q,P) as soon as both rows are formed.  Each entry is the sum of the
+    same 6n series products as the six sums written out, so it is exact
+    for any tensor: coefficients, cap and ``valid_to`` are those of the
+    term-by-term sum.  A tensor with no symmetric row off the diagonal
+    keeps every pair and costs 2n^6 products; a symmetric one costs
+    n^2 m (m + n^2).
+
+    Either way ``judge`` reads the same values through every ``valid_to``
+    and finds the same witness, the lex-minimum of its orbit.
     """
-    n = structure.dim
-    t = structure.structure.tensor
+    higgs = structure.structure
+    r = range(structure.dim)
+    pair, reps = higgs.pairs, higgs.representatives
+    x = _entries_from_r2(higgs, reps) if _potential_form(higgs) \
+        else _entries_over_orbits(structure, reps)
+    return tuple(tuple(tuple(tuple(x[pair[a][b], pair[c][d]]
+                                   for d in r) for c in r) for b in r)
+                 for a in r)
+
+
+def _potential_form(higgs: HiggsField) -> bool:
+    """Whether the five-term residual may be read off R2: every row is
+    symmetric, every entry has one cap and ``valid_to``, and rho is zero."""
+    one_cap = len({(s.cap, s.valid_to)
+                   for _, s in iter_tensor(higgs.tensor)}) == 1
+    return (all(a <= b for row in higgs.pairs for a, b in row) and one_cap
+            and all(s.first_nonzero() is None for m in higgs.rho.values()
+                    for _, s in iter_tensor(m)))
+
+
+def _entries_from_r2(higgs: HiggsField, reps):
+    """The entries d_c r2[d][a][b][f] - d_a r2[b][c][d][f] per pair of
+    representatives (a,b) <= (c,d), and their negatives for (c,d), (a,b)."""
+    n = higgs.dim
     r = range(n)
-    pair = [[(min(a, b), max(a, b)) if t[a][b] == t[b][a] else (a, b)
-             for b in r] for a in r]
-    reps = sorted({p for row in pair for p in row})
+    r2 = higgs.r2
+    derivatives = {(w, x, y): r2[x, y].derivative(w).matrix
+                   for w in r for x in r for y in range(x + 1, n)}
+    empty = higgs.rho[0, 0].matrix[0][0]
+
+    def term(w, x, y, z, f):
+        """(sign, s) with d_w r2[x][y][z][f] = sign * s."""
+        if x == y:
+            return 1, empty
+        if x < y:
+            return 1, derivatives[w, x, y][f][z]
+        return -1, derivatives[w, y, x][f][z]
+
+    def entry(a, b, c, d, f):
+        s1, u = term(c, d, a, b, f)
+        s2, v = term(a, b, c, d, f)
+        if s1 == s2:
+            return u - v if s1 > 0 else v - u
+        return u + v if s1 > 0 else -(u + v)
+
+    x = {}
+    for i, p in enumerate(reps):
+        for q in reps[i:]:
+            x[p, q] = tuple(entry(*p, *q, f) for f in r)
+            x[q, p] = x[p, q] if p == q else tuple(-s for s in x[p, q])
+    return x
+
+
+def _entries_over_orbits(structure: FStructure, reps):
+    """The entries X(P,Q) - X(Q,P) per pair of representatives."""
+    t = structure.structure.tensor
     field = {(a, b): VectorField(t[a][b]) for a, b in reps}
-    jacobian = {p: EndField.jacobian(field[p]) for p in reps}
+    jacobian = structure.structure.jacobians
     x = {}
     for i, p in enumerate(reps):
         # products[k][j] = (d_k C_P) o d_j
@@ -119,9 +202,7 @@ def five_term_residual(structure: FStructure) -> "Tensor5":
                 + products[c][d] + products[d][c]
         for q in reps[:i + 1]:
             x[p, q], x[q, p] = x[p, q] - x[q, p], x[q, p] - x[p, q]
-    return tuple(tuple(tuple(tuple(x[pair[a][b], pair[c][d]].components
-                                   for d in r) for c in r) for b in r)
-                 for a in r)
+    return {key: v.components for key, v in x.items()}
 
 
 Tensor5 = Tuple[Tuple[SeriesTensor4, ...], ...]

@@ -14,7 +14,13 @@ the member lambda is lambda rho + lambda^2 R2, exactly in lambda, with
   rho(d_a, d_b) = d_a C_b - d_b C_a        R2(d_a, d_b) = [C_a, C_b]
 
 and its pencil through lambda has the linear residual R1 = rho + 2 lambda R2
-and the quadratic residual R2.
+and the quadratic residual R2.  ``HiggsField`` owns rho and R2: it forms
+each once per tensor, over the pairs a <= b, and every residual that needs
+them reads them there.  R2 is read off the associator table
+W(a, p)^f = sum_e C_ae^f C_p^e over the distinct rows C_p: for the row
+C_p = C_bd its entry is the ``dot`` that forms the entry [f][d] of C_a C_b,
+so R2 is the same series as from the commutators.  A symmetric tensor has
+n(n+1)/2 distinct rows, and there W takes half the commutators' products.
 
 The covariant derivative of a vector field v is the matrix of
 X -> nabla_X v, nabla v = Jacobian(v) + lambda R_v with R_v the matrix of
@@ -29,13 +35,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Tuple, Union
+from functools import cached_property
+from typing import Callable, Dict, Iterator, Optional, Tuple, Union
 
 from .series import (DimensionMismatchError, Exponent, Scalar, TruncatedSeries,
                      dot)
 
 SeriesMatrix = Tuple[Tuple[TruncatedSeries, ...], ...]
 SeriesTensor3 = Tuple[Tuple[Tuple[TruncatedSeries, ...], ...], ...]
+Pair = Tuple[int, int]
 
 
 def _check_same_dim(a: int, b: int) -> None:
@@ -205,6 +213,59 @@ class HiggsField:
             dot([self.tensor[a][b][c] for b in range(n)], v.components)
             for a in range(n)) for c in range(n)))
 
+    @cached_property
+    def pairs(self) -> Tuple[Tuple[Pair, ...], ...]:
+        """The representative of each row: ``pairs[a][b]`` is
+        (min(a, b), max(a, b)) when the row T_ab equals T_ba as series
+        (values, cap and ``valid_to``), else (a, b)."""
+        t, r = self.tensor, range(self.dim)
+        return tuple(tuple((min(a, b), max(a, b)) if t[a][b] == t[b][a]
+                           else (a, b) for b in r) for a in r)
+
+    @cached_property
+    def representatives(self) -> Tuple[Pair, ...]:
+        """The distinct pairs of ``pairs``, sorted: one per distinct row."""
+        return tuple(sorted({p for row in self.pairs for p in row}))
+
+    @cached_property
+    def jacobians(self) -> Dict[Pair, EndField]:
+        """The Jacobian of each representative row, entry [c][k] = d_k T_ab^c:
+        the first derivatives of T, each taken once."""
+        return {(a, b): EndField.jacobian(VectorField(self.tensor[a][b]))
+                for a, b in self.representatives}
+
+    @cached_property
+    def rho(self) -> Dict[Pair, EndField]:
+        """rho(d_a, d_b) = d_a T_b - d_b T_a for a <= b, entry
+        [c][x] = d_a T_bx^c - d_b T_ax^c, read off the row Jacobians."""
+        n, p, j = self.dim, self.pairs, self.jacobians
+        return {(a, b): EndField(tuple(tuple(
+            j[p[b][x]].matrix[c][a] - j[p[a][x]].matrix[c][b]
+            for x in range(n)) for c in range(n)))
+            for a in range(n) for b in range(a, n)}
+
+    @cached_property
+    def r2(self) -> Dict[Pair, EndField]:
+        """R2(d_a, d_b) = [T_a, T_b] for a <= b.
+
+        The products come from the associator table
+        W(a, p)^f = sum_e T_ae^f T_p^e over the representative rows p: the
+        entry [f][d] of T_a T_b is W(a, pairs[b][d]), formed by the same
+        ``dot`` as in ``compose``, and that of [T_a, T_b] is W(a, pairs[b][d])
+        - W(b, pairs[a][d]).  That takes n^3 products per representative row:
+        m n^3, m = n(n+1)/2, on a symmetric tensor and n^5 on one with no
+        symmetric row, where the commutators of the pairs a <= b take
+        2 m n^3.  W is dropped once R2 is formed.
+        """
+        n = self.dim
+        t, r, p = self.tensor, range(n), self.pairs
+        rows = [self.slice(a).matrix for a in r]
+        w = {(a, q): [dot(rows[a][f], t[q[0]][q[1]]) for f in r]
+             for a in r for q in self.representatives}
+        return {(a, b): EndField(tuple(tuple(
+            w[a, p[b][d]][f] - w[b, p[a][d]][f] for d in r) for f in r))
+            for a in r for b in range(a, n)}
+
 
 # A member nabla_0 + lambda C of the pencil, named by its shift: None is the
 # frame's flat nabla_0, which adds no Christoffel term; a Fraction lambda adds
@@ -285,16 +346,13 @@ def pencil_curvature_split(higgs: HiggsField,
     member ``shift``, whose own curvature lambda rho + lambda^2 R2 must vanish
     to checked degree.
 
-    rho and R2 are formed once, from derivatives and commutators of the
-    slices, and indexed as the frame curvature R(d_a, d_b)d_c, [a][b][c][d]
-    (the entry [d][c] of the matrix).  Every tensor is exact in lambda; the
-    member None adds no term, so R1 is rho itself and nothing is to be flat.
+    rho and R2 are read from ``higgs``, which forms them once per tensor
+    (``HiggsField.rho`` and ``HiggsField.r2``), and indexed as the frame
+    curvature R(d_a, d_b)d_c, [a][b][c][d] (the entry [d][c] of the
+    matrix).  Every tensor is exact in lambda; the member None adds no term,
+    so R1 is rho itself and nothing is to be flat.
     """
-    n = higgs.dim
-    c = [higgs.slice(a) for a in range(n)]
-    rho = {(a, b): c[b].derivative(a) - c[a].derivative(b)
-           for a in range(n) for b in range(a, n)}
-    r2 = {(a, b): c[a].commutator(c[b]) for a, b in rho}
+    n, rho, r2 = higgs.dim, higgs.rho, higgs.r2
     quadratic = _frame_tensor(n, lambda a, b: r2[a, b])
     if shift is None:
         return _frame_tensor(n, lambda a, b: rho[a, b]), quadratic

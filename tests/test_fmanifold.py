@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from flatcirc.checks import cut_to_proven
 from flatcirc.duality import circ_inverse, duality_verify
 from flatcirc.euler import euler_residual, full_flatness_residual
 from flatcirc.fmanifold import (FStructure, MissingIdentityError,
@@ -126,6 +127,22 @@ def exp_potential_structure(rng, n, cap):
         for c in range(n)))))
 
 
+def mixed_exp_potential_structure(rng, n, cap):
+    """The structure of a seeded potential with one exponential term per
+    component, each of its own linear form, plus cubic monomials: unlike
+    ``exp_potential_structure`` the top degree of C is not of rank one, so
+    [C_x, C_y] has terms above the cap of C."""
+    def component():
+        linear = sum((x(i, n, cap) * rng.randint(-2, 2) for i in range(n)),
+                     TruncatedSeries.zero(n, cap))
+        return series.exp_series(linear) * rng.randint(1, 3) + sum(
+            (x(i, n, cap) * x(j, n, cap) * x(k, n, cap) * rng.randint(-3, 3)
+             for i, j, k in product(range(n), repeat=3) if i <= j <= k),
+            TruncatedSeries.zero(n, cap))
+    return potential_to_structure(VectorPotential(VectorField(tuple(
+        component() for _ in range(n)))))
+
+
 class TestFiveTermContractions:
     @pytest.mark.parametrize("n, seed", [(2, 0), (2, 1), (3, 0)])
     def test_equals_six_term_formula(self, n, seed):
@@ -221,6 +238,87 @@ class TestFiveTermFromPencil:
             assert (lhs - rhs).vanishes_through(lhs.valid_to), (a, b, c, d, f)
 
 
+def six_sum_entries(structure):
+    """``six_term_entry`` of every index.  The six sums depend on (a, b)
+    only through the row C_ab and symmetrically in a, b, so an entry is
+    formed once for a and b swapped when the row C_ab equals C_ba, and
+    likewise for (c, d)."""
+    n = structure.dim
+    t = structure.structure.tensor
+
+    def row(a, b):
+        return (min(a, b), max(a, b)) if t[a][b] == t[b][a] else (a, b)
+
+    entries, out = {}, {}
+    for a, b, c, d, f in product(range(n), repeat=5):
+        key = (row(a, b), row(c, d), f)
+        if key not in entries:
+            entries[key] = six_term_entry(structure, a, b, c, d, f)
+        out[a, b, c, d, f] = entries[key]
+    return out
+
+
+class TestFiveTermPaths:
+    """Both ways of forming the five-term residual agree with the six sums.
+
+    A tensor built from a potential (symmetric rows, one cap and
+    ``valid_to``, rho = 0) takes the derivatives of R2; there the entries
+    equal the six sums through their ``valid_to``, with the same cap and
+    ``valid_to``, and ``judge`` gives the same verdict and witness.  A
+    symmetric tensor with rho != 0 and a partly symmetric one take the
+    index orbits, whose entries equal the six sums exactly."""
+
+    @staticmethod
+    def assert_agrees(structure, exact):
+        residual = five_term_residual(structure)
+        expected = six_sum_entries(structure)
+        n = structure.dim
+        for index in product(range(n), repeat=5):
+            a, b, c, d, f = index
+            lhs, rhs = residual[a][b][c][d][f], expected[index]
+            assert (lhs.cap, lhs.valid_to) == (rhs.cap, rhs.valid_to), index
+            assert (lhs - rhs).vanishes_through(lhs.valid_to), index
+            assert lhs == rhs or not exact, index
+        reference = tuple(tuple(tuple(tuple(tuple(
+            expected[a, b, c, d, f] for f in range(n)) for d in range(n))
+            for c in range(n)) for b in range(n)) for a in range(n))
+        assert judge(residual) == judge(reference)
+
+    # the mixed potentials at n = 4 stop at cap 5: caps 6 and 7 take 6 s
+    @pytest.mark.parametrize("cut", [False, True])
+    @pytest.mark.parametrize("make, n, cap", [
+        (make, n, cap) for make in (exp_potential_structure,
+                                    mixed_exp_potential_structure)
+        for n in (2, 3, 4) for cap in range(3, 8)
+        if make is exp_potential_structure or n < 4 or cap <= 5])
+    def test_potential_reads_r2(self, make, n, cap, cut):
+        structure = make(random.Random(f"five-term-paths:{n}:{cap}"), n, cap)
+        if cut:
+            structure = cut_to_proven(structure)
+        assert fmanifold._potential_form(structure.structure)
+        self.assert_agrees(structure, exact=False)
+
+    def test_entries_may_differ_above_valid_to(self):
+        # d R2 holds nothing at the cap, where the six sums may
+        structure = mixed_exp_potential_structure(random.Random(0), 2, 5)
+        residual = five_term_residual(structure)
+        expected = six_sum_entries(structure)
+        assert any(residual[a][b][c][d][f] != expected[a, b, c, d, f]
+                   for a, b, c, d, f in product(range(2), repeat=5))
+
+    @pytest.mark.parametrize("kind", ["rho", "partly"])
+    def test_other_tensors_take_the_orbits(self, kind):
+        rng = random.Random(f"five-term-paths:{kind}")
+        structure = FStructure(shared_symmetric_tensor(rng, 3, 4, 3)
+                               if kind == "rho"
+                               else partly_symmetric_tensor(rng, 3, 3))
+        t = structure.structure.tensor
+        assert all(t[a][b] == t[b][a] for a, b in product(range(3), repeat=2)
+                   ) == (kind == "rho")
+        assert not fmanifold._potential_form(structure.structure)
+        self.assert_agrees(structure, exact=True)
+
+
 class TestOperationCounts:
     """Kernel operation counts of the residuals at n = 3: counts stay
     steady where times are noisy."""
@@ -263,6 +361,31 @@ class TestOperationCounts:
         assert counts == {"products": n * m * (m + n * n) * n,
                           "derivative": m * n * n}
         assert counts["products"] == 810
+
+    def test_five_term_on_a_potential_reads_the_split(self, counts):
+        # rho = 0: the residual is read off the derivatives of R2, whose
+        # m n^3 products the split on the same tensor has formed already
+        n, m = 3, 6
+        structures = [exp_potential_structure(random.Random(0), n, 4)
+                      for _ in range(2)]
+        counts.update(products=0, derivative=0)
+        pencil_curvature_split(structures[0].structure, None)
+        counts["products"] = 0
+        five_term_residual(structures[0])
+        assert counts["products"] == 0
+        # on a fresh tensor, only the products of R2
+        five_term_residual(structures[1])
+        assert counts["products"] == m * n ** 3 == 162
+
+    def test_split_of_a_symmetric_tensor_products_and_derivatives(self,
+                                                                   counts):
+        # R2 from the associator table, m n^2 entries of n products each
+        # (two matrix products per pair a <= b took 2 m n^3 = 324); rho from
+        # the Jacobians of the m distinct rows (two slice derivatives per
+        # pair took 2 m n^2 = 108)
+        n, m = 3, 6
+        pencil_curvature_split(symmetric_tensor(random.Random(0), n, 2), None)
+        assert counts == {"products": m * n ** 3, "derivative": m * n * n}
 
     def test_euler_residual_products_and_derivatives(self, counts):
         # 27 entries differentiated along E and Jacobian(E); E(C_a), the two
