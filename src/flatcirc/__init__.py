@@ -12,9 +12,8 @@ from .series import (DimensionMismatchError, NonUnitError, NotClosedError,
 from .geometry import (EndField, FlatnessError, HiggsField, VectorField,
                        Verdict, covariant_derivative, judge, lie_bracket,
                        pencil_curvature_split, torsion)
-from .fmanifold import (FStructure, VectorPotential, find_identity,
-                        five_term_residual, l_membership, nabla_e_e_mode,
-                        potential_to_structure)
+from .fmanifold import (find_identity, five_term_residual, l_membership,
+                        nabla_e_e_mode, potential_to_structure)
 from .euler import (EulerField, certify_euler,
                     e_equation_residual, euler_residual, flat_compat,
                     full_flatness_residual, geometric_inverse, h_from_e)

@@ -8,6 +8,9 @@ reported as skips with a reason.
 
 This module is also the one evaluation path that the ``extend`` command
 shares with the suite: the mu-extension is formed here and nowhere else.
+The structure is its tensor C (``geometry.HiggsField``), and its identity
+e, when the instance has one, is passed on its own to the residuals that
+read it; whether there is an identity is decided here and in ``cli`` only.
 Every connection is a member of the pencil through C, named by its shift
 (``geometry.Shift``).
 """
@@ -20,8 +23,8 @@ from typing import List, Optional, Tuple
 
 from . import duality as duality_mod
 from . import euler as euler_mod
-from .fmanifold import (FStructure, five_term_residual, identity_residual,
-                        l_membership, nabla_e_e_mode)
+from .fmanifold import (five_term_residual, identity_residual, l_membership,
+                        nabla_e_e_mode)
 from .geometry import (EndField, FlatnessError, HiggsField, VectorField,
                        base_member, covariant_derivative, judge,
                        pencil_curvature_split, torsion)
@@ -126,18 +129,17 @@ class Extension:
     flatness: Tuple[Tuple[EndField, ...], ...]
 
 
-def evaluate_extension(structure: FStructure, lambda0: Fraction,
-                       e_field: VectorField, mu_order: int,
+def evaluate_extension(structure: HiggsField, e: VectorField,
+                       lambda0: Fraction, e_field: VectorField, mu_order: int,
                        e1: Optional[VectorField] = None) -> Extension:
-    """Build and verify the mu-extension for the base shift ``lambda0``;
-    needs the structure's identity.
+    """Build and verify the mu-extension of the structure with identity
+    ``e`` for the base shift ``lambda0``.
 
     ``e1`` is nabla_e e for the base member, computed here when not given.
     """
-    e = structure.identity
     working = base_member(lambda0)
     if e1 is None:
-        e1 = covariant_derivative(structure.structure, working, e, e)
+        e1 = covariant_derivative(structure, working, e, e)
     g = euler_mod.geometric_inverse(structure, e, e1, mu_order)
     equation = euler_mod.e_equation_residual(e_field, structure, working,
                                              e1, g)
@@ -151,17 +153,16 @@ def _skips(check_ids: Tuple[str, ...], detail: str) -> List[CheckResult]:
             for check_id in check_ids]
 
 
-def cut_to_proven(structure: FStructure) -> FStructure:
-    """The structure with each entry of C cut to its own ``valid_to``.
+def cut_to_proven(structure: HiggsField) -> HiggsField:
+    """C with each entry cut to its own ``valid_to``.
 
     The cap of an entry becomes its ``valid_to`` and the terms above it are
-    dropped; values up to ``valid_to`` and the identity field are kept.
+    dropped; values up to ``valid_to`` are kept.
     """
-    n = structure.dim
-    t = structure.structure.tensor
-    return FStructure(HiggsField.build(
+    n, t = structure.dim, structure.tensor
+    return HiggsField.build(
         n, lambda a, b, c: t[a][b][c] * TruncatedSeries.constant(
-            n, t[a][b][c].valid_to, 1)), structure.identity)
+            n, t[a][b][c].valid_to, 1))
 
 
 def run_check_suite(instance: ModelInstance, mu_order: int,
@@ -177,6 +178,7 @@ def run_check_suite(instance: ModelInstance, mu_order: int,
     order.
     """
     structure = cut_to_proven(instance.structure)
+    e = instance.identity
     shift = instance.lambda0 if lambda0 is None else lambda0
     results: List[CheckResult] = []
 
@@ -184,12 +186,11 @@ def run_check_suite(instance: ModelInstance, mu_order: int,
     e1 = None  # nabla_e e, shared by checks 5 and 7
 
     # 1. symmetry of the structure tensor
-    results.append(_tensor_check("structure-symmetric",
-                                 torsion(structure.structure)))
+    results.append(_tensor_check("structure-symmetric", torsion(structure)))
 
     # 2-3. exact curvature split of the pencil through the working base
     try:
-        r1, r2 = pencil_curvature_split(structure.structure, working)
+        r1, r2 = pencil_curvature_split(structure, working)
         results.append(_tensor_check("pencil-linear-flatness", r1))
         results.append(_tensor_check("pencil-quadratic-flatness", r2))
     except FlatnessError as exc:
@@ -201,15 +202,14 @@ def run_check_suite(instance: ModelInstance, mu_order: int,
                                  five_term_residual(structure)))
 
     # 5. identity field
-    if structure.identity is None:
+    if e is None:
         results.append(CheckResult("identity-exists", FAIL,
                                    detail="no identity field found"))
     else:
-        e = structure.identity
         results.append(_tensor_check("identity-exists",
                                      identity_residual(structure, e)))
-        e1 = covariant_derivative(structure.structure, working, e, e)
-        mode = nabla_e_e_mode(structure, e1)
+        e1 = covariant_derivative(structure, working, e, e)
+        mode = nabla_e_e_mode(e, e1)
         detail = mode.kind if mode.eigenvalue in (None, 0) \
             else f"{mode.kind} ({mode.eigenvalue})"
         results.append(CheckResult("identity-derivative-mode", INFO,
@@ -234,12 +234,12 @@ def run_check_suite(instance: ModelInstance, mu_order: int,
             offending=compat.offending))
 
     # 7. mu-extension: reconstruction equation and extended flatness
-    if instance.euler is None or structure.identity is None:
+    if instance.euler is None or e is None:
         results += _skips(("extension-equation", "extension-flatness"),
                           "needs both an identity and a scaling field")
     else:
-        extension = evaluate_extension(structure, shift, instance.euler[0],
-                                       mu_order, e1)
+        extension = evaluate_extension(structure, e, shift,
+                                       instance.euler[0], mu_order, e1)
         results.append(_tensor_check("extension-equation",
                                      extension.equation))
         results.append(_tensor_check("extension-flatness",
@@ -250,14 +250,14 @@ def run_check_suite(instance: ModelInstance, mu_order: int,
                  "twist-identity-scaling")
     if instance.epsilon is None:
         results += _skips(twist_ids, "model declares no twist field")
-    elif structure.identity is None:
+    elif e is None:
         results += _skips(twist_ids, "twist checks need an identity")
     else:
         results.append(_tensor_check(
             "twist-membership",
-            l_membership(structure, working, instance.epsilon),
+            l_membership(structure, e, working, instance.epsilon),
             detail="nabla_Y eps = Y o nabla_e eps over the frame"))
-        report = duality_mod.duality_verify(structure, shift,
+        report = duality_mod.duality_verify(structure, e, shift,
                                             instance.epsilon)
         failed = report.hypothesis_failures()
         results.append(CheckResult(

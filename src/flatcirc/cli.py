@@ -63,13 +63,14 @@ def _cmd_dualize(args: argparse.Namespace) -> Tuple[str, bool]:
     if instance.epsilon is None:
         raise InputError(f"model {name!r} declares no twist field")
     structure = instance.structure
-    if structure.identity is None:
+    if instance.identity is None:
         raise InputError(f"model {name!r} has no identity field")
     n = structure.dim
-    verify = duality_verify(structure, instance.lambda0, instance.epsilon)
+    verify = duality_verify(structure, instance.identity, instance.lambda0,
+                            instance.epsilon)
     if verify.pair is None:
         raise InputError("system matrix singular at the origin")
-    dual = verify.pair.dual.structure.tensor
+    dual = verify.pair.dual.tensor
     ok = not verify.hypothesis_failures()
     if args.format == "json":
         obj = {
@@ -107,11 +108,12 @@ def _cmd_extend(args: argparse.Namespace) -> Tuple[str, bool]:
     structure = instance.structure
     if instance.euler is None:
         raise InputError(f"model {name!r} declares no scaling field")
-    if structure.identity is None:
+    if instance.identity is None:
         raise InputError(f"model {name!r} has no identity field")
     n = structure.dim
-    extension = evaluate_extension(structure, instance.lambda0,
-                                   instance.euler[0], args.mu_order)
+    extension = evaluate_extension(structure, instance.identity,
+                                   instance.lambda0, instance.euler[0],
+                                   args.mu_order)
     equation_ok = judge(extension.equation).holds
     flatness = judge(extension.flatness)
     ok = equation_ok and flatness.holds

@@ -17,7 +17,6 @@ from math import factorial
 from typing import Dict, List, Tuple
 
 from .series import InputError, TruncatedSeries, primitive_of_closed_family
-from .fmanifold import FStructure
 from .geometry import EndField, HiggsField, judge, torsion
 from .models import json_integer, json_rational, json_text
 
@@ -194,14 +193,13 @@ def structure_from_b(b: EndField) -> HiggsField:
         len(b.matrix), lambda a, bb, c: b.matrix[c][bb].derivative(a))
 
 
-def potential_endomorphism(structure: FStructure) -> EndField:
+def potential_endomorphism(higgs: HiggsField) -> EndField:
     """The B with d_a B^c_b = C_{ab}^c and gauge B(0) = 0.
 
     Raises ``NotClosedError`` at the first (c, b), c outer, whose family
     (C_{ab}^c)_a is not closed.
     """
-    n = structure.dim
-    t = structure.structure.tensor
+    n, t = higgs.dim, higgs.tensor
     b_rows = []
     for c in range(n):
         row = []

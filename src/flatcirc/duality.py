@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
-from .fmanifold import FStructure, MissingIdentityError, solve_series_system
+from .fmanifold import solve_series_system
 from .correlators import potential_endomorphism, structure_from_b
 from .euler import euler_residual
 from .geometry import (EndField, HiggsField, Shift, VectorField, base_member,
@@ -36,16 +36,15 @@ class IntegrabilityError(ValueError):
     pass
 
 
-def circ_inverse(structure: FStructure, v: VectorField) -> VectorField:
+def circ_inverse(higgs: HiggsField, e: VectorField,
+                 v: VectorField) -> VectorField:
     """The unique w with v o w = e, solved order by order."""
-    if structure.identity is None:
-        raise MissingIdentityError("circ-inverse needs an identity")
     # (v o w)^c = sum_b (L_v)^c_b w^b
-    left = structure.structure.left(v)
-    valid = min(left.valid_to, structure.identity.valid_to)
+    left = higgs.left(v)
+    valid = min(left.valid_to, e.valid_to)
     try:
-        return VectorField(solve_series_system(
-            left.matrix, structure.identity.components, valid))
+        return VectorField(solve_series_system(left.matrix, e.components,
+                                               valid))
     except linalg.SingularSystemError:
         raise NotInvertibleError("system matrix singular at the origin") \
             from None
@@ -64,7 +63,7 @@ class PrimitiveSectionReport:
         return torsion(structure_from_b(self.b_field))
 
 
-def primitive_section(structure: FStructure,
+def primitive_section(higgs: HiggsField,
                       u: VectorField) -> PrimitiveSectionReport:
     """Potential endomorphism B and the candidate chart Bu for a flat section.
 
@@ -73,10 +72,10 @@ def primitive_section(structure: FStructure,
     the invertibility of the Jacobian of Bu at the origin, which coincides
     with invertibility of circ-multiplication by u there.
     """
-    n = structure.dim
+    n = higgs.dim
     if not u.is_constant():
         raise NotFlatSectionError("u must have constant components")
-    b_field = potential_endomorphism(structure)
+    b_field = potential_endomorphism(higgs)
     image = b_field.apply(u)
     jacobian = tuple(tuple(image.components[c].derivative(a).constant_term
                            for a in range(n)) for c in range(n))
@@ -87,18 +86,19 @@ def primitive_section(structure: FStructure,
 @dataclass(frozen=True)
 class DualityPair:
     inverse_used: VectorField
-    dual: FStructure
+    dual: HiggsField
 
 
-def dual_structure(structure: FStructure, epsilon: VectorField) -> DualityPair:
-    """The twisted multiplication X * Y = eps^{-1} o X o Y with identity eps."""
-    n = structure.dim
-    eps_inv = circ_inverse(structure, epsilon)
-    left = structure.structure.left(eps_inv)
-    slices = [left.compose(structure.structure.slice(a)) for a in range(n)]
-    tensor = HiggsField.build(n, lambda a, b, c: slices[a].matrix[c][b])
-    dual = FStructure(tensor, identity=epsilon)
-    return DualityPair(eps_inv, dual)
+def dual_structure(higgs: HiggsField, e: VectorField,
+                   epsilon: VectorField) -> DualityPair:
+    """The twisted multiplication X * Y = eps^{-1} o X o Y, for the identity
+    ``e`` of o; the identity of * is eps."""
+    n = higgs.dim
+    eps_inv = circ_inverse(higgs, e, epsilon)
+    left = higgs.left(eps_inv)
+    slices = [left.compose(higgs.slice(a)) for a in range(n)]
+    return DualityPair(eps_inv, HiggsField.build(
+        n, lambda a, b, c: slices[a].matrix[c][b]))
 
 
 @dataclass(frozen=True)
@@ -152,9 +152,10 @@ class DualityVerifyReport:
         return failed
 
 
-def duality_verify(structure: FStructure, lambda0: Fraction,
+def duality_verify(higgs: HiggsField, e: VectorField, lambda0: Fraction,
                    epsilon: VectorField) -> DualityVerifyReport:
-    """Verify the weight-one Euler property of e for the twisted structure.
+    """Verify the weight-one Euler property of the identity e for the
+    twisted structure.
 
     The identity is to be flat for the base member of the pencil that the
     shift ``lambda0`` names (``geometry.base_member``), and the twist for the
@@ -162,13 +163,10 @@ def duality_verify(structure: FStructure, lambda0: Fraction,
     tensor itself.  Hypothesis failures are reported item by item, never
     raised.
     """
-    if structure.identity is None:
-        raise MissingIdentityError("duality verification needs an identity")
-    e = structure.identity
     shifted = lambda0 + 1
 
     def flat(label: str, shift: Shift, field: VectorField) -> HypothesisItem:
-        verdict = judge(nabla(structure.structure, shift, field).columns())
+        verdict = judge(nabla(higgs, shift, field).columns())
         return HypothesisItem(label, verdict.holds, verdict.proven_to)
 
     hypotheses = [flat("identity flat for base connection",
@@ -176,12 +174,12 @@ def duality_verify(structure: FStructure, lambda0: Fraction,
                   flat("twist field flat for shifted connection", shifted,
                        epsilon)]
     try:
-        pair: Optional[DualityPair] = dual_structure(structure, epsilon)
+        pair: Optional[DualityPair] = dual_structure(higgs, e, epsilon)
     except NotInvertibleError:
         pair = None
     hypotheses.append(HypothesisItem("twist field circ-invertible at origin",
-                                     pair is not None, structure.valid_to))
-    difference = judge(structure.structure.tensor)
+                                     pair is not None, higgs.valid_to))
+    difference = judge(higgs.tensor)
     hypotheses.append(HypothesisItem("shifted connection differs from base",
                                      not difference.holds,
                                      difference.proven_to))
@@ -192,7 +190,7 @@ def duality_verify(structure: FStructure, lambda0: Fraction,
     return DualityVerifyReport(tuple(hypotheses), e, epsilon, pair)
 
 
-def flat_section_solve(structure: FStructure, lambda0: Scalar,
+def flat_section_solve(higgs: HiggsField, lambda0: Scalar,
                        v0: Sequence[Scalar]) -> VectorField:
     """Unique w with w(0) = v0 and (nabla_0 + lambda0 C) w = 0, degree by
     degree.
@@ -204,13 +202,12 @@ def flat_section_solve(structure: FStructure, lambda0: Scalar,
     the flatness of the pencil member, so a violation surfaces as an
     integrability error at its lowest degree.
     """
-    n = structure.dim
-    cap = structure.order
-    valid = min(structure.valid_to + 1, cap)
+    n = higgs.dim
+    cap = higgs.order
+    valid = min(higgs.valid_to + 1, cap)
     w = [TruncatedSeries.constant(n, cap, v, valid_to=0) for v in v0]
     for _ in range(valid):
-        r_w = structure.structure.right(
-            VectorField(tuple(w)).scale(lambda0)).matrix
+        r_w = higgs.right(VectorField(tuple(w)).scale(lambda0)).matrix
         for c in range(n):
             try:
                 g = primitive_of_closed_family([-r for r in r_w[c]])

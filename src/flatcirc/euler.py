@@ -36,8 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .fmanifold import FStructure
-from .geometry import EndField, Shift, VectorField, judge, nabla
+from .geometry import EndField, HiggsField, Shift, VectorField, judge, nabla
 from .series import Scalar, as_fraction
 
 
@@ -53,11 +52,10 @@ class EulerField:
     weight: Fraction
 
 
-def euler_residual(structure: FStructure, e_field: VectorField,
+def euler_residual(c: HiggsField, e_field: VectorField,
                    weight: Scalar) -> Tuple[Tuple[VectorField, ...], ...]:
     """Residual of P_E(X, Y) = weight * X o Y over the frame, indexed [a][b]:
     the columns of E(C_a) + [C_a, D] + L_{d_a E} - weight C_a."""
-    c = structure.structure
     d = EndField.jacobian(e_field)
     residual = []
     for a, d_a_e in enumerate(d.columns()):
@@ -85,34 +83,33 @@ def flat_compat(e_field: VectorField) -> bool:
     return judge(flat_compat_residual(e_field)).holds
 
 
-def certify_euler(structure: FStructure, e_field: VectorField,
+def certify_euler(c: HiggsField, e_field: VectorField,
                   weight: Scalar) -> EulerField:
-    if not judge(euler_residual(structure, e_field, weight)).holds:
+    if not judge(euler_residual(c, e_field, weight)).holds:
         raise CertificationError(f"Euler residual nonzero at weight {weight}")
     if not flat_compat(e_field):
         raise CertificationError("Euler field does not preserve flat fields")
     return EulerField(e_field, as_fraction(weight))
 
 
-def geometric_inverse(structure: FStructure, e: VectorField, e1: VectorField,
+def geometric_inverse(c: HiggsField, e: VectorField, e1: VectorField,
                       mu_cap: int) -> Tuple[VectorField, ...]:
     """Coefficients g_k = (-1)^k e o e1^{ok} of (e + mu e1)^{-1}, k <= mu_cap."""
-    r_e1 = structure.structure.right(e1)
+    r_e1 = c.right(e1)
     coeffs = [e]
     for _ in range(mu_cap):
         coeffs.append(-r_e1.apply(coeffs[-1]))
     return tuple(coeffs)
 
 
-def h_from_e(e_field: VectorField, structure: FStructure, shift: Shift,
+def h_from_e(e_field: VectorField, c: HiggsField, shift: Shift,
              g: Tuple[VectorField, ...]) -> Tuple[EndField, ...]:
     """H from its value on the identity: the matrices H_k, k <= len(g) - 1.
 
     The closed form agrees with the infinite back-substitution of the
     defining functional equation up to the mu truncation.
     """
-    c = structure.structure
-    one = EndField.identity(structure.dim, structure.order)
+    one = EndField.identity(c.dim, c.order)
     r_e = c.right(e_field)
     j_minus_one = EndField.jacobian(e_field) - one
     if shift is not None:
@@ -126,7 +123,7 @@ def h_from_e(e_field: VectorField, structure: FStructure, shift: Shift,
     return tuple(h)
 
 
-def e_equation_residual(e_field: VectorField, structure: FStructure,
+def e_equation_residual(e_field: VectorField, c: HiggsField,
                         shift: Shift, e1: VectorField,
                         g: Tuple[VectorField, ...]) -> Tuple[VectorField, ...]:
     """Residual of (e + mu e1) o nabla_g E - e1 o E = e, where e = g_0.
@@ -134,17 +131,17 @@ def e_equation_residual(e_field: VectorField, structure: FStructure,
     One vector field per power of mu.
     """
     e = g[0]
-    nabla_e_field = nabla(structure.structure, shift, e_field)
+    nabla_e_field = nabla(c, shift, e_field)
     along = [nabla_e_field.apply(gk) for gk in g]
-    l_e = structure.structure.left(e)
-    l_e1 = structure.structure.left(e1)
+    l_e = c.left(e)
+    l_e1 = c.left(e1)
     coeffs = [l_e.apply(along[0]) - l_e1.apply(e_field) - e]
     for k in range(1, len(g)):
         coeffs.append(l_e.apply(along[k]) + l_e1.apply(along[k - 1]))
     return tuple(coeffs)
 
 
-def full_flatness_residual(h: Tuple[EndField, ...], structure: FStructure,
+def full_flatness_residual(h: Tuple[EndField, ...], c: HiggsField,
                            shift: Shift) -> Tuple[Tuple[EndField, ...], ...]:
     """Check H(X o Y) = X o H(Y) + mu (nabla_X H(Y) - X o Y - H(nabla_X Y)).
 
@@ -153,7 +150,7 @@ def full_flatness_residual(h: Tuple[EndField, ...], structure: FStructure,
     formed once and serves as the lambda term of the power k + 1 as well.
     """
     def row(a: int) -> Tuple[EndField, ...]:
-        c_a = structure.structure.slice(a)
+        c_a = c.slice(a)
         commutators = [h_k.commutator(c_a) for h_k in h]
         out = [commutators[0]]
         for k in range(1, len(h)):
@@ -163,4 +160,4 @@ def full_flatness_residual(h: Tuple[EndField, ...], structure: FStructure,
             out.append(r + c_a if k == 1 else r)
         return tuple(out)
 
-    return tuple(row(a) for a in range(structure.dim))
+    return tuple(row(a) for a in range(c.dim))

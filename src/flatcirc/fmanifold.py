@@ -1,9 +1,10 @@
 """F-manifold structures: potentials, structure tensors and their residuals.
 
-The central object is :class:`FStructure`, the structure tensor C_{ab}^c with
-an optional identity field.  Everything a structure is supposed to satisfy is
-exposed as a residual: a tensor of truncated series that vanishes to a stated
-degree exactly when the identity in question holds.
+A structure is its structure tensor C_{ab}^c, one ``HiggsField``; the
+identity field, declared or solved for (``find_identity``), is passed on its
+own to the functions that read it.  Everything a structure is supposed to
+satisfy is exposed as a residual: a tensor of truncated series that vanishes
+to a stated degree exactly when the identity in question holds.
 """
 
 from __future__ import annotations
@@ -19,67 +20,24 @@ from .geometry import (EndField, HiggsField, SeriesTensor4, Shift,
 from .series import TruncatedSeries, dot
 
 
-class MissingIdentityError(ValueError):
-    pass
+def potential_to_structure(potential: VectorField) -> HiggsField:
+    """Structure tensor C_{ab}^c = d_a d_b C^c from a vector potential.
+
+    A term of degree < 2 of the potential has no second derivative, so the
+    gauge of the potential changes no entry of C."""
+    return HiggsField.build(
+        potential.dim,
+        lambda a, b, c: potential.components[c].derivative(a).derivative(b))
 
 
-@dataclass(frozen=True, eq=False)
-class VectorPotential:
-    """Gauge-normalized vector potential: no constant or linear monomials."""
-
-    potential: VectorField
-
-    def __post_init__(self) -> None:
-        normalized = tuple(c.from_degree(2) for c in self.potential.components)
-        object.__setattr__(self, "potential", VectorField(normalized))
-
-
-@dataclass(frozen=True, eq=False)
-class FStructure:
-    """Structure tensor with optional identity field."""
-
-    structure: HiggsField
-    identity: Optional[VectorField] = None
-
-    @property
-    def dim(self) -> int:
-        return self.structure.dim
-
-    @property
-    def order(self) -> int:
-        """The cap of C, read from C_00^0.  An instantiated structure has
-        the instance order here; on the check suite's cut structure
-        (``checks.cut_to_proven``) it is the proven degree of C."""
-        return self.structure.tensor[0][0][0].cap
-
-    @property
-    def valid_to(self) -> int:
-        return self.structure.valid_to
-
-    def multiply(self, x: VectorField, y: VectorField) -> VectorField:
-        return apply_higgs(self.structure, x, y)
-
-    def basis(self, axis: int) -> VectorField:
-        return VectorField.basis(self.dim, self.order, axis)
-
-
-def potential_to_structure(potential: VectorPotential) -> FStructure:
-    """Structure tensor C_{ab}^c = d_a d_b C^c from a vector potential, with
-    no identity field."""
-    vf = potential.potential
-    return FStructure(HiggsField.build(
-        vf.dim,
-        lambda a, b, c: vf.components[c].derivative(a).derivative(b)))
-
-
-def five_term_residual(structure: FStructure) -> "Tensor5":
+def five_term_residual(higgs: HiggsField) -> "Tensor5":
     """Frame residual of the five-term integrability identity, indexed (a,b,c,d,f).
 
     With C_P = d_a o d_b the frame field of the pair P = (a,b), J_P its
     Jacobian and Q = (c,d), the entry of (P,Q) is the field
       X(P,Q) - X(Q,P),  X(P,Q) = J_Q(C_P) + (d_c C_P) o d_d + (d_d C_P) o d_c,
     where d_k C_P is column k of J_P, and the products (d_k C_P) o d_j are
-    the columns of ``structure.left(d_k C_P)``.  Component f of the entry is
+    the columns of ``higgs.left(d_k C_P)``.  Component f of the entry is
     the five surviving frame terms (even case, all signs +1) as six sums:
       sum_e C_ab^e d_e C_cd^f - C_cd^e d_e C_ab^f
       + d_c C_ab^e C_ed^f + d_d C_ab^e C_ec^f
@@ -134,11 +92,10 @@ def five_term_residual(structure: FStructure) -> "Tensor5":
     Either way ``judge`` reads the same values through every ``valid_to``
     and finds the same witness, the lex-minimum of its orbit.
     """
-    higgs = structure.structure
-    r = range(structure.dim)
+    r = range(higgs.dim)
     pair, reps = higgs.pairs, higgs.representatives
     x = _entries_from_r2(higgs, reps) if _potential_form(higgs) \
-        else _entries_over_orbits(structure, reps)
+        else _entries_over_orbits(higgs, reps)
     return tuple(tuple(tuple(tuple(x[pair[a][b], pair[c][d]]
                                    for d in r) for c in r) for b in r)
                  for a in r)
@@ -187,15 +144,15 @@ def _entries_from_r2(higgs: HiggsField, reps):
     return x
 
 
-def _entries_over_orbits(structure: FStructure, reps):
+def _entries_over_orbits(higgs: HiggsField, reps):
     """The entries X(P,Q) - X(Q,P) per pair of representatives."""
-    t = structure.structure.tensor
+    t = higgs.tensor
     field = {(a, b): VectorField(t[a][b]) for a, b in reps}
-    jacobian = structure.structure.jacobians
+    jacobian = higgs.jacobians
     x = {}
     for i, p in enumerate(reps):
         # products[k][j] = (d_k C_P) o d_j
-        products = [structure.structure.left(column).columns()
+        products = [higgs.left(column).columns()
                     for column in jacobian[p].columns()]
         for c, d in reps:
             x[p, (c, d)] = jacobian[c, d].apply(field[p]) \
@@ -208,22 +165,21 @@ def _entries_over_orbits(structure: FStructure, reps):
 Tensor5 = Tuple[Tuple[SeriesTensor4, ...], ...]
 
 
-def p_tensor(structure: FStructure, x: VectorField, z: VectorField,
+def p_tensor(c: HiggsField, x: VectorField, z: VectorField,
              w: VectorField) -> VectorField:
     """P_X(Z, W) = [X, Z o W] - [X, Z] o W - Z o [X, W]."""
-    return lie_bracket(x, structure.multiply(z, w)) \
-        - structure.multiply(lie_bracket(x, z), w) \
-        - structure.multiply(z, lie_bracket(x, w))
+    return lie_bracket(x, apply_higgs(c, z, w)) \
+        - apply_higgs(c, lie_bracket(x, z), w) \
+        - apply_higgs(c, z, lie_bracket(x, w))
 
 
-def d_tensor(structure: FStructure, shift: Shift, x: VectorField,
-             y: VectorField, z: VectorField) -> VectorField:
+def d_tensor(c: HiggsField, shift: Shift, x: VectorField, y: VectorField,
+             z: VectorField) -> VectorField:
     """D(X, Y, Z) = nabla_X(Y o Z) - nabla_X(Y) o Z - Y o nabla_X(Z), with
     nabla the pencil member ``shift``."""
-    c = structure.structure
-    return covariant_derivative(c, shift, x, structure.multiply(y, z)) \
-        - structure.multiply(covariant_derivative(c, shift, x, y), z) \
-        - structure.multiply(y, covariant_derivative(c, shift, x, z))
+    return covariant_derivative(c, shift, x, apply_higgs(c, y, z)) \
+        - apply_higgs(c, covariant_derivative(c, shift, x, y), z) \
+        - apply_higgs(c, y, covariant_derivative(c, shift, x, z))
 
 
 def solve_series_system(matrix: Sequence[Sequence[TruncatedSeries]],
@@ -262,14 +218,13 @@ def solve_series_system(matrix: Sequence[Sequence[TruncatedSeries]],
     return tuple(w)
 
 
-def identity_residual(structure: FStructure, e: VectorField) -> EndField:
+def identity_residual(c: HiggsField, e: VectorField) -> EndField:
     """L_e - 1, the matrix of X -> e o X - X; it vanishes when e is the
     identity of the product."""
-    return structure.structure.left(e) \
-        - EndField.identity(structure.dim, structure.order)
+    return c.left(e) - EndField.identity(c.dim, c.order)
 
 
-def find_identity(structure: FStructure) -> Optional[VectorField]:
+def find_identity(higgs: HiggsField) -> Optional[VectorField]:
     """Solve e o d_b = d_b degree by degree; None when there is no identity.
 
     The equation sum_a e^a C_{ab}^c = delta_b^c separates per monomial into a
@@ -280,31 +235,27 @@ def find_identity(structure: FStructure) -> Optional[VectorField]:
     every degree through the ``valid_to`` of C is solved, so
     ``identity_residual`` vanishes through that degree.
     """
-    n = structure.dim
-    t = structure.structure.tensor
-    one = TruncatedSeries.constant(n, structure.order, 1)
-    zero = TruncatedSeries.zero(n, structure.order)
+    n, t = higgs.dim, higgs.tensor
+    one = TruncatedSeries.constant(n, higgs.order, 1)
+    zero = TruncatedSeries.zero(n, higgs.order)
     try:
         return VectorField(solve_series_system(
             [[t[a][b][c] for a in range(n)] for b in range(n) for c in range(n)],
             [one if b == c else zero for b in range(n) for c in range(n)],
-            structure.valid_to))
+            higgs.valid_to))
     except linalg.SingularSystemError:
         return None
 
 
-def l_membership(structure: FStructure, shift: Shift,
+def l_membership(c: HiggsField, e: VectorField, shift: Shift,
                  epsilon: VectorField) -> Tuple[VectorField, ...]:
     """Residual of nabla_Y eps = Y o nabla_e eps over the frame, for the
-    pencil member ``shift``: the columns of nabla eps - R_w with
-    w = nabla_e eps.  ``epsilon`` satisfies the multiplication-compatibility
-    condition when the residual vanishes.
+    identity ``e`` and the pencil member ``shift``: the columns of
+    nabla eps - R_w with w = nabla_e eps.  ``epsilon`` satisfies the
+    multiplication-compatibility condition when the residual vanishes.
     """
-    if structure.identity is None:
-        raise MissingIdentityError("membership test requires an identity field")
-    nabla_eps = nabla(structure.structure, shift, epsilon)
-    nabla_e_eps = nabla_eps.apply(structure.identity)
-    return (nabla_eps - structure.structure.right(nabla_e_eps)).columns()
+    nabla_eps = nabla(c, shift, epsilon)
+    return (nabla_eps - c.right(nabla_eps.apply(e))).columns()
 
 
 @dataclass(frozen=True)
@@ -313,11 +264,8 @@ class NablaEEMode:
     eigenvalue: Optional[Fraction] = None
 
 
-def nabla_e_e_mode(structure: FStructure, w: VectorField) -> NablaEEMode:
+def nabla_e_e_mode(e: VectorField, w: VectorField) -> NablaEEMode:
     """Classify w = nabla_e e as 0, as c*e for a rational c, or as other."""
-    if structure.identity is None:
-        raise MissingIdentityError("classification requires an identity field")
-    e = structure.identity
     check = w.valid_to
     if w.vanishes_through(check):
         return NablaEEMode("flat", Fraction(0))

@@ -187,6 +187,13 @@ class HiggsField:
     def valid_to(self) -> int:
         return min(s.valid_to for p in self.tensor for r in p for s in r)
 
+    @property
+    def order(self) -> int:
+        """The cap of T, read from T_00^0.  An instantiated structure has
+        the instance order here; on the check suite's cut structure
+        (``checks.cut_to_proven``) it is the proven degree of T."""
+        return self.tensor[0][0][0].cap
+
     @classmethod
     def build(cls, dim: int,
               entry: Callable[[int, int, int], TruncatedSeries]) -> "HiggsField":

@@ -16,8 +16,7 @@ from importlib import resources
 from typing import Optional, Sequence, Tuple
 
 from .expr import NAME_PATTERN, is_name, parse_series
-from .fmanifold import (FStructure, VectorPotential, find_identity,
-                        potential_to_structure)
+from .fmanifold import find_identity, potential_to_structure
 from .geometry import HiggsField, VectorField
 from .series import InputError
 
@@ -122,8 +121,7 @@ class ModelDocument:
         identity = (self._field(self.identity, cap)
                     if self.identity is not None else None)
         if self.potential is not None:
-            tensor = potential_to_structure(VectorPotential(
-                self._field(self.potential, cap))).structure
+            tensor = potential_to_structure(self._field(self.potential, cap))
         else:
             table = self.structure_table
             tensor = HiggsField.build(
@@ -136,14 +134,14 @@ class ModelDocument:
                 f"degree {tensor.valid_to}; a residual with a derivative "
                 "needs degree 1")
         if identity is None:
-            identity = find_identity(FStructure(tensor))
+            identity = find_identity(tensor)
         euler = None
         if self.euler is not None:
             euler = (self._field(self.euler[0], cap), self.euler[1])
         epsilon = (self._field(self.epsilon, cap)
                    if self.epsilon is not None else None)
-        return ModelInstance(self, cap, FStructure(tensor, identity), euler,
-                             epsilon, self.lambda0)
+        return ModelInstance(self, cap, tensor, identity, euler, epsilon,
+                             self.lambda0)
 
 
 def _is_cube(value, dim: int, depth: int) -> bool:
@@ -156,9 +154,13 @@ def _is_cube(value, dim: int, depth: int) -> bool:
 
 @dataclass(frozen=True)
 class ModelInstance:
+    """A model at one order: C as ``structure`` and its identity field,
+    None when the product has none."""
+
     document: ModelDocument
     order: int
-    structure: FStructure
+    structure: HiggsField
+    identity: Optional[VectorField]
     euler: Optional[Tuple[VectorField, Fraction]]
     epsilon: Optional[VectorField]
     lambda0: Fraction

@@ -68,8 +68,7 @@ def test_cut_changes_no_verdict(seed, n, order, monkeypatch):
     received = []
 
     def recording(structure):
-        received.extend(s for p in structure.structure.tensor for r in p
-                        for s in r)
+        received.extend(s for p in structure.tensor for r in p for s in r)
         return five_term_residual(structure)
 
     monkeypatch.setattr(checks, "five_term_residual", recording)
@@ -77,8 +76,7 @@ def test_cut_changes_no_verdict(seed, n, order, monkeypatch):
     assert received and all(s.cap == s.valid_to for s in received)
     assert report.order == order
 
-    r1, r2 = pencil_curvature_split(uncut.structure,
-                                    base_member(instance.lambda0))
+    r1, r2 = pencil_curvature_split(uncut, base_member(instance.lambda0))
     for check_id, tensor in (("five-term-integrability", five_term),
                              ("pencil-linear-flatness", r1),
                              ("pencil-quadratic-flatness", r2)):

@@ -18,7 +18,7 @@ CAP = 6
 def qc_b():
     instance = load_model("qc-p1").instantiate(CAP)
     s = instance.structure
-    return primitive_section(s, s.identity).b_field, s
+    return primitive_section(s, instance.identity).b_field, s
 
 
 class TestJsonRoundtrip:
@@ -136,5 +136,5 @@ class TestStructureFromB:
         for a in range(2):
             for bb in range(2):
                 for c in range(2):
-                    diff = higgs.tensor[a][bb][c] - s.structure.tensor[a][bb][c]
+                    diff = higgs.tensor[a][bb][c] - s.tensor[a][bb][c]
                     assert diff.vanishes_through(CAP - 1)

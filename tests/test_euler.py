@@ -8,8 +8,8 @@ from flatcirc.euler import (CertificationError, certify_euler,
                             e_equation_residual, euler_residual,
                             flat_compat, full_flatness_residual,
                             geometric_inverse, h_from_e)
-from flatcirc.geometry import (VectorField, base_member, covariant_derivative,
-                               judge, lie_bracket)
+from flatcirc.geometry import (VectorField, apply_higgs, base_member,
+                               covariant_derivative, judge, lie_bracket)
 from flatcirc.models import load_model
 from flatcirc.series import TruncatedSeries
 
@@ -24,6 +24,10 @@ def x(axis, n=2, cap=CAP):
 def qc():
     inst = load_model("qc-p1").instantiate(CAP)
     return inst.structure, inst.euler[0]
+
+
+def qc_identity():
+    return load_model("qc-p1").instantiate(CAP).identity
 
 
 class TestEulerResidual:
@@ -54,19 +58,19 @@ class TestEulerResidual:
 class TestGeometricInverse:
     def test_inverse_of_identity_plus_mu_e1(self):
         s, _ = qc()
-        e = s.identity
-        e1 = s.basis(1)
+        e = qc_identity()
+        e1 = VectorField.basis(2, CAP, 1)
         g = geometric_inverse(s, e, e1, MU)
         # (e + mu e1) o g = e in the mu-truncated sense: coefficient k of the
         # product is e o g_k + e1 o g_{k-1}
         for k in range(MU + 1):
-            diff = s.multiply(e, g[k]) - e if k == 0 \
-                else s.multiply(e, g[k]) + s.multiply(e1, g[k - 1])
+            diff = apply_higgs(s, e, g[k]) - e if k == 0 \
+                else apply_higgs(s, e, g[k]) + apply_higgs(s, e1, g[k - 1])
             assert diff.vanishes_through(diff.valid_to)
 
     def test_alternating_signs(self):
         s, _ = qc()
-        g = geometric_inverse(s, s.identity, s.identity, MU)
+        g = geometric_inverse(s, qc_identity(), qc_identity(), MU)
         for k, coeff in enumerate(g):
             sign = 1 if k % 2 == 0 else -1
             assert coeff.components[0].constant_term == sign
@@ -84,19 +88,20 @@ def identity_residuals(h, s, shift, e, e1):
     he = [hk.apply(e) for hk in h]
 
     def necessary(x):
-        xe1 = s.multiply(x, e1)
-        coeffs = [h[0].apply(x) - s.multiply(x, he[0])]
+        xe1 = apply_higgs(s, x, e1)
+        coeffs = [h[0].apply(x) - apply_higgs(s, x, he[0])]
         for k in range(1, len(h)):
-            coeff = h[k].apply(x) - s.multiply(x, he[k]) \
-                - covariant_derivative(s.structure, shift, x, he[k - 1]) \
+            coeff = h[k].apply(x) - apply_higgs(s, x, he[k]) \
+                - covariant_derivative(s, shift, x, he[k - 1]) \
                 + h[k - 1].apply(xe1)
             coeffs.append(coeff + x if k == 1 else coeff)
         return coeffs
 
-    consistency = [lie_bracket(e, he[k]) + s.multiply(he[k], e1)
+    consistency = [lie_bracket(e, he[k]) + apply_higgs(s, he[k], e1)
                    - h[k].apply(e1) for k in range(len(h))]
     consistency[0] = consistency[0] - e
-    return [necessary(s.basis(a)) for a in range(s.dim)], consistency
+    return [necessary(VectorField.basis(s.dim, CAP, a))
+            for a in range(s.dim)], consistency
 
 
 def vanishes(coefficients):
@@ -108,8 +113,8 @@ class TestReconstruction:
         inst = load_model(name).instantiate(CAP)
         s = inst.structure
         shift = base_member(inst.lambda0)
-        e = s.identity
-        e1 = covariant_derivative(s.structure, shift, e, e)
+        e = inst.identity
+        e1 = covariant_derivative(s, shift, e, e)
         g = geometric_inverse(s, e, e1, MU)
         return s, shift, e, e1, inst.euler[0], g
 

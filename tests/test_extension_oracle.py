@@ -27,8 +27,7 @@ from fractions import Fraction
 import pytest
 
 from flatcirc.euler import full_flatness_residual, geometric_inverse, h_from_e
-from flatcirc.fmanifold import (FStructure, VectorPotential,
-                               potential_to_structure)
+from flatcirc.fmanifold import potential_to_structure
 from flatcirc.geometry import (HiggsField, VectorField, base_member,
                                covariant_derivative, iter_tensor)
 from flatcirc.models import load_model
@@ -68,17 +67,17 @@ def combine(*terms):
              for j in range(len(first[0]))] for i in range(len(first))]
 
 
-def oracle(structure, shift, e_field):
+def oracle(structure, e_identity, shift, e_field):
     """The mu-powers of H and of the flatness residual as dicts
     {(k, c, b): poly} and {(a, k, c, b): poly}, indexed like ``h_from_e``
     and ``full_flatness_residual``; the polys have no mu."""
     n, cap = structure.dim, structure.order
     r, xs, mu = ring(n)
-    c_mat = [[[as_poly(r, structure.structure.tensor[a][b][c])
+    c_mat = [[[as_poly(r, structure.tensor[a][b][c])
                for b in range(n)] for c in range(n)] for a in range(n)]
     lam = 0 if shift is None else sympy.QQ(shift.numerator, shift.denominator)
     g_mat = [[[lam * p for p in row] for row in c_a] for c_a in c_mat]
-    e = [[as_poly(r, s)] for s in structure.identity.components]
+    e = [[as_poly(r, s)] for s in e_identity.components]
     big_e = [[as_poly(r, s)] for s in e_field.components]
     one = [[r(int(i == j)) for j in range(n)] for i in range(n)]
 
@@ -142,41 +141,41 @@ def seeded_model(seed, order):
 
     p0 = {**poly(range(3, order + 1)), (2, 0): Fraction(1, 2)}
     p1 = {**poly(range(3, order + 1)), (1, 1): Fraction(1)}
-    potential = VectorPotential(VectorField(tuple(
-        TruncatedSeries(n, order, order, p) for p in (p0, p1))))
-    t = potential_to_structure(potential).structure.tensor
+    potential = VectorField(tuple(
+        TruncatedSeries(n, order, order, p) for p in (p0, p1)))
+    t = potential_to_structure(potential).tensor
     bump = TruncatedSeries(n, order, order - 2, {
         (1, 0): Fraction(rng.choice((-3, -2, -1, 1, 2, 3))),
         (1, 1): Fraction(rng.randint(-3, 3))})
-    structure = FStructure(HiggsField.build(
+    structure = HiggsField.build(
         n, lambda a, b, c: t[a][b][c] + bump if (a, b, c) == (1, 1, 0)
-        else t[a][b][c]), VectorField.basis(n, order, 0))
+        else t[a][b][c])
     e_field = VectorField(tuple(TruncatedSeries(n, order, order, {
         (1, 0): Fraction(rng.randint(-3, 3)), (0, 1): Fraction(rng.randint(-3, 3)),
         (0, 0): Fraction(rng.randint(-3, 3))}) for _ in range(n)))
     shift = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5),
                      rng.randint(1, 3))
-    return structure, shift, e_field
+    return structure, VectorField.basis(n, order, 0), shift, e_field
 
 
 def corpus_case(name, order, shift):
     instance = load_model(name).instantiate(order)
     structure = instance.structure
-    return structure, base_member(Fraction(shift)), instance.euler[0]
+    return (structure, instance.identity, base_member(Fraction(shift)),
+            instance.euler[0])
 
 
 @pytest.mark.parametrize("case", ["qc-p1", "one-dim", "seeded-0", "seeded-1"])
 def test_extension_matches_symbolic_mu(case):
     if case.startswith("seeded"):
-        structure, shift, e_field = seeded_model(int(case[-1]), 5)
+        structure, e, shift, e_field = seeded_model(int(case[-1]), 5)
     else:
-        structure, shift, e_field = corpus_case(case, 5, 1)
-    e = structure.identity
-    e1 = covariant_derivative(structure.structure, shift, e, e)
+        structure, e, shift, e_field = corpus_case(case, 5, 1)
+    e1 = covariant_derivative(structure, shift, e, e)
     h = h_from_e(e_field, structure, shift,
                  geometric_inverse(structure, e, e1, MU_ORDER))
     flatness = full_flatness_residual(h, structure, shift)
-    r, want_h, want_flat = oracle(structure, shift, e_field)
+    r, want_h, want_flat = oracle(structure, e, shift, e_field)
     assert len(h) == MU_ORDER + 1
     assert min(m.valid_to for m in h) >= 2
     assert min(m.valid_to for row in flatness for m in row) >= 1

@@ -5,15 +5,12 @@ from itertools import product
 import pytest
 
 from flatcirc.checks import cut_to_proven
-from flatcirc.duality import circ_inverse, duality_verify
 from flatcirc.euler import euler_residual, full_flatness_residual
-from flatcirc.fmanifold import (FStructure, MissingIdentityError,
-                                VectorPotential, d_tensor,
-                                find_identity, five_term_residual,
+from flatcirc.fmanifold import (d_tensor, find_identity, five_term_residual,
                                 l_membership, nabla_e_e_mode, p_tensor,
                                 potential_to_structure)
 from flatcirc import fmanifold, geometry, linalg, series
-from flatcirc.geometry import (EndField, HiggsField, VectorField,
+from flatcirc.geometry import (EndField, HiggsField, VectorField, apply_higgs,
                                covariant_derivative, judge, lie_bracket,
                                pencil_curvature_split,
                                tensor_vanishes_through, torsion)
@@ -27,31 +24,41 @@ def x(axis, n=2, cap=CAP):
     return TruncatedSeries.variable(n, cap, axis)
 
 
+def basis(axis, n=2):
+    return VectorField.basis(n, CAP, axis)
+
+
 def qc_structure(order=CAP):
     return load_model("qc-p1").instantiate(order).structure
 
 
-class TestVectorPotential:
-    def test_gauge_normalization_strips_low_degrees(self):
-        comp = TruncatedSeries(1, CAP, CAP, {(0,): Fraction(5),
-                                             (1,): Fraction(3),
-                                             (2,): Fraction(1, 2)})
-        vp = VectorPotential(VectorField((comp,)))
-        assert vp.potential.components[0].coeffs == {(2,): Fraction(1, 2)}
+class TestPotential:
+    def test_low_degrees_change_no_entry(self):
+        # a term of degree < 2 has no second derivative, so the structure
+        # of a potential does not depend on its gauge
+        cubic = x(0) * x(0) * x(1) / 2 + x(1) * x(1) * x(1) * Fraction(1, 3)
+        low = [TruncatedSeries.constant(2, CAP, 5) + x(1) * 3,
+               x(0) * Fraction(-2, 7) + x(1)]
+        plain = potential_to_structure(VectorField((cubic, x(0) * x(1))))
+        gauged = potential_to_structure(VectorField((cubic + low[0],
+                                                     x(0) * x(1) + low[1])))
+        assert gauged == plain
+        assert [s.cap for s in gauged.tensor[0][0]] == [CAP, CAP]
+        assert gauged.valid_to == plain.valid_to == CAP - 2
 
     def test_structure_from_known_potential(self):
         s = qc_structure()
         # d1 o d1 = exp(x1) d0
-        prod = s.multiply(s.basis(1), s.basis(1))
+        prod = apply_higgs(s, basis(1), basis(1))
         assert prod.components[0].coeffs[(0, 0)] == 1
         assert prod.components[0].coeffs[(0, 3)] == Fraction(1, 6)
         assert prod.components[1].coeffs == {}
 
     def test_identity_found_automatically(self):
-        s = qc_structure()
-        assert s.identity is not None
-        assert s.identity.components[0].constant_term == 1
-        assert s.identity.components[1].coeffs == {}
+        e = load_model("qc-p1").instantiate(CAP).identity
+        assert e is not None
+        assert e.components[0].constant_term == 1
+        assert e.components[1].coeffs == {}
 
 
 class TestHmResidual:
@@ -72,7 +79,7 @@ def six_term_entry(structure, a, b, c, d, f):
     C_00^0) would cut the entry to that cap when its own operands reach
     higher, as on tensors whose entries have different caps."""
     n = structure.dim
-    t = structure.structure.tensor
+    t = structure.tensor
     sums = [t[a][b][e] * t[c][d][f].derivative(e)
             - t[c][d][e] * t[a][b][f].derivative(e)
             + t[a][b][e].derivative(c) * t[e][d][f]
@@ -121,10 +128,10 @@ def exp_potential_structure(rng, n, cap):
     """The structure of a seeded potential with an exponential term."""
     linear = sum((x(i, n, cap) * rng.randint(-2, 2) for i in range(n)),
                  TruncatedSeries.zero(n, cap))
-    return potential_to_structure(VectorPotential(VectorField(tuple(
+    return potential_to_structure(VectorField(tuple(
         series.exp_series(linear) * rng.randint(1, 3)
         + x(c, n, cap) * x((c + 1) % n, n, cap) * rng.randint(-3, 3)
-        for c in range(n)))))
+        for c in range(n))))
 
 
 def mixed_exp_potential_structure(rng, n, cap):
@@ -139,16 +146,16 @@ def mixed_exp_potential_structure(rng, n, cap):
             (x(i, n, cap) * x(j, n, cap) * x(k, n, cap) * rng.randint(-3, 3)
              for i, j, k in product(range(n), repeat=3) if i <= j <= k),
             TruncatedSeries.zero(n, cap))
-    return potential_to_structure(VectorPotential(VectorField(tuple(
-        component() for _ in range(n)))))
+    return potential_to_structure(VectorField(tuple(
+        component() for _ in range(n))))
 
 
 class TestFiveTermContractions:
     @pytest.mark.parametrize("n, seed", [(2, 0), (2, 1), (3, 0)])
     def test_equals_six_term_formula(self, n, seed):
         rng = random.Random(f"five-term:{n}:{seed}")
-        structure = FStructure(random_tensor(rng, n, 3))
-        assert not judge(torsion(structure.structure)).holds
+        structure = random_tensor(rng, n, 3)
+        assert not judge(torsion(structure)).holds
         residual = five_term_residual(structure)
         for a, b, c, d, f in product(range(n), repeat=5):
             assert residual[a][b][c][d][f] == \
@@ -159,23 +166,39 @@ class TestFiveTermContractions:
     def test_orbit_path_equals_six_term_formula(self, n, kind):
         """Entries formed once per index orbit equal the six sums, cap and
         ``valid_to`` included, on tensors with some or all rows C_ab equal
-        to C_ba."""
+        to C_ba.  ``five_term_residual`` reads a potential off R2, so there
+        the orbit path is called directly."""
         rng = random.Random(f"five-term-orbits:{n}:{kind}")
         if kind == "potential":
-            structure = exp_potential_structure(rng, n, 5)
+            structures = [make(rng, n, 5) for make in (
+                exp_potential_structure, mixed_exp_potential_structure)]
         else:
             make = symmetric_tensor if kind == "symmetric" \
                 else partly_symmetric_tensor
-            structure = FStructure(make(rng, n, 3))
-        t = structure.structure.tensor
-        symmetric = [t[a][b] == t[b][a] for a in range(n) for b in range(n)]
-        assert all(symmetric) == (kind != "partly") and any(
-            t[a][b] != t[b][a] for a in range(n) for b in range(a)) \
-            == (kind == "partly")
-        residual = five_term_residual(structure)
-        for a, b, c, d, f in product(range(n), repeat=5):
-            assert residual[a][b][c][d][f] == \
-                six_term_entry(structure, a, b, c, d, f), (a, b, c, d, f)
+            structures = [make(rng, n, 3)]
+        for structure in structures:
+            t = structure.tensor
+            symmetric = [t[a][b] == t[b][a]
+                         for a in range(n) for b in range(n)]
+            assert all(symmetric) == (kind != "partly") and any(
+                t[a][b] != t[b][a] for a in range(n) for b in range(a)) \
+                == (kind == "partly")
+            on_r2 = fmanifold._potential_form(structure)
+            assert on_r2 == (kind == "potential")
+            residual = (orbit_residual if on_r2
+                        else five_term_residual)(structure)
+            for a, b, c, d, f in product(range(n), repeat=5):
+                assert residual[a][b][c][d][f] == \
+                    six_term_entry(structure, a, b, c, d, f), (a, b, c, d, f)
+
+
+def orbit_residual(structure):
+    """The five-term residual as the orbit path forms it, on any tensor."""
+    pair, r = structure.pairs, range(structure.dim)
+    x = fmanifold._entries_over_orbits(structure, structure.representatives)
+    return tuple(tuple(tuple(tuple(x[pair[a][b], pair[c][d]]
+                                   for d in r) for c in r) for b in r)
+                 for a in r)
 
 
 
@@ -214,12 +237,11 @@ class TestFiveTermFromPencil:
             structure = exp_potential_structure(rng, n, 5)
         else:
             valid_to = 4 if kind == "full" else 2
-            structure = FStructure(shared_symmetric_tensor(rng, n, 4,
-                                                           valid_to))
-        t = structure.structure.tensor
+            structure = shared_symmetric_tensor(rng, n, 4, valid_to)
+        t = structure.tensor
         entries = [s for p in t for r in p for s in r]
         assert len({(s.cap, s.valid_to) for s in entries}) == 1
-        r1, r2 = pencil_curvature_split(structure.structure, None)
+        r1, r2 = pencil_curvature_split(structure, None)
         rho = r1
         assert judge(rho).holds == (kind == "potential")
         assert not judge(r2).holds
@@ -244,7 +266,7 @@ def six_sum_entries(structure):
     formed once for a and b swapped when the row C_ab equals C_ba, and
     likewise for (c, d)."""
     n = structure.dim
-    t = structure.structure.tensor
+    t = structure.tensor
 
     def row(a, b):
         return (min(a, b), max(a, b)) if t[a][b] == t[b][a] else (a, b)
@@ -295,7 +317,7 @@ class TestFiveTermPaths:
         structure = make(random.Random(f"five-term-paths:{n}:{cap}"), n, cap)
         if cut:
             structure = cut_to_proven(structure)
-        assert fmanifold._potential_form(structure.structure)
+        assert fmanifold._potential_form(structure)
         self.assert_agrees(structure, exact=False)
 
     def test_entries_may_differ_above_valid_to(self):
@@ -309,13 +331,12 @@ class TestFiveTermPaths:
     @pytest.mark.parametrize("kind", ["rho", "partly"])
     def test_other_tensors_take_the_orbits(self, kind):
         rng = random.Random(f"five-term-paths:{kind}")
-        structure = FStructure(shared_symmetric_tensor(rng, 3, 4, 3)
-                               if kind == "rho"
-                               else partly_symmetric_tensor(rng, 3, 3))
-        t = structure.structure.tensor
+        structure = shared_symmetric_tensor(rng, 3, 4, 3) if kind == "rho" \
+            else partly_symmetric_tensor(rng, 3, 3)
+        t = structure.tensor
         assert all(t[a][b] == t[b][a] for a, b in product(range(3), repeat=2)
                    ) == (kind == "rho")
-        assert not fmanifold._potential_form(structure.structure)
+        assert not fmanifold._potential_form(structure)
         self.assert_agrees(structure, exact=True)
 
 
@@ -348,7 +369,7 @@ class TestOperationCounts:
         return VectorField(random_tensor(rng, 3, 2).tensor[0][0])
 
     def test_five_term_products_and_derivatives(self, counts):
-        five_term_residual(FStructure(random_tensor(random.Random(0), 3, 2)))
+        five_term_residual(random_tensor(random.Random(0), 3, 2))
         assert counts == {"products": 2 * 3 ** 6, "derivative": 3 ** 4}
 
     def test_five_term_products_on_a_symmetric_tensor(self, counts):
@@ -356,8 +377,7 @@ class TestOperationCounts:
         # and V for m pairs times n^2 indices, n products each; one
         # derivative per pair, direction and last index
         n, m = 3, 6
-        five_term_residual(FStructure(symmetric_tensor(random.Random(0), n,
-                                                       2)))
+        five_term_residual(symmetric_tensor(random.Random(0), n, 2))
         assert counts == {"products": n * m * (m + n * n) * n,
                           "derivative": m * n * n}
         assert counts["products"] == 810
@@ -369,7 +389,7 @@ class TestOperationCounts:
         structures = [exp_potential_structure(random.Random(0), n, 4)
                       for _ in range(2)]
         counts.update(products=0, derivative=0)
-        pencil_curvature_split(structures[0].structure, None)
+        pencil_curvature_split(structures[0], None)
         counts["products"] = 0
         five_term_residual(structures[0])
         assert counts["products"] == 0
@@ -392,7 +412,7 @@ class TestOperationCounts:
         # products of [C_a, D] and L_{d_a E}: 4 * 3^4 pairs (the basis-field
         # form took 486 derivatives and 1,458 pairs)
         rng = random.Random(1)
-        structure = FStructure(random_tensor(rng, 3, 2))
+        structure = random_tensor(rng, 3, 2)
         euler_residual(structure, self.field(rng), 1)
         assert counts == {"products": 4 * 3 ** 4, "derivative": 3 ** 4 + 3 ** 2}
 
@@ -401,9 +421,8 @@ class TestOperationCounts:
         # C.right(nabla_e eps): 2 * 3^3 + 3^2 pairs (the basis-field form
         # took 36 derivatives and 288 pairs)
         rng = random.Random(2)
-        structure = FStructure(random_tensor(rng, 3, 2),
-                               identity=self.field(rng))
-        l_membership(structure, Fraction(-5, 3), self.field(rng))
+        structure, e = random_tensor(rng, 3, 2), self.field(rng)
+        l_membership(structure, e, Fraction(-5, 3), self.field(rng))
         assert counts == {"products": 2 * 3 ** 3 + 3 ** 2,
                           "derivative": 3 ** 2}
 
@@ -426,7 +445,7 @@ class TestOperationCounts:
         # at a shift, the member's own curvature as well
         pairs.clear()
         n = 2
-        pencil_curvature_split(qc_structure().structure, Fraction(1, 2))
+        pencil_curvature_split(qc_structure(), Fraction(1, 2))
         assert pairs and all(a <= b for a, b in pairs)
         assert len(pairs) == 3 * n * (n + 1) // 2
 
@@ -445,7 +464,7 @@ class TestOperationCounts:
 
     @staticmethod
     def extension(rng):
-        structure = FStructure(random_tensor(rng, 3, 2))
+        structure = random_tensor(rng, 3, 2)
         return structure, tuple(random_tensor(rng, 3, 2).slice(0)
                                 for _ in range(4))
 
@@ -461,7 +480,7 @@ class TestOperationCounts:
         # nabla_0 has no Christoffels: every commutator is [H_k, C_a]
         structure, h = self.extension(random.Random(4))
         full_flatness_residual(h, structure, None)
-        slices = [structure.structure.slice(a) for a in range(structure.dim)]
+        slices = [structure.slice(a) for a in range(structure.dim)]
         assert sorted((h.index(left), slices.index(right))
                       for left, right in commutators) == \
             sorted(product(range(len(h)), range(structure.dim)))
@@ -472,7 +491,7 @@ class TestFindIdentity:
         n = 2
         zero = TruncatedSeries.zero(n, CAP)
         tensor = HiggsField.build(n, lambda a, b, c: zero)
-        result = find_identity(FStructure(tensor))
+        result = find_identity(tensor)
         assert result is None
 
     def test_identity_with_series_components(self):
@@ -571,31 +590,31 @@ class TestMembership:
     def setup_method(self):
         inst = load_model("shifted-identity").instantiate(CAP)
         self.s = inst.structure
+        self.e = inst.identity
         self.shift = inst.lambda0
 
     def test_identity_is_member(self):
-        rep = l_membership(self.s, self.shift, self.s.identity)
+        rep = l_membership(self.s, self.e, self.shift, self.e)
         assert judge(rep).holds
 
     def test_flat_fields_are_members(self):
         for axis in range(2):
-            rep = l_membership(self.s, self.shift, self.s.basis(axis))
+            rep = l_membership(self.s, self.e, self.shift, basis(axis))
             assert judge(rep).holds
 
     def test_nabla_e_e_chain_members(self):
-        e = self.s.identity
-        c = self.s.structure
-        w = covariant_derivative(c, self.shift, e, e)
-        assert judge(l_membership(self.s, self.shift, w)).holds
-        w2 = covariant_derivative(c, self.shift, e, w)
-        assert judge(l_membership(self.s, self.shift, w2)).holds
+        e = self.e
+        w = covariant_derivative(self.s, self.shift, e, e)
+        assert judge(l_membership(self.s, e, self.shift, w)).holds
+        w2 = covariant_derivative(self.s, self.shift, e, w)
+        assert judge(l_membership(self.s, e, self.shift, w2)).holds
 
     def test_derivation_residual_zero(self):
         # ad e is a derivation of the product over the frame
         s = self.s
         for y in range(2):
             for z in range(2):
-                v = p_tensor(s, s.identity, s.basis(y), s.basis(z))
+                v = p_tensor(s, self.e, basis(y), basis(z))
                 assert v.vanishes_through(v.valid_to)
 
     def test_consequence_residuals_zero_for_member(self):
@@ -603,58 +622,41 @@ class TestMembership:
         #   [eps, Y] = nabla_eps Y - Y o nabla_e eps
         # and P_eps(Y, Z) = D(eps, Y, Z) + (Y o Z) o nabla_e eps
         s, shift = self.s, self.shift
-        eps = s.identity
-        assert judge(l_membership(s, shift, eps)).holds
-        nabla_e_eps = covariant_derivative(s.structure, shift, s.identity, eps)
+        eps = self.e
+        assert judge(l_membership(s, self.e, shift, eps)).holds
+        nabla_e_eps = covariant_derivative(s, shift, self.e, eps)
         for b in range(2):
-            v = lie_bracket(eps, s.basis(b)) \
-                - covariant_derivative(s.structure, shift, eps, s.basis(b)) \
-                + s.multiply(s.basis(b), nabla_e_eps)
+            v = lie_bracket(eps, basis(b)) \
+                - covariant_derivative(s, shift, eps, basis(b)) \
+                + apply_higgs(s, basis(b), nabla_e_eps)
             assert v.vanishes_through(v.valid_to)
         for y in range(2):
             for z in range(2):
-                v = p_tensor(s, eps, s.basis(y), s.basis(z)) \
-                    - d_tensor(s, shift, eps, s.basis(y), s.basis(z)) \
-                    - s.multiply(s.multiply(s.basis(y), s.basis(z)),
-                                 nabla_e_eps)
+                v = p_tensor(s, eps, basis(y), basis(z)) \
+                    - d_tensor(s, shift, eps, basis(y), basis(z)) \
+                    - apply_higgs(s, apply_higgs(s, basis(y), basis(z)),
+                                  nabla_e_eps)
                 assert v.vanishes_through(v.valid_to - 1)
 
     def test_non_member_detected(self):
         bad = VectorField((x(0) * x(0), x(1)))
-        rep = l_membership(self.s, self.shift, bad)
+        rep = l_membership(self.s, self.e, self.shift, bad)
         assert not judge(rep).holds
-
-
-@pytest.mark.parametrize("call, message", [
-    (l_membership, "membership test requires an identity field"),
-    (lambda s, shift, v: nabla_e_e_mode(s, v),
-     "classification requires an identity field"),
-    (lambda s, shift, v: circ_inverse(s, v), "circ-inverse needs an identity"),
-    (lambda s, shift, v: duality_verify(s, Fraction(0), v),
-     "duality verification needs an identity")],
-    ids=["l_membership", "nabla_e_e_mode", "circ_inverse", "duality_verify"])
-def test_guard_without_identity(call, message):
-    """A structure built from a potential carries no identity field, and
-    every function that needs one says so."""
-    s = potential_to_structure(VectorPotential(VectorField(
-        (x(0) * x(0) / 2, x(0) * x(1)))))
-    assert s.identity is None
-    with pytest.raises(MissingIdentityError, match=f"^{message}$"):
-        call(s, None, s.basis(0))
 
 
 class TestNablaEEMode:
     def test_flat_mode(self):
-        s = qc_structure()
-        e = s.identity
-        mode = nabla_e_e_mode(s, covariant_derivative(s.structure, None, e, e))
+        inst = load_model("qc-p1").instantiate(CAP)
+        e = inst.identity
+        mode = nabla_e_e_mode(e, covariant_derivative(inst.structure, None,
+                                                      e, e))
         assert mode.kind == "flat"
 
     def test_eigen_mode_on_shifted_base(self):
         inst = load_model("shifted-identity").instantiate(CAP)
-        e = inst.structure.identity
-        mode = nabla_e_e_mode(inst.structure, covariant_derivative(
-            inst.structure.structure, inst.lambda0, e, e))
+        e = inst.identity
+        mode = nabla_e_e_mode(e, covariant_derivative(
+            inst.structure, inst.lambda0, e, e))
         assert mode.kind == "eigen"
         assert mode.eigenvalue == 1
 
@@ -668,31 +670,30 @@ class TestNablaEEMode:
         tensor = HiggsField.build(
             n, lambda a, b, c: x(1) if (a, b, c) == (0, 0, 1)
             else TruncatedSeries.zero(n, CAP))
-        s = FStructure(tensor, identity=VectorField.basis(n, CAP, 0))
-        mode = nabla_e_e_mode(s, covariant_derivative(
-            tensor, shift, s.identity, s.identity))
+        e = VectorField.basis(n, CAP, 0)
+        mode = nabla_e_e_mode(e, covariant_derivative(tensor, shift, e, e))
         assert mode.kind == "other"
 
     def test_other_mode_when_not_a_multiple_of_e(self):
         # w^0 matches e^0 = 1 with eigenvalue candidate 2, but w - 2e = x1 d_1
-        s = qc_structure()
+        e = load_model("qc-p1").instantiate(CAP).identity
         w = VectorField((TruncatedSeries.constant(2, CAP, 2), x(1)))
-        assert nabla_e_e_mode(s, w) == fmanifold.NablaEEMode("other")
+        assert nabla_e_e_mode(e, w) == fmanifold.NablaEEMode("other")
 
 
 class TestShiftBase:
     def test_shift_preserves_pencil_flatness(self):
         s = qc_structure()
-        r1, r2 = pencil_curvature_split(s.structure, Fraction(1))
+        r1, r2 = pencil_curvature_split(s, Fraction(1))
         assert tensor_vanishes_through(r1, 5)
         assert tensor_vanishes_through(r2, 6)
 
     def test_zero_shift_is_identity_operation(self):
         # the member 0 adds a zero term: the coefficients of nabla_0
-        s = qc_structure()
+        inst = load_model("qc-p1").instantiate(CAP)
+        s, e = inst.structure, inst.identity
         v = VectorField((x(0) * x(1), x(1) * x(1)))
-        for got, want in zip(covariant_derivative(s.structure, Fraction(0),
-                                                  s.identity, v).components,
-                             covariant_derivative(s.structure, None,
-                                                  s.identity, v).components):
+        for got, want in zip(
+                covariant_derivative(s, Fraction(0), e, v).components,
+                covariant_derivative(s, None, e, v).components):
             assert got.coeffs == want.coeffs

@@ -2,8 +2,8 @@
 
 Each residual is formed from slices, ``nabla`` and the columns of a matrix;
 the references below form the same quantity from basis fields with the
-field-level definitions (``p_tensor``, ``FStructure.multiply``,
-``apply_higgs``, ``VectorField.apply``), term by term as the residual is
+field-level definitions (``p_tensor``, ``apply_higgs``,
+``VectorField.apply``), term by term as the residual is
 defined, with the Christoffel tensor lambda C of the pencil member.  The
 tensors are random and not symmetric, so C is not a potential, and every
 shift lambda is a random nonzero rational.  With one ``valid_to``
@@ -23,7 +23,7 @@ import pytest
 from flatcirc.duality import duality_verify
 from flatcirc.euler import (e_equation_residual, euler_residual,
                             geometric_inverse)
-from flatcirc.fmanifold import (FStructure, find_identity, identity_residual,
+from flatcirc.fmanifold import (find_identity, identity_residual,
                                 l_membership, p_tensor)
 from flatcirc.geometry import (EndField, HiggsField, VectorField, apply_higgs,
                                covariant_derivative, iter_tensor, judge, nabla,
@@ -75,8 +75,8 @@ class Operands:
                                  for a in range(self.n)))
 
     def structure(self):
-        s = FStructure(self.tensor(lambda a, b, c: self.rng.randint(-2, 2)))
-        assert not judge(torsion(s.structure)).holds
+        s = self.tensor(lambda a, b, c: self.rng.randint(-2, 2))
+        assert not judge(torsion(s)).holds
         return s
 
 
@@ -97,42 +97,49 @@ def field_covariant_derivative(conn, x, y):
                              for c in range(x.dim)))
 
 
+def frame(s, a):
+    """The frame field d_a at the order of the structure ``s``."""
+    return VectorField.basis(s.dim, s.order, a)
+
+
 def field_flatness(s, conn, v):
-    return tuple(field_covariant_derivative(conn, s.basis(a), v)
+    return tuple(field_covariant_derivative(conn, frame(s, a), v)
                  for a in range(s.dim))
 
 
 def field_euler_residual(s, e_field, weight):
-    t = s.structure.tensor
-    return tuple(tuple(p_tensor(s, e_field, s.basis(a), s.basis(b))
+    t = s.tensor
+    return tuple(tuple(p_tensor(s, e_field, frame(s, a), frame(s, b))
                        - VectorField(t[a][b]).scale(weight)
                        for b in range(s.dim)) for a in range(s.dim))
 
 
-def field_l_membership(s, conn, eps):
-    w = field_covariant_derivative(conn, s.identity, eps)
-    return tuple(field_covariant_derivative(conn, s.basis(a), eps)
-                 - s.multiply(s.basis(a), w) for a in range(s.dim))
+def field_l_membership(s, e, conn, eps):
+    w = field_covariant_derivative(conn, e, eps)
+    return tuple(field_covariant_derivative(conn, frame(s, a), eps)
+                 - apply_higgs(s, frame(s, a), w) for a in range(s.dim))
 
 
 def field_geometric_inverse(s, e, e1, mu_cap):
     coeffs = [e]
     for _ in range(mu_cap):
-        coeffs.append(-s.multiply(coeffs[-1], e1))
+        coeffs.append(-apply_higgs(s, coeffs[-1], e1))
     return tuple(coeffs)
 
 
 def field_e_equation(e_field, s, conn, e1, g):
     e = g[0]
     along = [field_covariant_derivative(conn, gk, e_field) for gk in g]
-    coeffs = [s.multiply(e, along[0]) - s.multiply(e1, e_field) - e]
+    coeffs = [apply_higgs(s, e, along[0]) - apply_higgs(s, e1, e_field) - e]
     for k in range(1, len(g)):
-        coeffs.append(s.multiply(e, along[k]) + s.multiply(e1, along[k - 1]))
+        coeffs.append(apply_higgs(s, e, along[k])
+                      + apply_higgs(s, e1, along[k - 1]))
     return tuple(coeffs)
 
 
 def field_identity_confirmation(s, e):
-    return tuple(s.multiply(e, s.basis(b)) - s.basis(b) for b in range(s.dim))
+    return tuple(apply_higgs(s, e, frame(s, b)) - frame(s, b)
+                 for b in range(s.dim))
 
 
 # -- comparison -------------------------------------------------------------
@@ -181,8 +188,8 @@ class TestFrameEqualsFieldLevel:
 
     def test_flatness_hypotheses(self, n, uniform, seed):
         ops = Operands(n, uniform, seed)
-        s = FStructure(ops.structure().structure, identity=ops.field())
-        lambda0, c = ops.shift(), s.structure
+        s, e = ops.structure(), ops.field()
+        lambda0, c = ops.shift(), s
         base, conn = christoffel(c, lambda0), christoffel(c, lambda0 + 1)
         # a constant term, so that eps is circ-invertible for most seeds
         eps = ops.field(lambda a: ops.rng.randint(1, 3))
@@ -193,8 +200,8 @@ class TestFrameEqualsFieldLevel:
             [c.tensor[i[0]][b][i[1]] for b in range(n)]))
         if uniform:
             assert got == want
-        report = duality_verify(s, lambda0, eps)
-        flat = {"identity flat for base connection": (base, s.identity),
+        report = duality_verify(s, e, lambda0, eps)
+        flat = {"identity flat for base connection": (base, e),
                 "twist field flat for shifted connection": (conn, eps)}
         if report.pair is not None:
             flat["inverse of twist field flat for shifted connection"] = \
@@ -209,7 +216,7 @@ class TestFrameEqualsFieldLevel:
     def test_euler_residual(self, n, uniform, seed):
         ops = Operands(n, uniform, seed)
         s, e_field = ops.structure(), ops.field()
-        t = s.structure.tensor
+        t = s.tensor
         got = euler_residual(s, e_field, Fraction(3, 2))
         want = field_euler_residual(s, e_field, Fraction(3, 2))
 
@@ -225,13 +232,13 @@ class TestFrameEqualsFieldLevel:
 
     def test_l_membership(self, n, uniform, seed):
         ops = Operands(n, uniform, seed)
-        s = FStructure(ops.structure().structure, identity=ops.field())
+        s, e = ops.structure(), ops.field()
         shift, eps = ops.shift(), ops.field()
-        t = s.structure.tensor
-        got = l_membership(s, shift, eps)
-        want = field_l_membership(s, christoffel(s.structure, shift), eps)
+        t = s.tensor
+        got = l_membership(s, e, shift, eps)
+        want = field_l_membership(s, e, christoffel(s, shift), eps)
         assert_matches(got, want, lambda i: least(
-            eps.valid_to - 1, s.structure, s.identity,
+            eps.valid_to - 1, s, e,
             [t[i[0]][b][i[1]] for b in range(n)]))
         if uniform:
             assert got == want
@@ -239,8 +246,7 @@ class TestFrameEqualsFieldLevel:
     def test_geometric_inverse(self, n, uniform, seed):
         ops = Operands(n, uniform, seed)
         s, e, e1 = ops.structure(), ops.field(), ops.field()
-        s = FStructure(s.structure, identity=e)
-        t = s.structure.tensor
+        t = s.tensor
         got = geometric_inverse(s, e, e1, MU)
         want = field_geometric_inverse(s, e, e1, MU)
         assert got == want
@@ -258,15 +264,13 @@ class TestFrameEqualsFieldLevel:
         ops = Operands(n, uniform, seed)
         s, shift = ops.structure(), ops.shift()
         e, e1, e_field = ops.field(), ops.field(), ops.field()
-        s = FStructure(s.structure, identity=e)
-        t = s.structure.tensor
+        t = s.tensor
         g = field_geometric_inverse(s, e, e1, MU)
         got = e_equation_residual(e_field, s, shift, e1, g)
-        want = field_e_equation(e_field, s, christoffel(s.structure, shift),
-                                e1, g)
+        want = field_e_equation(e_field, s, christoffel(s, shift), e1, g)
         assert got == want
         assert_matches(got, want, lambda i: least(
-            e, e1, e_field.valid_to - 1, s.structure, g[i[0]],
+            e, e1, e_field.valid_to - 1, s, g[i[0]],
             g[max(i[0] - 1, 0)],
             [t[a][b][i[1]] for a in range(n) for b in range(n)]))
 
@@ -288,8 +292,8 @@ class TestFrameEqualsFieldLevel:
                                      for f in range(1, n)),
                                     TruncatedSeries.zero(n, CAP))) * inverse
 
-        s = FStructure(HiggsField.build(n, entry))
-        assert not judge(torsion(s.structure)).holds
+        s = HiggsField.build(n, entry)
+        assert not judge(torsion(s)).holds
         found = find_identity(s)
         assert found is not None
         residual = identity_residual(s, found)
@@ -297,6 +301,6 @@ class TestFrameEqualsFieldLevel:
         got = residual.columns()
         want = field_identity_confirmation(s, found)
         assert_matches(got, want, lambda i: least(
-            found, [s.structure.tensor[a][i[0]][i[1]] for a in range(n)]))
+            found, [s.tensor[a][i[0]][i[1]] for a in range(n)]))
         if uniform:
             assert got == want

@@ -24,7 +24,7 @@ class TestCorpus:
     def test_loads_and_instantiates(self, name):
         instance = load_model(name).instantiate(5)
         assert instance.order == 5
-        assert instance.structure.structure.tensor[0][0][0].cap == 5
+        assert instance.structure.tensor[0][0][0].cap == 5
 
     def test_unknown_name(self):
         with pytest.raises(KeyError):
@@ -50,7 +50,7 @@ class TestSchema:
     def test_minimal_document(self):
         doc = ModelDocument.from_json_obj(MINIMAL)
         instance = doc.instantiate(4)
-        assert instance.structure.identity is not None
+        assert instance.identity is not None
 
     def test_bad_version(self):
         bad = dict(MINIMAL, schemaVersion=99)
@@ -90,7 +90,7 @@ class TestSchema:
             "identity": ["1"],
         })
         instance = doc.instantiate(3)
-        assert instance.structure.structure.tensor[0][0][0].constant_term == 1
+        assert instance.structure.tensor[0][0][0].constant_term == 1
 
 
 class TestFileLoading:

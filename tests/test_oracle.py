@@ -41,8 +41,7 @@ from itertools import product
 import pytest
 
 from flatcirc.expr import parse_series
-from flatcirc.fmanifold import (VectorPotential, five_term_residual,
-                                potential_to_structure)
+from flatcirc.fmanifold import five_term_residual, potential_to_structure
 from flatcirc.geometry import (FlatnessError, HiggsField, VectorField,
                                iter_tensor, judge, pencil_curvature_split)
 from flatcirc.series import TruncatedSeries, dot
@@ -255,7 +254,7 @@ def test_five_term_matches_six_sums(n, seed):
     components = tuple(TruncatedSeries(n, cap, cap, {
         e: Fraction(int(c.p), int(c.q)) for e, c in p.terms() if c != 0})
         for p in potential)
-    structure = potential_to_structure(VectorPotential(VectorField(components)))
+    structure = potential_to_structure(VectorField(components))
     r = range(n)
     symbolic = six_sums(
         [[[potential[f].diff(Y[a]).diff(Y[b]) for f in r] for b in r]

@@ -80,9 +80,9 @@ def test_twist_matches_series_inversion(name):
     n, cap = structure.dim, structure.order
     r, grade, *_ = sympy.ring(["t"] + [f"x{i}" for i in range(n)], sympy.QQ)
     c_tensor = [[[graded(r, s) for s in row] for row in plane]
-                for plane in structure.structure.tensor]
+                for plane in structure.tensor]
     eps = [graded(r, s) for s in epsilon.components]
-    e = [graded(r, s) for s in structure.identity.components]
+    e = [graded(r, s) for s in instance.identity.components]
 
     # eps^-1 = adj(L_eps) e / det(L_eps), L_eps[c][b] = sum_a eps^a C_ab^c
     l_eps = [[sum((eps[a] * c_tensor[a][b][c] for a in range(n)), r.zero)
@@ -93,10 +93,10 @@ def test_twist_matches_series_inversion(name):
     inverse = [cut(inv_det * sum((adj[c][b] * e[b] for b in range(n)), r.zero),
                    cap) for c in range(n)]
 
-    pair = dual_structure(structure, epsilon)
+    pair = dual_structure(structure, instance.identity, epsilon)
     for c, s in enumerate(pair.inverse_used.components):
         assert cut(graded(r, s), s.valid_to) == cut(inverse[c], s.valid_to), c
-    dual = pair.dual.structure.tensor
+    dual = pair.dual.tensor
     twisted = [[[graded(r, s) for s in row] for row in plane] for plane in dual]
     for a in range(n):
         for b in range(n):
