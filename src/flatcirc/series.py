@@ -198,7 +198,10 @@ class TruncatedSeries:
             return terms
         n, base = self.num_vars, _base(self.cap)
         if terms is None:
-            terms = sorted((sum(_unpack(k, n, base)), k, v)
+            # base = cap + 1 is 1 mod cap, so a key is its degree mod cap;
+            # 0 < degree <= cap off key 0, and at cap <= 0 only key 0 is kept
+            c = self.cap
+            terms = sorted(((k % c or c) if k else 0, k, v)
                            for k, v in self._num.items())
             _set(self, "_terms", terms)
         if cap == self.cap:

@@ -4,7 +4,9 @@
 before any residual is formed.  These tests pin that the cut changes no
 verdict: the records equal ``judge`` of the residuals formed from the uncut
 structure, the whole report equals the one with the cut left out, and the
-report still names the instance order.
+report still names the instance order.  ``evaluate_extension``, which
+``extend`` calls on the uncut C, forms its flatness residual from C and H
+cut the same way and keeps the H it prints.
 """
 
 import io
@@ -12,15 +14,16 @@ import json
 import random
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from flatcirc import checks
+from flatcirc import checks, euler
 from flatcirc.checks import run_check_suite
 from flatcirc.cli import main
 from flatcirc.fmanifold import five_term_residual
-from flatcirc.geometry import (base_member, iter_tensor, judge,
-                               pencil_curvature_split)
+from flatcirc.geometry import (base_member, covariant_derivative,
+                               iter_tensor, judge, pencil_curvature_split)
 from flatcirc.models import ModelDocument
 
 
@@ -121,3 +124,57 @@ def test_report_equals_the_uncut_report(document, order, shift, monkeypatch):
     uncut = run_check_suite(instance, 2, shift)
     assert cut.to_json() == uncut.to_json()
     assert cut.to_text() == uncut.to_text()
+
+
+QQO5 = json.loads((Path(__file__).resolve().parent / "data"
+                   / "product-qqo5-order5.json").read_text(
+                       encoding="utf-8"))["document"]
+
+
+def proven_terms(s):
+    return [(e, c) for e, c in s.items() if sum(e) <= s.valid_to]
+
+
+@pytest.mark.parametrize("document, order, lambda0", [
+    (QQO5, 5, Fraction(0)),
+    (QQO5, 4, Fraction(1)),
+    (DECLARED_IDENTITY, 4, Fraction(-1, 2)),
+], ids=["qqo5-order5", "qqo5-order4-shift1", "declared-shift-half"])
+def test_extension_flatness_from_cut_operands(document, order, lambda0,
+                                              monkeypatch):
+    """``evaluate_extension`` hands ``full_flatness_residual`` C and every
+    H_k cut to their proven degrees, prints the H of the uncut C, and the
+    flatness it forms agrees with the uncut one through each entry's
+    ``valid_to``, with the same verdict."""
+    instance = ModelDocument.from_json_obj(document).instantiate(order)
+    uncut, e, mu_order = instance.structure, instance.identity, 3
+    e_field = instance.euler[0]
+    working = base_member(lambda0)
+    e1 = covariant_derivative(uncut, working, e, e)
+    g = euler.geometric_inverse(uncut, e, e1, mu_order)
+    h = euler.h_from_e(e_field, uncut, working, g)
+    flatness = euler.full_flatness_residual(h, uncut, working)
+    # the cut has something to drop
+    assert any(s.cap > s.valid_to for _, s in iter_tensor(uncut.tensor))
+    assert any(s.cap > s.valid_to for _, s in iter_tensor(h))
+
+    received = []
+    full_flatness_residual = euler.full_flatness_residual
+
+    def recording(h_cut, c, shift):
+        received.append((h_cut, c))
+        return full_flatness_residual(h_cut, c, shift)
+
+    monkeypatch.setattr(checks.euler_mod, "full_flatness_residual", recording)
+    extension = checks.evaluate_extension(uncut, e, lambda0, e_field,
+                                          mu_order)
+    (h_cut, c), = received
+    for _, s in (*iter_tensor(h_cut), *iter_tensor(c.tensor)):
+        assert s.cap == s.valid_to
+    assert extension.h == h
+    for (index, got), (_, want) in zip(iter_tensor(extension.flatness),
+                                       iter_tensor(flatness),
+                                       strict=True):
+        assert got.valid_to == want.valid_to, index
+        assert proven_terms(got) == proven_terms(want), index
+    assert judge(extension.flatness) == judge(flatness)

@@ -489,7 +489,34 @@ class TestKernelCounts:
             return unpack(*args)
 
         monkeypatch.setattr(series_module, "_unpack", counted)
-        for _ in range(5):
+        dot((x, y), (y, x))
+        built = x._terms, y._terms
+        for _ in range(4):
             dot((x, y), (y, x))
-        # one exponent unpacked per term of each operand, not per call
-        assert unpacked[0] == len(x.coeffs) + len(y.coeffs)
+        # the degree is read off the key, and each list is built once
+        assert unpacked[0] == 0
+        assert built[0] is not None and built[1] is not None
+        assert x._terms is built[0] and y._terms is built[1]
+
+    def test_degree_read_off_the_key(self):
+        rng = random.Random(2)
+        for n in range(1, 6):
+            for cap in range(13):
+                base = cap + 1
+                exponents = {(0,) * n, (0,) * (n - 1) + (cap,)}
+                for _ in range(20):
+                    degree = rng.randint(0, cap)
+                    cuts = sorted(rng.randint(0, degree) for _ in range(n - 1))
+                    exponents.add(tuple(
+                        b - a for a, b in zip([0] + cuts, cuts + [degree])))
+                s = TruncatedSeries(n, cap, cap, {
+                    e: rng.randint(1, 9) for e in exponents})
+                terms = s._terms_at(cap)
+                assert [(d, k) for d, k, _ in terms] == sorted(
+                    (sum(series_module._unpack(k, n, base)), k)
+                    for k in s._num)
+                assert {series_module._unpack(k, n, base): d
+                        for d, k, _ in terms} == {e: sum(e) for e in exponents}
+        for cap in (-1, -3):  # below cap 0 only the constant is stored
+            s = TruncatedSeries.constant(2, cap, 5)
+            assert s._terms_at(cap) == [(0, 0, 5)]
