@@ -168,11 +168,8 @@ def _skips(check_ids: Tuple[str, ...], detail: str) -> List[CheckResult]:
 
 def _cut(s: TruncatedSeries) -> TruncatedSeries:
     """The series with its cap cut to its ``valid_to``: the terms above it
-    are dropped and the values up to it kept.  A series whose cap is its
-    ``valid_to`` is returned as it is; the cut would be storage-equal."""
-    if s.cap == s.valid_to:
-        return s
-    return s * TruncatedSeries.constant(s.num_vars, s.valid_to, 1)
+    are dropped and the values up to it kept."""
+    return s.cut(s.valid_to)
 
 
 def cut_to_proven(structure: HiggsField) -> HiggsField:

@@ -178,13 +178,19 @@ def correlators_from_b(b: EndField, force: bool = False) -> CorrelatorFamily:
 
 
 def master_equation_residual(b: EndField) -> Dict[Tuple[int, int], EndField]:
-    """Commutators [d_a B, d_b B] for a < b; all zero iff B is compatible."""
+    """Commutators [d_a B, d_b B] for a < b; all zero iff B is compatible.
+
+    Each entry of d_a B is cut to its ``valid_to`` first: a coefficient of
+    a commutator up to its ``valid_to`` reads its operands only up to
+    theirs, and the cut keeps every ``valid_to``, so ``judge`` reaches the
+    same verdict and the degrees nothing reads are not formed.
+    """
     dim = len(b.matrix)
-    out: Dict[Tuple[int, int], EndField] = {}
-    for a in range(dim):
-        for c in range(a + 1, dim):
-            out[(a, c)] = b.derivative(a).commutator(b.derivative(c))
-    return out
+    d = [EndField(tuple(tuple(s.cut(s.valid_to) for s in row)
+                        for row in b.derivative(a).matrix))
+         for a in range(dim)]
+    return {(a, c): d[a].commutator(d[c])
+            for a in range(dim) for c in range(a + 1, dim)}
 
 
 def structure_from_b(b: EndField) -> HiggsField:

@@ -11,7 +11,8 @@ Grammar (whitespace-insensitive)::
 Integer literals are arbitrary-precision; division is exact series division
 (the divisor must have a nonzero constant term) so rationals are written as
 quotients like ``1/2``.  ``exp`` requires its argument to vanish at the
-origin.  Errors carry the byte offset into the source text.
+origin.  Parentheses, those of ``exp`` included, nest at most
+``MAX_NESTING`` deep.  Errors carry the byte offset into the source text.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ class ExprError(InputError):
         super().__init__(f"{message} (at offset {offset})")
         self.offset = offset
 
+
+# Each level of ``(`` or ``exp(`` takes a few interpreter frames; past this
+# depth the parser reports the input instead of exhausting the stack.
+MAX_NESTING = 100
 
 NAME_PATTERN = r"[A-Za-z_][A-Za-z_0-9]*"
 _TOKEN_RE = re.compile(r"(?P<int>\d+)|(?P<ident>" + NAME_PATTERN
@@ -61,6 +66,7 @@ class _Parser:
     def __init__(self, source: str, variables: Sequence[str], cap: int) -> None:
         self.tokens = _tokenize(source)
         self.index = 0
+        self.depth = 0
         self.cap = cap
         self.num_vars = len(variables)
         self.variables: Dict[str, int] = {name: i
@@ -111,11 +117,16 @@ class _Parser:
         return value
 
     def unary(self) -> TruncatedSeries:
+        # a loop, not a recursion, so that no chain of signs is too long;
+        # negating twice leaves the storage as it was
+        negate = False
         token = self.peek()
-        if token.kind == "op" and token.text == "-":
+        while token.kind == "op" and token.text == "-":
             self.advance()
-            return -self.unary()
-        return self.power()
+            negate = not negate
+            token = self.peek()
+        value = self.power()
+        return -value if negate else value
 
     def power(self) -> TruncatedSeries:
         base = self.atom()
@@ -130,6 +141,17 @@ class _Parser:
             return base.pow_int(int(exponent.text))
         return base
 
+    def nested(self, token: _Token) -> TruncatedSeries:
+        """The ``expr`` inside the parentheses opened at ``token``."""
+        if self.depth == MAX_NESTING:
+            raise ExprError(f"parentheses nested deeper than {MAX_NESTING}",
+                            token.offset)
+        self.depth += 1
+        value = self.expr()
+        self.depth -= 1
+        self.expect_op(")")
+        return value
+
     def atom(self) -> TruncatedSeries:
         token = self.advance()
         if token.kind == "int":
@@ -138,8 +160,7 @@ class _Parser:
         if token.kind == "ident":
             if token.text == "exp":
                 self.expect_op("(")
-                inner = self.expr()
-                self.expect_op(")")
+                inner = self.nested(token)
                 if inner.constant_term != 0:
                     raise ExprError("exp argument must vanish at the origin",
                                     token.offset)
@@ -149,9 +170,7 @@ class _Parser:
                 raise ExprError(f"unknown name {token.text!r}", token.offset)
             return TruncatedSeries.variable(self.num_vars, self.cap, axis)
         if token.kind == "op" and token.text == "(":
-            value = self.expr()
-            self.expect_op(")")
-            return value
+            return self.nested(token)
         raise ExprError("expected a value", token.offset)
 
 

@@ -144,7 +144,15 @@ class EndField:
                               for row in self.matrix))
 
     def commutator(self, other: "EndField") -> "EndField":
-        return self.compose(other) - other.compose(self)
+        """self @ other - other @ self, entry [f][d] one ``dot`` over 2n
+        pairs: sum_e self_fe other_ed + sum_e (-other_fe) self_ed.  Storage-
+        equal to the difference of the two products: the same products are
+        summed, over the same operands' caps and ``valid_to``."""
+        _check_same_dim(self.dim, other.dim)
+        rows = [a + b for a, b in zip(self.matrix, (-other).matrix)]
+        columns = [a + b for a, b in zip(zip(*other.matrix), zip(*self.matrix))]
+        return EndField(tuple(tuple(dot(row, column) for column in columns)
+                              for row in rows))
 
     def __add__(self, other: "EndField") -> "EndField":
         _check_same_dim(self.dim, other.dim)

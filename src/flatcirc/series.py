@@ -252,6 +252,15 @@ class TruncatedSeries:
         return (_unpack(key, self.num_vars, _base(self.cap)),
                 Fraction(num, self._den))
 
+    def cut(self, cap: int) -> "TruncatedSeries":
+        """The terms of degree <= ``cap`` at that cap, storage-equal to the
+        product by the constant 1 there; the series itself at or above its
+        own cap."""
+        if cap >= self.cap:
+            return self
+        return _series(self.num_vars, cap, min(self.valid_to, cap),
+                       {k: v for _, k, v in self._terms_at(cap)}, self._den)
+
     def from_degree(self, degree: int) -> "TruncatedSeries":
         """The terms of total degree >= ``degree``, same cap and ``valid_to``."""
         return _series(self.num_vars, self.cap, self.valid_to,

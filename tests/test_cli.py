@@ -423,6 +423,14 @@ class TestInputContract:
             {"multiset": [0, 1], "matrix": [["1", "0"], ["0", "1"]]},
             {"multiset": [1, 0], "matrix": [["0", "0"], ["0", "0"]]}]),
             ("correlators",), "multiset [0, 1] is repeated"),
+        # the parser bounds the nesting instead of exhausting the stack
+        "potential in 200 parentheses": (
+            dict(TINY, potential=["(" * 200 + "x0^2/2" + ")" * 200]),
+            ("check",), "parentheses nested deeper than 100 (at offset 100)"),
+        "exp nested 101 deep": (
+            dict(TINY, potential=["x0^2/2 + " + "exp(" * 101 + "x0"
+                                  + ")" * 101]),
+            ("check",), "parentheses nested deeper than 100 (at offset 409)"),
         # the master equation differentiates once: order 0 proves nothing
         "family order 0": (dict(FAMILY, order=0, entries=[
             {"multiset": [], "matrix": [["1", "2"], ["3", "4"]]}]),
@@ -442,6 +450,18 @@ class TestInputContract:
         assert code == EXIT_BAD_INPUT
         assert "error:" in err and message in err
         assert "Traceback" not in err and out == ""
+
+    def test_long_sign_chains_parse(self, capsys, tmp_path):
+        # the signs are counted, not recursed into: 1,000 of them give the
+        # report of none, and 100 parentheses are inside the bound
+        reports = []
+        for potential in ("x0^2/2", "-" * 1000 + "x0^2/2",
+                          "(" * 100 + "x0^2/2" + ")" * 100):
+            path = tmp_path / "input.json"
+            path.write_text(json.dumps(dict(TINY, potential=[potential])))
+            reports.append(run(capsys, "check", str(path)))
+        assert reports[0][0] == EXIT_OK
+        assert reports[1] == reports[2] == reports[0]
 
 
 class TestNoIdentity:

@@ -6,10 +6,11 @@ import pytest
 from flatcirc.correlators import (CorrelatorFamily, FamilyFormatError,
                                   NotSymmetricError, b_from_correlators,
                                   correlators_from_b,
-                                  master_equation_residual, structure_from_b)
+                                  master_equation_residual,
+                                  potential_endomorphism, structure_from_b)
 from flatcirc.duality import primitive_section
-from flatcirc.geometry import EndField
-from flatcirc.models import load_model
+from flatcirc.geometry import EndField, judge
+from flatcirc.models import CORPUS, load_model
 from flatcirc.series import TruncatedSeries
 
 CAP = 6
@@ -127,6 +128,50 @@ class TestMasterEquation:
             not s.vanishes_through(CAP - 2)
             for end in residual.values()
             for row in end.matrix for s in row)
+
+
+def uncut_master_equation(b):
+    """[d_a B, d_b B] for a < b from the derivatives as taken, uncut."""
+    d = [b.derivative(a) for a in range(len(b.matrix))]
+    return {(a, c): d[a].compose(d[c]) - d[c].compose(d[a])
+            for a in range(len(d)) for c in range(a + 1, len(d))}
+
+
+class TestMasterEquationCut:
+    """The master equation is formed from each d_a B cut to its proven
+    degree; every verdict, and so ``failingPairs``, is the uncut one."""
+
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_cut_keeps_every_verdict(self, name):
+        derived = correlators_from_b(potential_endomorphism(
+            load_model(name).instantiate(8).structure))
+        failing = set()
+        for order in range(1, 7):
+            family = CorrelatorFamily(derived.dim, order, {
+                key: m for key, m in derived.matrices.items()
+                if len(key) <= order})
+            b = b_from_correlators(family)
+            cut, uncut = master_equation_residual(b), uncut_master_equation(b)
+            assert cut.keys() == uncut.keys()
+            for key, end in cut.items():
+                assert judge(end) == judge(uncut[key]), (order, key)
+                assert {(s.cap, s.valid_to) for row in end.matrix
+                        for s in row} == {(order - 1, order - 1)}
+            failing |= {key for key, end in cut.items()
+                        if not judge(end).holds}
+        assert failing == ({(0, 1)} if name == "broken-assoc" else set())
+
+    def test_a_commutator_only_at_the_order_passes_both_ways(self):
+        # B = P x0^2/2 + Q x1^2/2 at order 2: [d_0 B, d_1 B] = [P, Q] x0 x1
+        # sits at degree 2, above the proven degree 1
+        one, nil = Fraction(1), Fraction(0)
+        family = CorrelatorFamily(2, 2, {(0, 0): ((nil, one), (nil, nil)),
+                                         (1, 1): ((nil, nil), (one, nil))})
+        b = b_from_correlators(family)
+        uncut = uncut_master_equation(b)[(0, 1)]
+        assert uncut.matrix[0][0].coeffs == {(1, 1): one}
+        assert judge(uncut).holds
+        assert judge(master_equation_residual(b)[(0, 1)]).holds
 
 
 class TestStructureFromB:

@@ -5,6 +5,9 @@ from itertools import product
 import pytest
 
 from flatcirc.checks import cut_to_proven
+from flatcirc.correlators import (b_from_correlators, correlators_from_b,
+                                  master_equation_residual,
+                                  potential_endomorphism)
 from flatcirc.euler import euler_residual, full_flatness_residual
 from flatcirc.fmanifold import (d_tensor, find_identity, five_term_residual,
                                 l_membership, nabla_e_e_mode, p_tensor,
@@ -425,6 +428,47 @@ class TestOperationCounts:
         l_membership(structure, e, Fraction(-5, 3), self.field(rng))
         assert counts == {"products": 2 * 3 ** 3 + 3 ** 2,
                           "derivative": 3 ** 2}
+
+    def test_commutator_is_one_signed_dot_per_entry(self, counts,
+                                                    monkeypatch):
+        # n^2 entries of 2n pairs each; the two matrix products and their
+        # difference took the same pairs in 2n^2 calls
+        composed = []
+        compose = EndField.compose
+
+        def recorded(self, other):
+            composed.append(other)
+            return compose(self, other)
+
+        monkeypatch.setattr(EndField, "compose", recorded)
+        rng = random.Random(5)
+        left, right = (random_tensor(rng, 3, 2).slice(0) for _ in range(2))
+        left.commutator(right)
+        assert composed == []
+        assert counts == {"products": 2 * 3 ** 3, "derivative": 0}
+
+    def test_cuts_form_no_product(self, counts, monkeypatch):
+        # the cut of C and H in ``checks`` and of d_a B in the master
+        # equation drop terms; none of them multiplies by the constant 1
+        products = [0]
+        mul = TruncatedSeries.__mul__
+
+        def counted_mul(self, other):
+            products[0] += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(TruncatedSeries, "__mul__", counted_mul)
+        structure = random_tensor(random.Random(6), 3, 3)
+        assert cut_to_proven(structure) != structure
+        assert counts["products"] == products[0] == 0
+        b = b_from_correlators(correlators_from_b(potential_endomorphism(
+            qc_structure(6))))
+        counts.update(products=0, derivative=0)
+        products[0] = 0
+        master_equation_residual(b)
+        # one pair (0, 1) of 2 x 2 matrices: 2n^3 pairs in the commutator
+        assert products[0] == 0
+        assert counts == {"products": 2 * 2 ** 3, "derivative": 2 * 2 ** 2}
 
     def test_pencil_split_forms_no_matrix_below_the_diagonal(self, monkeypatch):
         pairs = []

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -7,7 +9,7 @@ from flatcirc.geometry import (EndField, FlatnessError, HiggsField,
                                lie_bracket, judge, nabla,
                                pencil_curvature_split,
                                tensor_vanishes_through, torsion)
-from flatcirc.series import TruncatedSeries
+from flatcirc.series import DimensionMismatchError, TruncatedSeries
 
 CAP = 6
 
@@ -71,6 +73,55 @@ class TestEndField:
         comm = a.commutator(b)
         assert comm.matrix[0][0].constant_term == 1
         assert comm.matrix[1][1].constant_term == -1
+
+
+def random_end_field(rng, n, cap, empty=0.3):
+    """A matrix of sparse series over n variables, each entry with its own
+    cap (``cap`` or one less) and ``valid_to``; about ``empty`` of the
+    entries have no terms."""
+    def entry():
+        top = rng.randint(cap - 1, cap)
+        coeffs = {} if rng.random() < empty else {
+            e: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            for e in product(range(top + 1), repeat=n)
+            if sum(e) <= top and rng.random() < 0.4}
+        return TruncatedSeries(n, top, rng.randint(0, top),
+                               {e: v for e, v in coeffs.items() if v})
+    return EndField(tuple(tuple(entry() for _ in range(n)) for _ in range(n)))
+
+
+def by_products(a, b):
+    return a.compose(b) - b.compose(a)
+
+
+class TestCommutatorPaths:
+    """The commutator, one signed ``dot`` per entry, is storage-equal to
+    the difference of the two matrix products."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("empty", [0.0, 0.3, 1.0])
+    def test_equals_the_difference_of_products(self, n, empty):
+        rng = random.Random(f"commutator:{n}:{empty}")
+        for _ in range(4):
+            a, b = (random_end_field(rng, n, 3, empty) for _ in range(2))
+            assert a.commutator(b) == by_products(a, b)
+
+    def test_empty_entries_keep_the_least_cap_and_valid_to(self):
+        a = EndField(((TruncatedSeries.zero(2, 5, 2), zero()),
+                      (zero(), zero())))
+        comm = a.commutator(EndField.identity(2, CAP))
+        assert comm == by_products(a, EndField.identity(2, CAP))
+        assert {(s.cap, s.valid_to) for row in comm.matrix for s in row} \
+            == {(5, 2), (CAP, CAP)}
+
+    @pytest.mark.parametrize("form", [EndField.commutator, by_products])
+    def test_mixed_dimensions_raise(self, form):
+        a = random_end_field(random.Random(5), 2, 3)
+        three_vars = EndField((a.matrix[0], (a.matrix[1][0],
+                                             TruncatedSeries.zero(3, 3))))
+        for b in (three_vars, EndField.identity(3, 3)):
+            with pytest.raises(DimensionMismatchError):
+                form(a, b)
 
 
 class TestHiggsField:

@@ -145,6 +145,30 @@ class TestDerivativeAndTruncation:
         s = TruncatedSeries(2, 6, 2, {(0, 5): Fraction(7), (1, 0): Fraction(1)})
         assert s.first_nonzero() == ((1, 0), Fraction(1))
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_cut_equals_the_product_by_one(self, n):
+        # every cap from -1 to the own cap, over dense series with terms
+        # at each degree, sparse ones and empty ones, at several valid_to
+        rng = random.Random(f"cut:{n}")
+        for cap in range(-1, 6):
+            for valid_to in sorted({cap, max(cap - 2, -1), -1}):
+                for keep in (1.0, 0.3, 0.0):
+                    s = TruncatedSeries(n, cap, valid_to, {
+                        e: Fraction(rng.randint(1, 9), rng.randint(1, 6))
+                        for e in product(range(cap + 1), repeat=n)
+                        if sum(e) <= cap and rng.random() < keep})
+                    for v in range(-1, cap + 1):
+                        assert s.cut(v) == s * const(1, n, v), (s, v)
+                    assert s.cut(cap) is s and s.cut(cap + 1) is s
+
+    def test_cut_divides_out_a_factor_left_by_the_dropped_terms(self):
+        # x/2 + x^2/3 over 6 keeps 3x over 6 at cap 1, which is x/2
+        s = TruncatedSeries(1, 2, 2, {(1,): Fraction(1, 2),
+                                      (2,): Fraction(1, 3)})
+        assert s.cut(1) == s * const(1, 1, 1) == \
+            TruncatedSeries(1, 1, 1, {(1,): Fraction(1, 2)})
+        assert (s._den, s.cut(1)._den) == (6, 2)
+
 
 class TestInversion:
     def test_invert_unit(self):
