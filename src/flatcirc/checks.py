@@ -25,8 +25,8 @@ from . import duality as duality_mod
 from . import euler as euler_mod
 from .fmanifold import (five_term_residual, identity_residual, l_membership,
                         nabla_e_e_mode)
-from .geometry import (EndField, FlatnessError, HiggsField, VectorField,
-                       base_member, covariant_derivative, judge,
+from .geometry import (EndField, FlatnessError, HiggsField, Shift,
+                       VectorField, base_member, covariant_derivative, judge,
                        pencil_curvature_split, torsion)
 from .models import ModelInstance, json_text
 from .series import TruncatedSeries
@@ -129,9 +129,14 @@ class Extension:
     flatness: Tuple[Tuple[EndField, ...], ...]
 
 
+# A scaling weight and the scaling-weight residual at it, indexed [a][b]
+Scaling = Tuple[Fraction, Tuple[Tuple[VectorField, ...], ...]]
+
+
 def evaluate_extension(structure: HiggsField, e: VectorField,
                        lambda0: Fraction, e_field: VectorField, mu_order: int,
-                       e1: Optional[VectorField] = None) -> Extension:
+                       e1: Optional[VectorField] = None,
+                       scaling: Optional[Scaling] = None) -> Extension:
     """Build and verify the mu-extension of the structure with identity
     ``e`` for the base shift ``lambda0``.
 
@@ -145,8 +150,16 @@ def evaluate_extension(structure: HiggsField, e: VectorField,
     ``valid_to`` of their operands, and a cut keeps it.  ``judge`` reads
     nothing above an entry's ``valid_to``, so the cut changes no verdict,
     proven degree or witness, and saves the products of the degrees nothing
-    reads.  An entry whose cap is already its ``valid_to`` is not touched,
-    so on the suite's cut C the cut of C costs nothing.
+    reads.  On the suite's cut C, ``cut_to_proven`` returns C itself, with
+    the R2 and rho it has formed.
+
+    ``scaling`` is the scaling weight w and ``euler.euler_residual`` of
+    ``structure`` at w, which ``run_check_suite`` has formed and hands over
+    when the identity residual L_e - 1 holds.  Then, where the other
+    hypotheses of ``euler.flatness_from_residuals`` hold as well
+    (``_reads_residuals``), ``flatness`` is read off R2, rho and that
+    residual, and no [H_k, C_a] is formed: the same entries through their
+    ``valid_to``, with the same ``valid_to``, so the same verdict.
     """
     working = base_member(lambda0)
     if e1 is None:
@@ -155,10 +168,25 @@ def evaluate_extension(structure: HiggsField, e: VectorField,
     equation = euler_mod.e_equation_residual(e_field, structure, working,
                                              e1, g)
     h = euler_mod.h_from_e(e_field, structure, working, g)
+    cut = cut_to_proven(structure)
+    if scaling is not None and _reads_residuals(cut, working, e, e1,
+                                                e_field):
+        return Extension(equation, h, euler_mod.flatness_from_residuals(
+            cut, e_field, *scaling, mu_order))
     cut_h = tuple(EndField(tuple(tuple(_cut(s) for s in row)
                                  for row in h_k.matrix)) for h_k in h)
     return Extension(equation, h, euler_mod.full_flatness_residual(
-        cut_h, cut_to_proven(structure), working))
+        cut_h, cut, working))
+
+
+def _reads_residuals(structure: HiggsField, working: Shift, e: VectorField,
+                     e1: VectorField, e_field: VectorField) -> bool:
+    """Whether hypotheses (a), (b), (c) and (e) of
+    ``euler.flatness_from_residuals`` hold; (d) is the caller's."""
+    v = structure.valid_to
+    return (working is None and structure.symmetric_at_one_cap
+            and all(s.first_nonzero() is None for s in e1.components)
+            and min(e.valid_to, e_field.valid_to) > v)
 
 
 def _skips(check_ids: Tuple[str, ...], detail: str) -> List[CheckResult]:
@@ -173,8 +201,11 @@ def _cut(s: TruncatedSeries) -> TruncatedSeries:
 
 
 def cut_to_proven(structure: HiggsField) -> HiggsField:
-    """C with each entry cut to its own ``valid_to`` (``_cut``)."""
+    """C with each entry cut to its own ``valid_to`` (``_cut``); C itself,
+    with what it has formed, when no entry has a term to cut."""
     t = structure.tensor
+    if all(s.cap <= s.valid_to for p in t for r in p for s in r):
+        return structure
     return HiggsField.build(structure.dim, lambda a, b, c: _cut(t[a][b][c]))
 
 
@@ -197,6 +228,7 @@ def run_check_suite(instance: ModelInstance, mu_order: int,
 
     working = base_member(shift)
     e1 = None  # nabla_e e, shared by checks 5 and 7
+    scaling = None  # the weight and its residual, read by check 7
 
     # 1. symmetry of the structure tensor
     results.append(_tensor_check("structure-symmetric", torsion(structure)))
@@ -219,8 +251,9 @@ def run_check_suite(instance: ModelInstance, mu_order: int,
         results.append(CheckResult("identity-exists", FAIL,
                                    detail="no identity field found"))
     else:
-        results.append(_tensor_check("identity-exists",
-                                     identity_residual(structure, e)))
+        identity = _tensor_check("identity-exists",
+                                 identity_residual(structure, e))
+        results.append(identity)
         e1 = covariant_derivative(structure, working, e, e)
         mode = nabla_e_e_mode(e, e1)
         detail = mode.kind if mode.eigenvalue in (None, 0) \
@@ -234,10 +267,11 @@ def run_check_suite(instance: ModelInstance, mu_order: int,
                           "model declares no scaling field")
     else:
         e_field, weight = instance.euler
-        results.append(_tensor_check(
-            "scaling-weight",
-            euler_mod.euler_residual(structure, e_field, weight),
-            detail=f"weight {weight}"))
+        residual = euler_mod.euler_residual(structure, e_field, weight)
+        results.append(_tensor_check("scaling-weight", residual,
+                                     detail=f"weight {weight}"))
+        if e is not None and identity.status == PASS:
+            scaling = (weight, residual)
         compat = judge(euler_mod.flat_compat_residual(e_field))
         results.append(CheckResult(
             "scaling-frame-compat", PASS if compat.holds else FAIL,
@@ -252,7 +286,8 @@ def run_check_suite(instance: ModelInstance, mu_order: int,
                           "needs both an identity and a scaling field")
     else:
         extension = evaluate_extension(structure, e, shift,
-                                       instance.euler[0], mu_order, e1)
+                                       instance.euler[0], mu_order, e1,
+                                       scaling)
         results.append(_tensor_check("extension-equation",
                                      extension.equation))
         results.append(_tensor_check("extension-flatness",

@@ -27,17 +27,22 @@ member None, the frame's flat nabla_0.  The scaling-weight residual is
 frame algebra too: P_E is the Lie derivative of the product along E
 (Hertling-Manin, "Weak Frobenius manifolds", IMRN 1999) and [E, d_a] = -d_a E,
 so P_E(d_a, d_b) is the column b of E(C_a) + [C_a, D] + L_{d_a E}, where
-D = Jacobian(E) and E(C_a) differentiates each entry of C_a along E.
+D = Jacobian(E) and E(C_a) differentiates each entry of C_a along E.  Where
+C is symmetric, L_e = 1, nabla_e e = 0 and the member is None, the flatness
+residual is a contraction of R2, rho and the scaling-weight residual
+(``flatness_from_residuals``), with no product of H and C.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from typing import Dict, Tuple
 
-from .geometry import EndField, HiggsField, Shift, VectorField, judge, nabla
-from .series import Scalar, as_fraction
+from .geometry import (EndField, HiggsField, Pair, Shift, VectorField, judge,
+                       nabla)
+from .series import Scalar, TruncatedSeries, as_fraction, dot
 
 
 class CertificationError(ValueError):
@@ -55,14 +60,27 @@ class EulerField:
 def euler_residual(c: HiggsField, e_field: VectorField,
                    weight: Scalar) -> Tuple[Tuple[VectorField, ...], ...]:
     """Residual of P_E(X, Y) = weight * X o Y over the frame, indexed [a][b]:
-    the columns of E(C_a) + [C_a, D] + L_{d_a E} - weight C_a."""
+    the columns of E(C_a) + [C_a, D] + L_{d_a E} - weight C_a.
+
+    The entries E(C_ab^f) = sum_x E^x d_x C_ab^f are formed once per
+    distinct row (``HiggsField.pairs``): a symmetric C reads the row C_ab
+    for both slices a and b.  A row's entries are dropped after their last
+    use, so no more are held at once than the slices still to come read."""
     d = EndField.jacobian(e_field)
+    pairs = c.pairs
+    uses = Counter(p for row in pairs for p in row)
+    along: Dict[Pair, Tuple[TruncatedSeries, ...]] = {}
     residual = []
     for a, d_a_e in enumerate(d.columns()):
         c_a = c.slice(a)
-        along = EndField(tuple(tuple(e_field.apply(s) for s in row)
-                               for row in c_a.matrix))
-        p_e = along + c_a.commutator(d) + c.left(d_a_e)
+        columns = []
+        for p in pairs[a]:
+            if p not in along:
+                along[p] = tuple(e_field.apply(s) for s in c.tensor[p[0]][p[1]])
+            uses[p] -= 1
+            columns.append(along[p] if uses[p] else along.pop(p))
+        e_c_a = EndField(tuple(zip(*columns)))
+        p_e = e_c_a + c_a.commutator(d) + c.left(d_a_e)
         residual.append(tuple(p - q.scale(weight) for p, q in
                               zip(p_e.columns(), c_a.columns())))
     return tuple(residual)
@@ -164,3 +182,97 @@ def full_flatness_residual(h: Tuple[EndField, ...], c: HiggsField,
         return tuple(out)
 
     return tuple(row(a) for a in range(c.dim))
+
+
+def flatness_from_residuals(c: HiggsField, e_field: VectorField,
+                            weight: Scalar,
+                            residual: Tuple[Tuple[VectorField, ...], ...],
+                            mu_order: int
+                            ) -> Tuple[Tuple[EndField, ...], ...]:
+    """``full_flatness_residual`` read off R2, rho and the scaling-weight
+    residual, with no product of H and C.
+
+    ``residual`` is ``euler_residual(c, e_field, weight)``, so the matrix
+    P_a with column b ``residual[a][b]`` is E(C_a) + [C_a, D] + L_{d_a E}
+    - w C_a, with D = Jacobian(E) and w = ``weight``.  Write
+    K(E)_a = sum_b E^b [C_b, C_a], which is R2 contracted with E
+    (``HiggsField.r2``), and rho(x, a) = d_x C_a - d_a C_x
+    (``HiggsField.rho``).  The entries, indexed [a][k] for k <= mu_order,
+    are
+      flatness_0(a) = K(E)_a
+      flatness_1(a) = sum_x E^x rho(x, a) - w C_a - P_a + C_a
+      flatness_2(a) = -d_a (D - 1)
+      flatness_k(a) = 0, the empty series at ``valid_to`` v - 1   (k >= 3)
+    where every entry of C has the one ``valid_to`` v and 1 is the identity
+    matrix at cap v.  The caller ensures the hypotheses under which these
+    equal the entries of ``full_flatness_residual`` through each entry's
+    ``valid_to``, with the same ``valid_to``:
+      (a) the member is None, the frame's flat nabla_0;
+      (b) e1 = nabla_e e has no term;
+      (c) every row of C is symmetric, and every entry has one cap and the
+          one ``valid_to`` v (``HiggsField.symmetric_at_one_cap``);
+      (d) I_e = L_e - 1 vanishes through its ``valid_to`` (identity-exists
+          holds);
+      (e) e and E are proven beyond C: their ``valid_to`` exceeds v.
+
+    Proof.  By (b), g_k = (-1)^k e o e1^{ok} has no term for k >= 1.  In
+    ``h_from_e`` with the member None, H_0 = R_E + R_E I_e,
+    H_1 = R_E L_{g_1} + (D - 1) L_e and H_k = R_E L_{g_k}
+    + (D - 1) L_{g_{k-1}} for k >= 2.  Through its ``valid_to`` a product
+    reads its factors only through theirs, so by (d) and L_e = 1 + I_e:
+    H_0 = R_E, H_1 = D - 1 and H_k = 0 for k >= 2.  By (c) R_E = L_E, and
+    L_v = sum_b v^b C_b is linear in v.  Then, with [H_k, C_a] -
+    d_a H_{k-1} + delta_{k1} C_a the entry of ``full_flatness_residual``:
+      k = 0: [L_E, C_a] = sum_b E^b [C_b, C_a] = K(E)_a.
+      k = 1: [D - 1, C_a] - d_a L_E + C_a.  By the product rule
+             d_a L_E = L_{d_a E} + sum_x E^x d_a C_x, and the definition of
+             P_a gives [D, C_a] = sum_x E^x d_x C_a + L_{d_a E} - w C_a - P_a.
+             The difference is sum_x E^x (d_x C_a - d_a C_x) - w C_a - P_a
+             + C_a.
+      k = 2: [0, C_a] - d_a (D - 1).
+      k >= 3: [0, C_a] - d_a 0 = 0.
+    Every step is an identity of the stored polynomials at each degree the
+    entry proves: a coefficient at degree j reads its operands through
+    degree j, or j + 1 under a derivative, and those are within their
+    ``valid_to``.
+    The ``valid_to``: a product, sum or derivative takes the least
+    ``valid_to`` of its operands, a derivative one less.  In
+    ``full_flatness_residual`` the entries fold C (v), E and e (both above
+    v by (e)) and their first derivatives into H_0 and H_1; so the entry
+    at k = 0 has v, and every entry at k >= 1 has v - 1, since it holds
+    d_a H_{k-1}, and H_{k-1} folds C.  Here K(E)_a is the least of E and R2
+    (v); flatness_1 of rho (v - 1), C_a (v) and P_a (v - 1, since P_a
+    holds E(C_a) and L_{d_a E}); flatness_2 is a derivative of D - 1, whose
+    entries are at least v since 1 is at v and D is above v - 1 by (e);
+    flatness_k is v - 1 by construction.  Equal values and ``valid_to``
+    give ``judge`` the same verdict and witness.  The pairs of R2 and rho
+    are stored for x <= y; [C_b, C_a] = -R2(d_a, d_b) and
+    rho(x, a) = -rho(d_a, d_x) for x > a, so E^x enters with its sign.
+    """
+    n, v = c.dim, c.valid_to
+    r = range(n)
+    r2, rho = c.r2, c.rho
+    minus_e = [-s for s in e_field.components]
+    d_minus_one = EndField.jacobian(e_field) - EndField.identity(n, v)
+    zero = TruncatedSeries.zero(n, v, v - 1)
+    empty = EndField(tuple(tuple(zero for _ in r) for _ in r))
+
+    def contract(a: int, table) -> EndField:
+        """sum_x E^x M(x, a) for an antisymmetric M stored as
+        ``table[p, q]``, p <= q."""
+        signed = [e_field.components[x] if x <= a else minus_e[x] for x in r]
+        pairs = [(min(a, x), max(a, x)) for x in r]
+        return EndField(tuple(tuple(
+            dot(signed, [table[p].matrix[f][d] for p in pairs]) for d in r)
+            for f in r))
+
+    def row(a: int) -> Tuple[EndField, ...]:
+        out = [contract(a, r2)]
+        if mu_order >= 1:
+            p_a = EndField(tuple(zip(*(col.components for col in residual[a]))))
+            out.append(contract(a, rho) + c.slice(a).scale(1 - weight) - p_a)
+        if mu_order >= 2:
+            out.append(-d_minus_one.derivative(a))
+        return tuple(out + [empty] * (mu_order - 2))
+
+    return tuple(row(a) for a in r)

@@ -104,11 +104,9 @@ def five_term_residual(higgs: HiggsField) -> "Tensor5":
 def _potential_form(higgs: HiggsField) -> bool:
     """Whether the five-term residual may be read off R2: every row is
     symmetric, every entry has one cap and ``valid_to``, and rho is zero."""
-    one_cap = len({(s.cap, s.valid_to)
-                   for _, s in iter_tensor(higgs.tensor)}) == 1
-    return (all(a <= b for row in higgs.pairs for a, b in row) and one_cap
-            and all(s.first_nonzero() is None for m in higgs.rho.values()
-                    for _, s in iter_tensor(m)))
+    return higgs.symmetric_at_one_cap and all(
+        s.first_nonzero() is None for m in higgs.rho.values()
+        for _, s in iter_tensor(m))
 
 
 def _entries_from_r2(higgs: HiggsField, reps):

@@ -238,6 +238,16 @@ class HiggsField:
                            else (a, b) for b in r) for a in r)
 
     @cached_property
+    def symmetric_at_one_cap(self) -> bool:
+        """Whether every row is symmetric (``pairs``) and every entry has
+        one cap and one ``valid_to``: where R2 and rho may stand for the
+        products of T they contract (``fmanifold.five_term_residual``,
+        ``euler.flatness_from_residuals``)."""
+        return (all(a <= b for row in self.pairs for a, b in row)
+                and len({(s.cap, s.valid_to) for p in self.tensor for r in p
+                         for s in r}) == 1)
+
+    @cached_property
     def representatives(self) -> Tuple[Pair, ...]:
         """The distinct pairs of ``pairs``, sorted: one per distinct row."""
         return tuple(sorted({p for row in self.pairs for p in row}))

@@ -61,7 +61,7 @@ class OrderedPartition:
 
     @property
     def ground_size(self) -> int:
-        return sum(len(b) for b in self.blocks)
+        return sum(map(len, self.blocks))
 
     @property
     def num_blocks(self) -> int:
@@ -161,8 +161,10 @@ def sn_action(perm: Sequence[int], tau: OrderedPartition) -> OrderedPartition:
     n = tau.ground_size
     if sorted(perm) != list(range(1, n + 1)):
         raise ValueError("permutation does not match the ground set")
-    return OrderedPartition(tuple(tuple(sorted(perm[x - 1] for x in block))
-                                  for block in tau.blocks))
+    # the image of a one-element block is sorted already
+    return OrderedPartition(tuple(
+        tuple(sorted([perm[x - 1] for x in block])) if len(block) > 1
+        else (perm[block[0] - 1],) for block in tau.blocks))
 
 
 def embed_product_permutation(p1: Sequence[int], p2: Sequence[int]) -> List[int]:

@@ -6,7 +6,10 @@ verdict: the records equal ``judge`` of the residuals formed from the uncut
 structure, the whole report equals the one with the cut left out, and the
 report still names the instance order.  ``evaluate_extension``, which
 ``extend`` calls on the uncut C, forms its flatness residual from C and H
-cut the same way and keeps the H it prints.
+cut the same way and keeps the H it prints.  On qqo5 the suite reads that
+residual off the R2 and the scaling-weight residual it has formed, forming
+each once and no commutator [H_k, C_a]; a shift, an identity that fails and
+a table that is not symmetric keep the commutators.
 """
 
 import io
@@ -14,6 +17,7 @@ import json
 import random
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -22,8 +26,9 @@ from flatcirc import checks, euler
 from flatcirc.checks import run_check_suite
 from flatcirc.cli import main
 from flatcirc.fmanifold import five_term_residual
-from flatcirc.geometry import (base_member, covariant_derivative,
-                               iter_tensor, judge, pencil_curvature_split)
+from flatcirc.geometry import (EndField, HiggsField, base_member,
+                               covariant_derivative, iter_tensor, judge,
+                               pencil_curvature_split)
 from flatcirc.models import ModelDocument
 
 
@@ -178,3 +183,60 @@ def test_extension_flatness_from_cut_operands(document, order, lambda0,
         assert got.valid_to == want.valid_to, index
         assert proven_terms(got) == proven_terms(want), index
     assert judge(extension.flatness) == judge(flatness)
+
+
+TABLE = json.loads((Path(__file__).resolve().parent / "data"
+                    / "table-qo3-nonsymmetric.json").read_text(
+                        encoding="utf-8"))["document"]
+
+
+@pytest.fixture
+def formed(monkeypatch):
+    """Counts of what the suite forms: R2 (``HiggsField.r2``), the
+    scaling-weight residual, the commutators [A, B] and each way of forming
+    the extension's flatness."""
+    counts = {"r2": 0, "euler_residual": 0, "commutator": 0,
+              "full_flatness_residual": 0, "flatness_from_residuals": 0}
+
+    def counted(name, function):
+        def wrapper(*args):
+            counts[name] += 1
+            return function(*args)
+        return wrapper
+
+    r2 = cached_property(counted("r2", HiggsField.r2.func))
+    r2.__set_name__(HiggsField, "r2")
+    monkeypatch.setattr(HiggsField, "r2", r2)
+    monkeypatch.setattr(EndField, "commutator",
+                        counted("commutator", EndField.commutator))
+    for name in ("euler_residual", "full_flatness_residual",
+                 "flatness_from_residuals"):
+        monkeypatch.setattr(euler, name, counted(name, getattr(euler, name)))
+    return counts
+
+
+def test_check_reads_the_flatness_off_formed_residuals(formed):
+    """On qqo5 at order 5, ``check`` forms R2 and the scaling-weight
+    residual once each and no [H_k, C_a]: the only commutators are the n
+    of [C_a, D] inside the scaling-weight residual."""
+    instance = ModelDocument.from_json_obj(QQO5).instantiate(5)
+    report = run_check_suite(instance, 3, None)
+    assert record(report, "extension-flatness").status == "pass"
+    assert formed == {"r2": 1, "euler_residual": 1, "commutator": 5,
+                      "full_flatness_residual": 0,
+                      "flatness_from_residuals": 1}
+
+
+@pytest.mark.parametrize("document, order, lambda0", [
+    (QQO5, 4, Fraction(1)),
+    (dict(QQO5, identity=["-1", "-1", "2", "-2", "2"]), 5, None),
+    (dict(TABLE, euler={"components": ["x", "y", "z"], "weight": "1"}), 4,
+     None),
+], ids=["shift", "identity-fails", "table-not-symmetric"])
+def test_other_inputs_keep_the_commutators(document, order, lambda0, formed):
+    """A shift, an identity residual L_e - 1 that does not vanish, and a
+    table that is not symmetric form the flatness from the commutators."""
+    instance = ModelDocument.from_json_obj(document).instantiate(order)
+    run_check_suite(instance, 3, lambda0)
+    assert formed["full_flatness_residual"] == 1
+    assert formed["flatness_from_residuals"] == 0

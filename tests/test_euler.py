@@ -1,15 +1,19 @@
+import random
 import sys
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from flatcirc import euler, geometry
+from flatcirc import checks, euler, geometry
 from flatcirc.cli import main
 from flatcirc.euler import (CertificationError, certify_euler,
                             e_equation_residual, euler_residual,
                             flat_compat, full_flatness_residual,
                             geometric_inverse, h_from_e)
-from flatcirc.geometry import (VectorField, apply_higgs, base_member,
-                               covariant_derivative, judge, lie_bracket)
+from flatcirc.geometry import (EndField, HiggsField, VectorField, apply_higgs,
+                               base_member, covariant_derivative,
+                               iter_tensor, judge, lie_bracket)
 from flatcirc.models import load_model
 from flatcirc.series import TruncatedSeries
 
@@ -184,3 +188,161 @@ class TestSharedWork:
                 monkeypatch.setattr(module, "covariant_derivative", counted)
         assert main(["check", "qc-p1"]) == 0
         assert len(calls) == 1
+
+
+def unital_symmetric_tensor(rng, n, cap, valid_to):
+    """A symmetric 3-tensor whose entries all have cap ``cap`` and
+    ``valid_to`` ``valid_to``, with d_0 as its identity (C_0b^c = delta_bc)
+    and sparse random rows C_ab for 1 <= a <= b: not associative."""
+    def entry(a, b, c):
+        if a == 0:
+            return TruncatedSeries.constant(n, cap, int(b == c), valid_to)
+        coeffs = {e: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                  for e in product(range(cap + 1), repeat=n)
+                  if sum(e) <= cap and rng.random() < 0.4}
+        return TruncatedSeries(n, cap, valid_to,
+                               {e: v for e, v in coeffs.items() if v})
+    rows = {(a, b, c): entry(a, b, c) for a in range(n)
+            for b in range(a, n) for c in range(n)}
+    return HiggsField.build(
+        n, lambda a, b, c: rows[min(a, b), max(a, b), c])
+
+
+def random_field(rng, n, cap, degree):
+    """A random polynomial vector field of ``degree``, proven to ``cap``."""
+    return VectorField(tuple(
+        TruncatedSeries(n, cap, cap, {
+            e: Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            for e in product(range(degree + 1), repeat=n)
+            if sum(e) <= degree})
+        for _ in range(n)))
+
+
+class TestFlatnessPaths:
+    """Both ways of forming the extension's flatness residual agree.
+
+    On a symmetric tensor with identity d_0, nabla_0 as the member, E and e
+    proven beyond C, ``flatness_from_residuals`` (read off R2, rho and the
+    scaling-weight residual) gives the entries of ``full_flatness_residual``
+    (the commutators [H_k, C_a]) through each entry's ``valid_to``, with the
+    same ``valid_to``, and ``judge`` gives the same verdict and witness.
+    The tensors at n = 3 are not associative, rho and the scaling-weight
+    residual do not vanish, and the residual itself fails.  E is linear, as
+    a scaling field is, or quadratic, where -d_a (D - 1) does not vanish."""
+
+    CASES = [(n, valid_to, weight, mu_order, degree)
+             for n in (2, 3) for valid_to in (3, 4)
+             for weight in (Fraction(1), Fraction(2), Fraction(-1, 2))
+             for mu_order in range(4) for degree in (1, 2)
+             if degree == 1 or weight == 1]
+
+    @staticmethod
+    def setup(n, valid_to, seed, cap=4, degree=1):
+        rng = random.Random(f"flatness-paths:{n}:{valid_to}:{seed}")
+        c = unital_symmetric_tensor(rng, n, cap, valid_to)
+        e = VectorField.basis(n, cap + 1, 0)
+        e_field = random_field(rng, n, cap + rng.randint(1, 2), degree)
+        return c, e, e_field
+
+    @pytest.mark.parametrize("n, valid_to, weight, mu_order, degree", CASES)
+    def test_residual_path_equals_commutators(self, n, valid_to, weight,
+                                              mu_order, degree):
+        c, e, e_field = self.setup(n, valid_to, f"{weight}:{mu_order}",
+                                   degree=degree)
+        e1 = covariant_derivative(c, None, e, e)
+        h = h_from_e(e_field, c, None, geometric_inverse(c, e, e1, mu_order))
+        want = full_flatness_residual(h, c, None)
+        got = euler.flatness_from_residuals(
+            c, e_field, weight, euler_residual(c, e_field, weight), mu_order)
+        assert len(got[0]) == mu_order + 1
+        for (index, lhs), (_, rhs) in zip(iter_tensor(got), iter_tensor(want),
+                                          strict=True):
+            assert lhs.valid_to == rhs.valid_to, index
+            assert (lhs - rhs).vanishes_through(lhs.valid_to), index
+        assert judge(got) == judge(want)
+        # a unital commutative algebra of dimension 2 is associative, so
+        # there K(E) = 0 and only the entries k >= 1 fail
+        assert not judge(want).holds or (n, mu_order) == (2, 0)
+
+    @pytest.mark.parametrize("n, valid_to, weight, mu_order, degree",
+                             CASES[::5])
+    def test_evaluate_extension_takes_the_residual_path(
+            self, n, valid_to, weight, mu_order, degree, monkeypatch):
+        c, e, e_field = self.setup(n, valid_to, "extension", degree=degree)
+        scaling = (weight, euler_residual(c, e_field, weight))
+        commutators = checks.evaluate_extension(c, e, Fraction(0), e_field,
+                                                mu_order)
+        def refused(*args):
+            raise AssertionError("the commutators were formed")
+
+        monkeypatch.setattr(euler, "full_flatness_residual", refused)
+        residuals = checks.evaluate_extension(c, e, Fraction(0), e_field,
+                                              mu_order, scaling=scaling)
+        assert residuals.h == commutators.h
+        assert residuals.equation == commutators.equation
+        assert judge(residuals.flatness) == judge(commutators.flatness)
+
+    @pytest.mark.parametrize("kind", ["none", "shift", "not symmetric",
+                                      "two valid_to", "e proven to v",
+                                      "E proven to v"])
+    def test_other_inputs_take_the_commutators(self, kind, monkeypatch):
+        """Each hypothesis that fails sends the residual to the commutators;
+        with none failing, they are not formed."""
+        c, e, e_field = self.setup(3, 4, "other")
+        lambda0 = Fraction(1) if kind == "shift" else Fraction(0)
+        t = c.tensor
+        if kind == "not symmetric":
+            c = HiggsField.build(3, lambda a, b, f: t[a][b][f] + x(0, 3, 4)
+                                 if (a, b, f) == (1, 2, 1) else t[a][b][f])
+        elif kind == "two valid_to":
+            c = HiggsField.build(3, lambda a, b, f: t[a][b][f].cut(3)
+                                 if (a, b) == (2, 2) else t[a][b][f])
+        elif kind == "e proven to v":
+            e = VectorField.basis(3, 4, 0)
+        elif kind == "E proven to v":
+            e_field = VectorField(tuple(s.cut(4)
+                                        for s in e_field.components))
+        calls = []
+        full_flatness_residual = euler.full_flatness_residual
+
+        def recording(*args):
+            calls.append(args)
+            return full_flatness_residual(*args)
+
+        monkeypatch.setattr(euler, "full_flatness_residual", recording)
+        checks.evaluate_extension(c, e, lambda0, e_field, 2, scaling=(
+            Fraction(1), euler_residual(c, e_field, 1)))
+        assert len(calls) == (kind != "none")
+
+
+def euler_residual_by_entries(c, e_field, weight):
+    """The scaling-weight residual with E(C_a) formed for every slice, the
+    entries ``euler_residual`` forms once per distinct row."""
+    d = EndField.jacobian(e_field)
+    residual = []
+    for a, d_a_e in enumerate(d.columns()):
+        c_a = c.slice(a)
+        along = EndField(tuple(tuple(e_field.apply(s) for s in row)
+                               for row in c_a.matrix))
+        p_e = along + c_a.commutator(d) + c.left(d_a_e)
+        residual.append(tuple(p - q.scale(weight) for p, q in
+                              zip(p_e.columns(), c_a.columns())))
+    return tuple(residual)
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("n", [2, 3])
+def test_euler_residual_once_per_distinct_row(n, symmetric):
+    """Storage-equal to the form over every slice, on a symmetric tensor
+    (one E(C_ab) per distinct row) and on one with no symmetric row."""
+    rng = random.Random(f"euler-rows:{n}:{symmetric}")
+    c = unital_symmetric_tensor(rng, n, 4, 3)
+    if not symmetric:
+        t = c.tensor
+        c = HiggsField.build(n, lambda a, b, f: t[a][b][f] + x(0, n, 4) * (a - b))
+        assert all(p == (a, b) for a, row in enumerate(c.pairs)
+                   for b, p in enumerate(row))
+    e_field = random_field(rng, n, 5, 2)
+    for weight in (1, Fraction(-1, 2)):
+        assert euler_residual(c, e_field, weight) \
+            == euler_residual_by_entries(c, e_field, weight)

@@ -30,6 +30,13 @@ a generic sympy function of x, the six sums must equal the five-term form
 built from the pencil residuals (``pencil_form``) when C is symmetric in
 (a, b), and differ from it when it is not.
 
+The extension's flatness at the member None, for the identity d_0 and a
+scaling field E, formed from the commutators [H_k, C_a], must equal its
+form read off R2, rho and the scaling-weight residual
+(``euler.flatness_from_residuals``), with every C_ab^f and E^c a generic
+sympy function of x, when C is symmetric in (a, b), and differ from it
+when it is not.
+
 Division by a negative scalar and by a unit with a negative constant term
 must agree with sympy's series of the quotient.
 """
@@ -313,6 +320,89 @@ def test_five_term_from_pencil_residuals(symmetric):
         assert all(v == 0 for v in differences.values())
     else:
         assert any(v != 0 for v in differences.values())
+
+
+def flatness_by_definition(t, field, xs, mu_order):
+    """The entries [a][k] of the extension's flatness at the member None
+    for the identity e = d_0, formed from the closed form of ``euler``:
+    g_k = 0 for k >= 1, since nabla_e e = 0 for a constant e, so H_0 =
+    R_E L_e, H_1 = (D - 1) L_e, H_k = 0 for k >= 2, and the entry is
+    [H_k, C_a] - d_a H_{k-1} + delta_{k1} C_a."""
+    n = len(xs)
+    r = range(n)
+    slices = [sympy.Matrix(n, n, lambda c, b: t[a][b][c]) for a in r]
+    l_e = slices[0]
+    r_e = sympy.Matrix(n, n, lambda c, a: sum(t[a][b][c] * field[b]
+                                              for b in r))
+    d = sympy.Matrix(n, n, lambda c, a: field[c].diff(xs[a]))
+    h = [r_e * l_e, (d - sympy.eye(n)) * l_e] + [sympy.zeros(n)] * mu_order
+    return [[h[k] * slices[a] - slices[a] * h[k]
+             - (h[k - 1].diff(xs[a]) if k else sympy.zeros(n))
+             + (slices[a] if k == 1 else sympy.zeros(n))
+             for k in range(mu_order + 1)] for a in r]
+
+
+def flatness_from_residuals(t, field, weight, xs, mu_order):
+    """The same entries from the docstring of
+    ``euler.flatness_from_residuals``: K(E)_a, sum_x E^x rho(x, a) - w C_a
+    - P_a + C_a, -d_a (D - 1), and zero, with P_a the scaling-weight
+    residual E(C_a) + [C_a, D] + L_{d_a E} - w C_a."""
+    n = len(xs)
+    r = range(n)
+    slices = [sympy.Matrix(n, n, lambda c, b: t[a][b][c]) for a in r]
+    d = sympy.Matrix(n, n, lambda c, a: field[c].diff(xs[a]))
+
+    def left(v):
+        return sum((v[x] * slices[x] for x in r), sympy.zeros(n))
+
+    out = []
+    for a in r:
+        c_a = slices[a]
+        p_a = (sum((field[x] * c_a.diff(xs[x]) for x in r), sympy.zeros(n))
+               + c_a * d - d * c_a + left([f.diff(xs[a]) for f in field])
+               - weight * c_a)
+        rho = [c_a.diff(xs[x]) - slices[x].diff(xs[a]) for x in r]
+        entries = [
+            sum((field[b] * (slices[b] * c_a - c_a * slices[b]) for b in r),
+                sympy.zeros(n)),
+            sum((field[x] * rho[x] for x in r), sympy.zeros(n))
+            - weight * c_a - p_a + c_a,
+            -(d - sympy.eye(n)).diff(xs[a])]
+        out.append((entries + [sympy.zeros(n)] * mu_order)[:mu_order + 1])
+    return out
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_flatness_from_residuals_on_generic_functions(symmetric):
+    """With each C_ab^f (1 <= a) and each E^c a generic function of x, the
+    row C_0 the identity matrix and w a symbol, the extension's flatness
+    equals its form read off R2, rho and the scaling-weight residual entry
+    by entry exactly when C is symmetric in (a, b): the identity holds for
+    every symmetric C with identity d_0 and every E, not only for a linear
+    E or a potential, and needs the symmetry (R_E = L_E)."""
+    n, mu_order = 3, 3
+    xs = Y[:n]
+    r = range(n)
+    weight = sympy.Symbol("w")
+
+    def entry(a, b, f):
+        if a == 0 or (symmetric and b == 0):
+            return sympy.Integer(int(b == f if a == 0 else a == f))
+        i, j = sorted((a, b)) if symmetric else (a, b)
+        return sympy.Function("C%d%d_%d" % (i, j, f))(*xs)
+
+    t = [[[entry(a, b, f) for f in r] for b in r] for a in r]
+    field = [sympy.Function("E%d" % c)(*xs) for c in r]
+    lhs = flatness_by_definition(t, field, xs, mu_order)
+    rhs = flatness_from_residuals(t, field, weight, xs, mu_order)
+    differences = [sympy.expand(x - y) for a in r for k in range(mu_order + 1)
+                   for x, y in zip(lhs[a][k], rhs[a][k])]
+    assert any(sympy.expand(x) != 0 for a in r for k in range(mu_order + 1)
+               for x in lhs[a][k])
+    if symmetric:
+        assert all(v == 0 for v in differences)
+    else:
+        assert any(v != 0 for v in differences)
 
 
 Z = sympy.symbols("z0:4")
