@@ -121,11 +121,13 @@ class Extension:
     field per power of mu), ``h`` the operator H reconstructed from E (one
     matrix per power of mu), and ``flatness`` the residual of the extended
     connection's flatness, indexed [a][k] as in
-    ``euler.full_flatness_residual``.
+    ``euler.full_flatness_residual``.  ``h`` is None where ``flatness`` is
+    read off the suite's residuals (``evaluate_extension``): there nothing
+    reads H, and it is not formed.
     """
 
     equation: Tuple[VectorField, ...]
-    h: Tuple[EndField, ...]
+    h: Optional[Tuple[EndField, ...]]
     flatness: Tuple[Tuple[EndField, ...], ...]
 
 
@@ -141,10 +143,11 @@ def evaluate_extension(structure: HiggsField, e: VectorField,
     ``e`` for the base shift ``lambda0``.
 
     ``e1`` is nabla_e e for the base member, computed here when not given.
-    ``equation`` and ``h`` are formed from C as given.  ``flatness`` is
-    formed from C cut to its proven degree (``cut_to_proven``) and from each
-    H_k with every entry cut to its own ``valid_to``, as ``run_check_suite``
-    forms its residuals.  A coefficient of a series up to its ``valid_to``
+    ``equation`` and ``h`` are formed from C as given, ``h`` only where
+    ``flatness`` is formed from it.  ``flatness`` is formed from C cut to
+    its proven degree (``cut_to_proven``) and from each H_k with every
+    entry cut to its own ``valid_to``, as ``run_check_suite`` forms its
+    residuals.  A coefficient of a series up to its ``valid_to``
     reads its operands only up to theirs, and every flatness entry keeps its
     ``valid_to``: products, sums and derivatives take the least
     ``valid_to`` of their operands, and a cut keeps it.  ``judge`` reads
@@ -158,8 +161,9 @@ def evaluate_extension(structure: HiggsField, e: VectorField,
     when the identity residual L_e - 1 holds.  Then, where the other
     hypotheses of ``euler.flatness_from_residuals`` hold as well
     (``_reads_residuals``), ``flatness`` is read off R2, rho and that
-    residual, and no [H_k, C_a] is formed: the same entries through their
-    ``valid_to``, with the same ``valid_to``, so the same verdict.
+    residual, and neither H nor any [H_k, C_a] is formed: the same entries
+    through their ``valid_to``, with the same ``valid_to``, so the same
+    verdict.
     """
     working = base_member(lambda0)
     if e1 is None:
@@ -167,12 +171,12 @@ def evaluate_extension(structure: HiggsField, e: VectorField,
     g = euler_mod.geometric_inverse(structure, e, e1, mu_order)
     equation = euler_mod.e_equation_residual(e_field, structure, working,
                                              e1, g)
-    h = euler_mod.h_from_e(e_field, structure, working, g)
     cut = cut_to_proven(structure)
     if scaling is not None and _reads_residuals(cut, working, e, e1,
                                                 e_field):
-        return Extension(equation, h, euler_mod.flatness_from_residuals(
+        return Extension(equation, None, euler_mod.flatness_from_residuals(
             cut, e_field, *scaling, mu_order))
+    h = euler_mod.h_from_e(e_field, structure, working, g)
     cut_h = tuple(EndField(tuple(tuple(_cut(s) for s in row)
                                  for row in h_k.matrix)) for h_k in h)
     return Extension(equation, h, euler_mod.full_flatness_residual(

@@ -13,15 +13,26 @@ Integer literals are arbitrary-precision; division is exact series division
 quotients like ``1/2``.  ``exp`` requires its argument to vanish at the
 origin.  Parentheses, those of ``exp`` included, nest at most
 ``MAX_NESTING`` deep.  Errors carry the byte offset into the source text.
+
+A literal is evaluated to an exact number (``int`` or ``Fraction``), and
+an operator on two numbers gives a number, so ``(1/2)^2`` forms no series.
+A number meets a series only through the series' scalar operators: ``3*x``
+scales x, ``x + 1`` adds the constant at x's cap, and a number over a
+series scales the series' inverse.  A number left at the end, or handed to
+``exp``, becomes the constant series at the cap.  Every series of a parse
+has the cap as its cap and ``valid_to``, and at a cap >= 0 series
+arithmetic on constants is the arithmetic of their numbers, so the result
+is the series, in the same storage, that forming each literal as a
+constant series gives.  Each variable's series is built once per parse.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from fractions import Fraction
+from typing import Dict, List, Sequence, Tuple, Union
 
-from .series import InputError, NonUnitError, TruncatedSeries, exp_series
+from .series import InputError, NonUnitError, Scalar, TruncatedSeries, exp_series
 
 
 class ExprError(InputError):
@@ -38,27 +49,25 @@ NAME_PATTERN = r"[A-Za-z_][A-Za-z_0-9]*"
 _TOKEN_RE = re.compile(r"(?P<int>\d+)|(?P<ident>" + NAME_PATTERN
                        + r")|(?P<op>[()+\-*/^])|(?P<bad>\S)")
 
+# (kind, text, offset), kind one of "int", "ident", "op", "end"
+Token = Tuple[str, str, int]
+# a number until it meets a series
+Value = Union[Scalar, TruncatedSeries]
+
 
 def is_name(text: str) -> bool:
     """True if ``text`` is one identifier token other than ``exp``."""
     return text != "exp" and re.fullmatch(NAME_PATTERN, text) is not None
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "int", "ident", "op", "end"
-    text: str
-    offset: int
-
-
-def _tokenize(source: str) -> List[_Token]:
-    tokens: List[_Token] = []
+def _tokenize(source: str) -> List[Token]:
+    tokens: List[Token] = []
     for match in _TOKEN_RE.finditer(source):  # whitespace falls between
         if match.lastgroup == "bad":
             raise ExprError(f"unexpected character {match.group()!r}",
                             match.start())
-        tokens.append(_Token(match.lastgroup, match.group(), match.start()))
-    tokens.append(_Token("end", "", len(source)))
+        tokens.append((match.lastgroup, match.group(), match.start()))
+    tokens.append(("end", "", len(source)))
     return tokens
 
 
@@ -69,109 +78,123 @@ class _Parser:
         self.depth = 0
         self.cap = cap
         self.num_vars = len(variables)
-        self.variables: Dict[str, int] = {name: i
-                                          for i, name in enumerate(variables)}
+        self.axes: Dict[str, int] = {name: i
+                                     for i, name in enumerate(variables)}
+        self.variables: Dict[int, TruncatedSeries] = {}  # built on first use
 
-    def peek(self) -> _Token:
-        return self.tokens[self.index]
+    def op(self) -> str:
+        """The text of the next token if it is an operator, else ''."""
+        kind, text, _ = self.tokens[self.index]
+        return text if kind == "op" else ""
 
-    def advance(self) -> _Token:
+    def advance(self) -> Token:
         token = self.tokens[self.index]
         self.index += 1
         return token
 
     def expect_op(self, text: str) -> None:
-        token = self.peek()
-        if token.kind != "op" or token.text != text:
-            raise ExprError(f"expected {text!r}", token.offset)
-        self.advance()
+        if self.op() != text:
+            raise ExprError(f"expected {text!r}", self.tokens[self.index][2])
+        self.index += 1
+
+    def series(self, value: Value) -> TruncatedSeries:
+        """``value``, a number as the constant series at the cap."""
+        if isinstance(value, TruncatedSeries):
+            return value
+        return TruncatedSeries.constant(self.num_vars, self.cap, value)
 
     def parse(self) -> TruncatedSeries:
         value = self.expr()
-        token = self.peek()
-        if token.kind != "end":
-            raise ExprError(f"unexpected {token.text!r}", token.offset)
-        return value
+        kind, text, offset = self.tokens[self.index]
+        if kind != "end":
+            raise ExprError(f"unexpected {text!r}", offset)
+        return self.series(value)
 
-    def expr(self) -> TruncatedSeries:
+    def expr(self) -> Value:
         value = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
+        while self.op() in ("+", "-"):
+            op = self.advance()[1]
             right = self.term()
             value = value + right if op == "+" else value - right
         return value
 
-    def term(self) -> TruncatedSeries:
+    def term(self) -> Value:
         value = self.unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            token = self.advance()
+        while self.op() in ("*", "/"):
+            _, op, offset = self.advance()
             right = self.unary()
-            if token.text == "*":
-                value = value * right
-            else:
-                try:
-                    value = value / right
-                except NonUnitError:
-                    raise ExprError("division by a series vanishing at the "
-                                    "origin", token.offset) from None
+            value = (value * right if op == "*"
+                     else value * self.inverse(right, offset))
         return value
 
-    def unary(self) -> TruncatedSeries:
+    @staticmethod
+    def inverse(value: Value, offset: int) -> Value:
+        """1/value, for the ``/`` at ``offset``: the inverse series of a
+        series, the reciprocal of a number."""
+        try:
+            return (value.invert_unit() if isinstance(value, TruncatedSeries)
+                    else 1 / Fraction(value))
+        except (NonUnitError, ZeroDivisionError):
+            raise ExprError("division by a series vanishing at the origin",
+                            offset) from None
+
+    def unary(self) -> Value:
         # a loop, not a recursion, so that no chain of signs is too long;
         # negating twice leaves the storage as it was
         negate = False
-        token = self.peek()
-        while token.kind == "op" and token.text == "-":
-            self.advance()
+        while self.op() == "-":
+            self.index += 1
             negate = not negate
-            token = self.peek()
         value = self.power()
         return -value if negate else value
 
-    def power(self) -> TruncatedSeries:
+    def power(self) -> Value:
         base = self.atom()
-        token = self.peek()
-        if token.kind == "op" and token.text == "^":
-            self.advance()
-            exponent = self.peek()
-            if exponent.kind != "int":
+        if self.op() == "^":
+            self.index += 1
+            kind, text, offset = self.advance()
+            if kind != "int":
                 raise ExprError("exponent must be a nonnegative integer",
-                                exponent.offset)
-            self.advance()
-            return base.pow_int(int(exponent.text))
+                                offset)
+            if isinstance(base, TruncatedSeries):
+                return base.pow_int(int(text))
+            return base ** int(text)
         return base
 
-    def nested(self, token: _Token) -> TruncatedSeries:
-        """The ``expr`` inside the parentheses opened at ``token``."""
+    def nested(self, offset: int) -> Value:
+        """The ``expr`` inside the parentheses opened at ``offset``."""
         if self.depth == MAX_NESTING:
             raise ExprError(f"parentheses nested deeper than {MAX_NESTING}",
-                            token.offset)
+                            offset)
         self.depth += 1
         value = self.expr()
         self.depth -= 1
         self.expect_op(")")
         return value
 
-    def atom(self) -> TruncatedSeries:
-        token = self.advance()
-        if token.kind == "int":
-            return TruncatedSeries.constant(self.num_vars, self.cap,
-                                            int(token.text))
-        if token.kind == "ident":
-            if token.text == "exp":
+    def atom(self) -> Value:
+        kind, text, offset = self.advance()
+        if kind == "int":
+            return int(text)
+        if kind == "ident":
+            if text == "exp":
                 self.expect_op("(")
-                inner = self.nested(token)
+                inner = self.series(self.nested(offset))
                 if inner.constant_term != 0:
                     raise ExprError("exp argument must vanish at the origin",
-                                    token.offset)
+                                    offset)
                 return exp_series(inner)
-            axis = self.variables.get(token.text)
+            axis = self.axes.get(text)
             if axis is None:
-                raise ExprError(f"unknown name {token.text!r}", token.offset)
-            return TruncatedSeries.variable(self.num_vars, self.cap, axis)
-        if token.kind == "op" and token.text == "(":
-            return self.nested(token)
-        raise ExprError("expected a value", token.offset)
+                raise ExprError(f"unknown name {text!r}", offset)
+            x = self.variables.get(axis)
+            if x is None:
+                x = self.variables[axis] = TruncatedSeries.variable(
+                    self.num_vars, self.cap, axis)
+            return x
+        if kind == "op" and text == "(":
+            return self.nested(offset)
+        raise ExprError("expected a value", offset)
 
 
 def parse_series(source: str, variables: Sequence[str],

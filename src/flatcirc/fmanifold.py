@@ -24,10 +24,19 @@ def potential_to_structure(potential: VectorField) -> HiggsField:
     """Structure tensor C_{ab}^c = d_a d_b C^c from a vector potential.
 
     A term of degree < 2 of the potential has no second derivative, so the
-    gauge of the potential changes no entry of C."""
-    return HiggsField.build(
-        potential.dim,
-        lambda a, b, c: potential.components[c].derivative(a).derivative(b))
+    gauge of the potential changes no entry of C.
+
+    Each first derivative d_a C^c is taken once, and each second one once
+    per pair a <= b, as d_b d_a C^c: the rows C_ab and C_ba are one tuple
+    of series.  Lowering one exponent and then another gives the same term
+    in either order, so d_b d_a = d_a d_b holds exactly on the stored
+    polynomial, at the same cap and ``valid_to``."""
+    n, r = potential.dim, range(potential.dim)
+    first = [[s.derivative(a) for s in potential.components] for a in r]
+    rows = {(a, b): tuple(s.derivative(b) for s in first[a])
+            for a in r for b in range(a, n)}
+    return HiggsField(tuple(tuple(rows[min(a, b), max(a, b)] for b in r)
+                            for a in r))
 
 
 def five_term_residual(higgs: HiggsField) -> "Tensor5":

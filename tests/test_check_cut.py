@@ -8,8 +8,9 @@ report still names the instance order.  ``evaluate_extension``, which
 ``extend`` calls on the uncut C, forms its flatness residual from C and H
 cut the same way and keeps the H it prints.  On qqo5 the suite reads that
 residual off the R2 and the scaling-weight residual it has formed, forming
-each once and no commutator [H_k, C_a]; a shift, an identity that fails and
-a table that is not symmetric keep the commutators.
+each once, no H and no commutator [H_k, C_a]; a shift, an identity that
+fails and a table that is not symmetric keep the commutators, and
+``extend``, which prints H, forms it once.
 """
 
 import io
@@ -240,3 +241,22 @@ def test_other_inputs_keep_the_commutators(document, order, lambda0, formed):
     run_check_suite(instance, 3, lambda0)
     assert formed["full_flatness_residual"] == 1
     assert formed["flatness_from_residuals"] == 0
+
+
+@pytest.mark.parametrize("command, calls", [("check", 0), ("extend", 1)])
+def test_h_formed_only_where_read(command, calls, tmp_path, monkeypatch):
+    """``check`` on qqo5 reads the mu-flatness off its residuals and forms
+    no H; ``extend`` prints H and forms it once."""
+    path = tmp_path / "qqo5.json"
+    path.write_text(json.dumps(QQO5), encoding="utf-8")
+    formed = []
+    h_from_e = euler.h_from_e
+
+    def counted(*args):
+        formed.append(args)
+        return h_from_e(*args)
+
+    monkeypatch.setattr(euler, "h_from_e", counted)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert main([command, str(path), "--order", "5"]) == 0
+    assert len(formed) == calls

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from flatcirc import series
 from flatcirc.expr import ExprError, parse_series
 from flatcirc.series import TruncatedSeries, exp_series
 
@@ -110,3 +111,74 @@ class TestPower:
         s = parse_series("(1+x)^0", ["x"], 4)
         assert s == TruncatedSeries.constant(1, 4, 1)
         assert s.valid_to == s.cap == 4
+
+
+class TestLiterals:
+    """Literals that meet each other before any series stay numbers; the
+    result is the series, in the same storage, that constant series give:
+    the values below, at the cap, proven through it."""
+
+    @pytest.mark.parametrize("cap", [0, 3, 4])
+    @pytest.mark.parametrize("text, coeffs", [
+        ("2^3/4*x", {1: 2}),
+        ("(1/2)^2*x", {1: Fraction(1, 4)}),
+        ("1/(2-3)", {0: -1}),
+        ("0^0", {0: 1}),
+        ("-(-2)*x", {1: 2}),
+        ("2 - x", {0: 2, 1: -1}),
+        ("2/(1+x)", {0: 2, 1: -2, 2: 2, 3: -2, 4: 2}),
+        ("exp(0)", {0: 1}),
+        ("exp(2-2)", {0: 1}),
+    ])
+    def test_value(self, text, coeffs, cap):
+        want = TruncatedSeries(1, cap, cap, {(k,): v for k, v in coeffs.items()
+                                             if k <= cap})
+        assert parse_series(text, ["x"], cap) == want
+
+    @pytest.mark.parametrize("text, message", [
+        ("x/0", "division by a series vanishing at the origin (at offset 1)"),
+        ("x/(1-1)",
+         "division by a series vanishing at the origin (at offset 1)"),
+        ("1/x", "division by a series vanishing at the origin (at offset 1)"),
+        ("exp(1)", "exp argument must vanish at the origin (at offset 0)"),
+        ("exp(3-2)", "exp argument must vanish at the origin (at offset 0)"),
+    ])
+    def test_error(self, text, message):
+        with pytest.raises(ExprError) as info:
+            parse_series(text, ["x"], 4)
+        assert str(info.value) == message
+        assert info.value.offset == int(message[-2])
+
+    def test_each_variable_built_once_per_parse(self, monkeypatch):
+        built = []
+        variable = TruncatedSeries.variable
+
+        def counted(num_vars, cap, axis):
+            built.append(axis)
+            return variable(num_vars, cap, axis)
+
+        monkeypatch.setattr(TruncatedSeries, "variable", staticmethod(counted))
+        text = "x0*x1 + x0^2 - 3*x1*x0 + exp(x0 - x1)/(1 + x1)"
+        assert parse(text) == parse_series(text, VARS, CAP)
+        assert sorted(built) == [0, 0, 1, 1]
+
+    def test_literals_form_no_product_or_inverse(self, monkeypatch):
+        calls = {"dot": 0, "invert_unit": 0}
+        dot, invert_unit = series.dot, TruncatedSeries.invert_unit
+
+        def counted_dot(xs, ys):
+            calls["dot"] += 1
+            return dot(xs, ys)
+
+        def counted_invert_unit(s):
+            calls["invert_unit"] += 1
+            return invert_unit(s)
+
+        monkeypatch.setattr(series, "dot", counted_dot)
+        monkeypatch.setattr(TruncatedSeries, "invert_unit",
+                            counted_invert_unit)
+        assert parse("3*x0") == TruncatedSeries(2, CAP, CAP, {(1, 0): 3})
+        parse("x0/2 - 5/3*x1 + (2*3 - 1)^2/10")
+        assert calls == {"dot": 0, "invert_unit": 0}
+        parse("x0*x1/(1 + x0)")  # the guard sees the products it counts
+        assert calls["dot"] > 1 and calls["invert_unit"] == 1

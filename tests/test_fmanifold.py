@@ -64,6 +64,57 @@ class TestPotential:
         assert e.components[1].coeffs == {}
 
 
+def dense_potential(rng, n, cap):
+    """A seeded dense potential: every monomial of degree 2 to the cap with
+    a random rational coefficient (some zero), plus an exponential of a
+    linear form, with a proven degree below the cap in one component."""
+    def component(c):
+        linear = sum((x(i, n, cap) * rng.randint(-2, 2) for i in range(n)),
+                     TruncatedSeries.zero(n, cap))
+        dense = TruncatedSeries(n, cap, cap - (c == n - 1), {
+            e: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            for e in product(range(cap + 1), repeat=n) if 2 <= sum(e) <= cap})
+        return dense + series.exp_series(linear) * rng.randint(1, 3)
+    return VectorField(tuple(component(c) for c in range(n)))
+
+
+class TestPotentialToStructure:
+    """Each entry is the second derivative of its component, storage-equal
+    (values, cap and ``valid_to``), with C_ab and C_ba one object and each
+    derivative taken once per row a <= b."""
+
+    CASES = [(n, seed) for n, cap in ((1, 6), (2, 6), (3, 5), (4, 4))
+             for seed in range(2)]
+
+    @staticmethod
+    def potential(n, seed):
+        cap = {1: 6, 2: 6, 3: 5, 4: 4}[n]
+        return dense_potential(random.Random(f"potential:{n}:{seed}"), n, cap)
+
+    @pytest.mark.parametrize("n, seed", CASES)
+    def test_entries_are_second_derivatives(self, n, seed):
+        potential = self.potential(n, seed)
+        t = potential_to_structure(potential).tensor
+        for a, b, c in product(range(n), repeat=3):
+            want = potential.components[c].derivative(a).derivative(b)
+            assert t[a][b][c] == want, (a, b, c)
+            assert t[a][b][c] is t[b][a][c]
+
+    @pytest.mark.parametrize("n, seed", CASES[::2])
+    def test_derivatives_taken_once(self, n, seed, monkeypatch):
+        potential = self.potential(n, seed)
+        calls = []
+        derivative = TruncatedSeries.derivative
+
+        def counted(s, axis):
+            calls.append(axis)
+            return derivative(s, axis)
+
+        monkeypatch.setattr(TruncatedSeries, "derivative", counted)
+        potential_to_structure(potential)
+        assert len(calls) == n * n + n * n * (n + 1) // 2
+
+
 class TestHmResidual:
     def test_vanishes_on_compatible_model(self):
         res = five_term_residual(qc_structure())

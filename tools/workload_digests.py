@@ -11,13 +11,17 @@ only: no bytecode is written), then runs in this process
 * every task of every workload at seeds 0 and 1;
 * a sweep of ``check`` with ``--lambda0`` in {0, 1, -1/2, 2, -1} and
   ``--mu-order`` in {0, 1, 3}, ``extend`` with the same mu-orders and
-  ``dualize``, each at orders 3, 4 and 5, over the bundled models and the
-  documents of every workload at seed 0.  The workloads themselves run only
-  the bundled ``shifted-identity`` with a nonzero base shift, so the sweep
-  is what reaches the lambda C terms of the twist, extension and
-  identity-derivative residuals on dense and transformed models;
+  ``dualize``, each at orders 3, 4 and 5, over the bundled models, the
+  documents of every workload at seed 0 and the model documents under
+  ``TREE/tests/data`` (a file that is one, or the ``document`` a test case
+  holds, each distinct document once, named after the first file that
+  holds it): structure tables, n = 5 and a declared ``lambda0`` among them.
+  The workloads themselves run only the bundled ``shifted-identity`` with a
+  nonzero base shift, so the sweep is what reaches the lambda C terms of
+  the twist, extension and identity-derivative residuals on dense and
+  transformed models;
 * ``dualize``, which has no ``--lambda0``, at the same orders on a copy of
-  every bundled or workload document that declares a twist field, with each
+  every swept document that declares a twist field, with each
   of those base shifts written into the copy as ``lambda0``.  Its report
   gives the degree of each twist hypothesis, so at -1 it shows the twist
   tested for the member lambda0 + 1 = 0, whose zero term still carries the
@@ -92,6 +96,22 @@ def sweep_tasks(models):
                    ("dualize",) + at + ("--format", "json"))
 
 
+def data_documents(data):
+    """(file name, bytes) of each distinct model document in the directory
+    ``data``: a file that is one, or the ``document`` of a test case."""
+    seen = set()
+    for path in sorted(data.glob("*.json")):
+        body = path.read_bytes()
+        obj = json.loads(body)
+        if "document" in obj:
+            obj = obj["document"]
+            body = json.dumps(obj).encode()
+        key = json.dumps(obj, sort_keys=True)
+        if "schemaVersion" in obj and key not in seen:
+            seen.add(key)
+            yield path.name, body
+
+
 def shifted_copies(documents):
     """(key prefix, file name, bytes) of a copy of every document (name,
     bytes) that declares a twist field, once per base shift of the sweep."""
@@ -142,6 +162,7 @@ def main(argv) -> int:
                         run_task(flatcirc.cli, task.argv, task.report)
     documents = [doc for name in workloads.WORKLOADS
                  for doc in workloads.build(name, 0).documents]
+    documents += data_documents(tree / "tests" / "data")
     models = sorted(flatcirc.models.CORPUS) + [doc for doc, _ in documents]
     bundled = [(f"{model}.json", (src / "flatcirc" / "data" /
                                   f"{model}.json").read_bytes())
