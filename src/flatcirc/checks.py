@@ -7,7 +7,8 @@ impossibilities (a check that cannot even be stated for the model) are
 reported as skips with a reason.
 
 This module is also the one evaluation path that the ``extend`` command
-shares with the suite: the mu-extension is formed here and nowhere else.
+shares with the suite: the mu-extension is formed here and nowhere else,
+from C cut to its proven degree (``cut_to_proven``), as ``dualize`` is.
 The structure is its tensor C (``geometry.HiggsField``), and its identity
 e, when the instance has one, is passed on its own to the residuals that
 read it; whether there is an identity is decided here and in ``cli`` only.
@@ -29,7 +30,6 @@ from .geometry import (EndField, FlatnessError, HiggsField, Shift,
                        VectorField, base_member, covariant_derivative, judge,
                        pencil_curvature_split, torsion)
 from .models import ModelInstance, json_text
-from .series import TruncatedSeries
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -119,11 +119,11 @@ class Extension:
 
     ``equation`` is the residual of the reconstruction equation (one vector
     field per power of mu), ``h`` the operator H reconstructed from E (one
-    matrix per power of mu), and ``flatness`` the residual of the extended
-    connection's flatness, indexed [a][k] as in
-    ``euler.full_flatness_residual``.  ``h`` is None where ``flatness`` is
-    read off the suite's residuals (``evaluate_extension``): there nothing
-    reads H, and it is not formed.
+    matrix per power of mu, each entry cut to its proven degree), and
+    ``flatness`` the residual of the extended connection's flatness, indexed
+    [a][k] as in ``euler.full_flatness_residual``.  ``h`` is None where
+    ``flatness`` is read off the suite's residuals (``evaluate_extension``):
+    there nothing reads H, and it is not formed.
     """
 
     equation: Tuple[VectorField, ...]
@@ -142,19 +142,17 @@ def evaluate_extension(structure: HiggsField, e: VectorField,
     """Build and verify the mu-extension of the structure with identity
     ``e`` for the base shift ``lambda0``.
 
-    ``e1`` is nabla_e e for the base member, computed here when not given.
-    ``equation`` and ``h`` are formed from C as given, ``h`` only where
-    ``flatness`` is formed from it.  ``flatness`` is formed from C cut to
-    its proven degree (``cut_to_proven``) and from each H_k with every
-    entry cut to its own ``valid_to``, as ``run_check_suite`` forms its
-    residuals.  A coefficient of a series up to its ``valid_to``
-    reads its operands only up to theirs, and every flatness entry keeps its
-    ``valid_to``: products, sums and derivatives take the least
-    ``valid_to`` of their operands, and a cut keeps it.  ``judge`` reads
-    nothing above an entry's ``valid_to``, so the cut changes no verdict,
-    proven degree or witness, and saves the products of the degrees nothing
-    reads.  On the suite's cut C, ``cut_to_proven`` returns C itself, with
-    the R2 and rho it has formed.
+    Everything is formed from one C, cut to its proven degree
+    (``cut_to_proven``; on the suite's cut C, C itself with the R2 and rho
+    it has formed): ``e1`` = nabla_e e for the base member, computed here
+    when not given, ``equation`` and ``h``, each H_k entry cut to its own
+    ``valid_to``; that H is what ``flatness`` is formed from and what
+    ``extend`` prints.  A coefficient of a series up to its ``valid_to``
+    reads its operands only up to theirs, and products, sums and
+    derivatives take the least ``valid_to`` of their operands, so the cuts
+    change no ``valid_to`` and no coefficient through it, hence no verdict,
+    proven degree or witness of ``judge``.  A coefficient above it comes
+    from the truncation and changes with the order: none is printed.
 
     ``scaling`` is the scaling weight w and ``euler.euler_residual`` of
     ``structure`` at w, which ``run_check_suite`` has formed and hands over
@@ -165,22 +163,22 @@ def evaluate_extension(structure: HiggsField, e: VectorField,
     through their ``valid_to``, with the same ``valid_to``, so the same
     verdict.
     """
+    structure = cut_to_proven(structure)
     working = base_member(lambda0)
     if e1 is None:
         e1 = covariant_derivative(structure, working, e, e)
     g = euler_mod.geometric_inverse(structure, e, e1, mu_order)
     equation = euler_mod.e_equation_residual(e_field, structure, working,
                                              e1, g)
-    cut = cut_to_proven(structure)
-    if scaling is not None and _reads_residuals(cut, working, e, e1,
+    if scaling is not None and _reads_residuals(structure, working, e, e1,
                                                 e_field):
         return Extension(equation, None, euler_mod.flatness_from_residuals(
-            cut, e_field, *scaling, mu_order))
-    h = euler_mod.h_from_e(e_field, structure, working, g)
-    cut_h = tuple(EndField(tuple(tuple(_cut(s) for s in row)
-                                 for row in h_k.matrix)) for h_k in h)
+            structure, e_field, *scaling, mu_order))
+    h = tuple(EndField(tuple(tuple(s.cut(s.valid_to) for s in row)
+                             for row in h_k.matrix))
+              for h_k in euler_mod.h_from_e(e_field, structure, working, g))
     return Extension(equation, h, euler_mod.full_flatness_residual(
-        cut_h, cut, working))
+        h, structure, working))
 
 
 def _reads_residuals(structure: HiggsField, working: Shift, e: VectorField,
@@ -198,19 +196,15 @@ def _skips(check_ids: Tuple[str, ...], detail: str) -> List[CheckResult]:
             for check_id in check_ids]
 
 
-def _cut(s: TruncatedSeries) -> TruncatedSeries:
-    """The series with its cap cut to its ``valid_to``: the terms above it
-    are dropped and the values up to it kept."""
-    return s.cut(s.valid_to)
-
-
 def cut_to_proven(structure: HiggsField) -> HiggsField:
-    """C with each entry cut to its own ``valid_to`` (``_cut``); C itself,
-    with what it has formed, when no entry has a term to cut."""
+    """C with each entry cut to its own ``valid_to``: the terms above it
+    are dropped and the values up to it kept; C itself, with what it has
+    formed, when no entry has a term to cut."""
     t = structure.tensor
     if all(s.cap <= s.valid_to for p in t for r in p for s in r):
         return structure
-    return HiggsField.build(structure.dim, lambda a, b, c: _cut(t[a][b][c]))
+    return HiggsField(tuple(tuple(tuple(s.cut(s.valid_to) for s in r)
+                                  for r in p) for p in t))
 
 
 def run_check_suite(instance: ModelInstance, mu_order: int,

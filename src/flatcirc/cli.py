@@ -22,7 +22,7 @@ from typing import Optional, Tuple
 
 from . import __version__
 from . import correlators as correlators_mod
-from .checks import evaluate_extension, run_check_suite
+from .checks import cut_to_proven, evaluate_extension, run_check_suite
 from .duality import duality_verify
 from .geometry import judge
 from .models import (CORPUS, ModelDocument, json_text, load_model,
@@ -62,11 +62,11 @@ def _cmd_dualize(args: argparse.Namespace) -> Tuple[str, bool]:
     name = instance.document.name
     if instance.epsilon is None:
         raise InputError(f"model {name!r} declares no twist field")
-    structure = instance.structure
     if instance.identity is None:
         raise InputError(f"model {name!r} has no identity field")
-    n = structure.dim
-    verify = duality_verify(structure, instance.identity, instance.lambda0,
+    n = instance.structure.dim
+    verify = duality_verify(cut_to_proven(instance.structure),
+                            instance.identity, instance.lambda0,
                             instance.epsilon)
     if verify.pair is None:
         raise InputError("system matrix singular at the origin")
@@ -76,7 +76,7 @@ def _cmd_dualize(args: argparse.Namespace) -> Tuple[str, bool]:
         obj = {
             "schemaVersion": 1,
             "model": name,
-            "order": structure.order,
+            "order": instance.order,
             "hypotheses": [
                 {"label": h.label, "holds": h.holds, "provenTo": h.proven_to}
                 for h in verify.hypotheses],
@@ -88,7 +88,7 @@ def _cmd_dualize(args: argparse.Namespace) -> Tuple[str, bool]:
                              for c in verify.pair.inverse_used.components],
         }
         return json_text(obj), ok
-    lines = [f"model {name} order {structure.order}"]
+    lines = [f"model {name} order {instance.order}"]
     for h in verify.hypotheses:
         mark = "ok " if h.holds else "BAD"
         lines.append(f"  [{mark}] {h.label} (to degree {h.proven_to})")
@@ -105,13 +105,12 @@ def _cmd_dualize(args: argparse.Namespace) -> Tuple[str, bool]:
 def _cmd_extend(args: argparse.Namespace) -> Tuple[str, bool]:
     instance = _load_document(args.model).instantiate(args.order)
     name = instance.document.name
-    structure = instance.structure
     if instance.euler is None:
         raise InputError(f"model {name!r} declares no scaling field")
     if instance.identity is None:
         raise InputError(f"model {name!r} has no identity field")
-    n = structure.dim
-    extension = evaluate_extension(structure, instance.identity,
+    n = instance.structure.dim
+    extension = evaluate_extension(instance.structure, instance.identity,
                                    instance.lambda0, instance.euler[0],
                                    args.mu_order)
     equation_ok = judge(extension.equation).holds
@@ -121,7 +120,7 @@ def _cmd_extend(args: argparse.Namespace) -> Tuple[str, bool]:
         obj = {
             "schemaVersion": 1,
             "model": name,
-            "order": structure.order,
+            "order": instance.order,
             "muOrder": args.mu_order,
             "equationHolds": equation_ok,
             "flatnessHolds": flatness.holds,
@@ -132,7 +131,7 @@ def _cmd_extend(args: argparse.Namespace) -> Tuple[str, bool]:
                 for k in range(args.mu_order + 1)],
         }
         return json_text(obj), ok
-    lines = [f"model {name} order {structure.order} "
+    lines = [f"model {name} order {instance.order} "
              f"mu-order {args.mu_order}",
              f"  [{'pass' if equation_ok else 'fail'}] "
              "reconstruction equation",
@@ -194,6 +193,7 @@ def _cmd_correlators(args: argparse.Namespace) -> Tuple[str, bool]:
     document = load_model(args.source) if args.source in CORPUS \
         else ModelDocument.from_json_obj(obj)
     instance = document.instantiate(args.order)
+    # uncut: integrating C gains a degree only where its cap leaves room
     try:
         b_field = correlators_mod.potential_endomorphism(instance.structure)
         family = correlators_mod.correlators_from_b(b_field, force=args.force)

@@ -197,9 +197,9 @@ class HiggsField:
 
     @property
     def order(self) -> int:
-        """The cap of T, read from T_00^0.  An instantiated structure has
-        the instance order here; on the check suite's cut structure
-        (``checks.cut_to_proven``) it is the proven degree of T."""
+        """The cap of T, read from T_00^0: the instance order on an
+        instantiated structure, the proven degree of T on the cut one that
+        every command but ``correlators`` reads (``checks.cut_to_proven``)."""
         return self.tensor[0][0][0].cap
 
     @classmethod

@@ -116,8 +116,16 @@ class ModelDocument:
 
     def instantiate(self, order: Optional[int] = None) -> "ModelInstance":
         """The model at ``order``; its identity is the declared field, else
-        the one ``find_identity`` solves for, from a potential or a table."""
+        the one ``find_identity`` solves for, from a potential or a table.
+        A parsed series is proven to its cap, so C to the cap from a table
+        and to cap - 2 from a potential: the order is checked first."""
         cap = self.default_order if order is None else order
+        proven = cap if self.potential is None else cap - 2
+        if proven < 1:
+            raise InsufficientOrderError(
+                f"at order {cap} the structure tensor is proven only to "
+                f"degree {proven}; a residual with a derivative needs "
+                "degree 1")
         identity = (self._field(self.identity, cap)
                     if self.identity is not None else None)
         if self.potential is not None:
@@ -128,11 +136,6 @@ class ModelDocument:
                 self.dim,
                 lambda a, b, c: parse_series(table[a][b][c], self.variables,
                                              cap))
-        if tensor.valid_to < 1:
-            raise InsufficientOrderError(
-                f"at order {cap} the structure tensor is proven only to "
-                f"degree {tensor.valid_to}; a residual with a derivative "
-                "needs degree 1")
         if identity is None:
             identity = find_identity(tensor)
         euler = None

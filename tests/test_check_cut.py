@@ -5,8 +5,9 @@ before any residual is formed.  These tests pin that the cut changes no
 verdict: the records equal ``judge`` of the residuals formed from the uncut
 structure, the whole report equals the one with the cut left out, and the
 report still names the instance order.  ``evaluate_extension``, which
-``extend`` calls on the uncut C, forms its flatness residual from C and H
-cut the same way and keeps the H it prints.  On qqo5 the suite reads that
+``extend`` calls on the uncut C, cuts C the same way and forms from it H,
+cut entry by entry, which its flatness residual reads and ``extend``
+prints.  On qqo5 the suite reads that
 residual off the R2 and the scaling-weight residual it has formed, forming
 each once, no H and no commutator [H_k, C_a]; a shift, an identity that
 fails and a table that is not symmetric keep the commutators, and
@@ -149,9 +150,9 @@ def proven_terms(s):
 def test_extension_flatness_from_cut_operands(document, order, lambda0,
                                               monkeypatch):
     """``evaluate_extension`` hands ``full_flatness_residual`` C and every
-    H_k cut to their proven degrees, prints the H of the uncut C, and the
-    flatness it forms agrees with the uncut one through each entry's
-    ``valid_to``, with the same verdict."""
+    H_k cut to their proven degrees; the H it returns is that cut H, which
+    agrees with the H of the uncut C through each entry's ``valid_to``, and
+    so does the flatness it forms, with the same verdict."""
     instance = ModelDocument.from_json_obj(document).instantiate(order)
     uncut, e, mu_order = instance.structure, instance.identity, 3
     e_field = instance.euler[0]
@@ -177,7 +178,11 @@ def test_extension_flatness_from_cut_operands(document, order, lambda0,
     (h_cut, c), = received
     for _, s in (*iter_tensor(h_cut), *iter_tensor(c.tensor)):
         assert s.cap == s.valid_to
-    assert extension.h == h
+    for (index, got), (_, want) in zip(iter_tensor(extension.h),
+                                       iter_tensor(h), strict=True):
+        assert got.cap == got.valid_to, index
+        assert got.valid_to == want.valid_to, index
+        assert proven_terms(got) == proven_terms(want), index
     for (index, got), (_, want) in zip(iter_tensor(extension.flatness),
                                        iter_tensor(flatness),
                                        strict=True):

@@ -356,6 +356,13 @@ class TestInputContract:
         "check --order 0": (QC_P1, ("check", "--order", "0"), "at order 0"),
         "check --order -1": (QC_P1, ("check", "--order", "-1"),
                              "at order -1"),
+        # the order is refused before the document is parsed, so no
+        # division at a negative cap is tried
+        "dividing potential at --order -1": (
+            dict(TINY, variables=["x"],
+                 potential=["x^3/6 + 1/((1+x)*(1+x))"]),
+            ("check", "--order", "-1"),
+            "at order -1 the structure tensor is proven only to degree -3"),
         "defaultOrder 0": (dict(TINY, defaultOrder=0), ("check",),
                            "defaultOrder must be at least 1"),
         # --order picks the order of a derived family; a family file has

@@ -1,21 +1,26 @@
 """``extend`` and ``check`` share one evaluation of the mu-extension, and
-the H it prints holds through its proven degree at every higher order.
+what ``extend`` and ``dualize`` print holds at every higher order.
 
-The sources are every bundled model and every distinct model document
-under ``tests/data`` that has an identity and a scaling field.
+The sources are every bundled model, every distinct model document under
+``tests/data`` and the two documents ``INLINE`` holds; ``extend`` runs on
+those with an identity and a scaling field, ``dualize`` on those with an
+identity and a twist field.
 
 * At orders 3 to 6 and mu-orders 0, 1 and 3, ``extend --format json``
   reports ``flatnessHolds``, ``provenTo`` and ``equationHolds`` as ``check
   --format json`` reports the status and ``provenTo`` of
   ``extension-flatness`` and the status of ``extension-equation``.
-* At mu-order 3, every coefficient of every H_k entry up to the entry's
-  ``valid_to`` at order k equals the coefficient at order k + 1, for k from
-  3 to 5 (the 5-dimensional qqo5 at 3 only).  ``extend`` prints H formed
-  from the uncut C, so this tests on these inputs that no printed
-  coefficient it proves changes with the order.
+* At mu-order 3, every stored term of every H_k entry at order k equals
+  the coefficient at order k + 1, and no term up to the entry's cap is
+  missing there, for k from 3 to 5 (the 5-dimensional qqo5 at 3 only).
+* Every coefficient of ``dualStructure`` and ``inverseTwist`` that
+  ``dualize --format json`` prints at order k is printed with the same
+  value at order k + 1, for k from 3 to 5.
 
-Both sweeps together take about 6 s on a 2-core Xeon with Python 3.11; a
-source whose runs take more than 30 s fails.
+Both commands print only coefficients through their proven degree, so a
+printed coefficient does not change with the order.  All sweeps together
+take about 5 s on a 2-core Xeon with Python 3.11; a source whose runs take
+more than 30 s fails.
 """
 
 import io
@@ -36,30 +41,52 @@ DATA = Path(__file__).resolve().parent / "data"
 SECONDS = 30.0
 MU_ORDERS = (0, 1, 3)
 
+# qc-p1 with a scaling field whose second component has a linear term, and
+# qc-p1 with a twist field.  Formed from the uncut C, the coefficient 0,5 of
+# H_0 [0][1] is 1/24 at order 6 and 7/120 at order 7, and the coefficient
+# 1,4 of the dual entry [0][1][0] is 67/24 at order 6 and -53/24 at order 7:
+# both lie above their proven degree.
+QC_P1 = {"schemaVersion": 1, "dim": 2, "variables": ["x0", "x1"],
+         "potential": ["x0^2/2 + exp(x1)", "x0*x1"], "identity": ["1", "0"],
+         "euler": {"components": ["x0", "2"], "weight": "1"}}
+INLINE = {
+    "qc-p1-euler-x1": dict(QC_P1, name="qc-p1-euler-x1",
+                           euler={"components": ["x0", "2 + x1"],
+                                  "weight": "1"}),
+    "qc-p1-twist": dict(QC_P1, name="qc-p1-twist", epsilon=["1 + x1", "x0"]),
+}
 
-def extensible(document):
-    instance = document.instantiate(3)
-    return instance.identity is not None and instance.euler is not None
 
-
-def sources():
+def all_sources():
     """{key: (model document, JSON text or None for a bundled model)} of
-    every source with an identity and a scaling field; a fixture's
-    ``document`` counts once however many fixtures hold it."""
+    every source; a fixture's ``document`` counts once however many
+    fixtures hold it."""
     found = {name: (load_model(name), None) for name in CORPUS}
     seen = set()
+    documents = []
     for path in sorted(DATA.glob("*.json")):
         obj = json.loads(path.read_text(encoding="utf-8"))
-        document = obj.get("document", obj)
+        documents.append((path.stem, obj.get("document", obj)))
+    for key, document in (*documents, *INLINE.items()):
         text = json.dumps(document, sort_keys=True)
         if "dim" in document and text not in seen:
             seen.add(text)
-            found[path.stem] = (ModelDocument.from_json_obj(document), text)
-    return {key: value for key, value in found.items()
-            if extensible(value[0])}
+            found[key] = (ModelDocument.from_json_obj(document), text)
+    return found
 
 
-SOURCES = sources()
+ALL_SOURCES = all_sources()
+
+
+def having(*fields):
+    """The sources whose instance at order 3 has every one of ``fields``."""
+    return {key: value for key, value in ALL_SOURCES.items()
+            if all(getattr(value[0].instantiate(3), field) is not None
+                   for field in fields)}
+
+
+SOURCES = having("identity", "euler")
+TWISTED = having("identity", "epsilon")
 
 
 def top_order(key):
@@ -73,15 +100,22 @@ def run(argv):
     return json.loads(out.getvalue())
 
 
+def source_path(key, sources, directory):
+    """The command-line source of ``key``: its name for a bundled model,
+    else a file written under ``directory``."""
+    text = sources[key][1]
+    if text is None:
+        return key
+    path = Path(directory) / f"{key}.json"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
 @lru_cache(maxsize=None)
 def command_pairs(key):
     """(seconds, [(order, mu-order, extend JSON, check JSON)])."""
-    text = SOURCES[key][1]
     with tempfile.TemporaryDirectory() as directory:
-        source = key
-        if text is not None:
-            source = str(Path(directory) / f"{key}.json")
-            Path(source).write_text(text, encoding="utf-8")
+        source = source_path(key, SOURCES, directory)
         start = time.perf_counter()
         pairs = []
         for order in range(3, 7):
@@ -94,7 +128,8 @@ def command_pairs(key):
 
 
 def test_there_are_sources():
-    assert {"one-dim", "qc-p1", "shifted-identity"} <= set(SOURCES)
+    assert {"one-dim", "qc-p1", "shifted-identity", *INLINE} <= set(SOURCES)
+    assert {"one-dim", "qc-p1-twist"} <= set(TWISTED)
     assert any(document.dim == 5 for document, _ in SOURCES.values())
 
 
@@ -132,9 +167,40 @@ def test_printed_h_holds_at_the_next_order(key):
             for a, (row_low, row_high) in enumerate(zip(h_low.matrix,
                                                         h_high.matrix)):
                 for c, (s, t) in enumerate(zip(row_low, row_high)):
-                    assert terms_through(s, s.valid_to) == terms_through(
-                        t, s.valid_to), f"{key} order {order} H_{k} [{a}][{c}]"
+                    assert list(s.items()) == terms_through(t, s.cap), (
+                        f"{key} order {order} H_{k} [{a}][{c}]")
                     compared += 1
     assert compared
+    seconds = time.perf_counter() - start
+    assert seconds < SECONDS, f"{key}: {seconds:.1f} s"
+
+
+def printed_dual(obj):
+    """{(where, exponent): value} of every coefficient of the dual
+    structure and the inverse twist in a ``dualize`` JSON report."""
+    n = len(obj["inverseTwist"])
+    entries = [(f"inverseTwist [{c}]", text)
+               for c, text in enumerate(obj["inverseTwist"])]
+    entries += [(f"dualStructure [{a}][{b}][{c}]",
+                 obj["dualStructure"][a][b][c])
+                for a in range(n) for b in range(n) for c in range(n)]
+    return {(where, exponent): value for where, text in entries
+            for exponent, value in (line.split(":")
+                                    for line in text.splitlines())}
+
+
+@pytest.mark.parametrize("key", sorted(TWISTED))
+def test_printed_dual_holds_at_the_next_order(key):
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as directory:
+        source = source_path(key, TWISTED, directory)
+        printed = [printed_dual(run(["dualize", source, "--order", str(order),
+                                     "--format", "json"]))
+                   for order in range(3, 7)]
+    for order, low, high in zip(range(3, 6), printed, printed[1:]):
+        for (where, exponent), value in low.items():
+            assert high.get((where, exponent)) == value, (
+                f"{key} order {order} {where} monomial {exponent}")
+    assert any(printed)
     seconds = time.perf_counter() - start
     assert seconds < SECONDS, f"{key}: {seconds:.1f} s"
