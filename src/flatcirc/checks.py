@@ -8,7 +8,7 @@ reported as skips with a reason.
 
 This module is also the one evaluation path that the ``extend`` command
 shares with the suite: the mu-extension is formed here and nowhere else,
-from C cut to its proven degree (``cut_to_proven``), as ``dualize`` is.
+from C that each command cuts once to its proven degree (``cut_to_proven``).
 The structure is its tensor C (``geometry.HiggsField``), and its identity
 e, when the instance has one, is passed on its own to the residuals that
 read it; whether there is an identity is decided here and in ``cli`` only.
@@ -142,15 +142,14 @@ def evaluate_extension(structure: HiggsField, e: VectorField,
     """Build and verify the mu-extension of the structure with identity
     ``e`` for the base shift ``lambda0``.
 
-    Everything is formed from one C, cut to its proven degree
-    (``cut_to_proven``; on the suite's cut C, C itself with the R2 and rho
-    it has formed): ``e1`` = nabla_e e for the base member, computed here
-    when not given, ``equation`` and ``h``, each H_k entry cut to its own
-    ``valid_to``; that H is what ``flatness`` is formed from and what
-    ``extend`` prints.  A coefficient of a series up to its ``valid_to``
-    reads its operands only up to theirs, and products, sums and
-    derivatives take the least ``valid_to`` of their operands, so the cuts
-    change no ``valid_to`` and no coefficient through it, hence no verdict,
+    Hand it C cut to its proven degree (``cut_to_proven``).  From that one
+    C are formed ``e1`` = nabla_e e for the base member, when not given,
+    ``equation`` and ``h``, each H_k entry cut to its own ``valid_to``:
+    that H is what ``flatness`` is formed from and what ``extend`` prints.
+    Any C gives the same verdict: a coefficient of a series up to its
+    ``valid_to`` reads its operands only up to theirs, and products, sums
+    and derivatives take the least ``valid_to`` of their operands, so a cut
+    changes no ``valid_to`` and no coefficient through it, hence no verdict,
     proven degree or witness of ``judge``.  A coefficient above it comes
     from the truncation and changes with the order: none is printed.
 
@@ -163,7 +162,6 @@ def evaluate_extension(structure: HiggsField, e: VectorField,
     through their ``valid_to``, with the same ``valid_to``, so the same
     verdict.
     """
-    structure = cut_to_proven(structure)
     working = base_member(lambda0)
     if e1 is None:
         e1 = covariant_derivative(structure, working, e, e)
@@ -198,13 +196,13 @@ def _skips(check_ids: Tuple[str, ...], detail: str) -> List[CheckResult]:
 
 def cut_to_proven(structure: HiggsField) -> HiggsField:
     """C with each entry cut to its own ``valid_to``: the terms above it
-    are dropped and the values up to it kept; C itself, with what it has
-    formed, when no entry has a term to cut."""
+    are dropped and the values up to it kept.  Each distinct row is cut
+    once, so the cut C shares a row wherever C does (``HiggsField.pairs``)."""
     t = structure.tensor
-    if all(s.cap <= s.valid_to for p in t for r in p for s in r):
-        return structure
-    return HiggsField(tuple(tuple(tuple(s.cut(s.valid_to) for s in r)
-                                  for r in p) for p in t))
+    rows = {(a, b): tuple(s.cut(s.valid_to) for s in t[a][b])
+            for a, b in structure.representatives}
+    return HiggsField(tuple(tuple(rows[p] for p in row)
+                            for row in structure.pairs))
 
 
 def run_check_suite(instance: ModelInstance, mu_order: int,

@@ -110,9 +110,9 @@ def _cmd_extend(args: argparse.Namespace) -> Tuple[str, bool]:
     if instance.identity is None:
         raise InputError(f"model {name!r} has no identity field")
     n = instance.structure.dim
-    extension = evaluate_extension(instance.structure, instance.identity,
-                                   instance.lambda0, instance.euler[0],
-                                   args.mu_order)
+    extension = evaluate_extension(cut_to_proven(instance.structure),
+                                   instance.identity, instance.lambda0,
+                                   instance.euler[0], args.mu_order)
     equation_ok = judge(extension.equation).holds
     flatness = judge(extension.flatness)
     ok = equation_ok and flatness.holds

@@ -92,13 +92,14 @@ class DualityPair:
 def dual_structure(higgs: HiggsField, e: VectorField,
                    epsilon: VectorField) -> DualityPair:
     """The twisted multiplication X * Y = eps^{-1} o X o Y, for the identity
-    ``e`` of o; the identity of * is eps."""
-    n = higgs.dim
+    ``e`` of o; the identity of * is eps.  Each row eps^{-1} o C_ab is formed
+    once per distinct row of C, so the dual shares a row wherever C does."""
     eps_inv = circ_inverse(higgs, e, epsilon)
-    left = higgs.left(eps_inv)
-    slices = [left.compose(higgs.slice(a)) for a in range(n)]
-    return DualityPair(eps_inv, HiggsField.build(
-        n, lambda a, b, c: slices[a].matrix[c][b]))
+    left, t = higgs.left(eps_inv), higgs.tensor
+    rows = {(a, b): left.apply(VectorField(t[a][b])).components
+            for a, b in higgs.representatives}
+    return DualityPair(eps_inv, HiggsField(tuple(
+        tuple(rows[p] for p in row) for row in higgs.pairs)))
 
 
 @dataclass(frozen=True)

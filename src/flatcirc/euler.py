@@ -167,8 +167,8 @@ def full_flatness_residual(h: Tuple[EndField, ...], c: HiggsField,
     whose column b is the residual at Y = d_b.  The commutator [H_k, C_a] is
     formed once and serves as the lambda term of the power k + 1 as well.
     Each entry up to its ``valid_to`` reads H and C only up to theirs, so
-    ``checks.evaluate_extension`` hands over both cut to their proven
-    degrees: the same entries through ``valid_to``, at a lower cap.
+    ``check`` and ``extend`` hand over both cut to their proven degrees:
+    the same entries through ``valid_to``, at a lower cap.
     """
     def row(a: int) -> Tuple[EndField, ...]:
         c_a = c.slice(a)

@@ -198,8 +198,8 @@ class HiggsField:
     @property
     def order(self) -> int:
         """The cap of T, read from T_00^0: the instance order on an
-        instantiated structure, the proven degree of T on the cut one that
-        every command but ``correlators`` reads (``checks.cut_to_proven``)."""
+        instantiated structure, its proven degree on the cut one that each
+        command but ``correlators`` forms once (``checks.cut_to_proven``)."""
         return self.tensor[0][0][0].cap
 
     @classmethod

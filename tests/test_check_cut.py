@@ -4,10 +4,11 @@
 before any residual is formed.  These tests pin that the cut changes no
 verdict: the records equal ``judge`` of the residuals formed from the uncut
 structure, the whole report equals the one with the cut left out, and the
-report still names the instance order.  ``evaluate_extension``, which
-``extend`` calls on the uncut C, cuts C the same way and forms from it H,
-cut entry by entry, which its flatness residual reads and ``extend``
-prints.  On qqo5 the suite reads that
+report still names the instance order.  ``cut_to_proven`` cuts each
+distinct row of C once and keeps C_ab and C_ba one row, and so does the
+dual formed from the cut C.  ``evaluate_extension``, which ``extend`` hands
+the cut C, forms from it H, cut entry by entry, which its flatness residual
+reads and ``extend`` prints.  On qqo5 the suite reads that
 residual off the R2 and the scaling-weight residual it has formed, forming
 each once, no H and no commutator [H_k, C_a]; a shift, an identity that
 fails and a table that is not symmetric keep the commutators, and
@@ -27,11 +28,13 @@ import pytest
 from flatcirc import checks, euler
 from flatcirc.checks import run_check_suite
 from flatcirc.cli import main
+from flatcirc.duality import dual_structure
 from flatcirc.fmanifold import five_term_residual
 from flatcirc.geometry import (EndField, HiggsField, base_member,
                                covariant_derivative, iter_tensor, judge,
                                pencil_curvature_split)
-from flatcirc.models import ModelDocument
+from flatcirc.models import CORPUS, ModelDocument, load_model
+from flatcirc.series import TruncatedSeries
 
 
 def exp_document(seed, n, order):
@@ -173,8 +176,8 @@ def test_extension_flatness_from_cut_operands(document, order, lambda0,
         return full_flatness_residual(h_cut, c, shift)
 
     monkeypatch.setattr(checks.euler_mod, "full_flatness_residual", recording)
-    extension = checks.evaluate_extension(uncut, e, lambda0, e_field,
-                                          mu_order)
+    extension = checks.evaluate_extension(checks.cut_to_proven(uncut), e,
+                                          lambda0, e_field, mu_order)
     (h_cut, c), = received
     for _, s in (*iter_tensor(h_cut), *iter_tensor(c.tensor)):
         assert s.cap == s.valid_to
@@ -194,6 +197,76 @@ def test_extension_flatness_from_cut_operands(document, order, lambda0,
 TABLE = json.loads((Path(__file__).resolve().parent / "data"
                     / "table-qo3-nonsymmetric.json").read_text(
                         encoding="utf-8"))["document"]
+SYMMETRIC_TABLE = json.loads((Path(__file__).resolve().parent / "data"
+                              / "table-qo3-symmetric.json").read_text(
+                                  encoding="utf-8"))["document"]
+
+
+def shared(tensor, a, b):
+    return tensor[a][b] is tensor[b][a]
+
+
+@pytest.mark.parametrize("document, order, symmetric", [
+    (QQO5, 5, True), (SYMMETRIC_TABLE, 4, True), (TABLE, 4, False),
+], ids=["qqo5", "table-symmetric", "table-not-symmetric"])
+def test_cut_keeps_shared_rows(document, order, symmetric, monkeypatch):
+    """``cut_to_proven`` cuts each distinct row once, n cuts for each of
+    ``representatives``, and tiles the cut rows over ``pairs``: C_ab is
+    C_ba wherever the two rows are equal, two rows stay two, and each entry
+    is the cut of the entry of C."""
+    structure = ModelDocument.from_json_obj(document).instantiate(
+        order).structure
+    n, t, pairs = structure.dim, structure.tensor, structure.pairs
+    want = [[[s.cut(s.valid_to) for s in row] for row in plane]
+            for plane in t]
+    calls = []
+    cut = TruncatedSeries.cut
+
+    def counted(s, cap):
+        calls.append(s)
+        return cut(s, cap)
+
+    monkeypatch.setattr(TruncatedSeries, "cut", counted)
+    result = checks.cut_to_proven(structure).tensor
+    assert len(calls) == len(structure.representatives) * n
+    assert all(pairs[a][b] == pairs[b][a]
+               for a in range(n) for b in range(n)) == symmetric
+    for a in range(n):
+        for b in range(n):
+            assert shared(result, a, b) == (pairs[a][b] == pairs[b][a])
+            assert list(result[a][b]) == want[a][b], (a, b)
+
+
+def sharing_sources():
+    """{key: document} of every bundled model, every model document under
+    ``tests/data`` built from a potential, and the symmetric table."""
+    found = {name: load_model(name) for name in CORPUS}
+    for path in sorted((Path(__file__).resolve().parent / "data").glob(
+            "*.json")):
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        document = obj.get("document", obj)
+        if "potential" in document or document == SYMMETRIC_TABLE:
+            found[path.stem] = ModelDocument.from_json_obj(document)
+    return found
+
+
+SHARING_SOURCES = sharing_sources()
+
+
+@pytest.mark.parametrize("key", sorted(SHARING_SOURCES))
+def test_cut_and_dual_share_every_row(key):
+    """On C from a potential and on the symmetric table, the cut C and the
+    dual formed from it (twisted by the twist field, else by the identity)
+    keep every C_ab and C_ba one row."""
+    instance = SHARING_SOURCES[key].instantiate(4)
+    cut = checks.cut_to_proven(instance.structure)
+    n = cut.dim
+    assert all(shared(cut.tensor, a, b) for a in range(n) for b in range(n))
+    if instance.identity is None:
+        return
+    epsilon = instance.epsilon or instance.identity
+    dual = dual_structure(cut, instance.identity, epsilon).dual.tensor
+    assert all(shared(dual, a, b) for a in range(n) for b in range(n))
 
 
 @pytest.fixture

@@ -1,16 +1,18 @@
+import random
 import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from flatcirc import correlators
+from flatcirc import correlators, geometry
 from flatcirc.cli import main
 from flatcirc.duality import (IntegrabilityError, NotFlatSectionError,
                               NotInvertibleError, circ_inverse, dual_structure, duality_verify,
                               flat_section_solve, primitive_section)
 from flatcirc.fmanifold import five_term_residual
-from flatcirc.geometry import (VectorField, apply_higgs, covariant_derivative,
-                               lie_bracket,
+from flatcirc.geometry import (HiggsField, VectorField, apply_higgs,
+                               covariant_derivative, lie_bracket,
                                pencil_curvature_split,
                                tensor_vanishes_through)
 from flatcirc.models import load_model
@@ -58,7 +60,102 @@ class TestCircInverse:
             circ_inverse(inst.structure, inst.identity, basis(1))
 
 
+def random_entry(rng, n, constant=0):
+    """A series with its own cap in 2..4 and ``valid_to`` in 1..cap."""
+    cap = rng.randint(2, 4)
+    coeffs = {e: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+              for e in product(range(cap + 1), repeat=n)
+              if 0 < sum(e) <= cap and rng.random() < 0.3}
+    coeffs[(0,) * n] = Fraction(constant)
+    return TruncatedSeries(n, cap, rng.randint(1, cap),
+                           {e: v for e, v in coeffs.items() if v})
+
+
+def copy_of(s):
+    """A new series storage-equal to ``s``."""
+    return TruncatedSeries(s.num_vars, s.cap, s.valid_to, dict(s.items()))
+
+
+def random_twist(n, symmetric, seed):
+    """(C, e, eps) at dimension n with C_0 the identity matrix at the
+    origin, so that eps = d_0 + higher terms is circ-invertible.  With
+    ``symmetric`` the row C_ba is the row C_ab or a storage-equal copy."""
+    rng = random.Random(f"dual:{n}:{symmetric}:{seed}")
+
+    def row(a, b):
+        # C_0b^c = C_b0^c = delta_bc at the origin
+        return tuple(random_entry(rng, n, int(0 in (a, b) and c == a + b))
+                     for c in range(n))
+
+    rows = {}
+    for a in range(n):
+        for b in range(n):
+            if symmetric and b < a:
+                rows[a, b] = (rows[b, a] if rng.random() < 0.5
+                              else tuple(copy_of(s) for s in rows[b, a]))
+            else:
+                rows[a, b] = row(a, b)
+    higgs = HiggsField(tuple(tuple(rows[a, b] for b in range(n))
+                             for a in range(n)))
+
+    def field():
+        return VectorField(tuple(random_entry(rng, n, int(c == 0))
+                                 for c in range(n)))
+
+    return higgs, field(), field()
+
+
+def per_slice_dual(higgs, e, epsilon):
+    """The dual tensor as the n products L C_a, L the matrix of
+    X -> eps^{-1} o X, entry [a][b][c] = (L C_a)[c][b]."""
+    n = higgs.dim
+    left = higgs.left(circ_inverse(higgs, e, epsilon))
+    slices = [left.compose(higgs.slice(a)) for a in range(n)]
+    return [[[slices[a].matrix[c][b] for c in range(n)] for b in range(n)]
+            for a in range(n)]
+
+
+TWISTS = [(n, symmetric, seed) for n in range(1, 5)
+          for symmetric in (True, False) for seed in range(3)]
+
+
 class TestDualStructure:
+    @pytest.mark.parametrize("n, symmetric, seed", TWISTS)
+    def test_dual_rows_equal_the_per_slice_products(self, n, symmetric,
+                                                    seed):
+        """Each dual entry is storage-equal to the entry of L C_a, over
+        mixed caps and ``valid_to``."""
+        higgs, e, epsilon = random_twist(n, symmetric, seed)
+        dual = dual_structure(higgs, e, epsilon).dual.tensor
+        want = per_slice_dual(higgs, e, epsilon)
+        for a, b, c in product(range(n), repeat=3):
+            assert dual[a][b][c] == want[a][b][c], (a, b, c)
+
+    @pytest.mark.parametrize("n, symmetric, seed", TWISTS)
+    def test_dual_rows_formed_once_per_row_of_c(self, n, symmetric, seed,
+                                                monkeypatch):
+        """The dual shares a row wherever C does, and its rows take n
+        ``dot`` calls for each of ``representatives``."""
+        higgs, e, epsilon = random_twist(n, symmetric, seed)
+        assert len(higgs.representatives) == (n * (n + 1) // 2 if symmetric
+                                              else n * n)
+        calls = []
+        dot = geometry.dot
+
+        def counted(xs, ys):
+            calls.append(None)
+            return dot(xs, ys)
+
+        monkeypatch.setattr(geometry, "dot", counted)
+        dual = dual_structure(higgs, e, epsilon).dual.tensor
+        formed = len(calls)
+        calls.clear()
+        higgs.left(circ_inverse(higgs, e, epsilon))
+        assert formed - len(calls) == len(higgs.representatives) * n
+        pairs = higgs.pairs
+        for a, b in product(range(n), repeat=2):
+            assert (dual[a][b] is dual[b][a]) == (pairs[a][b] == pairs[b][a])
+
     def test_dual_is_commutative_and_associative(self):
         s = qc()
         pair = dual_structure(s, qc_identity(), qc_epsilon())

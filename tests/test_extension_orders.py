@@ -12,7 +12,9 @@ identity and a twist field.
   ``extension-flatness`` and the status of ``extension-equation``.
 * At mu-order 3, every stored term of every H_k entry at order k equals
   the coefficient at order k + 1, and no term up to the entry's cap is
-  missing there, for k from 3 to 5 (the 5-dimensional qqo5 at 3 only).
+  missing there, for k from 3 to 5 (the 5-dimensional qqo5 at 3 only), at
+  the source's own base shift and at each shift of the digest sweep (1,
+  -1/2, 2 and -1).
 * Every coefficient of ``dualStructure`` and ``inverseTwist`` that
   ``dualize --format json`` prints at order k is printed with the same
   value at order k + 1, for k from 3 to 5.
@@ -28,18 +30,22 @@ import json
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from pathlib import Path
 
 import pytest
 
-from flatcirc.checks import evaluate_extension
+from flatcirc.checks import cut_to_proven, evaluate_extension
 from flatcirc.cli import main
 from flatcirc.models import CORPUS, ModelDocument, load_model
 
 DATA = Path(__file__).resolve().parent / "data"
 SECONDS = 30.0
 MU_ORDERS = (0, 1, 3)
+# the base shifts of the digest sweep; None is the source's own
+SHIFTS = (None, Fraction(1), Fraction(-1, 2), Fraction(2), Fraction(-1))
 
 # qc-p1 with a scaling field whose second component has a linear term, and
 # qc-p1 with a twist field.  Formed from the uncut C, the coefficient 0,5 of
@@ -147,10 +153,15 @@ def test_extend_reports_what_check_reports(key):
         assert extend["equationHolds"] == (equation["status"] == "pass"), where
 
 
-def h_at(key, order):
+def h_at(key, order, shift):
+    """The H that ``extend`` prints on ``key`` at ``order`` and mu-order 3,
+    with the base shift ``shift`` as the document's ``lambda0`` (None: the
+    document's own)."""
     instance = SOURCES[key][0].instantiate(order)
-    return evaluate_extension(instance.structure, instance.identity,
-                              instance.lambda0, instance.euler[0], 3).h
+    lambda0 = instance.lambda0 if shift is None else shift
+    return evaluate_extension(cut_to_proven(instance.structure),
+                              instance.identity, lambda0,
+                              instance.euler[0], 3).h
 
 
 def terms_through(s, degree):
@@ -161,14 +172,14 @@ def terms_through(s, degree):
 def test_printed_h_holds_at_the_next_order(key):
     start = time.perf_counter()
     compared = 0
-    for order in range(3, top_order(key)):
-        low, high = h_at(key, order), h_at(key, order + 1)
+    for shift, order in product(SHIFTS, range(3, top_order(key))):
+        low, high = h_at(key, order, shift), h_at(key, order + 1, shift)
         for k, (h_low, h_high) in enumerate(zip(low, high, strict=True)):
             for a, (row_low, row_high) in enumerate(zip(h_low.matrix,
                                                         h_high.matrix)):
                 for c, (s, t) in enumerate(zip(row_low, row_high)):
                     assert list(s.items()) == terms_through(t, s.cap), (
-                        f"{key} order {order} H_{k} [{a}][{c}]")
+                        f"{key} shift {shift} order {order} H_{k} [{a}][{c}]")
                     compared += 1
     assert compared
     seconds = time.perf_counter() - start
