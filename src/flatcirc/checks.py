@@ -172,9 +172,10 @@ def evaluate_extension(structure: HiggsField, e: VectorField,
                                                 e_field):
         return Extension(equation, None, euler_mod.flatness_from_residuals(
             structure, e_field, *scaling, mu_order))
-    h = tuple(EndField(tuple(tuple(s.cut(s.valid_to) for s in row)
-                             for row in h_k.matrix))
-              for h_k in euler_mod.h_from_e(e_field, structure, working, g))
+    h = tuple(euler_mod.map_runs(
+        lambda h_k: EndField(tuple(tuple(s.cut(s.valid_to) for s in row)
+                                   for row in h_k.matrix)),
+        euler_mod.h_from_e(e_field, structure, working, g)))
     return Extension(equation, h, euler_mod.full_flatness_residual(
         h, structure, working))
 

@@ -31,6 +31,16 @@ D = Jacobian(E) and E(C_a) differentiates each entry of C_a along E.  Where
 C is symmetric, L_e = 1, nabla_e e = 0 and the member is None, the flatness
 residual is a contraction of R2, rho and the scaling-weight residual
 (``flatness_from_residuals``), with no product of H and C.
+
+The geometric inverse stops at its first fixed point: once
+g_{k+1} = -g_k o e1 equals g_k in storage, every later g is that object
+(from k = 1 where nabla_e e = 0, since then g_1 = g_2 = ... = 0).  Every
+step above reads only the storage of its operands, so a step whose operands
+are the very objects of the step before gives the same value: each L_{g_k},
+H_k, nabla_{g_k} E, [H_k, C_a], d_a H_{k-1} and coefficient of the
+residuals is formed once per run of identical operands (``map_runs``), and
+the tail repeats one object.  Past the first stationary power, a higher
+mu-order forms nothing new.
 """
 
 from __future__ import annotations
@@ -38,11 +48,28 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple, TypeVar
 
 from .geometry import (EndField, HiggsField, Pair, Shift, VectorField, judge,
                        nabla)
 from .series import Scalar, TruncatedSeries, as_fraction, dot
+
+
+T = TypeVar("T")
+
+
+def map_runs(f: Callable[..., T], *seqs: Sequence) -> List[T]:
+    """``[f(*args) for args in zip(*seqs)]``, with f called once per run of
+    steps whose arguments are the same objects (``is``) as at the step
+    before; the rest of the run repeats the run's first value.  Exact for
+    every f here, which reads only the storage of its arguments."""
+    out: List[T] = []
+    last: tuple = ()
+    for args in zip(*seqs):
+        if not out or any(a is not b for a, b in zip(args, last)):
+            value, last = f(*args), args
+        out.append(value)
+    return out
 
 
 class CertificationError(ValueError):
@@ -112,11 +139,20 @@ def certify_euler(c: HiggsField, e_field: VectorField,
 
 def geometric_inverse(c: HiggsField, e: VectorField, e1: VectorField,
                       mu_cap: int) -> Tuple[VectorField, ...]:
-    """Coefficients g_k = (-1)^k e o e1^{ok} of (e + mu e1)^{-1}, k <= mu_cap."""
+    """Coefficients g_k = (-1)^k e o e1^{ok} of (e + mu e1)^{-1}, k <= mu_cap.
+
+    Each g_k is g_{k-1} mapped by g -> -R_{e1} g.  That map reads only the
+    storage of g, so it maps a fixed point to itself: once a step gives
+    the series of the step before (``==``), which is the case from k = 2
+    on where e1 = nabla_e e has no term, the tail is stationary, and that
+    one object stands for every later power."""
     r_e1 = c.right(e1)
     coeffs = [e]
-    for _ in range(mu_cap):
-        coeffs.append(-r_e1.apply(coeffs[-1]))
+    while len(coeffs) <= mu_cap:
+        step = -r_e1.apply(coeffs[-1])
+        if step == coeffs[-1]:
+            return tuple(coeffs + [coeffs[-1]] * (mu_cap + 1 - len(coeffs)))
+        coeffs.append(step)
     return tuple(coeffs)
 
 
@@ -132,12 +168,12 @@ def h_from_e(e_field: VectorField, c: HiggsField, shift: Shift,
     j_minus_one = EndField.jacobian(e_field) - one
     if shift is not None:
         j_minus_one = j_minus_one + r_e.scale(shift)
-    left = [c.left(gk) for gk in g]
+    left = map_runs(c.left, g)
     # H_0 = R_E L_{g_0}, formed through the nearly empty L_{g_0} - 1: fewer
     # term pairs than R_E L_{g_0}, with the same series
     h = [r_e + r_e.compose(left[0] - one)]
-    for k in range(1, len(g)):
-        h.append(r_e.compose(left[k]) + j_minus_one.compose(left[k - 1]))
+    h += map_runs(lambda l_k, l_before: r_e.compose(l_k)
+                  + j_minus_one.compose(l_before), left[1:], left[:-1])
     return tuple(h)
 
 
@@ -150,12 +186,12 @@ def e_equation_residual(e_field: VectorField, c: HiggsField,
     """
     e = g[0]
     nabla_e_field = nabla(c, shift, e_field)
-    along = [nabla_e_field.apply(gk) for gk in g]
+    along = map_runs(nabla_e_field.apply, g)
     l_e = c.left(e)
     l_e1 = c.left(e1)
     coeffs = [l_e.apply(along[0]) - l_e1.apply(e_field) - e]
-    for k in range(1, len(g)):
-        coeffs.append(l_e.apply(along[k]) + l_e1.apply(along[k - 1]))
+    coeffs += map_runs(lambda a_k, a_before: l_e.apply(a_k)
+                       + l_e1.apply(a_before), along[1:], along[:-1])
     return tuple(coeffs)
 
 
@@ -165,20 +201,25 @@ def full_flatness_residual(h: Tuple[EndField, ...], c: HiggsField,
 
     Indexed [a][k]: the coefficient of mu^k at X = d_a, as the matrix
     whose column b is the residual at Y = d_b.  The commutator [H_k, C_a] is
-    formed once and serves as the lambda term of the power k + 1 as well.
-    Each entry up to its ``valid_to`` reads H and C only up to theirs, so
-    ``check`` and ``extend`` hand over both cut to their proven degrees:
-    the same entries through ``valid_to``, at a lower cap.
+    formed once and serves as the lambda term of the power k + 1 as well;
+    over a stationary tail of H every entry repeats one object.  Each entry
+    up to its ``valid_to`` reads H and C only up to theirs, so ``check``
+    and ``extend`` hand over both cut to their proven degrees: the same
+    entries through ``valid_to``, at a lower cap.
     """
+    def entry(commutator: EndField, d_a_h: EndField,
+              before: EndField) -> EndField:
+        r = commutator - d_a_h
+        return r if shift is None else r + before.scale(shift)
+
     def row(a: int) -> Tuple[EndField, ...]:
         c_a = c.slice(a)
-        commutators = [h_k.commutator(c_a) for h_k in h]
-        out = [commutators[0]]
-        for k in range(1, len(h)):
-            r = commutators[k] - h[k - 1].derivative(a)
-            if shift is not None:
-                r = r + commutators[k - 1].scale(shift)
-            out.append(r + c_a if k == 1 else r)
+        commutators = map_runs(lambda h_k: h_k.commutator(c_a), h)
+        derivatives = map_runs(lambda h_k: h_k.derivative(a), h[:-1])
+        out = [commutators[0]] + map_runs(entry, commutators[1:], derivatives,
+                                          commutators[:-1])
+        if len(out) > 1:
+            out[1] = out[1] + c_a
         return tuple(out)
 
     return tuple(row(a) for a in range(c.dim))

@@ -12,7 +12,9 @@ Integer literals are arbitrary-precision; division is exact series division
 (the divisor must have a nonzero constant term) so rationals are written as
 quotients like ``1/2``.  ``exp`` requires its argument to vanish at the
 origin.  Parentheses, those of ``exp`` included, nest at most
-``MAX_NESTING`` deep.  Errors carry the byte offset into the source text.
+``MAX_NESTING`` deep, and a number raised to a literal power may have at
+most ``MAX_POWER_BITS`` bits in its numerator and in its denominator.
+Errors carry the byte offset into the source text.
 
 A literal is evaluated to an exact number (``int`` or ``Fraction``), and
 an operator on two numbers gives a number, so ``(1/2)^2`` forms no series.
@@ -44,6 +46,12 @@ class ExprError(InputError):
 # Each level of ``(`` or ``exp(`` takes a few interpreter frames; past this
 # depth the parser reports the input instead of exhausting the stack.
 MAX_NESTING = 100
+
+# A number to a literal power is formed only below 2^MAX_POWER_BITS in
+# numerator and denominator: far above the coefficients a model writes
+# (2^20000 is one), and formed in milliseconds, where 7^10000000 takes
+# seconds.  A series power (``pow_int``) is bounded by the cap instead.
+MAX_POWER_BITS = 1 << 16
 
 NAME_PATTERN = r"[A-Za-z_][A-Za-z_0-9]*"
 _TOKEN_RE = re.compile(r"(?P<int>\d+)|(?P<ident>" + NAME_PATTERN
@@ -151,14 +159,27 @@ class _Parser:
     def power(self) -> Value:
         base = self.atom()
         if self.op() == "^":
-            self.index += 1
+            caret = self.advance()[2]
             kind, text, offset = self.advance()
             if kind != "int":
                 raise ExprError("exponent must be a nonnegative integer",
                                 offset)
+            exponent = int(text)
             if isinstance(base, TruncatedSeries):
-                return base.pow_int(int(text))
-            return base ** int(text)
+                return base.pow_int(exponent)
+            # A numerator or denominator of bit length b makes a power of
+            # more than (b - 1) exponent bits, which refuses most powers past
+            # the bound before they are formed; the rest have fewer than
+            # 2 MAX_POWER_BITS bits and are formed and measured.  0 and +-1
+            # pass at any exponent.
+            size = max(abs(base.numerator), base.denominator).bit_length()
+            if (size - 1) * exponent < MAX_POWER_BITS:
+                value = base ** exponent
+                if max(abs(value.numerator),
+                       value.denominator).bit_length() <= MAX_POWER_BITS:
+                    return value
+            raise ExprError("a number to this power reaches "
+                            f"2^{MAX_POWER_BITS}", caret)
         return base
 
     def nested(self, offset: int) -> Value:

@@ -438,6 +438,13 @@ class TestInputContract:
             dict(TINY, potential=["x0^2/2 + " + "exp(" * 101 + "x0"
                                   + ")" * 101]),
             ("check",), "parentheses nested deeper than 100 (at offset 409)"),
+        # a number to a long literal power is refused before it is formed
+        "literal to a long power": (
+            dict(TINY, potential=["x0^2/2 + 7^10000000*x0^3"]),
+            ("check",), "a number to this power reaches 2^65536 (at offset 10)"),
+        "power of two past the bound": (
+            dict(TINY, potential=["2^99999999999999*x0"]),
+            ("extend",), "a number to this power reaches 2^65536 (at offset 1)"),
         # the master equation differentiates once: order 0 proves nothing
         "family order 0": (dict(FAMILY, order=0, entries=[
             {"multiset": [], "matrix": [["1", "2"], ["3", "4"]]}]),

@@ -157,6 +157,137 @@ class TestReconstruction:
         assert not judge(report).holds
 
 
+def per_power_inverse(c, e, e1, mu_cap):
+    """g_k formed at every power, with no stationary tail."""
+    r_e1 = c.right(e1)
+    coeffs = [e]
+    for _ in range(mu_cap):
+        coeffs.append(-r_e1.apply(coeffs[-1]))
+    return tuple(coeffs)
+
+
+def per_power_h(e_field, c, shift, g):
+    """H_k formed at every power."""
+    one = EndField.identity(c.dim, c.order)
+    r_e = c.right(e_field)
+    j_minus_one = EndField.jacobian(e_field) - one
+    if shift is not None:
+        j_minus_one = j_minus_one + r_e.scale(shift)
+    left = [c.left(gk) for gk in g]
+    h = [r_e + r_e.compose(left[0] - one)]
+    for k in range(1, len(g)):
+        h.append(r_e.compose(left[k]) + j_minus_one.compose(left[k - 1]))
+    return tuple(h)
+
+
+def per_power_equation(e_field, c, shift, e1, g):
+    """The equation residual formed at every power."""
+    e = g[0]
+    along = [geometry.nabla(c, shift, e_field).apply(gk) for gk in g]
+    l_e, l_e1 = c.left(e), c.left(e1)
+    coeffs = [l_e.apply(along[0]) - l_e1.apply(e_field) - e]
+    for k in range(1, len(g)):
+        coeffs.append(l_e.apply(along[k]) + l_e1.apply(along[k - 1]))
+    return tuple(coeffs)
+
+
+def per_power_flatness(h, c, shift):
+    """The flatness residual formed at every power."""
+    def row(a):
+        c_a = c.slice(a)
+        commutators = [h_k.commutator(c_a) for h_k in h]
+        out = [commutators[0]]
+        for k in range(1, len(h)):
+            r = commutators[k] - h[k - 1].derivative(a)
+            if shift is not None:
+                r = r + commutators[k - 1].scale(shift)
+            out.append(r + c_a if k == 1 else r)
+        return tuple(out)
+
+    return tuple(row(a) for a in range(c.dim))
+
+
+def cut_entries(h):
+    return tuple(EndField(tuple(tuple(s.cut(s.valid_to) for s in row)
+                                for row in h_k.matrix)) for h_k in h)
+
+
+def assert_storage_equal(got, want):
+    """Entry by entry equal in coefficients, cap and ``valid_to``."""
+    for (index, lhs), (_, rhs) in zip(iter_tensor(got), iter_tensor(want),
+                                      strict=True):
+        assert lhs == rhs, index
+
+
+class TestStationaryTail:
+    """Each power of mu is formed once per run of identical operands, and
+    the results are storage-equal, through every ``valid_to``, to forming
+    every power: the geometric inverse, H, the equation residual, the
+    flatness residual and the cut H of ``evaluate_extension``.
+
+    ``first`` is the first power k with g_k = g_{k-1} in storage, None
+    where g never becomes stationary."""
+
+    MU_MAX = 8
+
+    @staticmethod
+    def case(kind):
+        n, cap = 2, 6
+        inst = load_model(kind if kind in ("nilpotent", "shifted-identity")
+                          else "qc-p1").instantiate(cap)
+        c = checks.cut_to_proven(inst.structure)
+        e = inst.identity
+        e_field = (inst.euler[0] if inst.euler is not None else
+                   VectorField((x(0, n, cap), x(1, n, cap) * 2)))
+        lambda0 = {"qc-p1": Fraction(0), "shifted-identity": Fraction(1),
+                   "shift -1": Fraction(-1), "shift 2/3": Fraction(2, 3),
+                   "e1 = 0 at a shift": Fraction(2, 3),
+                   "nilpotent": Fraction(0)}[kind]
+        shift = base_member(lambda0)
+        if kind == "e1 = 0 at a shift":
+            e1 = VectorField((TruncatedSeries.zero(n, cap),) * n)
+        elif kind == "nilpotent":
+            # d_1 o d_1 = 0: g_1 = -d_1, then g_2 = g_3 = ... = 0
+            e1 = VectorField.basis(n, cap, 1)
+        else:
+            e1 = covariant_derivative(c, shift, e, e)
+        return c, e, e_field, lambda0, shift, e1
+
+    @pytest.mark.parametrize("kind, first", [
+        ("qc-p1", 2), ("e1 = 0 at a shift", 2), ("nilpotent", 3),
+        ("shift -1", 2), ("shift 2/3", None), ("shifted-identity", None)])
+    def test_equals_every_power_formed(self, kind, first):
+        c, e, e_field, lambda0, shift, e1 = self.case(kind)
+        g_all = per_power_inverse(c, e, e1, self.MU_MAX)
+        h_all = per_power_h(e_field, c, shift, g_all)
+        equation_all = per_power_equation(e_field, c, shift, e1, g_all)
+        flatness_all = per_power_flatness(h_all, c, shift)
+        flatness_cut = per_power_flatness(cut_entries(h_all), c, shift)
+        assert next((k for k in range(1, self.MU_MAX + 1)
+                     if g_all[k] == g_all[k - 1]), None) == first
+        for mu in range(self.MU_MAX + 1):
+            g = geometric_inverse(c, e, e1, mu)
+            assert_storage_equal(g, g_all[:mu + 1])
+            h = h_from_e(e_field, c, shift, g)
+            assert_storage_equal(h, h_all[:mu + 1])
+            assert_storage_equal(e_equation_residual(e_field, c, shift, e1, g),
+                                 equation_all[:mu + 1])
+            assert_storage_equal(full_flatness_residual(h, c, shift),
+                                 [row[:mu + 1] for row in flatness_all])
+            extension = checks.evaluate_extension(c, e, lambda0, e_field, mu,
+                                                  e1)
+            assert_storage_equal(extension.h, cut_entries(h_all[:mu + 1]))
+            assert_storage_equal(extension.equation, equation_all[:mu + 1])
+            assert_storage_equal(extension.flatness,
+                                 [row[:mu + 1] for row in flatness_cut])
+            # the tail repeats one object; with no fixed point none repeats
+            formed = first if first is not None and first <= mu else mu + 1
+            assert len({id(g_k) for g_k in g}) == formed
+            assert len({id(h_k) for h_k in h}) == min(formed + 1, mu + 1)
+            assert len({id(h_k) for h_k in extension.h}) == \
+                min(formed + 1, mu + 1)
+
+
 class TestSharedWork:
     """One ``extend`` builds the geometric inverse once, and one ``check``
     computes nabla_e e once for both the derivative mode and the extension."""

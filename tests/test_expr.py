@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from flatcirc import series
-from flatcirc.expr import ExprError, parse_series
+from flatcirc.expr import MAX_POWER_BITS, ExprError, parse_series
 from flatcirc.series import TruncatedSeries, exp_series
 
 CAP = 8
@@ -111,6 +111,38 @@ class TestPower:
         s = parse_series("(1+x)^0", ["x"], 4)
         assert s == TruncatedSeries.constant(1, 4, 1)
         assert s.valid_to == s.cap == 4
+
+    @pytest.mark.parametrize("text, offset", [
+        ("7^10000000*x^3", 1),
+        ("2^99999999999999*x", 1),
+        (f"2^{MAX_POWER_BITS}", 1),
+        (f"x + (1/2)^{MAX_POWER_BITS}", 9),
+        ("(7^100)^1000*x", 7),
+    ])
+    def test_number_power_past_the_bound_is_refused(self, text, offset):
+        with pytest.raises(ExprError) as info:
+            parse_series(text, ["x"], 4)
+        assert str(info.value) == (f"a number to this power reaches "
+                                   f"2^{MAX_POWER_BITS} (at offset {offset})")
+        assert text[info.value.offset] == "^"
+
+    @pytest.mark.parametrize("text, value", [
+        (f"2^{MAX_POWER_BITS - 1}", 2 ** (MAX_POWER_BITS - 1)),
+        (f"(1/2)^{MAX_POWER_BITS - 1}", Fraction(1, 2 ** (MAX_POWER_BITS - 1))),
+        ("0^99999999999999999999", 0),
+        ("1^99999999999999999999", 1),
+        ("(-1)^99999999999999999999", -1),
+        ("(2-3)^99999999999999999998", 1),
+    ], ids=["2", "1/2", "0", "1", "-1", "2-3"])
+    def test_number_power_below_the_bound(self, text, value):
+        assert parse_series(text + "*x", ["x"], 2) \
+            == TruncatedSeries(1, 2, 2, {(1,): value})
+
+    def test_series_power_is_not_bounded_by_the_exponent(self):
+        # (1 + x)^N at cap 2 is 1 + N x + N(N - 1)/2 x^2
+        n = 99999999999999
+        assert parse_series(f"(1+x)^{n}", ["x"], 2) == TruncatedSeries(
+            1, 2, 2, {(0,): 1, (1,): n, (2,): Fraction(n * (n - 1), 2)})
 
 
 class TestLiterals:

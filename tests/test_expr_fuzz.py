@@ -2,9 +2,10 @@
 
 The strategy draws strings from the grammar of ``flatcirc.expr``: integers
 (long ones included), quotients, variables, ``+ - * /``, ``^`` with small
-exponents, ``exp``, parentheses, deep nesting and long chains of unary
-minus signs, and strings of the grammar with one token inserted, which
-need not parse.  Two properties are checked:
+exponents, bare ``^`` on constants with exponents up to 30 digits,
+``exp``, parentheses, deep nesting and long chains of unary minus signs,
+and strings of the grammar with one token inserted (a bare ``^`` among
+them), which need not parse.  Two properties are checked:
 
 * any string, as the potential of a model document, makes ``flatcirc
   check`` exit 0, 1 or 2 with no traceback;
@@ -25,18 +26,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatcirc.cli import EXIT_BAD_INPUT, EXIT_CHECK_FAILED, EXIT_OK, main
-from flatcirc.expr import MAX_NESTING, ExprError, parse_series
+from flatcirc.expr import MAX_NESTING, MAX_POWER_BITS, ExprError, parse_series
 
 sympy = pytest.importorskip("sympy")
 
 VARIABLES = ["x0", "x1"]
 CAP = 3
 
+INTEGERS = st.one_of(st.integers(0, 12), st.integers(10 ** 20, 10 ** 40))
 LEAVES = st.one_of(
     st.sampled_from(VARIABLES),
-    st.integers(0, 12).map(str),
-    st.integers(10 ** 20, 10 ** 40).map(str),
-    st.tuples(st.integers(0, 9), st.integers(1, 9)).map("{0[0]}/{0[1]}".format))
+    INTEGERS.map(str),
+    st.tuples(st.integers(0, 9), st.integers(1, 9)).map("{0[0]}/{0[1]}".format),
+    st.tuples(INTEGERS, st.integers(0, 3)).map("{0[0]}^{0[1]}".format))
 
 
 # The base of a power holds no power: nested powers of long literals grow
@@ -67,18 +69,21 @@ SIGNED = st.tuples(st.integers(500, 3000), EXPRESSIONS).map(
     lambda t: "-" * t[0] + "(" + t[1] + ")")
 # exp of an argument that need not vanish at the origin
 EXP = EXPRESSIONS.map("exp({})".format)
-GRAMMAR = st.one_of(EXPRESSIONS, DEEP, SIGNED, EXP)
+# A constant to a power past the parser's bound, which it refuses before
+# forming the power, unless the base is 0 or 1.
+LONG_POWERS = st.tuples(INTEGERS, st.integers(MAX_POWER_BITS, 10 ** 30),
+                        EXPRESSIONS).map("{0[0]}^{0[1]}*({0[2]})".format)
+GRAMMAR = st.one_of(EXPRESSIONS, DEEP, SIGNED, EXP, LONG_POWERS)
 
 
 @st.composite
 def mutated(draw):
-    """A grammar string with one token inserted at a drawn offset.  No token
-    ends in ``^``: inside a long literal that would make the rest of it an
-    exponent, and a constant to a power of 20 digits is not formed in any
-    time (7^10000000 takes 18 s to parse)."""
+    """A grammar string with one token inserted at a drawn offset.  A bare
+    ``^`` inside a long literal makes the rest of it an exponent, which
+    the parser's power bound refuses unless the base is 0 or 1."""
     text = draw(EXPRESSIONS)
     at = draw(st.integers(0, len(text)))
-    token = draw(st.sampled_from(["(", ")", "*", "/", "-", "^-1", "^x0",
+    token = draw(st.sampled_from(["(", ")", "*", "/", "-", "^", "^-1", "^x0",
                                   "^(2)", "x9", "exp", "1.5", "@", ""]))
     return text[:at] + token + text[at:]
 

@@ -1,10 +1,16 @@
+import io
+import json
 import random
+import sys
+from contextlib import redirect_stdout
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from coordinates import product_document, unimodular_pair
 
 from flatcirc.checks import cut_to_proven
+from flatcirc.cli import main
 from flatcirc.correlators import (b_from_correlators, correlators_from_b,
                                   master_equation_residual,
                                   potential_endomorphism)
@@ -579,6 +585,74 @@ class TestOperationCounts:
         assert sorted((h.index(left), slices.index(right))
                       for left, right in commutators) == \
             sorted(product(range(len(h)), range(structure.dim)))
+
+
+class TestExtensionCounts:
+    """``dot`` calls of whole commands.  Where nabla_e e = 0 the geometric
+    inverse is stationary from g_1 on, and every power of mu above the
+    first stationary one repeats a formed object, so a higher
+    ``--mu-order`` forms nothing new.  ``shifted-identity`` (nabla_e e = e)
+    has no stationary tail and forms every power, as every model did
+    before the tail was shared."""
+
+    @pytest.fixture
+    def dots(self, monkeypatch):
+        """``dot`` calls from here on, through every module's own name."""
+        calls = [0]
+        dot = series.dot
+
+        def counted(xs, ys):
+            calls[0] += 1
+            return dot(xs, ys)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("flatcirc") \
+                    and getattr(module, "dot", None) is dot:
+                monkeypatch.setattr(module, "dot", counted)
+        return calls
+
+    @pytest.fixture
+    def product_model(self, tmp_path):
+        """qc-p1 x qc-p1 in linear coordinates, as the extension-twist
+        workload writes its models."""
+        a, inv = unimodular_pair(4, [(0, 2, 1), (3, 1, -1)], [1, 0, 3, 2],
+                                 [1, -1, 1, 1])
+        path = tmp_path / "qc-qc.json"
+        path.write_text(json.dumps(product_document(("qc-p1", "qc-p1"), a,
+                                                    inv, 4)))
+        return str(path)
+
+    @staticmethod
+    def counted(dots, command, model, mu_order):
+        dots[0] = 0
+        with redirect_stdout(io.StringIO()):
+            assert main([command, model, "--mu-order", str(mu_order)]) == 0
+        return dots[0]
+
+    @pytest.mark.parametrize("command, count", [("extend", 100),
+                                                ("check", 98)])
+    def test_qc_p1_forms_no_power_past_the_tail(self, dots, command, count):
+        # forming every power took extend 162, 218, 386, 1450 and check
+        # 116, 132, 180, 484 calls at mu-order 4, 6, 12, 50
+        assert [self.counted(dots, command, "qc-p1", mu)
+                for mu in (4, 6, 12, 50)] == [count] * 4
+
+    @pytest.mark.parametrize("command, count", [("extend", 430),
+                                                ("check", 582)])
+    def test_product_model_forms_no_power_past_the_tail(
+            self, dots, product_model, command, count):
+        # forming every power took extend 706, 962, 1730 and check 618,
+        # 650, 746 calls at mu-order 4, 6, 12
+        assert [self.counted(dots, command, product_model, mu)
+                for mu in (4, 6, 12)] == [count] * 3
+
+    @pytest.mark.parametrize("command, counts", [
+        ("extend", [170, 226, 394]), ("check", [208, 264, 432])])
+    def test_without_a_tail_every_power_is_formed(self, dots, command,
+                                                  counts):
+        # 28 dot calls per power of mu
+        assert [self.counted(dots, command, "shifted-identity", mu)
+                for mu in (4, 6, 12)] == counts
 
 
 class TestFindIdentity:
