@@ -12,8 +12,9 @@ Integer literals are arbitrary-precision; division is exact series division
 (the divisor must have a nonzero constant term) so rationals are written as
 quotients like ``1/2``.  ``exp`` requires its argument to vanish at the
 origin.  Parentheses, those of ``exp`` included, nest at most
-``MAX_NESTING`` deep, and a number raised to a literal power may have at
-most ``MAX_POWER_BITS`` bits in its numerator and in its denominator.
+``MAX_NESTING`` deep, and a number raised to a literal power, or the
+constant term of a series so raised, may have at most ``MAX_POWER_BITS``
+bits in its numerator and in its denominator.
 Errors carry the byte offset into the source text.
 
 A literal is evaluated to an exact number (``int`` or ``Fraction``), and
@@ -50,7 +51,8 @@ MAX_NESTING = 100
 # A number to a literal power is formed only below 2^MAX_POWER_BITS in
 # numerator and denominator: far above the coefficients a model writes
 # (2^20000 is one), and formed in milliseconds, where 7^10000000 takes
-# seconds.  A series power (``pow_int``) is bounded by the cap instead.
+# seconds.  A series to a literal power is formed only where its constant
+# term's power is: (7+x0)^1000000 would take seconds at any cap.
 MAX_POWER_BITS = 1 << 16
 
 NAME_PATTERN = r"[A-Za-z_][A-Za-z_0-9]*"
@@ -165,21 +167,21 @@ class _Parser:
                 raise ExprError("exponent must be a nonnegative integer",
                                 offset)
             exponent = int(text)
-            if isinstance(base, TruncatedSeries):
-                return base.pow_int(exponent)
-            # A numerator or denominator of bit length b makes a power of
-            # more than (b - 1) exponent bits, which refuses most powers past
-            # the bound before they are formed; the rest have fewer than
-            # 2 MAX_POWER_BITS bits and are formed and measured.  0 and +-1
-            # pass at any exponent.
-            size = max(abs(base.numerator), base.denominator).bit_length()
+            # A number, or the constant term of a series, of bit length b
+            # makes a power of more than (b - 1) exponent bits, which refuses
+            # most powers past the bound before they are formed; the rest
+            # have fewer than 2 MAX_POWER_BITS bits and are formed and
+            # measured.  0 and +-1 pass at any exponent.
+            series = isinstance(base, TruncatedSeries)
+            number = base.constant_term if series else base
+            size = max(abs(number.numerator), number.denominator).bit_length()
             if (size - 1) * exponent < MAX_POWER_BITS:
-                value = base ** exponent
+                value = number ** exponent
                 if max(abs(value.numerator),
                        value.denominator).bit_length() <= MAX_POWER_BITS:
-                    return value
-            raise ExprError("a number to this power reaches "
-                            f"2^{MAX_POWER_BITS}", caret)
+                    return base.pow_int(exponent) if series else value
+            raise ExprError(f"a {'constant term' if series else 'number'} "
+                            f"to this power reaches 2^{MAX_POWER_BITS}", caret)
         return base
 
     def nested(self, offset: int) -> Value:

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Dict, Iterator, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .series import (DimensionMismatchError, Exponent, Scalar, TruncatedSeries,
                      dot)
@@ -393,22 +393,28 @@ def pencil_curvature_split(higgs: HiggsField,
 # -- tensor helpers -------------------------------------------------------
 
 
-def iter_tensor(tensor) -> Iterator[Tuple[Tuple[int, ...], TruncatedSeries]]:
-    """Depth-first iteration over a nested tuple tensor of series.
+def iter_tensor(tensor) -> List[Tuple[Tuple[int, ...], TruncatedSeries]]:
+    """The (index, series) entries of a nested tuple tensor of series, depth
+    first, as one flat list.
 
     Vector fields and endomorphism fields nest as their component tuple and
     their matrix.
     """
+    entries: List[Tuple[Tuple[int, ...], TruncatedSeries]] = []
+    _collect(tensor, (), entries)
+    return entries
+
+
+def _collect(tensor, index: Tuple[int, ...], entries: list) -> None:
     if isinstance(tensor, TruncatedSeries):
-        yield (), tensor
+        entries.append((index, tensor))
         return
     if isinstance(tensor, VectorField):
         tensor = tensor.components
     elif isinstance(tensor, EndField):
         tensor = tensor.matrix
     for i, sub in enumerate(tensor):
-        for index, s in iter_tensor(sub):
-            yield (i,) + index, s
+        _collect(sub, index + (i,), entries)
 
 
 def tensor_vanishes_through(tensor, degree: int) -> bool:
@@ -442,8 +448,10 @@ def judge(tensor) -> Verdict:
     proven = None
     best = None
     for index, s in iter_tensor(tensor):
-        proven = s.valid_to if proven is None else min(proven, s.valid_to)
-        if s.vanishes_through(s.valid_to):
+        valid = s.valid_to
+        if proven is None or valid < proven:
+            proven = valid
+        if s.vanishes_through(valid):
             continue
         exponent, value = s.first_nonzero()
         key = (sum(exponent), index, exponent)

@@ -14,21 +14,27 @@ is lexicographic order, and adding packed exponents whose degrees sum to at
 most the cap adds the exponents.  The storage is normal (no zero
 numerator, no exponent above the cap but a constant at a negative cap, no
 factor shared by the denominator and all numerators), so equal series have
-equal storage.  All arithmetic here is on integers; a ``Fraction`` is built
-only where a coefficient enters or leaves: the constructor, ``coeffs``,
-``items()``, ``coefficient()``, ``constant_term``, ``first_nonzero`` and
-``canonical_text``.
+equal storage.  Every series is made by ``_series``, which sets the six
+slots through their own descriptor setters.  All arithmetic here is on
+integers; a ``Fraction`` is built only where a coefficient enters or
+leaves: the constructor, ``coeffs``, ``items()``, ``coefficient()``,
+``constant_term`` and ``first_nonzero``.  ``canonical_text`` divides each
+numerator and the denominator by their gcd, and ``vanishes_through`` and
+``first_nonzero`` find the lowest term with one ``min`` unless the sorted
+terms are already built.
 
 Every product is made by one kernel, ``dot(xs, ys)``, the sum of products
 sum_i xs[i] * ys[i]; the product of two series is its one-pair case.  It
 reads each operand's terms sorted by degree, a list built once per series
-and kept, scales every pair onto the lcm of the pair denominators and sums
-integer products per packed exponent.  An operand (or summand) with a cap
-above the smallest one is re-keyed to it, keeping its terms of degree <=
-that cap.  The result carries the smallest cap and the smallest
-``valid_to`` over all operands, empty ones included.  Other modules read
-series with ``items()``, ``coefficient()`` and ``from_degree``; only the
-correlator family conversion calls the constructor.
+and kept, scales every pair onto the lcm of the pair denominators (one
+pair keeps its own) and sums integer products per packed exponent; a call
+whose pairs all have an empty operand returns the empty series at once.
+An operand (or summand) with a cap above the smallest one is re-keyed to
+it, keeping its terms of degree <= that cap.  The result carries the
+smallest cap and the smallest ``valid_to`` over all operands, empty ones
+included.  Other modules read series with ``items()``, ``coefficient()``
+and ``from_degree``; only the correlator family conversion calls the
+constructor.
 """
 
 from __future__ import annotations
@@ -102,14 +108,11 @@ def _base(cap: int) -> int:
     return max(cap, 0) + 1
 
 
-_set = object.__setattr__
-
-
 def _series(num_vars: int, cap: int, valid_to: int, num: Dict[int, int],
             den: int, s: Optional["TruncatedSeries"] = None) -> "TruncatedSeries":
     """The series (``s``, else a new one) of the nonzero numerators ``num``
     over ``den`` > 0, both divided by their common factor."""
-    s = object.__new__(TruncatedSeries) if s is None else s
+    s = _new(TruncatedSeries) if s is None else s
     if valid_to > cap:
         raise ValueError("valid_to must not exceed cap")
     if den != 1:
@@ -117,12 +120,12 @@ def _series(num_vars: int, cap: int, valid_to: int, num: Dict[int, int],
         if g != 1:
             den //= g
             num = {k: v // g for k, v in num.items()}
-    _set(s, "num_vars", num_vars)
-    _set(s, "cap", cap)
-    _set(s, "valid_to", valid_to)
-    _set(s, "_num", num)
-    _set(s, "_den", den)
-    _set(s, "_terms", None)
+    _set_num_vars(s, num_vars)
+    _set_cap(s, cap)
+    _set_valid_to(s, valid_to)
+    _set_num(s, num)
+    _set_den(s, den)
+    _set_terms(s, None)
     return s
 
 
@@ -203,7 +206,7 @@ class TruncatedSeries:
             c = self.cap
             terms = sorted(((k % c or c) if k else 0, k, v)
                            for k, v in self._num.items())
-            _set(self, "_terms", terms)
+            _set_terms(self, terms)
         if cap == self.cap:
             return terms
         return [(d, _pack(_unpack(k, n, base), cap + 1), v)
@@ -234,10 +237,19 @@ class TruncatedSeries:
         for key in sorted(self._num):
             yield _unpack(key, n, base), Fraction(self._num[key], den)
 
+    def _lowest(self) -> Optional[Tuple[int, int]]:
+        """The lowest (degree, packed exponent) stored, or None; read off
+        ``_terms`` if built, else found by one ``min`` with no sort."""
+        terms, c = self._terms, self.cap
+        if terms is not None:
+            return terms[0][:2] if terms else None
+        return min((((k % c or c) if k else 0, k) for k in self._num),
+                   default=None)
+
     def vanishes_through(self, degree: int) -> bool:
         """True if every stored coefficient of total degree <= degree is zero."""
-        terms = self._terms_at(self.cap)
-        return not terms or terms[0][0] > degree
+        lowest = self._lowest()
+        return lowest is None or lowest[0] > degree
 
     def first_nonzero(self) -> Optional[Tuple[Exponent, Fraction]]:
         """Stored nonzero monomial of lowest total degree, or None.
@@ -245,12 +257,12 @@ class TruncatedSeries:
         Ties within a degree go to the lexicographically first exponent, so
         a failure witness lies inside the proven range whenever one does.
         """
-        terms = self._terms_at(self.cap)
-        if not terms:
+        lowest = self._lowest()
+        if lowest is None:
             return None
-        _, key, num = terms[0]
+        key = lowest[1]
         return (_unpack(key, self.num_vars, _base(self.cap)),
-                Fraction(num, self._den))
+                Fraction(self._num[key], self._den))
 
     def cut(self, cap: int) -> "TruncatedSeries":
         """The terms of degree <= ``cap`` at that cap, storage-equal to the
@@ -388,13 +400,23 @@ class TruncatedSeries:
 
     def canonical_text(self) -> str:
         """Canonical text form: sorted ``e0,e1,...:num/den`` lines."""
-        return "\n".join("%s:%d/%d" % (",".join(map(str, e)), c.numerator,
-                                      c.denominator) for e, c in self.items())
+        n, base, den = self.num_vars, _base(self.cap), self._den
+        return "\n".join("%s:%d/%d" % (",".join(map(str, _unpack(k, n, base))),
+                                        v // g, den // g)
+                         for k, v in sorted(self._num.items())
+                         for g in (gcd(v, den),))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         body = " + ".join(
             f"{c}*x^{e}" for e, c in self.items()) or "0"
         return f"<series n={self.num_vars} cap={self.cap} valid={self.valid_to}: {body}>"
+
+
+# The slots' own setters, which the immutable ``__setattr__`` does not reach.
+_new = object.__new__
+(_set_num_vars, _set_cap, _set_valid_to, _set_num, _set_den,
+ _set_terms) = (getattr(TruncatedSeries, name).__set__
+                for name in TruncatedSeries.__slots__)
 
 
 def dot(xs: Sequence[TruncatedSeries],
@@ -410,17 +432,23 @@ def dot(xs: Sequence[TruncatedSeries],
         if s.num_vars != num_vars:
             raise DimensionMismatchError(
                 f"series over {num_vars} and {s.num_vars} variables")
-        cap = min(cap, s.cap)
-        valid_to = min(valid_to, s.valid_to)
-    pairs = [(x._terms_at(cap), y._terms_at(cap), x._den * y._den)
-             for x, y in zip(xs, ys) if x._num and y._num]
-    den = lcm(*(d for _, _, d in pairs))
+        if s.cap < cap:
+            cap = s.cap
+        if s.valid_to < valid_to:
+            valid_to = s.valid_to
+    pairs = [(x, y) for x, y in zip(xs, ys) if x._num and y._num]
+    if not pairs:
+        return _series(num_vars, cap, valid_to, {}, 1)
+    den = (pairs[0][0]._den * pairs[0][1]._den if len(pairs) == 1
+           else lcm(*(x._den * y._den for x, y in pairs)))
     sums: Dict[int, int] = {}
-    for left, right, d in pairs:
-        scale = den // d
+    for x, y in pairs:
+        left, right = x._terms_at(cap), y._terms_at(cap)
+        scale = den // (x._den * y._den)
+        if scale != 1:
+            left = [(d1, k1, n1 * scale) for d1, k1, n1 in left]
         for d1, k1, n1 in left:
             room = cap - d1
-            n1 *= scale
             for d2, k2, n2 in right:
                 if d2 > room:
                     break

@@ -445,6 +445,11 @@ class TestInputContract:
         "power of two past the bound": (
             dict(TINY, potential=["2^99999999999999*x0"]),
             ("extend",), "a number to this power reaches 2^65536 (at offset 1)"),
+        # so is a series whose constant term would pass that bound
+        "series to a long power": (
+            dict(TINY, potential=["x0^2/2 + (7+x0)^1000000"]),
+            ("check",),
+            "a constant term to this power reaches 2^65536 (at offset 15)"),
         # the master equation differentiates once: order 0 proves nothing
         "family order 0": (dict(FAMILY, order=0, entries=[
             {"multiset": [], "matrix": [["1", "2"], ["3", "4"]]}]),

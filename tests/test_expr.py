@@ -138,11 +138,45 @@ class TestPower:
         assert parse_series(text + "*x", ["x"], 2) \
             == TruncatedSeries(1, 2, 2, {(1,): value})
 
+    @pytest.mark.parametrize("text", ["1", "-1", "x", "2*x-1", "1+2^60*x"])
+    def test_series_power_with_constant_term_0_or_1_is_not_bounded(self, text):
+        n = 99999999999999
+        assert parse_series(f"({text})^{n}", ["x"], 2) \
+            == parse_series(text, ["x"], 2).pow_int(n)
+
     def test_series_power_is_not_bounded_by_the_exponent(self):
         # (1 + x)^N at cap 2 is 1 + N x + N(N - 1)/2 x^2
         n = 99999999999999
         assert parse_series(f"(1+x)^{n}", ["x"], 2) == TruncatedSeries(
             1, 2, 2, {(0,): 1, (1,): n, (2,): Fraction(n * (n - 1), 2)})
+
+    @pytest.mark.parametrize("text, offset", [
+        ("(7+x)^1000000", 5),
+        ("(2+x)^99999999999999", 5),
+        (f"(2+x)^{MAX_POWER_BITS}", 5),
+        (f"x*(1/2+x)^{MAX_POWER_BITS}", 9),
+        (f"(2^{MAX_POWER_BITS - 1}*(1+x))^2", 15),
+        ("(7^100+x)^1000", 9),
+    ])
+    def test_series_power_past_the_bound_is_refused(self, text, offset):
+        # decided on the constant term, whatever the cap
+        for cap in (0, 3):
+            with pytest.raises(ExprError) as info:
+                parse_series(text, ["x"], cap)
+            assert str(info.value) == (f"a constant term to this power reaches "
+                                       f"2^{MAX_POWER_BITS} (at offset {offset})")
+            assert text[info.value.offset] == "^"
+
+    @pytest.mark.parametrize("base, exponent, constant", [
+        ("2+x", MAX_POWER_BITS - 1, 2 ** (MAX_POWER_BITS - 1)),
+        ("1/2+x", MAX_POWER_BITS - 1, Fraction(1, 2 ** (MAX_POWER_BITS - 1))),
+        ("-2-x", 3, -8),
+        (f"2^{MAX_POWER_BITS // 2 - 1}+x", 2, 2 ** (MAX_POWER_BITS - 2)),
+    ], ids=["2", "1/2", "-2", "square"])
+    def test_series_power_below_the_bound(self, base, exponent, constant):
+        s = parse_series(f"({base})^{exponent}", ["x"], 1)
+        assert s == parse_series(base, ["x"], 1).pow_int(exponent)
+        assert s.constant_term == constant
 
 
 class TestLiterals:

@@ -5,14 +5,15 @@ A integral with an integral inverse, is the same structure in another flat
 frame (``coordinates.product_document``).  Every residual is a tensor, so
 ``check --format json`` must give the same exit code, and every check the
 same status and ``provenTo``, before and after the change, at every base
-shift.
+shift.  Products of up to four dimensions are drawn, and one n = 4 case
+runs every time.
 """
 
 import io
 import json
 from contextlib import redirect_stdout
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coordinates import product_document, unimodular_pair
@@ -20,7 +21,9 @@ from flatcirc.cli import main
 from flatcirc.models import load_model
 
 FACTORS = (("one-dim",), ("qc-p1",), ("one-dim", "one-dim"),
-           ("qc-p1", "one-dim"), ("one-dim", "qc-p1"), ("one-dim",) * 3)
+           ("qc-p1", "one-dim"), ("one-dim", "qc-p1"), ("one-dim",) * 3,
+           ("qc-p1", "qc-p1"), ("one-dim", "qc-p1", "one-dim"),
+           ("one-dim",) * 4)
 
 
 @st.composite
@@ -48,8 +51,12 @@ def verdicts(directory, name, document, order, shift):
                   for r in json.loads(out.getvalue())["checks"]]
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=20, deadline=None)
 @given(change=coordinate_changes())
+# n = 4 in every run, at the largest order and a nonzero shift
+@example(change=(("qc-p1", "qc-p1"),
+                 unimodular_pair(4, [(0, 1, 1), (2, 3, -1), (3, 0, 2)],
+                                 [3, 2, 1, 0], [1, -1, 1, 1]), 5, "-1/2"))
 def test_coordinate_change_keeps_every_verdict(tmp_path_factory, change):
     factors, (a, inv), order, shift = change
     n = len(a)

@@ -544,3 +544,143 @@ class TestKernelCounts:
         for cap in (-1, -3):  # below cap 0 only the constant is stored
             s = TruncatedSeries.constant(2, cap, 5)
             assert s._terms_at(cap) == [(0, 0, 5)]
+
+
+def fraction_text(s):
+    """``canonical_text`` as it was formed through ``Fraction`` coefficients."""
+    return "\n".join("%s:%d/%d" % (",".join(map(str, e)), c.numerator,
+                                   c.denominator) for e, c in s.items())
+
+
+def lowest_coefficient(s):
+    """The (exponent, value) of lowest (degree, exponent), read off ``coeffs``."""
+    if not s.coeffs:
+        return None
+    e = min(s.coeffs, key=lambda e: (sum(e), e))
+    return e, s.coeffs[e]
+
+
+class TestPerCallPaths:
+    """The kernel's fixed-cost paths give the storage the reference gives:
+    ``dot`` with no pair holding terms, with one pair and with pairs already
+    on a common denominator; text and lowest-term reads that neither sort
+    nor build ``Fraction``s; and the series the slot setters construct."""
+
+    @pytest.mark.parametrize("cap", range(-1, 9))
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_dot_with_every_pair_empty(self, n, cap):
+        rng = random.Random(f"empty:{n}:{cap}")
+        for pairs in (1, 2, 4):
+            xs, ys = [], []
+            for i in range(pairs):
+                own = rng.randint(cap, cap + 3)
+                empty = TruncatedSeries.zero(n, own, rng.randint(-2, own))
+                full = (random_operand(rng, n, cap=max(own, 0)) if own >= 0
+                        else TruncatedSeries.constant(n, own, 5))
+                pair = (empty, full) if rng.random() < 0.5 else (full, empty)
+                if i == 0:  # the smallest cap is reached
+                    pair = (TruncatedSeries.zero(n, cap), pair[1])
+                xs.append(pair[0])
+                ys.append(pair[1])
+            got = dot(xs, ys)
+            assert same(got, dict_dot(xs, ys))
+            assert not got._num and got._den == 1 and got.cap == cap
+            assert got.valid_to == min(s.valid_to for s in (*xs, *ys))
+
+    def test_dot_with_every_pair_empty_checks_dimensions(self):
+        with pytest.raises(DimensionMismatchError):
+            dot([S(2)], [S(3)])
+        with pytest.raises(DimensionMismatchError):
+            dot([S(2), var(0, 2)], [const(1, 2), S(3)])
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_one_pair_takes_its_denominator(self, seed):
+        rng = random.Random(f"one:{seed}")
+        n = 1 + seed % 3
+        x = random_operand(rng, n)
+        y = cancelling_partner(rng, x)
+        empty = TruncatedSeries.zero(n, rng.randint(0, 6), rng.randint(-1, 0))
+        # one pair, alone or among pairs with an empty operand
+        for xs, ys in (([x], [y]), ([x, empty, x], [y, y, empty])):
+            assert same(dot(xs, ys), dict_dot(xs, ys))
+        assert same(x * y, dict_dot([x], [y]))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_pairs_on_a_common_denominator(self, seed):
+        rng = random.Random(f"scale:{seed}")
+        n = 1 + seed % 3
+
+        def over(q):  # numerators prime to q, so the denominator is q
+            return TruncatedSeries(n, 4, rng.randint(0, 4), {
+                e: Fraction(rng.choice((1, -1, 5, -7)), q)
+                for e in product(range(5), repeat=n)
+                if sum(e) <= 4 and rng.random() < 0.6} or {(0,) * n: Fraction(1, q)})
+
+        # every pair over 6: each scale is 1
+        xs = [over(2), over(3), over(6)]
+        ys = [over(3), over(2), over(1)]
+        assert {x._den * y._den for x, y in zip(xs, ys)} == {6}
+        assert same(dot(xs, ys), dict_dot(xs, ys))
+        # pairs over 6 and 1: a scale of 1 next to one of 6
+        xs, ys = [over(2), over(1)], [over(3), over(1)]
+        assert same(dot(xs, ys), dict_dot(xs, ys))
+        assert same(dot(xs[::-1], ys[::-1]), dict_dot(xs[::-1], ys[::-1]))
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_canonical_text_equals_the_fraction_text(self, seed, monkeypatch):
+        rng = random.Random(f"text:{seed}")
+        n, cap = 1 + seed % 4, rng.randint(0, 5)
+        bits = (4, 64, 300, 700)[seed % 4]
+        s = TruncatedSeries(n, cap, cap, {
+            e: Fraction(rng.choice((1, -1)) * rng.getrandbits(bits),
+                        rng.choice((1, 2, 3, 12, 2 ** bits + 1)))
+            for e in product(range(cap + 1), repeat=n)
+            if sum(e) <= cap and rng.random() < 0.5})
+        for t in (s, -s, s * Fraction(3, 7), s.from_degree(1),
+                  TruncatedSeries.zero(n, cap),
+                  TruncatedSeries.constant(n, -1, Fraction(-6, 4))):
+            want = fraction_text(t)
+            built = []
+            new = Fraction.__new__
+            monkeypatch.setattr(Fraction, "__new__", staticmethod(
+                lambda cls, *a, **k: built.append(1) or new(cls, *a, **k)))
+            got = t.canonical_text()
+            monkeypatch.undo()
+            assert got == want and not built
+
+    @pytest.mark.parametrize("n, seed", CASES)
+    def test_lowest_term_before_and_after_the_term_list(self, n, seed):
+        rng = random.Random(f"lowest:{n}:{seed}")
+        x = random_operand(rng, n, empty=seed % 6 == 0)
+        s = x + cancelling_partner(rng, x)  # fresh: no term list yet
+        want = lowest_coefficient(s)
+        vanish = [all(sum(e) > d for e in s.coeffs) for d in range(-2, 8)]
+        for built in (False, True):
+            if built:
+                s._terms_at(s.cap)
+            assert (s._terms is not None) == built
+            assert s.first_nonzero() == want
+            assert [s.vanishes_through(d) for d in range(-2, 8)] == vanish
+            assert (s._terms is not None) == built
+
+    def test_every_construction_is_immutable(self):
+        x = TruncatedSeries(2, 3, 2, {(1, 0): Fraction(1, 2), (0, 2): Fraction(3)})
+        made = [x, x * x, dot([x, x], [x, -x]), x + 1, x.derivative(0),
+                x.cut(1), x.from_degree(1), S(), const(Fraction(2, 3)),
+                var(1), x.invert_unit() if x.constant_term else x + 1]
+        x._terms_at(3)
+        made.append(x)
+        for s in made:
+            before = (s.num_vars, s.cap, s.valid_to, dict(s._num), s._den)
+            for name in TruncatedSeries.__slots__ + ("extra",):
+                with pytest.raises(AttributeError):
+                    setattr(s, name, 0)
+                with pytest.raises(AttributeError):
+                    delattr(s, name)
+            assert (s.num_vars, s.cap, s.valid_to, s._num, s._den) == before
+            for twin in (copy.copy(s), copy.deepcopy(s),
+                         pickle.loads(pickle.dumps(s))):
+                assert twin == s and twin._num == s._num and twin._den == s._den
+                assert twin._terms is None
+                with pytest.raises(AttributeError):
+                    twin.cap = 0
