@@ -667,7 +667,7 @@ class TestPerCallPaths:
         x = TruncatedSeries(2, 3, 2, {(1, 0): Fraction(1, 2), (0, 2): Fraction(3)})
         made = [x, x * x, dot([x, x], [x, -x]), x + 1, x.derivative(0),
                 x.cut(1), x.from_degree(1), S(), const(Fraction(2, 3)),
-                var(1), x.invert_unit() if x.constant_term else x + 1]
+                var(1), (x + 1).invert_unit()]
         x._terms_at(3)
         made.append(x)
         for s in made:
