@@ -444,17 +444,30 @@ def judge(tensor) -> Verdict:
     fails when some entry has a nonzero coefficient at a degree up to that
     entry's own ``valid_to``; the witness is the lowest such coefficient,
     ordered by (degree, entry index, exponent).
+
+    Only the entries that can still change that witness are read.
+    ``iter_tensor`` lists the entries depth first with increasing
+    subscripts, so their indices strictly increase: no index is a prefix of
+    another, since a node is either a series or a container.  An entry's
+    least key is its ``first_nonzero``, whose (degree, exponent) is the
+    lowest in the entry, and it counts when that degree is at most the
+    entry's ``valid_to``.  A later entry, with its greater index, beats the
+    witness at degree d only with a degree below d, so it is asked only
+    whether it vanishes through min(valid_to, d - 1); when it does not, its
+    ``first_nonzero`` is the new witness.  After a witness at degree 0 that
+    bound is negative, no later entry's terms are read, and only the least
+    ``valid_to`` is still folded.
     """
-    proven = None
-    best = None
+    proven = best = top = None
     for index, s in iter_tensor(tensor):
-        valid = s.valid_to
-        if proven is None or valid < proven:
-            proven = valid
-        if s.vanishes_through(valid):
+        through = s.valid_to
+        if proven is None or through < proven:
+            proven = through
+        if top is not None and top < through:
+            through = top
+        if through < 0 or s.vanishes_through(through):
             continue
         exponent, value = s.first_nonzero()
-        key = (sum(exponent), index, exponent)
-        if best is None or key < best[0]:
-            best = (key, (index, exponent, value))
-    return Verdict(proven, None if best is None else best[1])
+        best = (index, exponent, value)
+        top = sum(exponent) - 1
+    return Verdict(proven, best)

@@ -1,3 +1,4 @@
+import copy
 import io
 import json
 import random
@@ -585,6 +586,57 @@ class TestOperationCounts:
         assert sorted((h.index(left), slices.index(right))
                       for left, right in commutators) == \
             sorted(product(range(len(h)), range(structure.dim)))
+
+
+class TestJudgeReads:
+    """Entries whose terms ``judge`` reads on five-term residuals at n = 3:
+    past a witness only a lower degree can win, so after a degree-0 witness
+    no later entry is read."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """Reads of each series (by id) through ``vanishes_through`` and
+        ``first_nonzero`` from here on."""
+        counts = {}
+        for name in ("vanishes_through", "first_nonzero"):
+            method = getattr(TruncatedSeries, name)
+
+            def counted(self, *args, method=method):
+                counts[id(self)] = counts.get(id(self), 0) + 1
+                return method(self, *args)
+
+            monkeypatch.setattr(TruncatedSeries, name, counted)
+        return counts
+
+    @staticmethod
+    def entries(tensor):
+        """The five-term entries, each a series object of its own, and the
+        tensor rebuilt from them: shared zero series get one read per entry."""
+        if isinstance(tensor, tuple):
+            return tuple(TestJudgeReads.entries(t) for t in tensor)
+        return copy.copy(tensor)
+
+    def test_no_entry_after_a_degree_0_witness_is_read(self, reads):
+        tensor = self.entries(five_term_residual(
+            random_tensor(random.Random(0), 3, 2)))
+        entries = geometry.iter_tensor(tensor)
+        reads.clear()
+        verdict = judge(tensor)
+        index, exponent, _ = verdict.offending
+        assert sum(exponent) == 0
+        at = [i for i, _ in entries].index(index)
+        # the entries of P = Q before it are zero, the witness is entry 3
+        assert 0 < at < len(entries) - 1
+        assert not any(id(s) in reads for _, s in entries[at + 1:])
+        assert all(reads.get(id(s)) == 1 for _, s in entries[:at])
+
+    def test_a_passing_tensor_reads_each_entry_at_most_once(self, reads):
+        tensor = self.entries(five_term_residual(qc_structure()))
+        reads.clear()
+        assert judge(tensor).holds
+        entries = geometry.iter_tensor(tensor)
+        assert len({id(s) for _, s in entries}) == len(entries)
+        assert all(reads.get(id(s), 0) <= 1 for _, s in entries)
 
 
 class TestExtensionCounts:

@@ -5,9 +5,9 @@ from itertools import product
 import pytest
 
 from flatcirc.geometry import (EndField, FlatnessError, HiggsField,
-                               VectorField, apply_higgs, covariant_derivative,
-                               lie_bracket, judge, nabla,
-                               pencil_curvature_split,
+                               VectorField, Verdict, apply_higgs,
+                               covariant_derivative, iter_tensor, judge,
+                               lie_bracket, nabla, pencil_curvature_split,
                                tensor_vanishes_through, torsion)
 from flatcirc.series import DimensionMismatchError, TruncatedSeries
 
@@ -253,3 +253,99 @@ class TestTensorHelpers:
                                           (1, 0): Fraction(1)}),),)
         hit = judge(t).offending
         assert hit == ((0, 0), (1, 0), Fraction(1))
+
+
+def reference_judge(tensor) -> Verdict:
+    """``judge`` before it pruned: every entry with a term through its own
+    ``valid_to`` offers its lowest term, and the least (degree, entry index,
+    exponent) wins."""
+    proven = None
+    best = None
+    for index, s in iter_tensor(tensor):
+        valid = s.valid_to
+        if proven is None or valid < proven:
+            proven = valid
+        if s.vanishes_through(valid):
+            continue
+        exponent, value = s.first_nonzero()
+        key = (sum(exponent), index, exponent)
+        if best is None or key < best[0]:
+            best = (key, (index, exponent, value))
+    return Verdict(proven, None if best is None else best[1])
+
+
+class TestJudgeAgainstReference:
+    """``judge`` reads only the entries that can still lower the witness;
+    its verdicts equal the reference's, which reads every entry."""
+
+    @staticmethod
+    def entry(rng, n, low):
+        """A series with terms from degree ``low`` up (none when ``low`` is
+        above the cap), a ``valid_to`` from -1 to the cap, and sometimes
+        terms only above that ``valid_to``."""
+        cap = rng.randint(0, 4)
+        valid = rng.randint(-1, cap)
+        if rng.random() < 0.2:
+            low = valid + 1
+        coeffs = {e: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                  for e in product(range(cap + 1), repeat=n)
+                  if low <= sum(e) <= cap and rng.random() < 0.3}
+        return TruncatedSeries(n, cap, valid,
+                               {e: v for e, v in coeffs.items() if v})
+
+    @classmethod
+    def node(cls, rng, n, depth, low):
+        """A plain tuple, a vector field or an endomorphism field over
+        entries, or a tuple of such nodes while ``depth`` lasts."""
+        kind = rng.choice(("entry", "vector", "end", "tuple")[:4 if depth
+                                                             else 3])
+        if kind == "entry":
+            return cls.entry(rng, n, low)
+        if kind == "vector":
+            return VectorField(tuple(cls.entry(rng, n, low)
+                                     for _ in range(n)))
+        if kind == "end":
+            return EndField(tuple(tuple(cls.entry(rng, n, low)
+                                        for _ in range(n)) for _ in range(n)))
+        return tuple(cls.node(rng, n, depth - 1, low)
+                     for _ in range(rng.randint(1, 3)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", range(25))
+    def test_random_tensors(self, n, seed):
+        rng = random.Random(f"judge:{n}:{seed}")
+        # low degrees first drawn at 0 to 3: many entries tie at their
+        # lowest in-range degree, and some have none
+        tensor = tuple(self.node(rng, n, rng.randint(0, 2),
+                                 rng.choice((0, 1, 2, 3, 5)))
+                       for _ in range(rng.randint(1, 3)))
+        assert judge(tensor) == reference_judge(tensor)
+
+    def test_the_earliest_entry_wins_a_tie(self):
+        late = TruncatedSeries(2, 4, 4, {(1, 0): Fraction(2)})
+        # the later entries tie at degree 1 with exponents below (1, 0)
+        early = TruncatedSeries(2, 4, 3, {(0, 1): Fraction(-1),
+                                          (2, 0): Fraction(7)})
+        above = TruncatedSeries(2, 4, 0, {(1, 0): Fraction(5)})
+        tensor = (VectorField((above, late)),
+                  ((early, TruncatedSeries.zero(2, 4)),), early)
+        verdict = judge(tensor)
+        assert verdict == reference_judge(tensor)
+        assert verdict == Verdict(0, ((0, 1), (1, 0), Fraction(2)))
+
+    def test_a_degree_0_witness_in_the_last_entry(self):
+        entries = [TruncatedSeries(3, 3, 3, {(0, 1, 1): Fraction(1)}),
+                   TruncatedSeries(3, 3, 1, {(1, 0, 0): Fraction(4)}),
+                   TruncatedSeries(3, 3, -1, {(0, 0, 0): Fraction(9)}),
+                   TruncatedSeries(3, 3, 2, {(0, 0, 0): Fraction(-3, 2)})]
+        tensor = EndField(((entries[0], entries[1]), (entries[2],
+                                                       entries[3])))
+        verdict = judge(tensor)
+        assert verdict == reference_judge(tensor)
+        assert verdict == Verdict(-1, ((1, 1), (0, 0, 0), Fraction(-3, 2)))
+
+    def test_empty_entries_and_an_empty_tensor(self):
+        z = TruncatedSeries.zero(2, 3, -1)
+        for tensor in ((), ((z,),), (VectorField((z, z)), ((z,),))):
+            assert judge(tensor) == reference_judge(tensor)
+        assert judge(((z,),)) == Verdict(-1, None)
