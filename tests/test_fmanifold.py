@@ -610,8 +610,8 @@ class TestJudgeReads:
 
     @staticmethod
     def entries(tensor):
-        """The five-term entries, each a series object of its own, and the
-        tensor rebuilt from them: shared zero series get one read per entry."""
+        """The tensor rebuilt with a copy of each entry, so that entries
+        that share one series object are counted apart."""
         if isinstance(tensor, tuple):
             return tuple(TestJudgeReads.entries(t) for t in tensor)
         return copy.copy(tensor)

@@ -297,8 +297,8 @@ class TestJudgeAgainstReference:
     def node(cls, rng, n, depth, low):
         """A plain tuple, a vector field or an endomorphism field over
         entries, or a tuple of such nodes while ``depth`` lasts."""
-        kind = rng.choice(("entry", "vector", "end", "tuple")[:4 if depth
-                                                             else 3])
+        kind = rng.choice(("entry", "vector", "end")
+                          + (("tuple",) if depth else ()))
         if kind == "entry":
             return cls.entry(rng, n, low)
         if kind == "vector":
