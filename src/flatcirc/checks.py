@@ -198,12 +198,10 @@ def _skips(check_ids: Tuple[str, ...], detail: str) -> List[CheckResult]:
 def cut_to_proven(structure: HiggsField) -> HiggsField:
     """C with each entry cut to its own ``valid_to``: the terms above it
     are dropped and the values up to it kept.  Each distinct row is cut
-    once, so the cut C shares a row wherever C does (``HiggsField.pairs``)."""
-    t = structure.tensor
-    rows = {(a, b): tuple(s.cut(s.valid_to) for s in t[a][b])
-            for a, b in structure.representatives}
-    return HiggsField(tuple(tuple(rows[p] for p in row)
-                            for row in structure.pairs))
+    once, so the cut C shares a row wherever C does
+    (``HiggsField.map_rows``)."""
+    return structure.map_rows(lambda row: tuple(s.cut(s.valid_to)
+                                                for s in row))
 
 
 def run_check_suite(instance: ModelInstance, mu_order: int,
@@ -310,11 +308,16 @@ def run_check_suite(instance: ModelInstance, mu_order: int,
             min(h.proven_to for h in report.hypotheses),
             detail="; ".join(failed) if failed else
             "required hypotheses hold"))
-        results.append(_tensor_check(
-            "twist-identity-scaling",
-            (report.bracket_defect_flat_eps, report.euler_weight_one),
-            detail="[twist, identity] = twist and the identity scales the "
-                   "twisted product with weight one"))
+        if report.pair is None:
+            results += _skips(("twist-identity-scaling",),
+                              "no twisted product: the twist field is not "
+                              "circ-invertible at the origin")
+        else:
+            results.append(_tensor_check(
+                "twist-identity-scaling",
+                (report.bracket_defect_flat_eps, report.euler_weight_one),
+                detail="[twist, identity] = twist and the identity scales "
+                       "the twisted product with weight one"))
 
     return SuiteReport(instance.document.name, instance.order, mu_order,
                        shift, tuple(results))

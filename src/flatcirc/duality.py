@@ -93,13 +93,12 @@ def dual_structure(higgs: HiggsField, e: VectorField,
                    epsilon: VectorField) -> DualityPair:
     """The twisted multiplication X * Y = eps^{-1} o X o Y, for the identity
     ``e`` of o; the identity of * is eps.  Each row eps^{-1} o C_ab is formed
-    once per distinct row of C, so the dual shares a row wherever C does."""
+    once per distinct row of C, so the dual shares a row wherever C does
+    (``HiggsField.map_rows``)."""
     eps_inv = circ_inverse(higgs, e, epsilon)
-    left, t = higgs.left(eps_inv), higgs.tensor
-    rows = {(a, b): left.apply(VectorField(t[a][b])).components
-            for a, b in higgs.representatives}
-    return DualityPair(eps_inv, HiggsField(tuple(
-        tuple(rows[p] for p in row) for row in higgs.pairs)))
+    left = higgs.left(eps_inv)
+    return DualityPair(eps_inv, higgs.map_rows(
+        lambda row: left.apply(VectorField(row)).components))
 
 
 @dataclass(frozen=True)
@@ -118,7 +117,7 @@ class DualityVerifyReport:
     ``bracket_defect_flat_eps`` is [eps, e] - eps, which vanishes when eps is
     flat for the shifted connection; when its circ-inverse is flat instead,
     [eps, e] + eps vanishes.  ``euler_weight_one`` is the weight-one scaling
-    residual of e for the twisted product, indexed [a][b]; () without a pair.
+    residual of e for the twisted product, indexed [a][b]; it needs the pair.
     """
 
     hypotheses: Tuple[HypothesisItem, ...]
@@ -138,8 +137,6 @@ class DualityVerifyReport:
 
     @property
     def euler_weight_one(self) -> Tuple[Tuple[VectorField, ...], ...]:
-        if self.pair is None:
-            return ()
         return euler_residual(self.pair.dual, self.identity, 1)
 
     def hypothesis_failures(self) -> List[str]:

@@ -15,7 +15,7 @@ the matrices of X -> v o X and X -> X o v, and the connection the pencil
 member nabla_0 + lambda C, so that J = Jacobian(E) + lambda R_E is the matrix
 of X -> nabla_X E (``geometry.nabla``).  Then
 
-  H_0 = R_E + R_E (L_{g_0} - 1)
+  H_0 = R_E L_{g_0}
   H_k = R_E L_{g_k} + (J - 1) L_{g_{k-1}}                          (k >= 1)
   equation residual_k = e o nabla_{g_k} E + e1 o nabla_{g_{k-1}} E
                         - delta_{k0} (e1 o E + e)
@@ -45,13 +45,11 @@ mu-order forms nothing new.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Sequence, Tuple, TypeVar
+from typing import Callable, List, Sequence, Tuple, TypeVar
 
-from .geometry import (EndField, HiggsField, Pair, Shift, VectorField, judge,
-                       nabla)
+from .geometry import EndField, HiggsField, Shift, VectorField, judge, nabla
 from .series import Scalar, TruncatedSeries, as_fraction, dot
 
 
@@ -90,24 +88,14 @@ def euler_residual(c: HiggsField, e_field: VectorField,
     the columns of E(C_a) + [C_a, D] + L_{d_a E} - weight C_a.
 
     The entries E(C_ab^f) = sum_x E^x d_x C_ab^f are formed once per
-    distinct row (``HiggsField.pairs``): a symmetric C reads the row C_ab
-    for both slices a and b.  A row's entries are dropped after their last
-    use, so no more are held at once than the slices still to come read."""
+    distinct row (``HiggsField.map_rows``): a symmetric C reads the row C_ab
+    for both slices a and b."""
     d = EndField.jacobian(e_field)
-    pairs = c.pairs
-    uses = Counter(p for row in pairs for p in row)
-    along: Dict[Pair, Tuple[TruncatedSeries, ...]] = {}
+    along = c.map_rows(lambda row: tuple(e_field.apply(s) for s in row))
     residual = []
     for a, d_a_e in enumerate(d.columns()):
         c_a = c.slice(a)
-        columns = []
-        for p in pairs[a]:
-            if p not in along:
-                along[p] = tuple(e_field.apply(s) for s in c.tensor[p[0]][p[1]])
-            uses[p] -= 1
-            columns.append(along[p] if uses[p] else along.pop(p))
-        e_c_a = EndField(tuple(zip(*columns)))
-        p_e = e_c_a + c_a.commutator(d) + c.left(d_a_e)
+        p_e = along.slice(a) + c_a.commutator(d) + c.left(d_a_e)
         residual.append(tuple(p - q.scale(weight) for p, q in
                               zip(p_e.columns(), c_a.columns())))
     return tuple(residual)
@@ -169,9 +157,7 @@ def h_from_e(e_field: VectorField, c: HiggsField, shift: Shift,
     if shift is not None:
         j_minus_one = j_minus_one + r_e.scale(shift)
     left = map_runs(c.left, g)
-    # H_0 = R_E L_{g_0}, formed through the nearly empty L_{g_0} - 1: fewer
-    # term pairs than R_E L_{g_0}, with the same series
-    h = [r_e + r_e.compose(left[0] - one)]
+    h = [r_e.compose(left[0])]
     h += map_runs(lambda l_k, l_before: r_e.compose(l_k)
                   + j_minus_one.compose(l_before), left[1:], left[:-1])
     return tuple(h)

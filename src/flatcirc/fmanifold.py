@@ -276,12 +276,12 @@ def nabla_e_e_mode(e: VectorField, w: VectorField) -> NablaEEMode:
     check = w.valid_to
     if w.vanishes_through(check):
         return NablaEEMode("flat", Fraction(0))
-    # candidate eigenvalue from the first nonzero matching coefficients; w
-    # does not vanish through its degree, so some component has a first term
+    # candidate eigenvalue from the first term of the first component of w
+    # that does not vanish through its degree; w does not, so one exists
     for comp_w, comp_e in zip(w.components, e.components):
-        hit = comp_w.first_nonzero()
-        if hit is not None:
+        if not comp_w.vanishes_through(check):
             break
+    hit = comp_w.first_nonzero()
     denom = comp_e.coefficient(hit[0])
     if denom == 0:
         return NablaEEMode("other")

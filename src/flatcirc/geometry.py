@@ -252,6 +252,16 @@ class HiggsField:
         """The distinct pairs of ``pairs``, sorted: one per distinct row."""
         return tuple(sorted({p for row in self.pairs for p in row}))
 
+    def map_rows(self, f: Callable[[Tuple[TruncatedSeries, ...]],
+                                   Tuple[TruncatedSeries, ...]]) -> "HiggsField":
+        """The field whose row T_ab is f(T_p), p = ``pairs[a][b]``.  f is
+        called once per representative, so the result shares a row
+        wherever this field does."""
+        t = self.tensor
+        rows = {(a, b): f(t[a][b]) for a, b in self.representatives}
+        return HiggsField(tuple(tuple(rows[p] for p in row)
+                                for row in self.pairs))
+
     @cached_property
     def jacobians(self) -> Dict[Pair, EndField]:
         """The Jacobian of each representative row, entry [c][k] = d_k T_ab^c:

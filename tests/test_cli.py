@@ -516,6 +516,30 @@ class TestNoIdentity:
                 "detail": "twist checks need an identity"}
 
 
+class TestNoTwistedProduct:
+    """A twist field that is zero at the origin is not circ-invertible, so
+    there is no twisted product and nothing for the identity to scale."""
+
+    DOC = {"schemaVersion": 1, "name": "no-pair", "dim": 1,
+           "variables": ["x0"], "potential": ["x0^3/6"],
+           "identity": ["1"], "epsilon": ["0"]}
+
+    def test_check_skips_twist_identity_scaling(self, capsys, tmp_path):
+        path = tmp_path / "no-pair.json"
+        path.write_text(json.dumps(self.DOC))
+        code, out, _ = run(capsys, "check", str(path), "--order", "4",
+                           "--format", "json")
+        assert code == EXIT_CHECK_FAILED  # twist-hypotheses fails
+        results = {r["id"]: r for r in json.loads(out)["checks"]}
+        assert results["twist-hypotheses"]["status"] == "fail"
+        assert results["twist-hypotheses"]["detail"] \
+            == "twist field circ-invertible at origin"
+        assert results["twist-identity-scaling"] == {
+            "id": "twist-identity-scaling", "status": "skip",
+            "detail": "no twisted product: the twist field is not "
+                      "circ-invertible at the origin"}
+
+
 class TestTableIdentity:
     def test_identity_is_found_for_a_table(self, capsys, tmp_path):
         # a table gets the same identity search as a potential: e = 1

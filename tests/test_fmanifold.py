@@ -6,6 +6,7 @@ import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from coordinates import product_document, unimodular_pair
@@ -24,7 +25,7 @@ from flatcirc.geometry import (EndField, HiggsField, VectorField, apply_higgs,
                                covariant_derivative, judge, lie_bracket,
                                pencil_curvature_split,
                                tensor_vanishes_through, torsion)
-from flatcirc.models import load_model
+from flatcirc.models import ModelDocument, load_model
 from flatcirc.series import TruncatedSeries
 
 CAP = 8
@@ -209,6 +210,62 @@ def mixed_exp_potential_structure(rng, n, cap):
             TruncatedSeries.zero(n, cap))
     return potential_to_structure(VectorField(tuple(
         component() for _ in range(n))))
+
+
+SYMMETRIC_TABLE = json.loads((Path(__file__).resolve().parent / "data"
+                              / "table-qo3-symmetric.json").read_text(
+                                  encoding="utf-8"))["document"]
+
+
+def map_rows_sources():
+    """{id: tensor} of C from a potential, the symmetric table, a partly
+    symmetric tensor and a tensor with no symmetric row, at n = 1-4."""
+    found = {"table-qo3-symmetric": ModelDocument.from_json_obj(
+        SYMMETRIC_TABLE).instantiate(4).structure}
+    for n in range(1, 5):
+        for name, make in (("potential", exp_potential_structure),
+                           ("partly-symmetric", partly_symmetric_tensor),
+                           ("random", random_tensor)):
+            found[f"{name}-n{n}"] = make(
+                random.Random(f"map-rows:{name}:{n}"), n, 4)
+    return found
+
+
+MAP_ROWS_SOURCES = map_rows_sources()
+
+
+class TestMapRows:
+    """``HiggsField.map_rows`` calls f once per representative row and
+    tiles its values over ``pairs``."""
+
+    @staticmethod
+    def f(row):
+        return tuple(s.derivative(0) - s for s in row)
+
+    @pytest.mark.parametrize("key", sorted(MAP_ROWS_SOURCES))
+    def test_f_called_once_per_representative(self, key):
+        tensor = MAP_ROWS_SOURCES[key]
+        calls = []
+        tensor.map_rows(lambda row: calls.append(row) or self.f(row))
+        t = tensor.tensor
+        assert len(calls) == len(tensor.representatives)
+        assert all(row is t[a][b] for row, (a, b)
+                   in zip(calls, tensor.representatives))
+
+    @pytest.mark.parametrize("key", sorted(MAP_ROWS_SOURCES))
+    def test_rows_shared_where_the_source_shares(self, key):
+        tensor = MAP_ROWS_SOURCES[key]
+        result, pairs = tensor.map_rows(self.f).tensor, tensor.pairs
+        for a, b in product(range(tensor.dim), repeat=2):
+            assert (result[a][b] is result[b][a]) \
+                == (pairs[a][b] == pairs[b][a]), (a, b)
+
+    @pytest.mark.parametrize("key", sorted(MAP_ROWS_SOURCES))
+    def test_rows_are_f_of_the_source_rows(self, key):
+        tensor = MAP_ROWS_SOURCES[key]
+        result, t = tensor.map_rows(self.f).tensor, tensor.tensor
+        for a, b in product(range(tensor.dim), repeat=2):
+            assert result[a][b] == self.f(t[a][b]), (a, b)
 
 
 class TestFiveTermContractions:
@@ -900,6 +957,17 @@ class TestNablaEEMode:
         e = load_model("qc-p1").instantiate(CAP).identity
         w = VectorField((TruncatedSeries.constant(2, CAP, 2), x(1)))
         assert nabla_e_e_mode(e, w) == fmanifold.NablaEEMode("other")
+
+    def test_eigenvalue_read_within_proven_degree(self):
+        # w^0 = 5 x0^4 lies above w's proven degree 3, so the eigenvalue is
+        # read off w^1 = 2 e^1, and w - 2e = (3 x0^4, 0) vanishes through 3
+        n, cap = 2, 4
+        quartic = TruncatedSeries(n, cap, cap, {(4, 0): Fraction(1)})
+        e = VectorField((quartic, TruncatedSeries.constant(n, cap, 1)))
+        w = VectorField((TruncatedSeries(n, cap, 3, {(4, 0): Fraction(5)}),
+                         TruncatedSeries.constant(n, cap, 2, 3)))
+        assert nabla_e_e_mode(e, w) == fmanifold.NablaEEMode("eigen",
+                                                             Fraction(2))
 
 
 class TestShiftBase:

@@ -20,6 +20,10 @@ only: no bytecode is written), then runs in this process
   nonzero base shift, so the sweep is what reaches the lambda C terms of
   the twist, extension and identity-derivative residuals on dense and
   transformed models;
+* ``correlators DOC --order k --report F``, which derives a correlator
+  family from each swept document at each of the sweep's orders, and then
+  ``correlators F``, which verifies that family: no workload task derives
+  a family from a structure table or from the n = 5 product;
 * ``dualize``, which has no ``--lambda0``, at the same orders on a copy of
   every swept document that declares a twist field, with each
   of those base shifts written into the copy as ``lambda0``.  Its report
@@ -79,8 +83,9 @@ def run_task(cli, argv, report=None) -> str:
 
 
 def sweep_tasks(models):
-    """(key, argv) of the sweep over ``models``, names or document paths."""
-    for model in models:
+    """(key, argv, report) of the sweep over ``models``, names or document
+    paths: ``report`` is the file the task writes, else None."""
+    for i, model in enumerate(models):
         for order in SWEEP_ORDERS:
             at = (model, "--order", str(order))
             for mu in SWEEP_MU_ORDERS:
@@ -88,12 +93,17 @@ def sweep_tasks(models):
                     yield (f"sweep/{model}/check/o{order}/mu{mu}/l{shift}",
                            ("check",) + at + ("--mu-order", str(mu),
                                               f"--lambda0={shift}",
-                                              "--format", "json"))
+                                              "--format", "json"), None)
                 yield (f"sweep/{model}/extend/o{order}/mu{mu}",
                        ("extend",) + at + ("--mu-order", str(mu),
-                                           "--format", "json"))
+                                           "--format", "json"), None)
             yield (f"sweep/{model}/dualize/o{order}",
-                   ("dualize",) + at + ("--format", "json"))
+                   ("dualize",) + at + ("--format", "json"), None)
+            family = f"family-{i}-o{order}.json"
+            yield (f"sweep/{model}/correlators/o{order}/derive",
+                   ("correlators",) + at + ("--report", family), family)
+            yield (f"sweep/{model}/correlators/o{order}/verify",
+                   ("correlators", family), None)
 
 
 def data_documents(data):
@@ -170,8 +180,8 @@ def main(argv) -> int:
     shifted = list(shifted_copies(bundled + documents))
     with directory_with(documents + [(name, body)
                                      for _, name, body in shifted]):
-        for key, task_argv in sweep_tasks(models):
-            digests[key] = run_task(flatcirc.cli, task_argv)
+        for key, task_argv, report in sweep_tasks(models):
+            digests[key] = run_task(flatcirc.cli, task_argv, report)
         for prefix, name, _ in shifted:
             for order in SWEEP_ORDERS:
                 digests[f"{prefix}/o{order}"] = run_task(
