@@ -10,7 +10,7 @@ script runs
 
 * ``workload_digests.main([TREE])`` (the tool next to this file), which runs
   every benchmark workload task at seeds 0 and 1 and the sweep of ``check``,
-  ``extend`` and ``dualize``; its digests are discarded;
+  ``extend``, ``dualize`` and ``correlators``; its digests are discarded;
 * ``pytest`` on ``TREE/tests/test_acceptance.py``, the acceptance criteria.
 
 It then prints, one per line as ``path:first-last name``, every ``def``
