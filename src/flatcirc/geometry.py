@@ -18,9 +18,11 @@ and the quadratic residual R2.  ``HiggsField`` owns rho and R2: it forms
 each once per tensor, over the pairs a <= b, and every residual that needs
 them reads them there.  R2 is read off the associator table
 W(a, p)^f = sum_e C_ae^f C_p^e over the distinct rows C_p: for the row
-C_p = C_bd its entry is the ``dot`` that forms the entry [f][d] of C_a C_b,
-so R2 is the same series as from the commutators.  A symmetric tensor has
-n(n+1)/2 distinct rows, and there W takes half the commutators' products.
+C_p = C_bd its entry is the sum of products that forms the entry [f][d]
+of C_a C_b, so R2 is the same series as from the commutators.  A symmetric
+tensor has n(n+1)/2 distinct rows, and there W takes half the
+commutators' products.  The n^2 entries of W that share one row C_p are
+one ``series.dots`` call.
 
 The covariant derivative of a vector field v is the matrix of
 X -> nabla_X v, nabla v = Jacobian(v) + lambda R_v with R_v the matrix of
@@ -39,7 +41,7 @@ from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .series import (DimensionMismatchError, Exponent, Scalar, TruncatedSeries,
-                     dot)
+                     dot, dots)
 
 SeriesMatrix = Tuple[Tuple[TruncatedSeries, ...], ...]
 SeriesTensor3 = Tuple[Tuple[Tuple[TruncatedSeries, ...], ...], ...]
@@ -144,15 +146,16 @@ class EndField:
                               for row in self.matrix))
 
     def commutator(self, other: "EndField") -> "EndField":
-        """self @ other - other @ self, entry [f][d] one ``dot`` over 2n
-        pairs: sum_e self_fe other_ed + sum_e (-other_fe) self_ed.  Storage-
-        equal to the difference of the two products: the same products are
-        summed, over the same operands' caps and ``valid_to``."""
+        """self @ other - other @ self, entry [f][d] one sum of products
+        over 2n pairs: sum_e self_fe other_ed + sum_e (-other_fe) self_ed.
+        Storage-equal to the difference of the two products: the same
+        products are summed, over the same operands' caps and ``valid_to``.
+        The n entries of column d share its 2n right operands, so each
+        column is one ``dots`` call over the n rows."""
         _check_same_dim(self.dim, other.dim)
         rows = [a + b for a, b in zip(self.matrix, (-other).matrix)]
         columns = [a + b for a, b in zip(zip(*other.matrix), zip(*self.matrix))]
-        return EndField(tuple(tuple(dot(row, column) for column in columns)
-                              for row in rows))
+        return EndField(tuple(zip(*(dots(rows, column) for column in columns))))
 
     def __add__(self, other: "EndField") -> "EndField":
         _check_same_dim(self.dim, other.dim)
@@ -285,18 +288,24 @@ class HiggsField:
 
         The products come from the associator table
         W(a, p)^f = sum_e T_ae^f T_p^e over the representative rows p: the
-        entry [f][d] of T_a T_b is W(a, pairs[b][d]), formed by the same
-        ``dot`` as in ``compose``, and that of [T_a, T_b] is W(a, pairs[b][d])
-        - W(b, pairs[a][d]).  That takes n^3 products per representative row:
-        m n^3, m = n(n+1)/2, on a symmetric tensor and n^5 on one with no
-        symmetric row, where the commutators of the pairs a <= b take
-        2 m n^3.  W is dropped once R2 is formed.
+        entry [f][d] of T_a T_b is W(a, pairs[b][d]), storage-equal to the
+        ``dot`` that forms it in ``compose``, and that of [T_a, T_b] is
+        W(a, pairs[b][d]) - W(b, pairs[a][d]).  That takes n^3 products per
+        representative row: m n^3, m = n(n+1)/2, on a symmetric tensor and
+        n^5 on one with no symmetric row, where the commutators of the pairs
+        a <= b take 2 m n^3.  The n^2 entries over (a, f) of one row p share
+        its right operands T_p^e, so they are one ``dots`` call, packed into
+        one term-pair loop where the operands are large enough.  W is
+        dropped once R2 is formed.
         """
         n = self.dim
         t, r, p = self.tensor, range(n), self.pairs
-        rows = [self.slice(a).matrix for a in r]
-        w = {(a, q): [dot(rows[a][f], t[q[0]][q[1]]) for f in r]
-             for a in r for q in self.representatives}
+        rows = [row for a in r for row in self.slice(a).matrix]
+        w = {}
+        for q in self.representatives:
+            table = dots(rows, t[q[0]][q[1]])
+            for a in r:
+                w[a, q] = table[a * n:(a + 1) * n]
         return {(a, b): EndField(tuple(tuple(
             w[a, p[b][d]][f] - w[b, p[a][d]][f] for d in r) for f in r))
             for a in r for b in range(a, n)}

@@ -464,13 +464,19 @@ class TestOperationCounts:
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        """Pairs handed to ``dot`` and derivatives taken from here on."""
+        """Pairs handed to ``dot`` and ``dots`` and derivatives taken from
+        here on: ``dots`` counts the pairs of each of its logical ``dot``
+        products, packed or not."""
         counts = {"products": 0, "derivative": 0}
-        dot, derivative = series.dot, TruncatedSeries.derivative
+        dot, dots, derivative = series.dot, series.dots, TruncatedSeries.derivative
 
         def counted_dot(xs, ys):
             counts["products"] += len(xs)
             return dot(xs, ys)
+
+        def counted_dots(xss, ys):
+            counts["products"] += sum(len(xs) for xs in xss)
+            return dots(xss, ys)
 
         def counted_derivative(self, axis):
             counts["derivative"] += 1
@@ -479,6 +485,7 @@ class TestOperationCounts:
         # the residuals' own calls and the products made by ``*``
         for module in (series, geometry, fmanifold):
             monkeypatch.setattr(module, "dot", counted_dot)
+        monkeypatch.setattr(geometry, "dots", counted_dots)
         monkeypatch.setattr(TruncatedSeries, "derivative", counted_derivative)
         return counts
 
@@ -524,6 +531,35 @@ class TestOperationCounts:
         n, m = 3, 6
         pencil_curvature_split(symmetric_tensor(random.Random(0), n, 2), None)
         assert counts == {"products": m * n ** 3, "derivative": m * n * n}
+
+    @pytest.mark.parametrize("n, cap", [(3, 4), (3, 6), (4, 4)])
+    def test_r2_packs_one_loop_per_representative_row(self, counts,
+                                                      monkeypatch, n, cap):
+        # the n^2 entries W(a, q)^f over (a, f) share the row C_q: one
+        # ``dots`` call per representative row, which packs them all into
+        # one term-pair loop where it packs; still m n^3 logical products
+        structure = exp_potential_structure(random.Random(0), n, cap)
+        loops, calls = [], []
+        packed, counted_dots = series._packed, geometry.dots
+
+        def counted(xss, ys, heads, cap, pairs, out):
+            loops.append(sum(head[0] == cap for head in heads))
+            return packed(xss, ys, heads, cap, pairs, out)
+
+        def per_call(xss, ys):
+            before = len(loops)
+            result = counted_dots(xss, ys)
+            calls.append(len(loops) - before)
+            return result
+
+        monkeypatch.setattr(series, "_packed", counted)
+        monkeypatch.setattr(geometry, "dots", per_call)
+        counts["products"] = 0
+        structure.r2
+        m = len(structure.representatives)
+        assert len(calls) == m and set(calls) <= {0, 1} and 1 in calls
+        assert loops == [n * n] * calls.count(1)
+        assert counts["products"] == m * n ** 3
 
     def test_euler_residual_products_and_derivatives(self, counts):
         # 27 entries differentiated along E and Jacobian(E); E(C_a), the two
@@ -706,18 +742,25 @@ class TestExtensionCounts:
 
     @pytest.fixture
     def dots(self, monkeypatch):
-        """``dot`` calls from here on, through every module's own name."""
+        """``dot`` calls from here on, through every module's own name; a
+        ``dots`` call counts one per output, packed or not."""
         calls = [0]
-        dot = series.dot
+        dot, dots = series.dot, series.dots
 
         def counted(xs, ys):
             calls[0] += 1
             return dot(xs, ys)
 
+        def counted_dots(xss, ys):
+            calls[0] += len(xss)
+            return dots(xss, ys)
+
         for module in list(sys.modules.values()):
-            if getattr(module, "__name__", "").startswith("flatcirc") \
-                    and getattr(module, "dot", None) is dot:
-                monkeypatch.setattr(module, "dot", counted)
+            if getattr(module, "__name__", "").startswith("flatcirc"):
+                if getattr(module, "dot", None) is dot:
+                    monkeypatch.setattr(module, "dot", counted)
+                if getattr(module, "dots", None) is dots:
+                    monkeypatch.setattr(module, "dots", counted_dots)
         return calls
 
     @pytest.fixture

@@ -9,13 +9,17 @@ pins the family derived from each model.  Two dense non-integrable
 potentials in dimension 3 (``tests/data/dense-*.json``, seeded random
 quartic and exp potentials of the benchmark's integrability shapes) pin
 failing pencil and five-term witnesses at n = 3, which no corpus model
-reaches.  ``fan`` is pinned at n = 1 to 6, the default size bound.
+reaches.  ``fan`` is pinned at n = 1 to 6, the default size bound.  The
+5-dim product ``tests/data/product-qqo5.json`` is pinned at orders 4 and 5,
+and ``check`` and ``extend --format json`` on it at order 8 by the SHA-256
+of stdout.
 
 A refactor that keeps the library's results must keep these bytes.  After a
 deliberate change of a report, regenerate the file with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
 
+import hashlib
 import io
 import json
 import sys
@@ -108,6 +112,27 @@ def test_five_dim_product_at_order_five_is_byte_identical(tmp_path):
     n = 5, where both the cut of C and the index orbits act."""
     got, want = run_fixture("product-qqo5-order5.json", tmp_path)
     assert got == want
+
+
+@pytest.mark.parametrize("args, digest", [
+    (["check", "--order", "8"],
+     "74546d855fa854932f1f382289fd18795859a0ea8dbeadaeb7cbda38e63b798f"),
+    (["extend", "--order", "8", "--format", "json"],
+     "e24ac0503cbf820ec266e267435e41631cb3fcc43f82631e5a1a4251a8adcc52"),
+], ids=["check", "extend"])
+def test_five_dim_product_at_order_eight_digest(args, digest, tmp_path):
+    """The two commands of ROADMAP's byte gate on the document of
+    ``product-qqo5.json`` at ``--order 8``, where R2 and the commutators
+    take the packed path of ``series.dots``: exit 0 and the SHA-256 of
+    stdout, which is too long to hold here."""
+    case = json.loads((DATA / "product-qqo5.json").read_text(encoding="utf-8"))
+    path = tmp_path / "qqo.json"
+    path.write_text(json.dumps(case["document"]), encoding="utf-8")
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main([args[0], str(path), *args[1:]])
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("name", ["table-qo3-symmetric.json",

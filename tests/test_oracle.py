@@ -37,6 +37,11 @@ form read off R2, rho and the scaling-weight residual
 sympy function of x, when C is symmetric in (a, b), and differ from it
 when it is not.
 
+The associator table W(a, q)^f = sum_e C_ae^f C_q^e, formed row by
+row by ``dots`` on its packed path, and the R2 read off it must be sympy's
+products cut at the cap, on a symmetric tensor and on one with no
+symmetric row.
+
 Division by a negative scalar and by a unit with a negative constant term
 must agree with sympy's series of the quotient.
 """
@@ -51,6 +56,7 @@ from flatcirc.expr import parse_series
 from flatcirc.fmanifold import five_term_residual, potential_to_structure
 from flatcirc.geometry import (FlatnessError, HiggsField, VectorField,
                                iter_tensor, judge, pencil_curvature_split)
+from flatcirc import series
 from flatcirc.series import TruncatedSeries, dot
 
 sympy = pytest.importorskip("sympy")
@@ -457,6 +463,47 @@ def test_sum_difference_and_dot_match_expansion(n, seed):
                       (dot((x, -x), (y, y)), sympy.Integer(0))):
         assert dict(got.items()) == truncated_terms(sympy.expand(poly), n, cap)
         assert (got.cap, got.valid_to) == (cap, valid_to)
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_associator_table_and_r2_match_expansion(symmetric, monkeypatch):
+    """The associator table W(a, q)^f = sum_e C_ae^f C_q^e, formed by one
+    ``dots`` call per representative row q as ``HiggsField.r2`` forms it,
+    and R2(d_a, d_b)^f_d = W(a, (b, d))^f - W(b, (a, d))^f, against
+    sympy's products of polynomials cut at the cap.  The entries are dense
+    at n = 3, and every row takes the packed path."""
+    n, cap = 3, 3
+    rng = random.Random(f"associator:{symmetric}")
+    polys = {(a, b, f): sympy.Poly(sum(
+        (sympy.Rational(rng.randint(-9, 9), rng.randint(1, 5))
+         * sympy.Mul(*(z ** k for z, k in zip(Z, e)))
+         for e in product(range(3), repeat=n) if sum(e) <= 2),
+        sympy.Integer(0)), *Z[:n], domain="QQ")
+        for a, b, f in product(range(n), repeat=3)}
+    if symmetric:
+        polys = {(a, b, f): polys[min(a, b), max(a, b), f]
+                 for a, b, f in polys}
+    c = HiggsField.build(n, lambda a, b, f: TruncatedSeries(
+        n, cap, cap, truncated_terms(polys[a, b, f], n, cap)))
+    loops = []
+    packed = series._packed
+    monkeypatch.setattr(series, "_packed",
+                        lambda *args: loops.append(1) or packed(*args))
+    rows = [tuple(c.tensor[a][e][f] for e in range(n))
+            for a in range(n) for f in range(n)]
+    for q in c.representatives:
+        table = series.dots(rows, c.tensor[q[0]][q[1]])
+        for (a, f), w in zip(product(range(n), repeat=2), table):
+            expected = sum(polys[a, e, f] * polys[q + (e,)] for e in range(n))
+            assert dict(w.items()) == truncated_terms(expected, n, cap)
+    assert len(loops) == len(c.representatives)
+    for (a, b), m in c.r2.items():
+        for f, d in product(range(n), repeat=2):
+            expected = sum(polys[a, e, f] * polys[b, d, e]
+                           - polys[b, e, f] * polys[a, d, e] for e in range(n))
+            assert dict(m.matrix[f][d].items()) == \
+                truncated_terms(expected, n, cap), (a, b, f, d)
+    assert len(loops) == 2 * len(c.representatives)
 
 
 @pytest.mark.parametrize("text", ["x/(-2)", "1/(x-1)", "(1 - 3*x)/(-2 + x^2)"])

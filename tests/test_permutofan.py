@@ -125,14 +125,41 @@ class TestLocate:
 
 
 class TestVerifyFan:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_all_checks_pass(self, n):
+    # (cones, rays, maximal cones) of the sizes the default bound allows last
+    KNOWN = {5: (541, 30, 120), 6: (4683, 62, 720)}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_all_checks_pass(self, n, monkeypatch):
+        monkeypatch.delenv("FLATCIRC_MAX_N", raising=False)
         report = verify_fan(n)
         assert report.all_pass
         assert report.cone_count == fubini_number(n)
         assert report.ray_count == 2 ** n - 2
         import math
         assert report.max_cone_count == math.factorial(n)
+        if n in self.KNOWN:
+            assert (report.cone_count, report.ray_count,
+                    report.max_cone_count) == self.KNOWN[n]
+
+    @pytest.mark.parametrize("flag, corrupt", [
+        ("unimodular", lambda gens: (tuple(2 * v for v in gens[0]),) + gens[1:]),
+        ("complete", lambda gens: tuple(tuple(-v for v in g) for g in gens)),
+    ], ids=["doubled-generator", "negated-generators"])
+    def test_corrupt_maximal_cone_detected(self, monkeypatch, flag, corrupt):
+        # one maximal cone of index 2, or one pointing the other way
+        original = permutofan.cone_of_partition
+        maximal = OrderedPartition.of([2], [4], [1], [3])
+
+        def corrupted(tau):
+            cone = original(tau)
+            if tau == maximal:
+                return Cone(tau, corrupt(cone.generators))
+            return cone
+
+        monkeypatch.setattr(permutofan, "cone_of_partition", corrupted)
+        report = verify_fan(4)
+        assert not getattr(report, flag) and not report.all_pass
+        assert getattr(verify_fan_all_cones(4), flag) is False
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_maximal_cones_match_all_cones(self, n):

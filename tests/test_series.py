@@ -401,6 +401,100 @@ class TestEqualsFractionDictKernel:
             assert same(x.derivative(axis), dict_derivative(x, axis))
 
 
+def dots_operand(rng, n, cap):
+    """An operand at ``cap`` (-1 to 8) for ``dots``: empty, constant, or
+    about a dozen terms whose numerators run to several hundred bits over
+    mixed denominators; ``valid_to`` anywhere from -1 to the cap."""
+    valid_to = rng.randint(-1, cap)
+    kind = rng.random()
+    if kind < 0.15:
+        return TruncatedSeries.zero(n, cap, valid_to)
+    value = Fraction(rng.choice((-1, 1)) * rng.getrandbits(rng.choice((3, 64, 400))),
+                     rng.choice((1, 2, 3, 12, 2 ** 61 - 1)))
+    if kind < 0.3 or cap < 0:
+        return TruncatedSeries.constant(n, cap, value, valid_to)
+    exponents = [e for e in product(range(cap + 1), repeat=n) if sum(e) <= cap]
+    return TruncatedSeries(n, cap, valid_to, {
+        e: value * rng.randint(-3, 3) + rng.randint(-2, 2)
+        for e in rng.sample(exponents, min(len(exponents), 12))})
+
+
+def dots_case(rng, n):
+    """(xss, ys): 1 to 6 outputs of 1 to 4 pairs, mixed caps and
+    ``valid_to``; the last y repeats the first, and about half the outputs
+    take minus their first x there, so their first product cancels."""
+    top = rng.randint(-1, 8)
+    m = rng.randint(1, 4)
+    ys = [dots_operand(rng, n, rng.randint(min(top, 0), top)) for _ in range(m)]
+    xss = [[dots_operand(rng, n, rng.randint(min(top, 0), 8)) for _ in range(m)]
+           for _ in range(rng.randint(1, 6))]
+    if m > 1:
+        ys[-1] = ys[0]
+        for xs in xss:
+            if rng.random() < 0.5:
+                xs[-1] = -xs[0]
+    return xss, ys
+
+
+class TestDots:
+    """``dots`` is ``dot`` per output on both of its paths."""
+
+    @pytest.fixture(params=["packed", "plain"])
+    def path(self, request, monkeypatch):
+        """Force one path of ``dots``; gives the path and the packed term-pair
+        loops run."""
+        loops = []
+        packed = series_module._packed
+
+        def counted(*args):
+            loops.append(args[3])
+            return packed(*args)
+
+        monkeypatch.setattr(series_module, "_packed", counted)
+        monkeypatch.setattr(series_module, "PACK_GAIN",
+                            0 if request.param == "packed" else float("inf"))
+        return request.param, loops
+
+    @pytest.mark.parametrize("n, seed", [(n, seed) for n in (1, 2, 3, 4, 5)
+                                         for seed in range(10)])
+    def test_each_output_equals_its_dot(self, path, n, seed):
+        rng = random.Random(f"dots:{n}:{seed}")
+        xss, ys = dots_case(rng, n)
+        got = series_module.dots(xss, ys)
+        assert len(got) == len(xss)
+        for xs, s in zip(xss, got):
+            assert same(s, dot(xs, ys))
+        assert bool(path[1]) == (path[0] == "packed")
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_sums_at_the_width_bound_decode_exactly(self, path, sign):
+        # every pair of one output adds the same sign at every exponent,
+        # so each sum is as large as the dense operands allow
+        n, cap, top = 2, 4, 2 ** 300 - 1
+        full = {e: Fraction(top) for e in product(range(cap + 1), repeat=n)
+                if sum(e) <= cap}
+        x = TruncatedSeries(n, cap, cap, full)
+        xss = [[x] * 4, [-x] * 4, [x, -x, x, -x]]
+        ys = [x * sign] * 4
+        for xs, s in zip(xss, series_module.dots(xss, ys)):
+            assert same(s, dot(xs, ys))
+
+    @pytest.mark.parametrize("cap", [-2, -1, 0])
+    def test_constants_at_a_cap_below_1(self, path, cap):
+        # a constant stored at a negative cap multiplies to nothing
+        c = [TruncatedSeries.constant(2, cap, v, min(cap, 0) - 1)
+             for v in (3, Fraction(-5, 2), 7)]
+        xss = [c[:2], c[1:], [c[0], -c[0]]]
+        for xs, s in zip(xss, series_module.dots(xss, c[:2])):
+            assert same(s, dot(xs, c[:2]))
+
+    def test_mixed_dimensions_raise(self, path):
+        two, three = TruncatedSeries.constant(2, 3, 1), TruncatedSeries.zero(3, 3)
+        for xss, ys in (([[two], [three]], [two]), ([[two], [two]], [three])):
+            with pytest.raises(DimensionMismatchError):
+                series_module.dots(xss, ys)
+
+
 class TestStorage:
     @pytest.mark.parametrize("coeffs", [
         {(1,): Fraction(1)},          # too short
