@@ -570,15 +570,13 @@ def _packed(xss: Sequence[Sequence[TruncatedSeries]],
                 for _, k, v in xss[i][j]._terms_at(cap):
                     left[k] = left.get(k, 0) + (v * s << shift)
         right = y._terms_at(cap)
-        upto = [[(k2, n2) for d2, k2, n2 in right if d2 <= room]
-                for room in range(max(cap, 0) + 1)]
-        # base cap + 1 is 1 mod cap: a key's degree as in ``_terms_at``
         for k1, p1 in left.items():
             room = cap - ((k1 % cap or cap) if k1 else 0)
-            if room >= 0:  # below cap 0 a stored constant has no room
-                for k2, n2 in upto[room]:
-                    k = k1 + k2
-                    sums[k] = sums.get(k, 0) + p1 * n2
+            for d2, k2, n2 in right:
+                if d2 > room:
+                    break
+                k = k1 + k2
+                sums[k] = sums.get(k, 0) + p1 * n2
     half, mask = 1 << (step - 1), (1 << step) - 1
     offset = half * ((1 << step * len(slots)) - 1) // mask
     nums: List[Dict[int, int]] = [{} for _ in slots]
