@@ -570,7 +570,7 @@ def _packed(xss: Sequence[Sequence[TruncatedSeries]],
                 for _, k, v in xss[i][j]._terms_at(cap):
                     left[k] = left.get(k, 0) + (v * s << shift)
         right = y._terms_at(cap)
-        for k1, p1 in left.items():
+        for k1, p1 in left.items():  # the key's degree as in ``_terms_at``
             room = cap - ((k1 % cap or cap) if k1 else 0)
             for d2, k2, n2 in right:
                 if d2 > room:
