@@ -505,11 +505,15 @@ def dots(xss: Sequence[Sequence[TruncatedSeries]],
     pairs above.  The packed path takes one step per left term it packs
     and one per term pair of its loop, about sum_j t_j |y_j| when the
     packed left at j has as many terms as its longest operand t_j, as
-    where the supports nest (dense series).  With k outputs T is below k
-    times that, so packing needs more than ``PACK_GAIN`` outputs, and it is
-    chosen when T is at least ``PACK_GAIN`` times the packed steps.
+    where the supports nest (dense series).  Packing is chosen when T is at
+    least ``PACK_GAIN`` times those steps.  With k outputs t_j is at least
+    the mean sum_i |x_ij| / k, so T over the steps is at most
+    k Y / (k + Y), Y the most terms of a y_j; the steps are counted only
+    where that bound reaches ``PACK_GAIN``.
     """
-    if len(xss) > PACK_GAIN:
+    k = len(xss)
+    if k > PACK_GAIN and max(len(y._num) for y in ys) * (k - PACK_GAIN) \
+            >= PACK_GAIN * k:
         pairs = steps = 0
         for column, y in zip(zip(*xss), ys):
             lengths = [len(x._num) for x in column]
