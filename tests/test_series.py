@@ -469,15 +469,18 @@ class TestDots:
     @pytest.mark.parametrize("sign", [1, -1])
     def test_sums_at_the_width_bound_decode_exactly(self, path, sign):
         # every pair of one output adds the same sign at every exponent,
-        # so each sum is as large as the dense operands allow
+        # so each sum is as large as the dense operands allow; on the
+        # constants one sum takes every term pair, T L M with T = 3, which
+        # needs the last bit of the slot width
         n, cap, top = 2, 4, 2 ** 300 - 1
         full = {e: Fraction(top) for e in product(range(cap + 1), repeat=n)
                 if sum(e) <= cap}
         x = TruncatedSeries(n, cap, cap, full)
-        xss = [[x] * 4, [-x] * 4, [x, -x, x, -x]]
-        ys = [x * sign] * 4
-        for xs, s in zip(xss, series_module.dots(xss, ys)):
-            assert same(s, dot(xs, ys))
+        c = TruncatedSeries.constant(n, cap, top)
+        for xss, ys in (([[x] * 4, [-x] * 4, [x, -x, x, -x]], [x * sign] * 4),
+                        ([[c] * 3], [c * sign] * 3)):
+            for xs, s in zip(xss, series_module.dots(xss, ys)):
+                assert same(s, dot(xs, ys))
 
     @pytest.mark.parametrize("cap", [-2, -1, 0])
     def test_constants_at_a_cap_below_1(self, path, cap):
