@@ -15,10 +15,10 @@ from fractions import Fraction
 from importlib import resources
 from typing import Optional, Sequence, Tuple
 
-from .expr import NAME_PATTERN, is_name, parse_series
+from .expr import NAME_PATTERN, ExprError, is_name, parse_series
 from .fmanifold import find_identity, potential_to_structure
 from .geometry import HiggsField, VectorField
-from .series import InputError
+from .series import InputError, TruncatedSeries
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -110,9 +110,17 @@ class ModelDocument:
             raise ModelFormatError(f"malformed model document: {exc}") from exc
         return doc
 
-    def _field(self, expressions: Sequence[str], cap: int) -> VectorField:
-        return VectorField(tuple(
-            parse_series(text, self.variables, cap) for text in expressions))
+    def _parse(self, text: str, cap: int, where: str) -> TruncatedSeries:
+        """``text`` at ``cap``; a parse error names the field ``where``."""
+        try:
+            return parse_series(text, self.variables, cap)
+        except ExprError as exc:
+            raise ExprError(f"{where}: {exc.message}", exc.offset) from None
+
+    def _field(self, key: str, expressions: Sequence[str],
+               cap: int) -> VectorField:
+        return VectorField(tuple(self._parse(text, cap, f"{key}[{i}]")
+                                 for i, text in enumerate(expressions)))
 
     def instantiate(self, order: Optional[int] = None) -> "ModelInstance":
         """The model at ``order``; its identity is the declared field, else
@@ -126,22 +134,23 @@ class ModelDocument:
                 f"at order {cap} the structure tensor is proven only to "
                 f"degree {proven}; a residual with a derivative needs "
                 "degree 1")
-        identity = (self._field(self.identity, cap)
+        identity = (self._field("identity", self.identity, cap)
                     if self.identity is not None else None)
         if self.potential is not None:
-            tensor = potential_to_structure(self._field(self.potential, cap))
+            tensor = potential_to_structure(
+                self._field("potential", self.potential, cap))
         else:
             table = self.structure_table
             tensor = HiggsField.build(
-                self.dim,
-                lambda a, b, c: parse_series(table[a][b][c], self.variables,
-                                             cap))
+                self.dim, lambda a, b, c: self._parse(
+                    table[a][b][c], cap, f"structure[{a}][{b}][{c}]"))
         if identity is None:
             identity = find_identity(tensor)
         euler = None
         if self.euler is not None:
-            euler = (self._field(self.euler[0], cap), self.euler[1])
-        epsilon = (self._field(self.epsilon, cap)
+            euler = (self._field("euler.components", self.euler[0], cap),
+                     self.euler[1])
+        epsilon = (self._field("epsilon", self.epsilon, cap)
                    if self.epsilon is not None else None)
         return ModelInstance(self, cap, tensor, identity, euler, epsilon,
                              self.lambda0)

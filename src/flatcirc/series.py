@@ -598,17 +598,55 @@ def _packed(xss: Sequence[Sequence[TruncatedSeries]],
 
 
 def exp_series(s: TruncatedSeries) -> TruncatedSeries:
-    """exp of a series with zero constant term, expanded to the cap."""
+    """exp of a series with zero constant term, expanded to the cap, by the
+    graded recurrence on integers; at the cap and ``valid_to`` of s.
+
+    Let f = exp(s) and write s_j, f_k for the homogeneous parts of degree
+    j and k.  The Euler operator sum_i x_i d_i multiplies a part of degree
+    k by k and is a derivation, so it turns f' = s' f into
+    k f_k = sum_{j=1..k} j s_j f_{k-j}, f_0 = 1 (Knuth, TAOCP vol. 2,
+    4.7).  With s = S / d, S the numerators and d the denominator, let
+    G_k = k! d^k f_k.  Then G_0 = 1 and
+
+        G_k = sum_{j=1..k} [(k-1)! / (k-j)!] d^(j-1) j S_j G_{k-j},
+
+    where (k-1)! / (k-j)! = (k-1)(k-2)...(k-j+1) is a product of j - 1
+    integers and j >= 1, so every G_k is integral by induction.  The
+    parts of degree <= c, c the cap, are f_k = G_k (c!/k!) d^(c-k) over
+    the one denominator c! d^c, and ``_series`` divides out the common
+    factor.  The loop this replaced summed s^k / k! for k = 0..c, each
+    power formed by ``*`` at the cap; s^k has order >= k, so that sum is
+    exp(s) cut at the cap as well, carrying the cap and ``valid_to`` of s.
+    Normal storage is unique, so the two give equal storage.
+    """
     if 0 in s._num:
         raise NonUnitError("exp requires zero constant term for exact expansion")
-    acc = TruncatedSeries.constant(s.num_vars, s.cap, 1, valid_to=s.valid_to)
-    term = acc
-    for k in range(1, s.cap + 1):
-        term = (term * s)._scaled(1, k)
-        if not term._num:
-            break
-        acc = acc + term
-    return acc
+    cap, d = max(s.cap, 0), s._den
+    parts: List[List[Tuple[int, int]]] = [[] for _ in range(cap + 1)]
+    for j, k, v in s._terms_at(s.cap):
+        parts[j].append((k, j * v))
+    g: List[Dict[int, int]] = [{0: 1}]
+    for k in range(1, cap + 1):
+        gk: Dict[int, int] = {}
+        factor = 1  # (k-1)!/(k-j)! d^(j-1)
+        for j in range(1, k + 1):
+            if j > 1:
+                factor *= (k - j + 1) * d
+            low = g[k - j]
+            if parts[j] and low:
+                for k1, n1 in parts[j]:
+                    n1 *= factor
+                    for k2, n2 in low.items():
+                        key = k1 + k2
+                        gk[key] = gk.get(key, 0) + n1 * n2
+        g.append({key: v for key, v in gk.items() if v})
+    num: Dict[int, int] = {}
+    scale = 1  # c!/k! d^(c-k), from k = c down
+    for k in range(cap, -1, -1):
+        for key, v in g[k].items():
+            num[key] = v * scale
+        scale *= k * d if k else 1
+    return _series(s.num_vars, s.cap, s.valid_to, num, scale)
 
 
 def primitive_of_closed_family(family: Sequence[TruncatedSeries]) -> TruncatedSeries:

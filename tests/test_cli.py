@@ -16,7 +16,8 @@ from coordinates import product_document, unimodular_pair
 import flatcirc
 from flatcirc import checks, duality
 from flatcirc.cli import EXIT_BAD_INPUT, EXIT_CHECK_FAILED, EXIT_OK, main
-from flatcirc.models import CORPUS, load_model
+from flatcirc.expr import ExprError
+from flatcirc.models import CORPUS, ModelDocument, load_model
 from flatcirc.series import DimensionMismatchError, NonUnitError
 
 QC_P1 = json.loads(
@@ -481,6 +482,44 @@ class TestInputContract:
             reports.append(run(capsys, "check", str(path)))
         assert reports[0][0] == EXIT_OK
         assert reports[1] == reports[2] == reports[0]
+
+
+class TestParseErrorNamesTheField:
+    """A text that does not parse is named by its field and index, and the
+    offset is still into that text."""
+
+    CASES = {
+        "potential": (dict(TINY, dim=2, variables=["x", "y"],
+                           potential=["x^2/2", "x*y +"], identity=["1", "0"]),
+                      "potential[1]: expected a value (at offset 5)", 5),
+        "identity": (dict(TINY, identity=["1 +* x0"]),
+                     "identity[0]: expected a value (at offset 3)", 3),
+        "euler": (dict(TINY, euler={"components": ["x0 )"], "weight": "1"}),
+                  "euler.components[0]: unexpected ')' (at offset 3)", 3),
+        "epsilon": (dict(TINY, epsilon=["exp(1)"]), "epsilon[0]: exp "
+                    "argument must vanish at the origin (at offset 0)", 0),
+        "structure": ({"schemaVersion": 1, "name": "t", "dim": 2,
+                       "variables": ["x", "y"],
+                       "structure": [[["1", "0"], ["0", "1"]],
+                                     [["0", "1"], ["1", "y/x"]]]},
+                      "structure[1][1][1]: division by a series vanishing at "
+                      "the origin (at offset 1)", 1),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_message_names_the_field(self, capsys, tmp_path, case):
+        doc, message, _ = self.CASES[case]
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "check", str(path)) == (
+            EXIT_BAD_INPUT, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_error_keeps_its_offset(self, case):
+        doc, message, offset = self.CASES[case]
+        with pytest.raises(ExprError) as info:
+            ModelDocument.from_json_obj(doc).instantiate()
+        assert (str(info.value), info.value.offset) == (message, offset)
 
 
 class TestNoIdentity:

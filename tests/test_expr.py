@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from flatcirc import series
+from flatcirc import expr, series
 from flatcirc.expr import MAX_POWER_BITS, ExprError, parse_series
 from flatcirc.series import TruncatedSeries, exp_series
 
@@ -167,6 +167,20 @@ class TestPower:
                                        f"2^{MAX_POWER_BITS} (at offset {offset})")
             assert text[info.value.offset] == "^"
 
+    def test_power_of_a_term_past_the_cap_is_zero_at_once(self):
+        # degree times exponent passes the cap before any coefficient is
+        # formed: 2^99999999999999 would not fit in memory
+        assert parse_series("(2*x)^99999999999999", ["x"], 2) \
+            == TruncatedSeries.zero(1, 2)
+
+    def test_power_of_a_term_keeps_its_coefficient(self):
+        # the bound is on the constant term, and a term of degree 1 has none
+        big = 2 ** (MAX_POWER_BITS - 1)
+        assert parse_series(f"(2^{MAX_POWER_BITS - 1}*x)^3", ["x"], 3) \
+            == TruncatedSeries(1, 3, 3, {(3,): big ** 3})
+        assert parse_series(f"(2^{MAX_POWER_BITS - 1}*x)^3", ["x"], 2) \
+            == TruncatedSeries.zero(1, 2)
+
     @pytest.mark.parametrize("base, exponent, constant", [
         ("2+x", MAX_POWER_BITS - 1, 2 ** (MAX_POWER_BITS - 1)),
         ("1/2+x", MAX_POWER_BITS - 1, Fraction(1, 2 ** (MAX_POWER_BITS - 1))),
@@ -215,18 +229,28 @@ class TestLiterals:
         assert str(info.value) == message
         assert info.value.offset == int(message[-2])
 
-    def test_each_variable_built_once_per_parse(self, monkeypatch):
-        built = []
-        variable = TruncatedSeries.variable
+    def test_polynomial_text_forms_no_series_work(self, monkeypatch):
+        # a polynomial stays a map of exact coefficients to the end of the
+        # parse, where it becomes one series
+        calls = []
 
-        def counted(num_vars, cap, axis):
-            built.append(axis)
-            return variable(num_vars, cap, axis)
+        def counted(name, f):
+            return lambda *args: calls.append(name) or f(*args)
 
-        monkeypatch.setattr(TruncatedSeries, "variable", staticmethod(counted))
-        text = "x0*x1 + x0^2 - 3*x1*x0 + exp(x0 - x1)/(1 + x1)"
-        assert parse(text) == parse_series(text, VARS, CAP)
-        assert sorted(built) == [0, 0, 1, 1]
+        monkeypatch.setattr(series, "dot", counted("dot", series.dot))
+        monkeypatch.setattr(TruncatedSeries, "invert_unit", counted(
+            "invert_unit", TruncatedSeries.invert_unit))
+        monkeypatch.setattr(TruncatedSeries, "variable", staticmethod(
+            counted("variable", TruncatedSeries.variable)))
+        monkeypatch.setattr(expr, "exp_series",
+                            counted("exp_series", expr.exp_series))
+        text = "x0*x1 + x0^2 - 3*x1*x0 + 7 - x1^3/2 + (2*x0)^3*x1^4*(1/3)^2"
+        assert parse(text) == TruncatedSeries(2, CAP, CAP, {
+            (1, 1): -2, (2, 0): 1, (0, 0): 7, (0, 3): Fraction(-1, 2),
+            (3, 4): Fraction(8, 9)})
+        assert calls == []
+        parse("x0*x1/(1 + x0) + (x0 + x1)^2*exp(x1)")  # the guard counts
+        assert sorted(set(calls)) == ["dot", "exp_series", "invert_unit"]
 
     def test_literals_form_no_product_or_inverse(self, monkeypatch):
         calls = {"dot": 0, "invert_unit": 0}

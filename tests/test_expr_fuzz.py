@@ -10,10 +10,12 @@ them), which need not parse.  Two properties are checked:
 * any string, as the potential of a model document, makes ``flatcirc
   check`` exit 0, 1 or 2 with no traceback;
 * any string that parses equals sympy's expansion of it cut at the cap,
-  term by term, and is proven through the cap (``valid_to`` is the cap).
+  term by term, and is proven through the cap (``valid_to`` is the cap),
+  at caps 0, 1 and 3: cap 0 drops every variable and cap 1 every product
+  of two variables, before any series is formed.
 
-Both are tier-1 tests, bounded at 15 s together: 100 and 80 examples take
-1.5-3.2 s on a 2-core shared Xeon with Python 3.11.7.
+Both are tier-1 tests, bounded at 15 s together: 100 examples and 80 at
+each cap take 1.5-3.2 s on a 2-core shared Xeon with Python 3.11.7.
 """
 
 import io
@@ -88,16 +90,16 @@ def mutated(draw):
     return text[:at] + token + text[at:]
 
 
-def expansion(text):
-    """sympy's expansion of ``text`` through total degree ``CAP``, as
+def expansion(text, cap):
+    """sympy's expansion of ``text`` through total degree ``cap``, as
     {exponent: Fraction}: each variable x is scaled by t and the series in
-    t is cut after t^CAP."""
+    t is cut after t^cap."""
     xs = sympy.symbols(VARIABLES)
     t = sympy.Symbol("t")
     expr = sympy.sympify(text.replace("^", "**"),
                          locals={**dict(zip(VARIABLES, xs)), "exp": sympy.exp})
     scaled = expr.subs({x: t * x for x in xs}, simultaneous=True)
-    cut = sympy.series(scaled, t, 0, CAP + 1).removeO().subs(t, 1)
+    cut = sympy.series(scaled, t, 0, cap + 1).removeO().subs(t, 1)
     poly = sympy.Poly(sympy.expand(cut), *xs)
     return {e: Fraction(int(c.p), int(c.q)) for e, c in poly.terms() if c}
 
@@ -117,12 +119,23 @@ def test_any_expression_exits_with_a_message(tmp_path_factory, text):
     assert (code == EXIT_BAD_INPUT) == bool(err.getvalue())
 
 
+def check_cut_expansion(text, cap):
+    try:
+        got = parse_series(text, VARIABLES, cap)
+    except ExprError:
+        return  # a divisor or an exp argument that is not allowed
+    assert (got.cap, got.valid_to) == (cap, cap)
+    assert dict(got.items()) == expansion(text, cap)
+
+
 @settings(max_examples=80, deadline=None)
 @given(EXPRESSIONS)
 def test_parsed_series_is_the_cut_expansion(text):
-    try:
-        got = parse_series(text, VARIABLES, CAP)
-    except ExprError:
-        return  # a divisor or an exp argument that is not allowed
-    assert (got.cap, got.valid_to) == (CAP, CAP)
-    assert dict(got.items()) == expansion(text)
+    check_cut_expansion(text, CAP)
+
+
+@pytest.mark.parametrize("cap", [0, 1])
+@settings(max_examples=80, deadline=None)
+@given(text=EXPRESSIONS)
+def test_parsed_series_is_the_cut_expansion_at_a_low_cap(text, cap):
+    check_cut_expansion(text, cap)

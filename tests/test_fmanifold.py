@@ -781,28 +781,31 @@ class TestExtensionCounts:
             assert main([command, model, "--mu-order", str(mu_order)]) == 0
         return dots[0]
 
-    @pytest.mark.parametrize("command, count", [("extend", 100),
-                                                ("check", 98)])
+    @pytest.mark.parametrize("command, count", [("extend", 90),
+                                                ("check", 88)])
     def test_qc_p1_forms_no_power_past_the_tail(self, dots, command, count):
         # forming every power took extend 162, 218, 386, 1450 and check
-        # 116, 132, 180, 484 calls at mu-order 4, 6, 12, 50
+        # 116, 132, 180, 484 calls at mu-order 4, 6, 12, 50, loading
+        # included; loading made 10 more calls before polynomial values
         assert [self.counted(dots, command, "qc-p1", mu)
                 for mu in (4, 6, 12, 50)] == [count] * 4
 
-    @pytest.mark.parametrize("command, count", [("extend", 430),
-                                                ("check", 582)])
+    @pytest.mark.parametrize("command, count", [("extend", 413),
+                                                ("check", 565)])
     def test_product_model_forms_no_power_past_the_tail(
             self, dots, product_model, command, count):
         # forming every power took extend 706, 962, 1730 and check 618,
-        # 650, 746 calls at mu-order 4, 6, 12
+        # 650, 746 calls at mu-order 4, 6, 12, loading included; loading
+        # made 17 more calls before polynomial values
         assert [self.counted(dots, command, product_model, mu)
                 for mu in (4, 6, 12)] == [count] * 3
 
     @pytest.mark.parametrize("command, counts", [
-        ("extend", [170, 226, 394]), ("check", [208, 264, 432])])
+        ("extend", [160, 216, 384]), ("check", [198, 254, 422])])
     def test_without_a_tail_every_power_is_formed(self, dots, command,
                                                   counts):
-        # 28 dot calls per power of mu
+        # 28 dot calls per power of mu; loading made 10 more calls before
+        # polynomial values
         assert [self.counted(dots, command, "shifted-identity", mu)
                 for mu in (4, 6, 12)] == counts
 

@@ -44,6 +44,9 @@ symmetric row.
 
 Division by a negative scalar and by a unit with a negative constant term
 must agree with sympy's series of the quotient.
+
+exp of a polynomial with terms of degrees 1 to 3, formed by the graded
+recurrence of ``exp_series``, must be sympy's expansion cut at the cap.
 """
 
 import random
@@ -57,7 +60,7 @@ from flatcirc.fmanifold import five_term_residual, potential_to_structure
 from flatcirc.geometry import (FlatnessError, HiggsField, VectorField,
                                iter_tensor, judge, pencil_curvature_split)
 from flatcirc import series
-from flatcirc.series import TruncatedSeries, dot
+from flatcirc.series import TruncatedSeries, dot, exp_series
 
 sympy = pytest.importorskip("sympy")
 
@@ -520,3 +523,25 @@ def test_negative_divisor_matches_series(text):
         for (k,), c in sympy.Poly(expected, x).terms() if c != 0}
     # a negative denominator left in the storage would break exact ``==``
     assert got == TruncatedSeries(1, cap, cap, dict(got.items()))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_exp_of_a_nonlinear_polynomial(n):
+    """Each variable is scaled by t and sympy's ``rs_exp`` expands exp in t
+    through t^cap, so its terms, t set to 1, are exp of the polynomial
+    through total degree cap."""
+    from sympy.polys.ring_series import rs_exp
+    from sympy.polys.rings import ring
+
+    cap = 7
+    rng = random.Random(f"exp:{n}")
+    r, t, *xs = ring(["t"] + [f"x{i}" for i in range(n)], sympy.QQ)
+    coeffs = {e: Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+              for e in product(range(4), repeat=n) if 0 < sum(e) <= 3}
+    poly = sum((sympy.QQ(c.numerator, c.denominator) * t ** sum(e)
+                * sympy.prod(x ** k for x, k in zip(xs, e))
+                for e, c in coeffs.items()), r(0))
+    expected = {e[1:]: Fraction(int(c.numerator), int(c.denominator))
+                for e, c in rs_exp(poly, t, cap + 1).terms() if c}
+    got = exp_series(TruncatedSeries(n, cap, cap, coeffs))
+    assert dict(got.items()) == expected

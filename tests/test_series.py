@@ -213,6 +213,68 @@ class TestExp:
         assert (lhs - rhs).vanishes_through(6)
 
 
+def loop_exp(s):
+    """exp as it was formed before the graded recurrence, kept as the
+    reference ``exp_series`` must equal exactly: the sum of s^k / k! for
+    k = 0..cap, each power a product at the cap."""
+    acc = TruncatedSeries.constant(s.num_vars, s.cap, 1, valid_to=s.valid_to)
+    term = acc
+    for k in range(1, s.cap + 1):
+        term = term * s * Fraction(1, k)
+        acc = acc + term
+    return acc
+
+
+def exp_argument(rng, n, cap):
+    """A series at ``cap`` with no constant term: empty, or up to eight
+    terms of mixed degrees, numerators of a few or about 300 bits over
+    mixed denominators; ``valid_to`` from -1 to the cap."""
+    valid_to = rng.randint(-1, cap)
+    exponents = [e for e in product(range(cap + 1), repeat=n)
+                 if 0 < sum(e) <= cap]
+    if not exponents or rng.random() < 0.1:
+        return TruncatedSeries.zero(n, cap, valid_to)
+    bits = rng.choice((3, 300))
+    return TruncatedSeries(n, cap, valid_to, {
+        e: Fraction(rng.choice((-1, 1)) * rng.getrandbits(bits) + 1,
+                    rng.choice((1, 2, 3, 12, 2 ** 61 - 1)))
+        for e in rng.sample(exponents, min(len(exponents), 8))})
+
+
+class TestExpRecurrence:
+    """``exp_series`` by the graded recurrence gives the storage of the
+    product loop it replaced."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("cap", range(-1, 11))
+    def test_equals_the_product_loop(self, n, cap):
+        rng = random.Random(f"exp:{n}:{cap}")
+        for _ in range(3):
+            s = exp_argument(rng, n, cap)
+            assert same(exp_series(s), loop_exp(s))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_empty_argument_is_one(self, n):
+        for cap in range(-1, 11):
+            s = TruncatedSeries.zero(n, cap, cap - 1)
+            assert same(exp_series(s), TruncatedSeries.constant(
+                n, cap, 1, valid_to=cap - 1))
+            assert same(exp_series(s), loop_exp(s))
+
+    def test_valid_to_below_the_cap(self):
+        s = TruncatedSeries(2, 6, 2, {(1, 0): 3, (1, 1): Fraction(1, 2)})
+        e = exp_series(s)
+        assert (e.cap, e.valid_to) == (6, 2)
+        assert same(e, loop_exp(s))
+
+    def test_homogeneous_parts_of_several_degrees(self):
+        # exp(x + x^2) = 1 + x + 3/2 x^2 + 7/6 x^3 + 25/24 x^4 + ...
+        s = TruncatedSeries(1, 4, 4, {(1,): 1, (2,): 1})
+        assert exp_series(s) == TruncatedSeries(1, 4, 4, {
+            (0,): 1, (1,): 1, (2,): Fraction(3, 2), (3,): Fraction(7, 6),
+            (4,): Fraction(25, 24)})
+
+
 class TestPrimitive:
     def test_gradient_recovers_potential(self):
         # d/dx and d/dy of x^2 y
