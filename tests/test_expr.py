@@ -94,6 +94,12 @@ class TestErrors:
         with pytest.raises(ExprError):
             parse("")
 
+    def test_negative_cap_is_refused(self):
+        # a programming error, not bad input: no exit 2
+        with pytest.raises(ValueError, match="cap must be nonnegative") as info:
+            parse_series("x0", VARS, -1)
+        assert not isinstance(info.value, ExprError)
+
 
 class TestPower:
     @pytest.mark.parametrize("text", ["x^-1", "x^y"])
