@@ -145,13 +145,11 @@ class _Parser:
         return (key % self.cap or self.cap) if key else 0
 
     def series(self, value: Value) -> TruncatedSeries:
-        """``value`` as a series at the cap, proven through it: a number as
-        the constant series, a polynomial by its numerators over their
-        lcm."""
+        """``value`` as a series at the cap, proven through it: a number or
+        a polynomial by its numerators over their lcm."""
         if isinstance(value, TruncatedSeries):
             return value
-        if not isinstance(value, _Poly):
-            return TruncatedSeries.constant(self.num_vars, self.cap, value)
+        value = _poly(value)
         den = lcm(*(c.denominator for c in value.values()))
         return _series(self.num_vars, self.cap, self.cap,
                        {k: c.numerator * (den // c.denominator)

@@ -36,7 +36,9 @@ included.  ``dots(xss, ys)`` is ``[dot(xs, ys) for xs in xss]``, output
 by output the same storage; where the operands are large enough, it packs
 the numerators of all outputs at one exponent into one integer (Kronecker
 substitution on coefficients) and forms the products that share a right
-operand in one term-pair loop.  Other modules read series with
+operand in one term-pair loop.  ``exp_series`` forms no product: it runs
+the graded recurrence k f_k = sum_j j s_j f_{k-j} on integer numerators,
+one pass over the homogeneous parts.  Other modules read series with
 ``items()``, ``coefficient()`` and ``from_degree``; only the correlator
 family conversion calls the constructor.
 """
